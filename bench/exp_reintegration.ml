@@ -1,7 +1,6 @@
 (* E11 — mass reintegration (not in the paper): cost of re-replicating
-   live BULK connections onto a repaired host, swept over snapshot form
-   (full vs delta) and offer scheduling (burst vs paced), the connection
-   count, and control-channel loss.
+   live BULK connections onto a repaired host, swept over snapshot size
+   (full vs delta), the connection count, and control-channel loss.
 
    Topology: [n_clients] clients, a replicated pair and one spare host
    on a shared gigabit LAN (server-class host profile, as E13 — the
@@ -15,10 +14,8 @@
    deployment would: [Delta] rows model a checkpointing application that
    calls {!Tcb.checkpoint} at every block boundary, so captures ship as
    delta snapshots (post-checkpoint input only); [Full] rows never
-   checkpoint and ship the whole history.  The [pacing] axis switches
-   {!Replicated.start_transfers} between the legacy one-burst offer
-   storm and the windowed scheduler ([transfer_inflight] +
-   [transfer_pace]).
+   checkpoint and ship the whole history (replay base 0).  Offers go
+   through the one paced, windowed scheduler ({!Hot_transfer}).
 
    Choreography per trial: connections open and upload block #1; the
    secondary is killed; after detection a fresh host is reintegrated and
@@ -83,7 +80,7 @@ type outcome = {
   ok : bool;  (** every stream exact and RST-free after BOTH failovers *)
 }
 
-let one_trial ~conns ~loss ~mode ~pacing ~seed =
+let one_trial ~conns ~loss ~mode ~seed =
   let world = World.create ~seed () in
   note_world world;
   let spec =
@@ -105,14 +102,10 @@ let one_trial ~conns ~loss ~mode ~pacing ~seed =
     List.init n_clients (fun i ->
         Topo.host_of topo (Printf.sprintf "client%d" i))
   in
-  let config =
-    if pacing then
-      Failover_config.make ~service_ports ~transfer_inflight:32
-        ~transfer_pace:(Time.us 10) ()
-    else Failover_config.make ~service_ports ()
-  in
   let repl =
-    Replicated.create_pool ~replicas:(Topo.group_of topo "pool") ~config ()
+    Replicated.create_pool ~replicas:(Topo.group_of topo "pool")
+      ~config:(Failover_config.make ~service_ports ())
+      ()
   in
   List.iter
     (fun port ->
@@ -260,18 +253,19 @@ let one_trial ~conns ~loss ~mode ~pacing ~seed =
   }
 
 (* Disjoint deterministic seed blocks per point: every (loss, conns,
-   mode, pacing) cell is independent and replayable on its own. *)
-let seed_of ~conns ~loss ~mode ~pacing i =
+   mode) cell is independent and replayable on its own.  The constant
+   salt is the one the paced rows carried when a burst scheduler shared
+   this sweep, so every row replays its historical seeds. *)
+let seed_of ~conns ~loss ~mode i =
   let loss_salt = int_of_float ((loss *. 1000.) +. 0.5) * 4099 in
   let mode_salt = match mode with Full -> 0 | Delta -> 17_389 in
-  let pace_salt = if pacing then 52_361 else 0 in
+  let pace_salt = 52_361 in
   11_000 + (100 * conns) + i + loss_salt + mode_salt + pace_salt
 
 type row = {
   r_loss : float;
   r_conns : int;
   r_mode : mode;
-  r_pacing : bool;
   r_moved : float;
   r_bytes : float;
   r_rtx : float;
@@ -279,34 +273,26 @@ type row = {
   r_lat : float;
   r_resets : float;
   r_ok : bool;
-  r_gated : bool;
-      (* burst rows at >= 1000 connections are the legacy offer-storm
-         collapse this experiment exists to document: reported, but not
-         counted against all_ok *)
 }
 
 let print_row r =
-  Printf.printf "%-6.2f %-8d %-6s %-5s %8.0f %12.0f %12.1f %6.0f %6.0f \
-                 %4.0f %14.1f %6s\n"
-    r.r_loss r.r_conns (mode_name r.r_mode)
-    (if r.r_pacing then "paced" else "burst")
-    r.r_moved r.r_bytes
+  Printf.printf "%-6.2f %-8d %-6s %8.0f %12.0f %12.1f %6.0f %6.0f %4.0f \
+                 %14.1f %6s\n"
+    r.r_loss r.r_conns (mode_name r.r_mode) r.r_moved r.r_bytes
     (r.r_bytes /. float_of_int r.r_conns)
     r.r_rtx r.r_ckpt r.r_resets r.r_lat
-    (if r.r_ok then "yes" else if r.r_gated then "NO" else "NO*")
+    (if r.r_ok then "yes" else "NO")
 
-let row_of_point ~loss ~conns ~mode ~pacing ~trials =
+let row_of_point ~loss ~conns ~mode ~trials =
   let outcomes =
     map_trials trials (fun i ->
-        one_trial ~conns ~loss ~mode ~pacing
-          ~seed:(seed_of ~conns ~loss ~mode ~pacing i))
+        one_trial ~conns ~loss ~mode ~seed:(seed_of ~conns ~loss ~mode i))
   in
   let med f = Stats.median (List.map f outcomes) in
   {
     r_loss = loss;
     r_conns = conns;
     r_mode = mode;
-    r_pacing = pacing;
     r_moved = med (fun o -> float_of_int o.transferred);
     r_bytes = med (fun o -> float_of_int o.xfer_bytes);
     r_rtx = med (fun o -> float_of_int o.retransmits);
@@ -314,109 +300,85 @@ let row_of_point ~loss ~conns ~mode ~pacing ~trials =
     r_lat = med (fun o -> o.latency_us);
     r_resets = med (fun o -> float_of_int o.resets);
     r_ok = List.for_all (fun o -> o.ok && o.transferred = o.conns) outcomes;
-    r_gated = pacing || conns <= 100;
   }
 
 let row_json r =
   Printf.sprintf
-    "{\"loss\":%.2f,\"conns\":%d,\"mode\":%S,\"pacing\":%b,\
+    "{\"loss\":%.2f,\"conns\":%d,\"mode\":%S,\
      \"transferred\":%.0f,\"transfer_bytes\":%.0f,\"retransmits\":%.0f,\
      \"checkpoints\":%.0f,\"resets\":%.0f,\"latency_us\":%.1f,\
-     \"ok\":%b,\"gated\":%b}"
-    r.r_loss r.r_conns (mode_name r.r_mode) r.r_pacing r.r_moved r.r_bytes
-    r.r_rtx r.r_ckpt r.r_resets r.r_lat r.r_ok r.r_gated
+     \"ok\":%b}"
+    r.r_loss r.r_conns (mode_name r.r_mode) r.r_moved r.r_bytes r.r_rtx
+    r.r_ckpt r.r_resets r.r_lat r.r_ok
 
-let combos = [ (Full, false); (Full, true); (Delta, false); (Delta, true) ]
+let modes = [ Full; Delta ]
 
 let run_exp ~conn_counts ~loss_rates ~big ~trials =
   print_header
     (Printf.sprintf
-       "E11: mass reintegration — snapshot form (full|delta) x offer \
-        scheduling (burst|paced) x live connections x control-channel \
-        loss (%d trial%s per point, %d job%s)"
+       "E11: mass reintegration — snapshot size (full|delta) x live \
+        connections x control-channel loss (%d trial%s per point, %d \
+        job%s)"
        trials
        (if trials = 1 then "" else "s")
        !jobs
        (if !jobs = 1 then "" else "s"));
-  Printf.printf "%-6s %-8s %-6s %-5s %8s %12s %12s %6s %6s %4s %14s %6s\n"
-    "loss" "conns" "mode" "offer" "moved" "bytes" "bytes/conn" "rtx"
-    "ckpt" "rst" "latency[us]" "ok";
+  Printf.printf "%-6s %-8s %-6s %8s %12s %12s %6s %6s %4s %14s %6s\n" "loss"
+    "conns" "mode" "moved" "bytes" "bytes/conn" "rtx" "ckpt" "rst"
+    "latency[us]" "ok";
   let points =
     List.concat_map
       (fun loss ->
         List.concat_map
           (fun conns ->
-            List.map (fun (mode, pacing) -> (loss, conns, mode, pacing))
-              combos)
+            List.map (fun mode -> (loss, conns, mode)) modes)
           conn_counts)
       loss_rates
   in
   let grid =
     List.map
-      (fun (loss, conns, mode, pacing) ->
-        let r = row_of_point ~loss ~conns ~mode ~pacing ~trials in
+      (fun (loss, conns, mode) ->
+        let r = row_of_point ~loss ~conns ~mode ~trials in
         print_row r;
         r)
       points
   in
-  (* the 10k point: delta+paced must stay clean, and the full rows are
-     the baseline the >=2x latency claim is made against *)
+  (* the 10k point: delta must stay clean, and the full row is the
+     baseline the >=2x latency claim is made against *)
   let big_rows =
     if big = 0 then []
     else begin
       Printf.printf "--- %d-connection point (1 trial, loss 0) ---\n" big;
       List.map
-        (fun (mode, pacing) ->
-          let r =
-            row_of_point ~loss:0.0 ~conns:big ~mode ~pacing ~trials:1
-          in
+        (fun mode ->
+          let r = row_of_point ~loss:0.0 ~conns:big ~mode ~trials:1 in
           print_row r;
           r)
-        [ (Full, false); (Full, true); (Delta, true) ]
+        modes
     end
   in
-  let gated_ok rows = List.for_all (fun r -> r.r_ok || not r.r_gated) rows in
-  let delta_big =
-    List.find_opt (fun r -> r.r_mode = Delta && r.r_pacing) big_rows
-  in
-  let big_ok =
-    match delta_big with Some r -> r.r_ok | None -> big = 0
-  in
-  let all_ok = gated_ok grid && gated_ok big_rows && big_ok in
-  (* speedup: delta+paced vs the BEST full row at the big point — the
-     strongest version of the claim *)
+  let rows = grid @ big_rows in
+  let all_ok = List.for_all (fun r -> r.r_ok) rows in
+  let find mode = List.find_opt (fun r -> r.r_mode = mode) big_rows in
   let speedup =
-    match delta_big with
-    | None -> 0.0
-    | Some d ->
-      let full_lats =
-        List.filter_map
-          (fun r ->
-            if r.r_mode = Full && not (Float.is_nan r.r_lat) then
-              Some r.r_lat
-            else None)
-          big_rows
-      in
-      (match full_lats with
-      | [] -> 0.0
-      | ls -> List.fold_left min (List.hd ls) ls /. d.r_lat)
+    match (find Full, find Delta) with
+    | Some f, Some d when not (Float.is_nan f.r_lat) -> f.r_lat /. d.r_lat
+    | _ -> 0.0
   in
-  (match delta_big with
+  (match find Delta with
   | Some d ->
     Printf.printf
-      "delta+paced at %d conns: %.0f us reintegration, %.1fx faster \
-       than the best full-snapshot row\n"
+      "delta at %d conns: %.0f us reintegration, %.1fx faster than the \
+       full-snapshot row\n"
       big d.r_lat speedup
   | None -> ());
   Printf.printf "%s\n"
-    (if all_ok then
-       "every gated row survived both failovers byte-exactly (NO* rows \
-        are the ungated legacy burst collapse at scale)"
-     else "WARNING: a gated row did not survive the second failover");
+    (if all_ok then "every row survived both failovers byte-exactly"
+     else "WARNING: a row did not survive the second failover");
   (* machine-readable line for BENCH_reintegration.json bookkeeping *)
   Printf.printf
     "[reintegration-summary] {\"trials\":%d,\"jobs\":%d,\"all_ok\":%b,\
      \"big_conns\":%d,\"big_speedup\":%.2f,\"rows\":[%s]}\n%!"
     trials !jobs all_ok big speedup
-    (String.concat "," (List.map row_json (grid @ big_rows)));
+    (String.concat "," (List.map row_json rows));
   dump_metrics ~exp:"reintegration"

@@ -9,7 +9,6 @@ module Ipv4_packet = Tcpfo_packet.Ipv4_packet
 module Obs = Tcpfo_obs.Obs
 module Registry = Tcpfo_obs.Registry
 module Transfer = Tcpfo_statex.Transfer
-module Snapshot = Tcpfo_statex.Snapshot
 
 type event =
   | Death_detected of int
@@ -54,16 +53,10 @@ type t = {
   registry : Failover_config.registry;
   config : Failover_config.t;
   service : Ipaddr.t;
-  mutable services : (int * (replica:int -> Tcb.t -> unit)) list;
-  (* §7.2 client-role connections: setup per backend endpoint, re-run
-     when a restored connection lands on a rejoined tail *)
-  mutable backends : ((Ipaddr.t * int) * (replica:int -> Tcb.t -> unit)) list;
+  (* listener and §7.2 setup hooks, plus the offer scheduler *)
+  hot : (replica:int -> Tcb.t -> unit) Hot_transfer.t;
   mutable on_event : event -> unit;
-  (* hot-state-transfer bookkeeping for the latest rejoin *)
-  mutable pending : int;
-  mutable xfers : int;
   c_deaths : Registry.counter;
-  c_isolated : Registry.counter;
 }
 
 let service_addr t = t.service
@@ -72,7 +65,7 @@ let set_on_event t fn = t.on_event <- fn
 let node_of t i = List.find (fun n -> n.index = i) t.nodes
 let alive t = t.order
 let head t = match t.order with i :: _ -> i | [] -> -1
-let pending_transfers t = t.pending
+let pending_transfers t = Hot_transfer.pending t.hot
 
 (* ---------------------------------------------------------------- *)
 (* All-pairs heartbeat mesh.  Each live node unicasts a heartbeat to
@@ -218,130 +211,14 @@ let handle_death t ~observer:_ ~dead =
     reconfigure t
   end
 
-(* ---------------------------------------------------------------- *)
-(* Hot state transfer onto a rejoined tail.                          *)
-
-let transferable_state : Tcb.state -> bool = function
-  | Tcb.Established | Fin_wait_1 | Fin_wait_2 | Close_wait | Closing
-  | Last_ack | Time_wait ->
-    true
-  | Syn_sent | Syn_received | Closed -> false
-
-let find_backend t (ra, rp) =
-  List.find_map
-    (fun ((a, p), setup) ->
-      if Ipaddr.equal a ra && p = rp then Some setup else None)
-    t.backends
-
-(* Mirror of {!Replicated}'s installer: adopt the restored TCB on the
-   rejoined replica, re-attach the application — listener for
-   server-role connections, connect_backend setup for client-role ones —
-   and resume. *)
-let installer t node ~src:_ (sc : Snapshot.conn) =
-  let snap = sc.Snapshot.tcb in
-  if not (transferable_state snap.Tcb.sn_state) then
-    Error "connection state not transferable"
-  else if not (Ipaddr.equal (fst snap.Tcb.sn_local) t.service) then
-    Error "snapshot is not for the service address"
-  else
-    let stack = Host.tcp node.host in
-    match
-      Stack.adopt stack ~local:snap.Tcb.sn_local ~remote:snap.Tcb.sn_remote
-        ~make:(fun actions ->
-          Tcb.restore (Host.clock node.host) ~obs:(Stack.obs stack)
-            ~config:(Stack.config stack) actions snap)
-    with
-    | Error _ as e -> e
-    | Ok tcb ->
-      (match sc.Snapshot.role with
-      | `Server ->
-        (match List.assoc_opt (snd snap.Tcb.sn_local) t.services with
-        | Some on_accept -> on_accept ~replica:node.index tcb
-        | None -> ())
-      | `Client ->
-        (match find_backend t snap.Tcb.sn_remote with
-        | Some setup -> setup ~replica:node.index tcb
-        | None -> ()));
-      Tcb.resume_restored tcb;
-      Ok ()
-
-(* Ship every live service connection of the end-of-chain node to the
-   rejoined tail; whatever cannot travel is pinned solo. *)
-let start_transfers t ~src:prev ~dst:fresh =
-  let pb =
-    match prev.bridge with
-    | Merger b -> b
-    | Tail _ -> invalid_arg "Chain: transfer source is not a merging level"
-  in
-  let dst = Host.addr fresh.host in
-  let candidates =
-    List.filter
-      (fun tcb ->
-        let la, lp = Tcb.local_endpoint tcb in
-        let _, rp = Tcb.remote_endpoint tcb in
-        Ipaddr.equal la t.service
-        && Failover_config.is_failover_conn t.registry ~local_port:lp
-             ~remote_port:rp)
-      (Stack.connections (Host.tcp prev.host))
-  in
-  let to_transfer, to_isolate =
-    List.partition
-      (fun tcb ->
-        transferable_state (Tcb.state tcb)
-        && Tcb.input_retention_enabled tcb)
-      candidates
-  in
-  let demote_solo tcb =
-    let _, lp = Tcb.local_endpoint tcb in
-    let remote = Tcb.remote_endpoint tcb in
-    Primary_bridge.isolate_conn pb ~remote ~local_port:lp;
-    Registry.Counter.incr t.c_isolated;
-    t.on_event (Isolated { local_port = lp; remote })
-  in
-  List.iter demote_solo to_isolate;
-  t.pending <- List.length to_transfer;
-  t.xfers <- 0;
-  if t.pending = 0 then t.on_event (Transfers_complete 0)
-  else
-    List.iter
-      (fun tcb ->
-        let _, lp = Tcb.local_endpoint tcb in
-        let remote = Tcb.remote_endpoint tcb in
-        let delta_opt = Primary_bridge.conn_delta pb ~remote ~local_port:lp in
-        let delta = Option.value delta_opt ~default:0 in
-        Primary_bridge.begin_transfer pb ~remote ~local_port:lp;
-        let snap = Tcb.snapshot tcb in
-        let snap =
-          if delta <> 0 then Tcb.shift_snapshot snap (-delta) else snap
-        in
-        let role =
-          if Option.is_some (find_backend t remote) then `Client else `Server
-        in
-        let sc =
-          {
-            Snapshot.tcb = snap;
-            role;
-            delta;
-            next_wire_seq = snap.Tcb.sn_snd_max;
-            held_segments = 0;
-            solo = delta_opt <> None;
-          }
-        in
-        Transfer.offer prev.xfer ~dst sc ~on_result:(fun res ->
-            (match res with
-            | Ok ()
-              when List.mem prev.index t.order
-                   && List.mem fresh.index t.order ->
-              t.xfers <- t.xfers + 1;
-              Primary_bridge.complete_transfer pb ~remote ~local_port:lp
-                ~tcb ~delta
-            | Ok () | Error _ ->
-              Primary_bridge.abort_transfer pb ~remote ~local_port:lp;
-              Registry.Counter.incr t.c_isolated;
-              t.on_event (Isolated { local_port = lp; remote }));
-            t.pending <- t.pending - 1;
-            if t.pending = 0 then t.on_event (Transfers_complete t.xfers)))
-      to_transfer
+(* A control-channel endpoint on replica [index]; snapshots landing
+   there re-attach as that replica's copy. *)
+let attach_transfer hot host index =
+  let xfer = Transfer.attach host in
+  Transfer.set_installer xfer
+    (Hot_transfer.installer hot host ~reattach:(fun hook tcb ->
+         hook ~replica:index tcb));
+  xfer
 
 (* ---------------------------------------------------------------- *)
 
@@ -351,6 +228,10 @@ let create ~replicas ~config () =
   | _ -> invalid_arg "Chain.create: need at least two replicas");
   let service = Host.addr (List.hd replicas) in
   let registry = Failover_config.create_registry config in
+  let hot =
+    Hot_transfer.create (Host.obs (List.hd replicas)) ~service_addr:service
+      ~registry
+  in
   let n = List.length replicas in
   let arr = Array.of_list replicas in
   let nodes =
@@ -384,11 +265,10 @@ let create ~replicas ~config () =
           host;
           bridge;
           is_head = i = 0;
-          xfer = Transfer.attach host;
+          xfer = attach_transfer hot host i;
         })
   in
   let obs = Obs.scope (Obs.root (Host.obs (List.hd replicas))) "chain" in
-  let statex = Obs.scope (Obs.root (Host.obs (List.hd replicas))) "statex" in
   let t =
     {
       nodes;
@@ -397,17 +277,11 @@ let create ~replicas ~config () =
       registry;
       config;
       service;
-      services = [];
-      backends = [];
+      hot;
       on_event = (fun _ -> ());
-      pending = 0;
-      xfers = 0;
       c_deaths = Obs.counter obs "deaths";
-      c_isolated = Obs.counter statex "isolated_conns";
     }
   in
-  List.iter (fun node -> Transfer.set_installer node.xfer (installer t node))
-    t.nodes;
   List.iter
     (fun node ->
       start_node_mesh t node ~on_death:(fun ~observer ~dead ->
@@ -417,7 +291,7 @@ let create ~replicas ~config () =
 
 let listen t ~port ~on_accept =
   Failover_config.register_endpoint t.registry ~local_port:port;
-  t.services <- (port, on_accept) :: t.services;
+  Hot_transfer.add_service t.hot ~port on_accept;
   (* retention makes the connection transferable onto a rejoined tail *)
   List.iter
     (fun i ->
@@ -432,7 +306,7 @@ let connect_backend t ~remote ?local_port ~setup () =
   | Some p -> Failover_config.register_endpoint t.registry ~local_port:p
   | None ->
     Failover_config.register_remote t.registry ~remote_port:(snd remote));
-  t.backends <- (remote, setup) :: t.backends;
+  Hot_transfer.add_backend t.hot ~remote setup;
   (* live replicas only: a dead node cannot connect, and a rejoined tail
      receives the connection by hot state transfer instead *)
   List.iter
@@ -465,34 +339,39 @@ let rejoin t host =
   let newaddr = Host.addr host in
   (* 1. the previous end of chain becomes a merging level over the
      newcomer *)
-  (match prev.bridge with
-  | Merger b ->
-    (* a degraded §6 merger resumes replication toward the new tail *)
-    Primary_bridge.reinstate b ~secondary_addr:newaddr
-  | Tail sb ->
-    (* the original tail never merged: swap its secondary bridge for the
-       merging bridge a middle (or head) node runs *)
-    Secondary_bridge.uninstall sb;
-    let output =
-      if prev.is_head then Primary_bridge.Direct
-      else
-        match upstream_addr t prev.index with
-        | Some up -> Primary_bridge.Divert_to up
-        | None -> Primary_bridge.Direct
-    in
-    let claim = not prev.is_head in
-    if claim then begin
-      (* uninstall dropped the promiscuous snoop and the service-address
-         claim a middle node needs; restore them *)
-      Eth_iface.set_promiscuous (Host.eth prev.host) true;
-      Stack.set_extra_local (Host.tcp prev.host) (fun ip ->
-          Ipaddr.equal ip t.service)
-    end;
-    prev.bridge <-
-      Merger
-        (Primary_bridge.install prev.host ~registry:t.registry
-           ~service_addr:t.service ~secondary_addr:newaddr ~output
-           ~claim_service:claim ()));
+  let pb =
+    match prev.bridge with
+    | Merger b ->
+      (* a degraded §6 merger resumes replication toward the new tail *)
+      Primary_bridge.reinstate b ~secondary_addr:newaddr;
+      b
+    | Tail sb ->
+      (* the original tail never merged: swap its secondary bridge for
+         the merging bridge a middle (or head) node runs *)
+      Secondary_bridge.uninstall sb;
+      let output =
+        if prev.is_head then Primary_bridge.Direct
+        else
+          match upstream_addr t prev.index with
+          | Some up -> Primary_bridge.Divert_to up
+          | None -> Primary_bridge.Direct
+      in
+      let claim = not prev.is_head in
+      if claim then begin
+        (* uninstall dropped the promiscuous snoop and the service-address
+           claim a middle node needs; restore them *)
+        Eth_iface.set_promiscuous (Host.eth prev.host) true;
+        Stack.set_extra_local (Host.tcp prev.host) (fun ip ->
+            Ipaddr.equal ip t.service)
+      end;
+      let b =
+        Primary_bridge.install prev.host ~registry:t.registry
+          ~service_addr:t.service ~secondary_addr:newaddr ~output
+          ~claim_service:claim ()
+      in
+      prev.bridge <- Merger b;
+      b
+  in
   (* 2. the newcomer joins as the new tail of the live chain *)
   let idx = t.next_index in
   t.next_index <- idx + 1;
@@ -502,9 +381,8 @@ let rejoin t host =
   in
   let node =
     { index = idx; host; bridge = Tail sb; is_head = false;
-      xfer = Transfer.attach host }
+      xfer = attach_transfer t.hot host idx }
   in
-  Transfer.set_installer node.xfer (installer t node);
   t.nodes <- t.nodes @ [ node ];
   t.order <- t.order @ [ idx ];
   (* start the registered services on the newcomer *)
@@ -513,12 +391,19 @@ let rejoin t host =
       Stack.listen (Host.tcp host) ~port ~on_accept:(fun tcb ->
           Tcb.enable_input_retention tcb;
           on_accept ~replica:idx tcb))
-    t.services;
+    (Hot_transfer.services t.hot);
   start_node_mesh t node ~on_death:(fun ~observer ~dead ->
       handle_death t ~observer ~dead);
   t.on_event (Rejoined idx);
-  (* 3. re-replicate live connections onto the new tail *)
-  start_transfers t ~src:prev ~dst:node;
+  (* 3. re-replicate live connections onto the new tail; whatever
+     cannot travel is pinned solo, and so is the queued remainder if
+     either end leaves the live chain mid-run *)
+  Hot_transfer.start t.hot ~survivor:prev.host ~bridge:pb ~xfer:prev.xfer
+    ~dst:(Host.addr host)
+    ~live:(fun () -> List.mem prev.index t.order && List.mem idx t.order)
+    ~on_isolated:(fun ~local_port ~remote ->
+      t.on_event (Isolated { local_port; remote }))
+    ~on_complete:(fun moved -> t.on_event (Transfers_complete moved));
   idx
 
 let kill t i = Host.kill (node_of t i).host

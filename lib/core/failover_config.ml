@@ -9,16 +9,6 @@ type t = {
   takeover_processing : Time.t;
   use_min_ack : bool;
   use_min_window : bool;
-  transfer_inflight : int;
-      (* reintegration offer window: at most this many connections may be
-         mid-transfer at once (0 = unlimited, the legacy burst).  Bounds
-         the state each transfer channel must buffer when thousands of
-         connections re-replicate at once. *)
-  transfer_pace : Time.t;
-      (* minimum spacing between successive offers once the window has
-         room (zero = no pacing).  Keyed off the control channel's
-         MSS/RTT by the caller when auto-pacing; see
-         {!Replicated.start_transfers}. *)
 }
 
 let default =
@@ -31,8 +21,6 @@ let default =
     takeover_processing = Time.us 200;
     use_min_ack = true;
     use_min_window = true;
-    transfer_inflight = 0;
-    transfer_pace = Time.zero;
   }
 
 let make ?(service_ports = []) ?(remote_service_ports = [])
@@ -41,12 +29,9 @@ let make ?(service_ports = []) ?(remote_service_ports = [])
     ?(bridge_cost = default.bridge_cost)
     ?(takeover_processing = default.takeover_processing)
     ?(use_min_ack = default.use_min_ack)
-    ?(use_min_window = default.use_min_window)
-    ?(transfer_inflight = default.transfer_inflight)
-    ?(transfer_pace = default.transfer_pace) () =
+    ?(use_min_window = default.use_min_window) () =
   { service_ports; remote_service_ports; heartbeat_period; detector_timeout;
-    bridge_cost; takeover_processing; use_min_ack; use_min_window;
-    transfer_inflight; transfer_pace }
+    bridge_cost; takeover_processing; use_min_ack; use_min_window }
 
 type registry = {
   config : t;

@@ -4,7 +4,7 @@
     and a per-port configuration.  Both are supported: {!field-service_ports}
     / {!field-remote_service_ports} are the port method (the same set must
     be configured on the primary and the secondary); {!register_endpoint} /
-    {!registered} implement the socket-option method for individual
+    {!register_remote} implement the socket-option method for individual
     endpoints. *)
 
 type t = {
@@ -29,18 +29,6 @@ type t = {
   use_min_window : bool;
       (** §3.2 joint-window rule; disabling it (ablation) lets the client
           overrun the slower replica. *)
-  transfer_inflight : int;
-      (** Reintegration offer window: at most this many connections may
-          be mid-transfer at once.  0 (the default) keeps the legacy
-          behaviour — every offer issued in one burst at the
-          reintegration instant.  A bounded window keeps the transfer
-          channel's buffering and the per-instant work flat when
-          thousands of connections re-replicate. *)
-  transfer_pace : Tcpfo_sim.Time.t;
-      (** Minimum spacing between successive offers once the window has
-          room ([Time.zero] = no pacing, the default).
-          {!Replicated.start_transfers} keys the useful value off the
-          transfer channel's chunk size and measured RTT. *)
 }
 
 val default : t
@@ -56,8 +44,6 @@ val make :
   ?takeover_processing:Tcpfo_sim.Time.t ->
   ?use_min_ack:bool ->
   ?use_min_window:bool ->
-  ?transfer_inflight:int ->
-  ?transfer_pace:Tcpfo_sim.Time.t ->
   unit ->
   t
 

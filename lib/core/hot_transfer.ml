@@ -1,0 +1,213 @@
+module Time = Tcpfo_sim.Time
+module Host = Tcpfo_host.Host
+module Stack = Tcpfo_tcp.Stack
+module Tcb = Tcpfo_tcp.Tcb
+module Ipaddr = Tcpfo_packet.Ipaddr
+module Obs = Tcpfo_obs.Obs
+module Registry = Tcpfo_obs.Registry
+module Transfer = Tcpfo_statex.Transfer
+module Snapshot = Tcpfo_statex.Snapshot
+
+type 'h t = {
+  service_addr : Ipaddr.t;
+  registry : Failover_config.registry;
+  mutable services : (int * 'h) list;
+  (* §7.2 client-role connections: the setup registered for each backend
+     endpoint, re-invoked when a restored snapshot of that connection
+     lands on a fresh replica *)
+  mutable backends : ((Ipaddr.t * int) * 'h) list;
+  (* bookkeeping of the latest {!start} *)
+  mutable pending : int;
+  mutable moved : int;
+  mutable failures : int;
+  latency : Registry.histogram;
+  isolated : Registry.counter;
+  queue_depth : Registry.gauge;
+  paced_offers : Registry.counter;
+  pace_wait : Registry.counter;
+}
+
+let create obs ~service_addr ~registry =
+  let statex = Obs.scope (Obs.root obs) "statex" in
+  {
+    service_addr;
+    registry;
+    services = [];
+    backends = [];
+    pending = 0;
+    moved = 0;
+    failures = 0;
+    latency = Obs.histogram statex "reintegration_us";
+    isolated = Obs.counter statex "isolated_conns";
+    queue_depth = Obs.gauge statex "transfer_queue_depth";
+    paced_offers = Obs.counter statex "paced_offers";
+    pace_wait = Obs.counter statex "pace_wait_us";
+  }
+
+let add_service t ~port h = t.services <- (port, h) :: t.services
+let add_backend t ~remote h = t.backends <- (remote, h) :: t.backends
+let services t = t.services
+let pending t = t.pending
+let failures t = t.failures
+
+(* E11's window: enough offers in flight to keep the control channel
+   busy, few enough that thousands of connections never land in one
+   simulation instant. *)
+let window = 32
+
+(* Time_wait transfers too: the replica must keep answering retransmitted
+   FINs after a second failover, or a late client FIN meets an RST. *)
+let transferable_state : Tcb.state -> bool = function
+  | Tcb.Established | Fin_wait_1 | Fin_wait_2 | Close_wait | Closing
+  | Last_ack | Time_wait ->
+    true
+  | Syn_sent | Syn_received | Closed -> false
+
+let find_backend t (ra, rp) =
+  List.find_map
+    (fun ((a, p), setup) ->
+      if Ipaddr.equal a ra && p = rp then Some setup else None)
+    t.backends
+
+let installer t host ~reattach ~src:_ (sc : Snapshot.conn) =
+  let snap = sc.Snapshot.tcb in
+  if not (transferable_state snap.Tcb.sn_state) then
+    Error "connection state not transferable"
+  else if not (Ipaddr.equal (fst snap.Tcb.sn_local) t.service_addr) then
+    Error "snapshot is not for the service address"
+  else
+    let stack = Host.tcp host in
+    match
+      Stack.adopt stack ~local:snap.Tcb.sn_local ~remote:snap.Tcb.sn_remote
+        ~make:(fun actions ->
+          Tcb.restore (Host.clock host) ~obs:(Stack.obs stack)
+            ~config:(Stack.config stack) actions snap)
+    with
+    | Error _ as e -> e
+    | Ok tcb ->
+      let app =
+        match sc.Snapshot.role with
+        | `Server -> List.assoc_opt (snd snap.Tcb.sn_local) t.services
+        | `Client -> find_backend t snap.Tcb.sn_remote
+      in
+      Option.iter (fun h -> reattach h tcb) app;
+      Tcb.resume_restored tcb;
+      Ok ()
+
+let start t ~survivor ~bridge:pb ~xfer ~dst ~live ~on_isolated ~on_complete =
+  let clock = Host.clock survivor in
+  let t0 = clock.now () in
+  let candidates =
+    (* both directions qualify: listener-side connections match on the
+       local service port, §7.2 client-role connections (registered via
+       [register_remote]) on the remote port *)
+    List.filter
+      (fun tcb ->
+        let la, lp = Tcb.local_endpoint tcb in
+        let _, rp = Tcb.remote_endpoint tcb in
+        Ipaddr.equal la t.service_addr
+        && Failover_config.is_failover_conn t.registry ~local_port:lp
+             ~remote_port:rp)
+      (Stack.connections (Host.tcp survivor))
+  in
+  let to_transfer, to_isolate =
+    List.partition
+      (fun tcb ->
+        transferable_state (Tcb.state tcb) && Tcb.input_retention_enabled tcb)
+      candidates
+  in
+  let isolate ~local_port ~remote =
+    Registry.Counter.incr t.isolated;
+    on_isolated ~local_port ~remote
+  in
+  let demote_solo tcb =
+    let _, lp = Tcb.local_endpoint tcb in
+    let remote = Tcb.remote_endpoint tcb in
+    Primary_bridge.isolate_conn pb ~remote ~local_port:lp;
+    isolate ~local_port:lp ~remote
+  in
+  List.iter demote_solo to_isolate;
+  t.pending <- List.length to_transfer;
+  t.moved <- 0;
+  let finish () =
+    Registry.Histogram.observe t.latency (Time.to_us (clock.now () - t0));
+    on_complete t.moved
+  in
+  if t.pending = 0 then finish ()
+  else begin
+    let queue = Queue.create () in
+    List.iter (fun tcb -> Queue.add tcb queue) to_transfer;
+    Registry.Gauge.set t.queue_depth (Queue.length queue);
+    let inflight = ref 0 in
+    let pace_armed = ref false in
+    let rec offer_one tcb =
+      let _, lp = Tcb.local_endpoint tcb in
+      let remote = Tcb.remote_endpoint tcb in
+      (* Quiesce FIRST: [begin_transfer] holds the connection's merge
+         state before Δ and the TCB image are read, so the capture is
+         atomic at the offer instant — a client byte landing between
+         the Δ read and the snapshot would otherwise be counted in
+         both. *)
+      Primary_bridge.begin_transfer pb ~remote ~local_port:lp;
+      let delta_opt = Primary_bridge.conn_delta pb ~remote ~local_port:lp in
+      let delta = Option.value delta_opt ~default:0 in
+      let snap = Tcb.snapshot tcb in
+      let snap = if delta <> 0 then Tcb.shift_snapshot snap (-delta) else snap in
+      let role =
+        if Option.is_some (find_backend t remote) then `Client else `Server
+      in
+      let sc =
+        {
+          Snapshot.tcb = snap;
+          role;
+          delta;
+          next_wire_seq = snap.Tcb.sn_snd_max;
+          held_segments = 0;
+          solo = delta_opt <> None;
+        }
+      in
+      let wait = clock.now () - t0 in
+      if wait > 0 then begin
+        Registry.Counter.incr t.paced_offers;
+        Registry.Counter.add t.pace_wait (wait / 1000)
+      end;
+      incr inflight;
+      Transfer.offer xfer ~dst sc ~on_result:(fun res ->
+          decr inflight;
+          (match res with
+          | Ok () when live () ->
+            t.moved <- t.moved + 1;
+            Primary_bridge.complete_transfer pb ~remote ~local_port:lp ~tcb
+              ~delta
+          | Ok () | Error _ ->
+            if Result.is_error res then t.failures <- t.failures + 1;
+            Primary_bridge.abort_transfer pb ~remote ~local_port:lp;
+            isolate ~local_port:lp ~remote);
+          t.pending <- t.pending - 1;
+          if t.pending = 0 then finish ()
+          else if not !pace_armed then pump ())
+    and pump () =
+      if not (live ()) then begin
+        (* a failure arrived mid-pacing: nothing more can ship on this
+           run — pin the queued remainder solo *)
+        while not (Queue.is_empty queue) do
+          demote_solo (Queue.pop queue);
+          t.pending <- t.pending - 1
+        done;
+        Registry.Gauge.set t.queue_depth 0;
+        if t.pending = 0 then finish ()
+      end
+      else if !inflight < window && not (Queue.is_empty queue) then begin
+        offer_one (Queue.pop queue);
+        Registry.Gauge.set t.queue_depth (Queue.length queue);
+        if not (Queue.is_empty queue) then begin
+          pace_armed := true;
+          ignore
+            (clock.schedule (Transfer.suggested_pace xfer) (fun () ->
+                 pace_armed := false;
+                 pump ()))
+        end
+      end
+    in
+    pump ()
+  end

@@ -2,11 +2,7 @@ module Host = Tcpfo_host.Host
 module Stack = Tcpfo_tcp.Stack
 module Tcb = Tcpfo_tcp.Tcb
 module Ipaddr = Tcpfo_packet.Ipaddr
-module Time = Tcpfo_sim.Time
-module Obs = Tcpfo_obs.Obs
-module Registry = Tcpfo_obs.Registry
 module Transfer = Tcpfo_statex.Transfer
-module Snapshot = Tcpfo_statex.Snapshot
 
 type event =
   | Secondary_failure_detected
@@ -53,29 +49,14 @@ type t = {
      state transfer re-replicates the live connections onto it *)
   mutable standbys : Host.t list;
   mutable standby_watch : (Host.t * Heartbeat.t * Heartbeat.t) list;
-  mutable services : (int * (role:[ `Primary | `Secondary ] -> Tcb.t -> unit)) list;
-  (* §7.2 client-role connections: the setup registered for each backend
-     endpoint, re-invoked when a restored snapshot of that connection
-     lands on a fresh replica *)
-  mutable backends :
-    ((Ipaddr.t * int) * (role:[ `Primary | `Secondary ] -> Tcb.t -> unit)) list;
+  (* listener and §7.2 setup hooks, plus the offer scheduler *)
+  hot : (role:[ `Primary | `Secondary ] -> Tcb.t -> unit) Hot_transfer.t;
   mutable status : [ `Normal | `Primary_failed | `Secondary_failed ];
   mutable on_event : event -> unit;
   (* additional listeners ({!add_on_event}) fired after [on_event]: the
      dispatcher tier's health model taps the pool here without stealing
      the application's callback *)
   mutable listeners : (event -> unit) list;
-  (* hot-state-transfer bookkeeping *)
-  mutable pending : int;
-  mutable reint_started : Time.t option;
-  mutable reintegrations : int;
-  mutable xfer_failures : int;
-  reint_latency : Registry.histogram;
-  isolated : Registry.counter;
-  (* paced offer scheduler *)
-  queue_depth : Registry.gauge;
-  paced_offers : Registry.counter;
-  pace_wait : Registry.counter;
 }
 
 let emit t e =
@@ -131,208 +112,16 @@ let arm_standbys t =
 
 (* --- hot state transfer -------------------------------------------- *)
 
-(* Time_wait transfers too: the replica must keep answering retransmitted
-   FINs after a second failover, or a late client FIN meets an RST. *)
-let transferable_state : Tcb.state -> bool = function
-  | Tcb.Established | Fin_wait_1 | Fin_wait_2 | Close_wait | Closing
-  | Last_ack | Time_wait ->
-    true
-  | Syn_sent | Syn_received | Closed -> false
-
-let find_backend t (ra, rp) =
-  List.find_map
-    (fun ((a, p), setup) ->
-      if Ipaddr.equal a ra && p = rp then Some setup else None)
-    t.backends
-
-(* Install an incoming snapshot into [host]'s stack: adopt a restored
-   TCB, hand it back to the application as a secondary-role attach —
-   server-role connections through the registered listener, client-role
-   (§7.2) connections through the connect_backend setup registered for
-   the remote endpoint (the retained-input replay then rebuilds its
-   per-connection state) — and resume. *)
-let installer t host ~src:_ (sc : Snapshot.conn) =
-  let snap = sc.Snapshot.tcb in
-  if not (transferable_state snap.Tcb.sn_state) then
-    Error "connection state not transferable"
-  else if not (Ipaddr.equal (fst snap.Tcb.sn_local) t.service_addr) then
-    Error "snapshot is not for the service address"
-  else
-    let stack = Host.tcp host in
-    match
-      Stack.adopt stack ~local:snap.Tcb.sn_local ~remote:snap.Tcb.sn_remote
-        ~make:(fun actions ->
-          Tcb.restore (Host.clock host) ~obs:(Stack.obs stack)
-            ~config:(Stack.config stack) actions snap)
-    with
-    | Error _ as e -> e
-    | Ok tcb ->
-      (match sc.Snapshot.role with
-      | `Server ->
-        (match List.assoc_opt (snd snap.Tcb.sn_local) t.services with
-        | Some on_accept -> on_accept ~role:`Secondary tcb
-        | None -> ())
-      | `Client ->
-        (match find_backend t snap.Tcb.sn_remote with
-        | Some setup -> setup ~role:`Secondary tcb
-        | None -> ()));
-      Tcb.resume_restored tcb;
-      Ok ()
-
-let attach_transfer t host =
+(* A control-channel endpoint on [host]; snapshots landing there
+   re-attach as the secondary-role copy — server role through the
+   registered listener, client role (§7.2) through the connect_backend
+   setup registered for the remote endpoint. *)
+let attach_transfer hot host =
   let xfer = Transfer.attach host in
-  Transfer.set_installer xfer (installer t host);
+  Transfer.set_installer xfer
+    (Hot_transfer.installer hot host ~reattach:(fun hook tcb ->
+         hook ~role:`Secondary tcb));
   xfer
-
-(* Every service connection on the survivor is either shipped to the new
-   replica or pinned solo — nothing is left in a state where it could
-   half-merge with the fresh replica's different sequence numbers.
-
-   Offers go through a paced, windowed scheduler:
-   {!Failover_config.transfer_inflight} caps how many connections may be
-   mid-transfer at once and {!Failover_config.transfer_pace} spaces
-   successive offers (widened to the transfer channel's RTT-derived
-   {!Transfer.suggested_pace} once a sample exists), so re-replicating
-   thousands of connections trickles out at the channel's rate instead
-   of dumping every snapshot into one simulation instant.  Both default
-   off, which reproduces the legacy burst exactly. *)
-let start_transfers t =
-  let survivor = t.primary in
-  let pb = t.pbridge in
-  let dst = Host.addr t.secondary in
-  let clock = Host.clock survivor in
-  let t0 = clock.now () in
-  t.reint_started <- Some t0;
-  let candidates =
-    (* both directions qualify: listener-side connections match on the
-       local service port, §7.2 client-role connections (registered via
-       [register_remote]) on the remote port *)
-    List.filter
-      (fun tcb ->
-        let la, lp = Tcb.local_endpoint tcb in
-        let _, rp = Tcb.remote_endpoint tcb in
-        Ipaddr.equal la t.service_addr
-        && Failover_config.is_failover_conn t.registry ~local_port:lp
-             ~remote_port:rp)
-      (Stack.connections (Host.tcp survivor))
-  in
-  let to_transfer, to_isolate =
-    List.partition
-      (fun tcb ->
-        transferable_state (Tcb.state tcb)
-        && Tcb.input_retention_enabled tcb)
-      candidates
-  in
-  let demote_solo tcb =
-    let _, lp = Tcb.local_endpoint tcb in
-    let remote = Tcb.remote_endpoint tcb in
-    Primary_bridge.isolate_conn pb ~remote ~local_port:lp;
-    Registry.Counter.incr t.isolated;
-    emit t (Isolated { local_port = lp; remote })
-  in
-  List.iter demote_solo to_isolate;
-  let finish () =
-    (match t.reint_started with
-    | Some t0 ->
-      t.reint_started <- None;
-      Registry.Histogram.observe t.reint_latency
-        (Time.to_us (clock.now () - t0))
-    | None -> ());
-    emit t (Transfers_complete t.reintegrations)
-  in
-  t.pending <- List.length to_transfer;
-  t.reintegrations <- 0;
-  if t.pending = 0 then finish ()
-  else begin
-    let cap = t.config.Failover_config.transfer_inflight in
-    let pace_floor = t.config.Failover_config.transfer_pace in
-    let queue = Queue.create () in
-    List.iter (fun tcb -> Queue.add tcb queue) to_transfer;
-    Registry.Gauge.set t.queue_depth (Queue.length queue);
-    let inflight = ref 0 in
-    let pace_armed = ref false in
-    let rec offer_one tcb =
-      let _, lp = Tcb.local_endpoint tcb in
-      let remote = Tcb.remote_endpoint tcb in
-      (* Quiesce FIRST: [begin_transfer] holds the connection's merge
-         state before Δ and the TCB image are read, so the capture is
-         atomic at the offer instant — a client byte landing between
-         the Δ read and the snapshot would otherwise be counted in
-         both. *)
-      Primary_bridge.begin_transfer pb ~remote ~local_port:lp;
-      let delta_opt = Primary_bridge.conn_delta pb ~remote ~local_port:lp in
-      let delta = Option.value delta_opt ~default:0 in
-      let snap = Tcb.snapshot tcb in
-      let snap =
-        if delta <> 0 then Tcb.shift_snapshot snap (-delta) else snap
-      in
-      let role =
-        if Option.is_some (find_backend t remote) then `Client else `Server
-      in
-      let sc =
-        {
-          Snapshot.tcb = snap;
-          role;
-          delta;
-          next_wire_seq = snap.Tcb.sn_snd_max;
-          held_segments = 0;
-          solo = delta_opt <> None;
-        }
-      in
-      let wait = clock.now () - t0 in
-      if wait > 0 then begin
-        Registry.Counter.incr t.paced_offers;
-        Registry.Counter.add t.pace_wait (wait / 1000)
-      end;
-      incr inflight;
-      Transfer.offer t.xfer_p ~dst sc ~on_result:(fun res ->
-          decr inflight;
-          (match res with
-          | Ok () when t.status = `Normal ->
-            t.reintegrations <- t.reintegrations + 1;
-            Primary_bridge.complete_transfer pb ~remote ~local_port:lp
-              ~tcb ~delta
-          | Ok () | Error _ ->
-            (match res with
-            | Error _ -> t.xfer_failures <- t.xfer_failures + 1
-            | Ok () -> ());
-            Primary_bridge.abort_transfer pb ~remote ~local_port:lp;
-            Registry.Counter.incr t.isolated;
-            emit t (Isolated { local_port = lp; remote }));
-          t.pending <- t.pending - 1;
-          if t.pending = 0 then finish ()
-          else if not !pace_armed then pump ())
-    and pump () =
-      if t.status <> `Normal then begin
-        (* a new failure arrived mid-pacing: nothing more can ship on
-           this run — pin the queued remainder solo *)
-        while not (Queue.is_empty queue) do
-          demote_solo (Queue.pop queue);
-          t.pending <- t.pending - 1
-        done;
-        Registry.Gauge.set t.queue_depth 0;
-        if t.pending = 0 then finish ()
-      end
-      else begin
-        let draining = ref true in
-        while !draining && not (Queue.is_empty queue)
-              && (cap = 0 || !inflight < cap) do
-          offer_one (Queue.pop queue);
-          Registry.Gauge.set t.queue_depth (Queue.length queue);
-          if pace_floor > 0 && not (Queue.is_empty queue) then begin
-            draining := false;
-            pace_armed := true;
-            let gap = max pace_floor (Transfer.suggested_pace t.xfer_p) in
-            ignore
-              (clock.schedule gap (fun () ->
-                   pace_armed := false;
-                   pump ()))
-          end
-        done
-      end
-    in
-    pump ()
-  end
 
 (* --- failure handling, promotion, reintegration ---------------------- *)
 
@@ -400,7 +189,7 @@ and reintegrate t ~secondary:fresh =
     t.sbridge <-
       Secondary_bridge.install fresh ~registry:t.registry
         ~service_addr:t.service_addr ~only_new_connections:true ();
-    t.xfer_s <- attach_transfer t fresh;
+    t.xfer_s <- attach_transfer t.hot fresh;
     Primary_bridge.reinstate t.pbridge ~secondary_addr:(Host.addr fresh)
   | `Primary_failed ->
     if not (Secondary_bridge.taken_over t.sbridge) then
@@ -417,15 +206,14 @@ and reintegrate t ~secondary:fresh =
       Secondary_bridge.install fresh ~registry:t.registry
         ~service_addr:t.service_addr ~only_new_connections:true ();
     t.xfer_p <- t.xfer_s;
-    Transfer.set_installer t.xfer_p (installer t survivor);
-    t.xfer_s <- attach_transfer t fresh);
+    t.xfer_s <- attach_transfer t.hot fresh);
   (* start the registered services on the new replica *)
   List.iter
     (fun (port, on_accept) ->
       Stack.listen (Host.tcp fresh) ~port ~on_accept:(fun tcb ->
           Tcb.enable_input_retention tcb;
           on_accept ~role:`Secondary tcb))
-    t.services;
+    (Hot_transfer.services t.hot);
   (* restart mutual fault detection, and re-point the remaining standby
      watchers at the (possibly new) primary *)
   t.status <- `Normal;
@@ -433,8 +221,18 @@ and reintegrate t ~secondary:fresh =
   t.hb_on_secondary <- Some (watch_primary t);
   arm_standbys t;
   emit t Reintegrated;
-  (* re-replicate live connections onto the fresh replica *)
-  start_transfers t
+  (* re-replicate live connections onto the fresh replica.  Every service
+     connection on the survivor is either shipped or pinned solo —
+     nothing is left in a state where it could half-merge with the fresh
+     replica's different sequence numbers.  A failure while offers are
+     still queued ends the run: the status leaves [`Normal] and the
+     remainder is pinned solo. *)
+  Hot_transfer.start t.hot ~survivor:t.primary ~bridge:t.pbridge ~xfer:t.xfer_p
+    ~dst:(Host.addr fresh)
+    ~live:(fun () -> t.status = `Normal)
+    ~on_isolated:(fun ~local_port ~remote ->
+      emit t (Isolated { local_port; remote }))
+    ~on_complete:(fun moved -> emit t (Transfers_complete moved))
 
 (* A repaired host rejoins at the back of the pool.  If the pool is
    degraded (a failure happened and no standby was left to promote), the
@@ -487,7 +285,7 @@ let create_pool ~replicas ~config () =
     Primary_bridge.install primary ~registry ~service_addr ~secondary_addr ()
   in
   let sbridge = Secondary_bridge.install secondary ~registry ~service_addr () in
-  let statex = Obs.scope (Obs.root (Host.obs primary)) "statex" in
+  let hot = Hot_transfer.create (Host.obs primary) ~service_addr ~registry in
   let t =
     {
       primary;
@@ -497,30 +295,18 @@ let create_pool ~replicas ~config () =
       registry;
       pbridge;
       sbridge;
-      xfer_p = Transfer.attach primary;
-      xfer_s = Transfer.attach secondary;
+      xfer_p = attach_transfer hot primary;
+      xfer_s = attach_transfer hot secondary;
       hb_on_primary = None;
       hb_on_secondary = None;
       standbys;
       standby_watch = [];
-      services = [];
-      backends = [];
+      hot;
       status = `Normal;
       on_event = (fun _ -> ());
       listeners = [];
-      pending = 0;
-      reint_started = None;
-      reintegrations = 0;
-      xfer_failures = 0;
-      reint_latency = Obs.histogram statex "reintegration_us";
-      isolated = Obs.counter statex "isolated_conns";
-      queue_depth = Obs.gauge statex "transfer_queue_depth";
-      paced_offers = Obs.counter statex "paced_offers";
-      pace_wait = Obs.counter statex "pace_wait_us";
     }
   in
-  Transfer.set_installer t.xfer_p (installer t primary);
-  Transfer.set_installer t.xfer_s (installer t secondary);
   t.hb_on_primary <- Some (watch_secondary t);
   t.hb_on_secondary <- Some (watch_primary t);
   arm_standbys t;
@@ -539,13 +325,13 @@ let add_on_event t fn = t.listeners <- t.listeners @ [ fn ]
 let status t = t.status
 let standbys t = t.standbys
 let replicas t = t.primary :: t.secondary :: t.standbys
-let pending_transfers t = t.pending
-let transfer_failures t = t.xfer_failures
+let pending_transfers t = Hot_transfer.pending t.hot
+let transfer_failures t = Hot_transfer.failures t.hot
 let transfer_stats t = Transfer.stats t.xfer_p
 
 let listen t ~port ~on_accept =
   Failover_config.register_endpoint t.registry ~local_port:port;
-  t.services <- (port, on_accept) :: t.services;
+  Hot_transfer.add_service t.hot ~port on_accept;
   (* retention makes the connection transferable: a later reintegration
      replays the retained input on the new replica to rebuild the
      application layer *)
@@ -561,7 +347,7 @@ let connect_backend t ~remote ?local_port ~setup () =
   | Some p -> Failover_config.register_endpoint t.registry ~local_port:p
   | None ->
     Failover_config.register_remote t.registry ~remote_port:(snd remote));
-  t.backends <- (remote, setup) :: t.backends;
+  Hot_transfer.add_backend t.hot ~remote setup;
   let service = service_addr t in
   (* retention makes the client-role connection transferable, exactly as
      [listen] does for server-role connections *)

@@ -5,5 +5,6 @@ module Failover_config = Failover_config
 module Heartbeat = Heartbeat
 module Primary_bridge = Primary_bridge
 module Secondary_bridge = Secondary_bridge
+module Hot_transfer = Hot_transfer
 module Replicated = Replicated
 module Chain = Chain

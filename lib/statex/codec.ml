@@ -121,54 +121,35 @@ let fnv1a64 s =
 
 let magic = "TFX1"
 
-(* v2: Snapshot.conn carries the connection role (server / client) so
-   restored §7.2 client-role connections re-attach their application
-   layer through the connect_backend setup registry.
+(* v4: the snapshot body is one form — u64 replay base, TCB layout,
+   connection tail — a full image being the base-0 case.  Nothing is
+   persisted and every replica runs the same build, so exactly this
+   version is accepted; any other version byte is refused before the
+   digest is consulted. *)
+let version = 4
 
-   v3: the snapshot body opens with a form tag — full images keep the v2
-   layout, delta images additionally carry the checkpoint replay base.
-   Readers accept [min_version .. version] so full v2 snapshots remain
-   decodable across the upgrade. *)
-let version = 3
-let min_version = 2
-
-(* v2 sealed only the body (historic format, unchangeable); v3+ folds
-   the version into the digest so a flipped version byte — which would
-   route the body through the wrong layout decoder — fails the
-   integrity check instead of being parsed misaligned. *)
-let digest_at ~version:v body =
-  if v <= 2 then fnv1a64 body
-  else Int64.logxor (fnv1a64 body) (Int64.of_int v)
-
-let seal_at ~version:v body =
-  if v < min_version || v > version then
-    invalid_arg (Printf.sprintf "Codec.seal_at: version %d out of range" v);
+let seal body =
   let b = Buffer.create (String.length body + 18) in
   Buffer.add_string b magic;
-  W.u16 b v;
+  W.u16 b version;
   W.u32 b (String.length body);
   Buffer.add_string b body;
-  W.u64 b (digest_at ~version:v body);
+  W.u64 b (fnv1a64 body);
   Buffer.contents b
 
-let seal body = seal_at ~version body
-
-let unseal_versioned s =
+let unseal s =
   try
     let r = R.of_string s in
     if R.raw r 4 <> magic then Error "bad magic"
     else
       let v = R.u16 r in
-      if v < min_version || v > version then
-        Error (Printf.sprintf "unsupported version %d" v)
+      if v <> version then Error (Printf.sprintf "unsupported version %d" v)
       else
         let len = R.u32 r in
         let body = R.raw r len in
         let sum = R.u64 r in
         if not (R.at_end r) then Error "trailing bytes after envelope"
-        else if not (Int64.equal sum (digest_at ~version:v body)) then
+        else if not (Int64.equal sum (fnv1a64 body)) then
           Error "integrity check failed"
-        else Ok (v, body)
+        else Ok body
   with Corrupt m -> Error m
-
-let unseal s = Result.map snd (unseal_versioned s)

@@ -43,25 +43,12 @@ end
 val fnv1a64 : string -> int64
 
 val version : int
-(** Envelope version written by {!seal}. *)
-
-val min_version : int
-(** Oldest envelope version {!unseal} still accepts (full v2 snapshots
-    remain decodable after the delta-snapshot upgrade). *)
+(** The one envelope version: written by {!seal}, and the only one
+    {!unseal} accepts. *)
 
 val seal : string -> string
 (** Wrap a body in the versioned envelope (at {!version}). *)
 
-val seal_at : version:int -> string -> string
-(** {!seal} at an explicit version in [min_version .. version]; raises
-    [Invalid_argument] outside the range.  Used by writers that must
-    stay readable by older peers, and by tests crafting legacy
-    envelopes. *)
-
 val unseal : string -> (string, string) result
-(** Verify magic, version, length and digest; return the body.  Accepts
-    any version in [min_version .. version]. *)
-
-val unseal_versioned : string -> (int * string, string) result
-(** {!unseal}, also returning the envelope version so layout-versioned
-    payloads (snapshots) can pick the right decoder. *)
+(** Verify magic, version, length and digest; return the body.  Any
+    version other than {!version} is refused. *)

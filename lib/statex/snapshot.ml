@@ -64,22 +64,12 @@ let state_of_tag = function
 
 (* --- TCB image ----------------------------------------------------
 
-   Two wire forms since envelope v3:
-
-   - [Full] (tag 0): the legacy v2 layout byte-for-byte — the whole
-     retained input history, replay base implicitly 0.  A v2 envelope
-     carries exactly this layout with no form tag.
-   - [Delta] (tag 1): the same layout followed by a u64 replay base.
-     The retained-input list holds only post-checkpoint deliveries and
-     the send buffer only client-unACKed bytes, so a checkpointing
-     long-lived connection ships kilobytes instead of its lifetime
-     history.
-
-   [encode] picks the form from [sn_replay_base]; decode accepts both
-   plus legacy v2, so full snapshots remain decodable forever. *)
-
-let form_full = 0
-let form_delta = 1
+   One wire form: the body opens with the u64 replay base, then this
+   layout.  The retained-input list holds only deliveries past the base
+   and the send buffer only client-unACKed bytes, so a checkpointing
+   long-lived connection ships kilobytes instead of its lifetime
+   history; a connection that never checkpointed has base 0 and ships
+   its whole history — a "full" image is just that case. *)
 
 let write_tcb b (s : Tcb.snapshot) =
   Codec.W.u8 b (state_tag s.sn_state);
@@ -213,43 +203,18 @@ let write_conn_tail b c =
 
 let encode c =
   let b = Codec.W.create () in
-  (if c.tcb.Tcb.sn_replay_base = 0 then Codec.W.u8 b form_full
-   else begin
-     Codec.W.u8 b form_delta;
-     Codec.W.u64 b (Int64.of_int c.tcb.Tcb.sn_replay_base)
-   end);
+  Codec.W.u64 b (Int64.of_int c.tcb.Tcb.sn_replay_base);
   write_tcb b c.tcb;
   write_conn_tail b c;
   Codec.seal (Codec.W.contents b)
 
-(* The legacy v2 image (no form tag, no replay base) — kept so peers and
-   tests can exercise the full↔delta version negotiation.  Only a full
-   snapshot fits the v2 layout. *)
-let encode_v2 c =
-  if c.tcb.Tcb.sn_replay_base <> 0 then
-    invalid_arg "Snapshot.encode_v2: delta snapshots need envelope v3";
-  let b = Codec.W.create () in
-  write_tcb b c.tcb;
-  write_conn_tail b c;
-  Codec.seal_at ~version:2 (Codec.W.contents b)
-
 let decode s =
-  match Codec.unseal_versioned s with
-  | Error _ as e -> (match e with Error m -> Error m | _ -> assert false)
-  | Ok (version, body) -> (
+  match Codec.unseal s with
+  | Error m -> Error m
+  | Ok body -> (
     try
       let r = Codec.R.of_string body in
-      let replay_base =
-        if version <= 2 then 0
-        else
-          let tag = Codec.R.u8 r in
-          if tag = form_full then 0
-          else if tag = form_delta then Int64.to_int (Codec.R.u64 r)
-          else
-            raise
-              (Codec.Corrupt
-                 (Printf.sprintf "invalid snapshot form tag %d" tag))
-      in
+      let replay_base = Int64.to_int (Codec.R.u64 r) in
       let tcb = read_tcb r ~replay_base in
       let role = role_of_tag (Codec.R.u8 r) in
       let delta =

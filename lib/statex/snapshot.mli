@@ -32,20 +32,12 @@ type conn = {
 val encode : conn -> string
 (** Binary image wrapped in the versioned, checksummed envelope.
 
-    Since envelope v3 the body opens with a form tag: [Full] carries the
-    legacy layout (replay base 0, whole retained history); [Delta] adds
-    the checkpoint replay base, and its retained-input list holds only
-    post-checkpoint deliveries — the form a checkpointing long-lived
-    connection ships, kilobytes instead of lifetime history.  The form
-    is chosen from [tcb.sn_replay_base]; decoders accept both. *)
-
-val encode_v2 : conn -> string
-(** The legacy v2 image (no form tag, no replay base), kept so the
-    full↔delta version negotiation stays exercised: any v3 decoder must
-    accept it.  Raises [Invalid_argument] when [tcb.sn_replay_base] is
-    nonzero — a delta snapshot does not fit the v2 layout. *)
+    The body has one form: the checkpoint replay base
+    ([tcb.sn_replay_base]), then the TCB layout, whose retained-input
+    list holds only deliveries past that base, then the bridge-side
+    tail.  A checkpointing long-lived connection thus ships kilobytes
+    instead of its lifetime history; base 0 is the whole-history image. *)
 
 val decode : string -> (conn, string) result
-(** Inverse of {!encode}; accepts v3 full and delta forms plus legacy v2
-    envelopes.  Any corruption, truncation, or unknown form tag yields
-    [Error]. *)
+(** Inverse of {!encode}.  Any corruption, truncation, trailing bytes or
+    envelope version other than {!Codec.version} yields [Error]. *)

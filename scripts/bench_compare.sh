@@ -73,9 +73,9 @@ case "$exp" in
     require_flag all_ok
     probe=$(smoke_num probe_conns)
     # rows are fixed-order JSON objects; pull the loss-0 probe-size row
-    # for each snapshot form (burst scheduling = the legacy path)
+    # for each snapshot size
     row_bytes() { # row_bytes <mode>
-      grep -o "\"loss\":0.00,\"conns\":$probe,\"mode\":\"$1\",\"pacing\":false,\"transferred\":[0-9]*,\"transfer_bytes\":[0-9]*" "$sum" \
+      grep -o "\"loss\":0.00,\"conns\":$probe,\"mode\":\"$1\",\"transferred\":[0-9]*,\"transfer_bytes\":[0-9]*" "$sum" \
         | head -1 | sed 's/.*"transfer_bytes"://'
     }
     fullb=$(row_bytes full)

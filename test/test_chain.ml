@@ -385,6 +385,75 @@ let test_chain_rejoin_during_takeover () =
   | None -> Alcotest.fail "rejoin never succeeded after the takeover");
   check_int "no pending transfers" 0 (Chain.pending_transfers c.chain)
 
+let test_chain_write_during_paced_rejoin () =
+  (* Regression for capture atomicity on chains: rejoin offers are paced,
+     so client bytes land on connections whose offers are still queued.
+     Each deferred capture (quiesce, then Δ, then the TCB image) must
+     count those bytes exactly once; killing the transfer source then
+     leaves the rejoined tail serving from its restored copies, where a
+     double-counted or lost byte surfaces as a divergent stream. *)
+  let c = make_chain () in
+  Chain.listen c.chain ~port:80 ~on_accept:(fun ~replica:_ tcb ->
+      Tcb.set_on_data tcb (fun d -> ignore (Tcb.send tcb ("R:" ^ d))));
+  let n = 4 in
+  let sinks = Array.init n (fun _ -> make_sink ()) in
+  let conns =
+    Array.init n (fun i ->
+        let conn =
+          Stack.connect (Host.tcp c.cclient)
+            ~remote:(Chain.service_addr c.chain, 80)
+            ()
+        in
+        wire_sink sinks.(i) conn;
+        Tcb.set_on_established conn (fun () ->
+            ignore (Tcb.send conn (Printf.sprintf "q%d" i)));
+        conn)
+  in
+  let isolated = ref 0 in
+  let settled = ref None in
+  Chain.set_on_event c.chain (function
+    | Chain.Isolated _ -> incr isolated
+    | Chain.Transfers_complete k -> settled := Some k
+    | _ -> ());
+  World.run c.cworld ~for_:(Time.sec 1.0);
+  (* the tail dies; replica 1 degrades and becomes the transfer source *)
+  Chain.kill c.chain 2;
+  World.run c.cworld ~for_:(Time.sec 1.0);
+  let fresh =
+    World.add_host c.cworld c.clan ~name:"repaired" ~addr:"10.0.0.8" ()
+  in
+  World.warm_arp (fresh :: c.cclient :: c.hosts);
+  let tail = Chain.rejoin c.chain fresh in
+  Array.iteri
+    (fun i conn -> ignore (Tcb.send conn (Printf.sprintf "m%d" i)))
+    conns;
+  World.run c.cworld ~for_:(Time.us 300);
+  check_bool "offers still queued once the writes landed" true
+    (Tcpfo_obs.Registry.gauge_value (World.metrics c.cworld)
+       "statex.transfer_queue_depth"
+     > 0);
+  World.run c.cworld ~for_:(Time.sec 2.0);
+  check_bool "every connection re-replicated" true (!settled = Some n);
+  check_int "nothing isolated" 0 !isolated;
+  check_int "no pending transfers" 0 (Chain.pending_transfers c.chain);
+  (* the transfer source dies: the rejoined tail re-diverts to the head
+     and carries every session on its restored copy *)
+  Chain.kill c.chain 1;
+  World.run c.cworld ~for_:(Time.sec 2.0);
+  Alcotest.(check (list int)) "head and rejoined tail" [ 0; tail ]
+    (Chain.alive c.chain);
+  Array.iteri
+    (fun i conn -> ignore (Tcb.send conn (Printf.sprintf "e%d" i)))
+    conns;
+  World.run c.cworld ~for_:(Time.sec 3.0);
+  Array.iteri
+    (fun i s ->
+      check_string "session continued byte-exactly"
+        (Printf.sprintf "R:q%dR:m%dR:e%d" i i i)
+        (sink_contents s);
+      check_int "never reset" 0 s.resets)
+    sinks
+
 let suite =
   suite
   @ [
@@ -396,4 +465,6 @@ let suite =
         test_chain_rejoin_validation;
       Alcotest.test_case "rejoin refused mid-takeover, accepted after" `Quick
         test_chain_rejoin_during_takeover;
+      Alcotest.test_case "client write during paced rejoin counted once"
+        `Quick test_chain_write_during_paced_rejoin;
     ]

@@ -88,7 +88,7 @@ let rand_snapshot st =
     sn_retained_input =
       List.init (QCheck.Gen.int_bound 5 st) (fun _ ->
           rand_string st (QCheck.Gen.int_bound 60 st));
-    (* half full, half delta: exercises both wire forms *)
+    (* half never checkpointed (base 0), half checkpointed *)
     sn_replay_base =
       (if QCheck.Gen.bool st then 0 else 1 + QCheck.Gen.int_bound 1_000_000 st);
   }
@@ -162,34 +162,10 @@ let prop_trailing_garbage_rejected =
       | Error _ -> true
       | Ok _ -> false)
 
-(* -- version negotiation ------------------------------------------------ *)
+(* -- replay base and envelope version ---------------------------------- *)
 
 let with_replay_base conn base =
   { conn with Snapshot.tcb = { conn.Snapshot.tcb with Tcb.sn_replay_base = base } }
-
-let prop_v2_roundtrip =
-  QCheck.Test.make ~name:"legacy v2 envelopes still decode" ~count:100
-    conn_arb (fun conn ->
-      (* only full snapshots fit the v2 layout *)
-      let conn = with_replay_base conn 0 in
-      match Snapshot.decode (Snapshot.encode_v2 conn) with
-      | Ok conn' -> conn' = conn
-      | Error m -> QCheck.Test.fail_reportf "v2 decode failed: %s" m)
-
-let prop_v2_corruption_rejected =
-  QCheck.Test.make ~name:"v2 flips and truncations are rejected" ~count:40
-    QCheck.(pair conn_arb (int_bound 10_000))
-    (fun (conn, pos_seed) ->
-      let img = Snapshot.encode_v2 (with_replay_base conn 0) in
-      let pos = pos_seed mod String.length img in
-      let b = Bytes.of_string img in
-      Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x40));
-      (match Snapshot.decode (Bytes.to_string b) with
-      | Ok _ -> QCheck.Test.fail_reportf "v2 flip at byte %d accepted" pos
-      | Error _ -> ());
-      match Snapshot.decode (String.sub img 0 (String.length img - 3)) with
-      | Ok _ -> QCheck.Test.fail_reportf "v2 truncation accepted"
-      | Error _ -> true)
 
 let test_delta_roundtrip () =
   let st = Random.State.make [| 7 |] in
@@ -199,47 +175,31 @@ let test_delta_roundtrip () =
     check_bool "delta round-trips" true (conn' = conn);
     check_int "replay base survives" 123_456 conn'.Snapshot.tcb.Tcb.sn_replay_base
   | Error m -> Alcotest.failf "delta decode failed: %s" m);
-  (* a full snapshot of the same connection is at least as large: the
-     delta form only ever adds its 8-byte base on top of a body whose
-     retained history is what actually shrinks *)
+  (* one body form: the base-0 image of the same connection differs only
+     in its 8-byte base field, so it is exactly as long *)
   let full = with_replay_base conn 0 in
-  check_bool "forms differ on the wire" true
-    (Snapshot.encode conn <> Snapshot.encode full)
-
-let test_encode_v2_rejects_delta () =
-  let st = Random.State.make [| 8 |] in
-  let conn = with_replay_base (rand_conn st) 1 in
-  match Snapshot.encode_v2 conn with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "encode_v2 accepted a delta snapshot"
-
-let test_unknown_form_tag_rejected () =
-  (* a validly sealed v3 body whose form tag is neither Full nor Delta
-     must be rejected before any field is interpreted *)
-  let img = Tcpfo_statex.Codec.seal "\x07leftover" in
-  match Snapshot.decode img with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unknown form tag accepted"
+  check_bool "bases differ on the wire" true
+    (Snapshot.encode conn <> Snapshot.encode full);
+  check_int "same length" (String.length (Snapshot.encode conn))
+    (String.length (Snapshot.encode full))
 
 let test_version_flip_rejected () =
-  (* the version byte is not covered by the v2 body digest, so v3+ folds
-     the version into the digest: flipping 3 -> 2 (or the reverse) must
-     fail the integrity check instead of decoding under the wrong
-     layout *)
+  (* exactly one envelope version is accepted: rewriting the u16 version
+     field (offset 4, after the magic) to anything else must be refused,
+     although the body digest still matches *)
   let st = Random.State.make [| 9 |] in
-  let flip_version img =
-    let b = Bytes.of_string img in
-    (* envelope: 4-byte magic then big-endian u16 version at offset 4 *)
-    Bytes.set b 5 (Char.chr (Char.code (Bytes.get b 5) lxor 0x01));
-    Bytes.to_string b
-  in
-  let conn = with_replay_base (rand_conn st) 0 in
-  (match Snapshot.decode (flip_version (Snapshot.encode conn)) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "v3 image accepted with v2 version byte");
-  match Snapshot.decode (flip_version (Snapshot.encode_v2 conn)) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "v2 image accepted with v3 version byte"
+  let img = Snapshot.encode (rand_conn st) in
+  List.iter
+    (fun v ->
+      if v <> Tcpfo_statex.Codec.version then begin
+        let b = Bytes.of_string img in
+        Bytes.set b 4 (Char.chr (v lsr 8));
+        Bytes.set b 5 (Char.chr (v land 0xFF));
+        match Snapshot.decode (Bytes.to_string b) with
+        | Error _ -> ()
+        | Ok _ -> Alcotest.failf "envelope version %d accepted" v
+      end)
+    [ 0; 1; 2; 3; 4; 5; 0x0104; 0xFFFF ]
 
 let test_exhaustive_small_flip () =
   (* deterministic complement to the sampled property: flip EVERY byte
@@ -261,18 +221,13 @@ let suite =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_roundtrip; prop_bitflip_rejected; prop_truncation_rejected;
-      prop_trailing_garbage_rejected; prop_v2_roundtrip;
-      prop_v2_corruption_rejected;
+      prop_trailing_garbage_rejected;
     ]
   @ [
       Alcotest.test_case "exhaustive single-byte corruption" `Quick
         test_exhaustive_small_flip;
       Alcotest.test_case "delta snapshot round-trip" `Quick
         test_delta_roundtrip;
-      Alcotest.test_case "encode_v2 rejects delta snapshots" `Quick
-        test_encode_v2_rejects_delta;
-      Alcotest.test_case "unknown form tag rejected" `Quick
-        test_unknown_form_tag_rejected;
       Alcotest.test_case "version byte flip rejected" `Quick
         test_version_flip_rejected;
     ]

@@ -14,6 +14,7 @@ module Seq32 = Tcpfo_util.Seq32
 module Tcp_config = Tcpfo_tcp.Tcp_config
 module Registry = Tcpfo_obs.Registry
 module Soak = Tcpfo_fault.Soak
+module Hot_transfer = Tcpfo_core.Hot_transfer
 
 let counter world name = Registry.counter_value (World.metrics world) name
 
@@ -553,17 +554,29 @@ let test_checkpointed_conn_survives_repair () =
 
 (* -- paced offer scheduling --------------------------------------------- *)
 
+(* A block-receipt service: after every [block] request bytes it sends
+   "R<k>;".  Output depends only on the input history, so the retained-
+   input replay rebuilds it exactly on a restored replica. *)
+let receipt_service ~block repl =
+  Replicated.listen repl ~port:80 ~on_accept:(fun ~role:_ tcb ->
+      let got = ref 0 in
+      let served = ref 0 in
+      Tcb.set_on_data tcb (fun d ->
+          got := !got + String.length d;
+          while !got >= (!served + 1) * block do
+            incr served;
+            ignore (Tcb.send tcb (Printf.sprintf "R%d;" !served))
+          done))
+
 let test_paced_scheduler_windows_offers () =
-  (* transfer_inflight=1 + a pace floor: offers must trickle out one at
-     a time instead of bursting at the reintegration instant, and every
-     connection must still re-replicate and survive a second failover *)
-  let config =
-    Failover_config.make ~transfer_inflight:1 ~transfer_pace:(Time.us 200) ()
-  in
-  let r = make_repl_lan ~config () in
-  Replicated.listen r.repl ~port:80 ~on_accept:(fun ~role:_ tcb ->
-      Tcb.set_on_data tcb (fun d -> ignore (Tcb.send tcb ("R:" ^ d))));
-  let n = 5 in
+  (* More live connections than the offer window, each carrying a
+     multi-chunk snapshot: offers must trickle out, the in-flight count
+     must reach the window but never exceed it, and every connection
+     must still re-replicate and survive a second failover *)
+  let r = make_repl_lan () in
+  let block = 16_000 in
+  receipt_service ~block r.repl;
+  let n = Hot_transfer.window + 16 in
   let sinks = Array.init n (fun _ -> make_sink ()) in
   let conns =
     Array.init n (fun i ->
@@ -573,15 +586,11 @@ let test_paced_scheduler_windows_offers () =
             ()
         in
         wire_sink sinks.(i) c;
-        Tcb.set_on_established c (fun () ->
-            ignore (Tcb.send c (Printf.sprintf "q%d" i)));
+        Tcb.set_on_established c (fun () -> send_all c (pattern ~tag:i block));
         c)
   in
-  run_repl ~for_sec:1.0 r;
-  Array.iteri
-    (fun i s ->
-      check_string "served" (Printf.sprintf "R:q%d" i) (sink_contents s))
-    sinks;
+  run_repl ~for_sec:2.0 r;
+  Array.iter (fun s -> check_string "served" "R1;" (sink_contents s)) sinks;
   Replicated.kill_secondary r.repl;
   run_repl ~for_sec:2.0 r;
   let completed = ref None in
@@ -593,11 +602,10 @@ let test_paced_scheduler_windows_offers () =
   in
   World.warm_arp [ r.rclient; r.primary; r.secondary; fresh ];
   Replicated.reintegrate r.repl ~secondary:fresh;
-  (* sample the channel while the paced transfers drain: the in-flight
-     window must never exceed the configured cap *)
+  (* sample the channel while the paced transfers drain *)
   let max_inflight = ref 0 in
-  for _ = 1 to 300 do
-    World.run r.rworld ~for_:(Time.us 100);
+  while !completed = None && World.now r.rworld < Time.sec 10.0 do
+    World.run r.rworld ~for_:(Time.us 10);
     let st = Replicated.transfer_stats r.repl in
     let inflight =
       st.Transfer.offers_sent - st.Transfer.accepts - st.Transfer.rejects
@@ -608,7 +616,7 @@ let test_paced_scheduler_windows_offers () =
   run_repl ~for_sec:2.0 r;
   check_bool "all re-replicated" true (!completed = Some n);
   check_int "no failures" 0 (Replicated.transfer_failures r.repl);
-  check_bool "window respected" true (!max_inflight <= 1);
+  check_int "window reached, never exceeded" Hot_transfer.window !max_inflight;
   let m = World.metrics r.rworld in
   check_bool "offers were paced" true
     (Registry.counter_value m "statex.paced_offers" >= n - 1);
@@ -620,13 +628,11 @@ let test_paced_scheduler_windows_offers () =
      copies continues every session byte-exactly *)
   Replicated.kill_primary r.repl;
   run_repl ~for_sec:2.0 r;
-  Array.iteri (fun i c -> ignore (Tcb.send c (Printf.sprintf "z%d" i))) conns;
+  Array.iteri (fun i c -> send_all c (pattern ~tag:(i + 100) block)) conns;
   run_repl ~for_sec:3.0 r;
-  Array.iteri
-    (fun i s ->
-      check_string "continued byte-exactly"
-        (Printf.sprintf "R:q%dR:z%d" i i)
-        (sink_contents s);
+  Array.iter
+    (fun s ->
+      check_string "continued byte-exactly" "R1;R2;" (sink_contents s);
       check_int "never reset" 0 s.resets)
     sinks
 
@@ -637,10 +643,7 @@ let test_write_during_paced_transfer () =
      (quiesce, then Δ, then the TCB image — in that order) must count
      those bytes exactly once, or the restored copy replays them twice
      or loses them. *)
-  let config =
-    Failover_config.make ~transfer_inflight:1 ~transfer_pace:(Time.ms 1) ()
-  in
-  let r = make_repl_lan ~config () in
+  let r = make_repl_lan () in
   Replicated.listen r.repl ~port:80 ~on_accept:(fun ~role:_ tcb ->
       Tcb.set_on_data tcb (fun d -> ignore (Tcb.send tcb ("R:" ^ d))));
   let n = 4 in
@@ -665,10 +668,14 @@ let test_write_during_paced_transfer () =
   in
   World.warm_arp [ r.rclient; r.primary; r.secondary; fresh ];
   Replicated.reintegrate r.repl ~secondary:fresh;
-  (* mid-pacing: every client writes while the offer queue still holds
-     most of the connections *)
-  World.run r.rworld ~for_:(Time.us 300);
+  (* mid-pacing: every client writes at once, and the offer queue still
+     holds some of the connections after the writes have landed *)
   Array.iteri (fun i c -> ignore (Tcb.send c (Printf.sprintf "m%d" i))) conns;
+  World.run r.rworld ~for_:(Time.us 300);
+  check_bool "offers still queued once the writes landed" true
+    (Registry.gauge_value (World.metrics r.rworld)
+       "statex.transfer_queue_depth"
+     > 0);
   run_repl ~for_sec:3.0 r;
   check_int "transfers settled" 0 (Replicated.pending_transfers r.repl);
   check_int "no failures" 0 (Replicated.transfer_failures r.repl);
