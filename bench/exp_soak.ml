@@ -1,98 +1,58 @@
-(* E10: failover soak — hundreds of seeded fault scenarios (kill the
-   primary or secondary during handshake / mid-transfer / in the
-   FIN window / at idle, under loss bursts, frame corruption, cross
-   traffic, client pauses and partitions) with the §2 correctness
+(* E10: failover soak — hundreds of seeded fault scenarios drawn from
+   the axis table in Tcpfo_fault.Soak (kill victim and phase, chaos,
+   size, repair plan, control-channel loss, pool shape, service role,
+   dispatcher fleet, checkpointed connection) with the §2 correctness
    requirements checked as hard invariants on every run.
 
    Scenario construction, chaos plan and kill instant all derive from
-   the seed alone (see Tcpfo_fault.Soak), so any seed printed in a
-   failure report reproduces the run — including a byte-identical
-   metrics snapshot, which this experiment re-verifies on a sample of
-   seeds after the sweep. *)
+   the seed alone, so any seed printed in a failure report reproduces
+   the run — including a byte-identical metrics snapshot, which this
+   experiment re-verifies on a sample of seeds after the sweep. *)
 
 module Soak = Tcpfo_fault.Soak
 
-let bucket outcomes key_of =
-  let tbl = Hashtbl.create 8 in
+(* pass/fail counts for every value of every axis, by the table's own
+   labels *)
+let print_axes outcomes =
+  Printf.printf "  %-6s %-14s %6s %6s\n" "axis" "value" "pass" "FAIL";
+  let tally = Hashtbl.create 64 in
   List.iter
     (fun (o : Soak.outcome) ->
-      let k = key_of o.scenario in
-      let ok, bad = Option.value (Hashtbl.find_opt tbl k) ~default:(0, 0) in
-      if o.violations = [] then Hashtbl.replace tbl k (ok + 1, bad)
-      else Hashtbl.replace tbl k (ok, bad + 1))
+      List.iter
+        (fun key ->
+          let ok, bad =
+            Option.value (Hashtbl.find_opt tally key) ~default:(0, 0)
+          in
+          Hashtbl.replace tally key
+            (if o.violations = [] then (ok + 1, bad) else (ok, bad + 1)))
+        (Soak.labels o.scenario))
     outcomes;
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort compare
-
-let print_buckets title rows =
-  Printf.printf "  %-12s %6s %6s\n" title "pass" "FAIL";
   List.iter
-    (fun (k, (ok, bad)) -> Printf.printf "  %-12s %6d %6d\n" k ok bad)
-    rows
+    (fun (axis, values) ->
+      List.iter
+        (fun v ->
+          let ok, bad =
+            Option.value (Hashtbl.find_opt tally (axis, v)) ~default:(0, 0)
+          in
+          Printf.printf "  %-6s %-14s %6d %6d\n" axis v ok bad)
+        values)
+    Soak.axes
 
-let victim_key (s : Soak.scenario) =
-  match s.victim with
-  | Soak.Nobody -> "no-kill"
-  | Soak.Primary -> "primary/" ^ (match s.phase with
-      | Soak.Handshake -> "hs" | Soak.Transfer -> "xfer"
-      | Soak.Fin -> "fin" | Soak.Idle -> "idle")
-  | Soak.Secondary -> "secondary/" ^ (match s.phase with
-      | Soak.Handshake -> "hs" | Soak.Transfer -> "xfer"
-      | Soak.Fin -> "fin" | Soak.Idle -> "idle")
-
-let chaos_key (s : Soak.scenario) =
-  match s.chaos with
-  | Soak.Calm -> "calm"
-  | Soak.Burst -> "burst"
-  | Soak.Drops -> "drops"
-  | Soak.Corruption -> "corrupt"
-  | Soak.Cross_traffic -> "cross"
-  | Soak.Pause_client -> "pause"
-  | Soak.Partition_client -> "partition"
-
-(* Machine-readable per-axis scenario counts: one JSON line a CI
-   artifact can diff run-to-run, proving each axis keeps being drawn as
-   the scenario space evolves (a forcing-rule regression that silently
-   starves an axis shows up here as a zero). *)
-let pool_key (s : Soak.scenario) =
-  match s.pool with
-  | Soak.Pair -> "pair"
-  | Soak.Pool3 { rejoin_first = false } -> "pool3"
-  | Soak.Pool3 { rejoin_first = true } -> "pool3_rejoin"
-
-let role_key (s : Soak.scenario) =
-  match s.role with
-  | Soak.Server -> "server"
-  | Soak.Backend_client -> "backend_client"
-  | Soak.Chain3 -> "chain3"
-
-let repair_key (s : Soak.scenario) =
-  match s.repair with
-  | Soak.No_repair -> "none"
-  | Soak.Repair -> "repair"
-  | Soak.Repair_then_rekill -> "repair_rekill"
-
-let fleet_key (s : Soak.scenario) = if s.fleet then "fleet" else "direct"
-let ckpt_key (s : Soak.scenario) = if s.checkpointed then "ckpt" else "plain"
-
-let axes_line outcomes =
-  let axis key_of keys =
-    let count k =
-      List.length
-        (List.filter (fun (o : Soak.outcome) -> key_of o.scenario = k) outcomes)
-    in
-    String.concat ","
-      (List.map (fun k -> Printf.sprintf "%S:%d" k (count k)) keys)
+(* Machine-readable pairwise coverage: how many of the (axis=value,
+   axis=value) pairs the table can produce the swept seeds exercised. *)
+let pairs_line outcomes =
+  let c =
+    Soak.coverage (List.map (fun (o : Soak.outcome) -> o.scenario) outcomes)
   in
+  let reachable = List.length c.reachable in
   Printf.printf
-    "[soak-axes] \
-     {\"pool\":{%s},\"role\":{%s},\"repair\":{%s},\"fleet\":{%s},\"ckpt\":{%s}}\n\
-     %!"
-    (axis pool_key [ "pair"; "pool3"; "pool3_rejoin" ])
-    (axis role_key [ "server"; "backend_client"; "chain3" ])
-    (axis repair_key [ "none"; "repair"; "repair_rekill" ])
-    (axis fleet_key [ "direct"; "fleet" ])
-    (axis ckpt_key [ "plain"; "ckpt" ])
+    "[soak-pairs] {\"reachable\":%d,\"covered\":%d,\"uncovered\":[%s]}\n%!"
+    reachable
+    (reachable - List.length c.uncovered)
+    (String.concat ","
+       (List.map
+          (fun p -> Printf.sprintf "%S" (Soak.pair_to_string p))
+          c.uncovered))
 
 let write_report path failures =
   let oc = open_out path in
@@ -133,10 +93,8 @@ let run_exp ~seeds ?(first_seed = 1) ?report () =
         Soak.run ~on_world:Harness.note_world
           (Soak.scenario_of_seed (first_seed + i)))
   in
-  print_buckets "kill" (bucket outcomes victim_key);
-  print_newline ();
-  print_buckets "chaos" (bucket outcomes chaos_key);
-  axes_line outcomes;
+  print_axes outcomes;
+  pairs_line outcomes;
   let failures =
     List.filter (fun (o : Soak.outcome) -> o.violations <> []) outcomes
   in

@@ -45,7 +45,7 @@ let () =
         | Rejoined i -> Printf.sprintf "replica %d rejoined at the tail" i
         | Transfers_complete n ->
           Printf.sprintf "%d connections re-replicated onto the tail" n
-        | Isolated { local_port; remote = _, rp } ->
+        | Isolated { local_port; remote = _, rp; _ } ->
           Printf.sprintf "connection :%d <-> :%d pinned solo" local_port rp));
 
   (* a counter service: proves all replicas advance through the same

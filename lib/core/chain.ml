@@ -17,7 +17,11 @@ type event =
   | Degraded of int
   | Rejoined of int
   | Transfers_complete of int
-  | Isolated of { local_port : int; remote : Ipaddr.t * int }
+  | Isolated of {
+      local_port : int;
+      remote : Ipaddr.t * int;
+      state : Tcb.state;
+    }
 
 let event_to_string = function
   | Death_detected i -> Printf.sprintf "replica %d declared dead" i
@@ -28,9 +32,9 @@ let event_to_string = function
   | Rejoined i -> Printf.sprintf "replica %d rejoined at the tail" i
   | Transfers_complete n ->
     Printf.sprintf "%d connections re-replicated onto the tail" n
-  | Isolated { local_port; remote = ra, rp } ->
-    Printf.sprintf "connection :%d <-> %s:%d pinned solo" local_port
-      (Ipaddr.to_string ra) rp
+  | Isolated { local_port; remote = ra, rp; state } ->
+    Printf.sprintf "connection :%d <-> %s:%d pinned solo in %s" local_port
+      (Ipaddr.to_string ra) rp (Tcb.state_to_string state)
 
 type bridge = Merger of Primary_bridge.t | Tail of Secondary_bridge.t
 
@@ -401,8 +405,8 @@ let rejoin t host =
   Hot_transfer.start t.hot ~survivor:prev.host ~bridge:pb ~xfer:prev.xfer
     ~dst:(Host.addr host)
     ~live:(fun () -> List.mem prev.index t.order && List.mem idx t.order)
-    ~on_isolated:(fun ~local_port ~remote ->
-      t.on_event (Isolated { local_port; remote }))
+    ~on_isolated:(fun ~local_port ~remote ~state ->
+      t.on_event (Isolated { local_port; remote; state }))
     ~on_complete:(fun moved -> t.on_event (Transfers_complete moved));
   idx
 

@@ -101,9 +101,14 @@ type event =
   | Transfers_complete of int
       (** rejoin's hot state transfer settled; payload counts the
           connections re-replicated onto the new tail *)
-  | Isolated of { local_port : int; remote : Tcpfo_packet.Ipaddr.t * int }
+  | Isolated of {
+      local_port : int;
+      remote : Tcpfo_packet.Ipaddr.t * int;
+      state : Tcpfo_tcp.Tcb.state;
+    }
       (** a live connection could not be re-replicated onto the rejoined
-          tail and was demoted to solo; bumps [statex.isolated_conns] *)
+          tail and was demoted to solo, its TCB in [state]; bumps
+          [statex.isolated_conns] *)
 
 val event_to_string : event -> string
 (** One-line human description, for traces and CLIs — kept exhaustive

@@ -116,15 +116,15 @@ let start t ~survivor ~bridge:pb ~xfer ~dst ~live ~on_isolated ~on_complete =
         transferable_state (Tcb.state tcb) && Tcb.input_retention_enabled tcb)
       candidates
   in
-  let isolate ~local_port ~remote =
+  let isolate tcb ~local_port ~remote =
     Registry.Counter.incr t.isolated;
-    on_isolated ~local_port ~remote
+    on_isolated ~local_port ~remote ~state:(Tcb.state tcb)
   in
   let demote_solo tcb =
     let _, lp = Tcb.local_endpoint tcb in
     let remote = Tcb.remote_endpoint tcb in
     Primary_bridge.isolate_conn pb ~remote ~local_port:lp;
-    isolate ~local_port:lp ~remote
+    isolate tcb ~local_port:lp ~remote
   in
   List.iter demote_solo to_isolate;
   t.pending <- List.length to_transfer;
@@ -182,7 +182,7 @@ let start t ~survivor ~bridge:pb ~xfer ~dst ~live ~on_isolated ~on_complete =
           | Ok () | Error _ ->
             if Result.is_error res then t.failures <- t.failures + 1;
             Primary_bridge.abort_transfer pb ~remote ~local_port:lp;
-            isolate ~local_port:lp ~remote);
+            isolate tcb ~local_port:lp ~remote);
           t.pending <- t.pending - 1;
           if t.pending = 0 then finish ()
           else if not !pace_armed then pump ())

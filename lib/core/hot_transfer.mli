@@ -60,7 +60,11 @@ val start :
   xfer:Tcpfo_statex.Transfer.t ->
   dst:Tcpfo_packet.Ipaddr.t ->
   live:(unit -> bool) ->
-  on_isolated:(local_port:int -> remote:Tcpfo_packet.Ipaddr.t * int -> unit) ->
+  on_isolated:
+    (local_port:int ->
+    remote:Tcpfo_packet.Ipaddr.t * int ->
+    state:Tcpfo_tcp.Tcb.state ->
+    unit) ->
   on_complete:(int -> unit) ->
   unit
 (** Ship every live service connection of [survivor] through [xfer] to
@@ -68,7 +72,8 @@ val start :
     a replicated pair.  Whatever cannot travel — untransferable state,
     no retained input, a rejected or timed-out offer, or any offer
     still queued or in flight once [live ()] turns false — is pinned
-    solo and reported through [on_isolated].  [on_complete] fires once,
+    solo and reported through [on_isolated], with the TCB state it was
+    pinned in.  [on_complete] fires once,
     with the number of connections re-replicated, when the last offer
     has settled (immediately if there was nothing to ship). *)
 

@@ -13,7 +13,11 @@ type event =
   | Promoted of string
   | Standby_lost of string
   | Rejoined of string
-  | Isolated of { local_port : int; remote : Ipaddr.t * int }
+  | Isolated of {
+      local_port : int;
+      remote : Ipaddr.t * int;
+      state : Tcb.state;
+    }
 
 let event_to_string = function
   | Secondary_failure_detected -> "secondary failure detected"
@@ -25,9 +29,10 @@ let event_to_string = function
   | Promoted name -> Printf.sprintf "standby %s promoted into the active pair" name
   | Standby_lost name -> Printf.sprintf "standby %s declared dead" name
   | Rejoined name -> Printf.sprintf "%s joined the back of the pool" name
-  | Isolated { local_port; remote = ra, rp } ->
-    Printf.sprintf "connection :%d <-> %s:%d demoted to solo (not transferred)"
-      local_port (Ipaddr.to_string ra) rp
+  | Isolated { local_port; remote = ra, rp; state } ->
+    Printf.sprintf
+      "connection :%d <-> %s:%d demoted to solo in %s (not transferred)"
+      local_port (Ipaddr.to_string ra) rp (Tcb.state_to_string state)
 
 type t = {
   mutable primary : Host.t;
@@ -230,8 +235,8 @@ and reintegrate t ~secondary:fresh =
   Hot_transfer.start t.hot ~survivor:t.primary ~bridge:t.pbridge ~xfer:t.xfer_p
     ~dst:(Host.addr fresh)
     ~live:(fun () -> t.status = `Normal)
-    ~on_isolated:(fun ~local_port ~remote ->
-      emit t (Isolated { local_port; remote }))
+    ~on_isolated:(fun ~local_port ~remote ~state ->
+      emit t (Isolated { local_port; remote; state }))
     ~on_complete:(fun moved -> emit t (Transfers_complete moved))
 
 (* A repaired host rejoins at the back of the pool.  If the pool is

@@ -44,11 +44,16 @@ type event =
   | Rejoined of string
       (** a repaired host joined the back of the pool (or, if the pool
           was degraded, paired directly with the survivor) *)
-  | Isolated of { local_port : int; remote : Tcpfo_packet.Ipaddr.t * int }
+  | Isolated of {
+      local_port : int;
+      remote : Tcpfo_packet.Ipaddr.t * int;
+      state : Tcpfo_tcp.Tcb.state;
+    }
       (** a live connection could not be re-replicated during
           reintegration — untransferable state or a failed/rejected
-          transfer — and was demoted to solo on the survivor; also bumps
-          the [statex.isolated_conns] counter *)
+          transfer — and was demoted to solo on the survivor, where its
+          TCB was in [state]; also bumps the [statex.isolated_conns]
+          counter *)
 
 val event_to_string : event -> string
 (** One-line human description, for traces and CLIs. *)

@@ -1,42 +1,43 @@
-(** Seeded failover soak scenarios: one scenario per seed, drawn from the
-    cross product of kill victim × kill phase × background chaos ×
-    transfer size × repair plan × pool shape × service role, run against
-    a full replicated world (a pair, a three-replica pool with cascading
-    failover, or a three-tier chain) built through {!Tcpfo_host.Topo}
-    and checked against the paper's correctness requirements (§2).
+(** Seeded failover soak scenarios: one scenario per seed, drawn from an
+    ordered table of axes (kill victim and phase, background chaos,
+    reply size, repair plan, control-channel loss, pool shape, service
+    role, dispatcher fleet, checkpointed connection) and run against a
+    full replicated world — a pair or three-replica pool, a three-tier
+    chain, or a two-shard dispatcher fleet — built through
+    {!Tcpfo_host.Topo} and checked against the paper's correctness
+    requirements (§2).
 
-    Invariants checked by {!run}:
+    {b The axis table.}  Axes are drawn in table order from one
+    seed-derived RNG.  Each axis has a {e gate} over the raw draws of
+    the axes above it: when the gate is false the axis consumes no
+    randomness and takes its off value.  Once every axis is drawn, each
+    axis's {e force} (over the scenario forced so far) may override the
+    draw with the off value.  Gates shape the draw sequence; forces only
+    rewrite values — so a new axis appended as a row (gated or forced as
+    it needs) leaves every existing seed's scenario untouched.
 
-    - the byte stream the client reads equals the reply the application
-      wrote (no loss, duplication or reordering across a failover);
-    - the connection terminates (EOF delivered, TCB reaches
-      CLOSED/TIME_WAIT) and the client never sees an RST;
-    - every segment on the wire from the service address stays in the
-      original numbering: one SYN-ACK ISN, every data payload matching
-      the reply at its sequence offset — after a takeover the secondary
-      must keep speaking in the sequence space the client already knows;
-    - the pair's failure status matches what was actually killed (no
-      missed and no spurious detections);
-    - a concurrent cross-traffic stream, when present, also completes
-      intact;
-    - in repair scenarios, every hot state transfer settles without a
-      failure even when a [loss] plan covers the control channel, and
-      no transfer datagram on the wire exceeds the MSS chunk bound;
-    - in backend-role scenarios (§7.2: the pool holds the client end),
-      the surviving replicas' application assembles the unreplicated
-      backend's complete reply — after a repair, on the restored
-      connection too — and the backend never sees a second ISN or an
-      RST;
-    - in chain scenarios a repaired host {!Tcpfo_core.Chain.rejoin}s at
-      the tail, the chain returns to three live replicas with all
-      transfers settled and no established connection stranded solo
-      ([statex.isolated_conns] stays 0; a connection still mid-handshake
-      at rejoin time is pinned solo by design);
-    - in checkpointed scenarios a long-lived connection whose
-      application checkpoints at every request boundary survives the
-      repair under a tight retention budget: no reset, reply stream
-      intact, progress after the transfers settle, checkpoints taken,
-      no retention overflow.
+    Invariants checked by {!run} in every world: the peer reads exactly
+    what the application wrote, sees EOF and a clean close and never an
+    RST; every segment from the service address stays in the original
+    numbering (one ISN, every payload matching the stream at its
+    offset); the world reaches the end state its kill plan implies
+    (failures detected, repairs settled, pools Normal or degraded as
+    expected, a chain back to three replicas) — the same end state stops
+    the drive loop; every hot state transfer settles even under a lossy
+    control channel, no transfer datagram exceeds the MSS bound, and no
+    connection is stranded solo after reaching ESTABLISHED.  Per axis:
+    cross traffic completes; a §7.2 backend's reply is assembled by the
+    replicas (after a repair, on the restored connection too); a fleet's
+    drain connection completes, the victim shard's weight decays (and
+    ramps back after repair) while its sibling's never moves, nothing is
+    refused or crosses shard isolation; a checkpointed connection under
+    a tight retention budget is never reset, keeps its reply stream,
+    serves after the transfers settle and never overflows its budget.
+
+    {b Pinned-solo rule.}  A connection that hot state transfer pinned
+    solo before it reached ESTABLISHED cannot be snapshotted by design;
+    it is exempt from restored-replica checks, and from survival checks
+    once no live host holds it and its peer cannot retry it.
 
     Everything — topology, chaos plan, kill instant — derives from the
     scenario's seed, so [run (scenario_of_seed s)] replays
@@ -60,35 +61,35 @@ type chaos =
   | Pause_client  (** client host paused and resumed mid-connection *)
   | Partition_client  (** client unplugged from the LAN for a few ms *)
 
-type repair = No_repair | Repair | Repair_then_rekill
+type repair =
+  | No_repair
+  | Repair
+      (** reintegrate a fresh host once the kill is absorbed; hot state
+          transfer re-replicates the live connections *)
+  | Repair_then_rekill
+      (** reintegrate, then kill the surviving original too once the
+          transfers settle: the connection must survive the second
+          failover byte-exactly on the repaired host *)
 
 type pool =
   | Pair  (** the paper's two-host pair *)
   | Pool3 of { rejoin_first : bool }
-      (** a three-replica pool ([Replicated.create_pool] with one cold
-          standby).  After the kill the pool cascades on its own: the
-          standby is promoted and hot state transfer re-replicates the
-          live connections.  Once the transfers settle the CURRENT
-          primary is killed too — the §2 requirements must hold across
-          both cascading failovers.  With [rejoin_first] a repaired
-          host {!Tcpfo_core.Replicated.rejoin}s the back of the pool
-          just before the second kill, so the pool ends fully recovered
-          ([`Normal], transfers settled); without it the pool ends
+      (** a three-replica pool with one cold standby: the kill cascades
+          into a promotion, and once its transfers settle the CURRENT
+          primary is killed too.  With [rejoin_first] a repaired host
+          {!Tcpfo_core.Replicated.rejoin}s just before the second kill,
+          so the pool ends fully recovered; without it the pool ends
           degraded on its last survivor. *)
 
 type role =
   | Server  (** the pool listens; the client streams the reply down *)
   | Backend_client
       (** §7.2: the pool opens the connection to an unreplicated backend
-          server (running on the client host) and streams the reply UP
-          from it — the replicated end holds the client role, so the
-          kill/repair cycle must restore a [connect_backend] connection
-          (retained input replays the reply into the restored
-          application) *)
+          (running on the client host) and streams the reply UP from it *)
   | Chain3
       (** a three-tier {!Tcpfo_core.Chain} serves the client; [Primary]
-          kills the head, [Secondary] kills the tail, and repair goes
-          through {!Tcpfo_core.Chain.rejoin} at the tail *)
+          kills the head, [Secondary] the tail, and repair goes through
+          {!Tcpfo_core.Chain.rejoin} *)
 
 type scenario = {
   seed : int;
@@ -97,56 +98,20 @@ type scenario = {
   chaos : chaos;
   size : int;  (** reply size in bytes *)
   repair : repair;
-      (** after the kill is detected: do nothing, reintegrate a fresh
-          host (hot state transfer re-replicates live connections), or
-          reintegrate and then kill the surviving original too — the
-          connection must survive the second failover byte-exactly on
-          the repaired host *)
   xfer_loss : float;
-      (** loss probability of an 8 ms burst on the LAN opening the
-          instant reintegration begins, so the hot state transfers run
-          over a lossy control channel.  0 when [repair] is
-          [No_repair].  Transfers must still all complete (streaming
-          retransmission), never stranding a connection solo.  In pool
-          scenarios the burst instead opens when the standby is
-          promoted. *)
+      (** loss probability of an 8 ms burst opening when the hot state
+          transfers begin (a repair, or a pool promotion) *)
   pool : pool;
-      (** drawn after every older axis, so adding the pool dimension
-          left all earlier seed → scenario mappings intact.  When a
-          pool is drawn the explicit [repair] axis is forced to
-          [No_repair]: promotion from the pool IS the repair. *)
   role : role;
-      (** drawn after everything older; forced to [Server] for the
-          no-kill control, pool scenarios and cross traffic, so every
-          pre-existing seed's world replays untouched *)
   fleet : bool;
-      (** newest axis, drawn last: run the pair scenario behind a
-          {!Tcpfo_dispatch.Dispatch} tier — two two-replica shards on a
-          back segment, the client on a front segment, the kill aimed
-          at whichever shard the connection is pinned to.  Adds fleet
-          invariants: a drain connection opened right after detection
-          completes byte-exactly through the fleet, the victim shard's
-          weight provably decays (and ramps back to full after repair)
-          while the sibling's never moves, nothing is refused, and no
-          cross-shard reply crosses the isolation check.  Forced off
-          for pool cascades, non-server roles and cross traffic. *)
+      (** run the pair behind a {!Tcpfo_dispatch.Dispatch} tier of two
+          two-replica shards, killing the shard the connection is
+          pinned to *)
   checkpointed : bool;
-      (** newest axis, drawn after [fleet]: a long-lived request/reply
-          connection rides alongside the main stream, its application
-          calling {!Tcpfo_tcp.Tcb.checkpoint} at every request boundary,
-          while the pool hosts run under a retention budget far smaller
-          than the connection's lifetime traffic — only checkpoint
-          truncation keeps it transferable.  Adds invariants: the
-          connection is never reset, its reply stream stays intact, it
-          demonstrably keeps serving after the hot state transfers
-          settle (so the delta snapshot restored it live), checkpoints
-          were actually taken, the retention budget never overflowed,
-          and the connection — once established — was never stranded
-          solo at a reintegration (a mid-handshake embryo is pinned
-          solo by design; the client's SYN retry then opens a fresh,
-          replicated connection).  Only drawn when a transfer happens
-          (repair or pool promotion); forced off for fleet, non-server
-          roles and cross traffic. *)
+      (** a long-lived request/reply connection whose application calls
+          {!Tcpfo_tcp.Tcb.checkpoint} at every request boundary rides
+          alongside, under a retention budget far smaller than its
+          lifetime traffic *)
 }
 
 type outcome = {
@@ -158,7 +123,28 @@ type outcome = {
 }
 
 val scenario_of_seed : int -> scenario
+
 val describe : scenario -> string
+(** One line naming the seed and every axis label. *)
+
+val axes : (string * string list) list
+(** Every axis in table order, with the labels of its values. *)
+
+val labels : scenario -> (string * string) list
+(** [(axis, label)] for every axis, in table order. *)
+
+type pair = (string * string) * (string * string)
+(** Two [(axis, label)] settings of distinct axes, in table order. *)
+
+type coverage = {
+  reachable : pair list;
+      (** every pair some seed can draw, enumerated exhaustively through
+          the table's gates and forces *)
+  uncovered : pair list;  (** the reachable pairs no given scenario hits *)
+}
+
+val coverage : scenario list -> coverage
+val pair_to_string : pair -> string
 
 val run : ?on_world:(Tcpfo_host.World.t -> unit) -> scenario -> outcome
 (** [on_world] is called with the freshly created world before anything

@@ -283,7 +283,8 @@ let test_event_strings_exhaustive () =
       Replicated.Promoted "standby1";
       Replicated.Standby_lost "standby1";
       Replicated.Rejoined "repaired";
-      Replicated.Isolated { local_port = 7; remote = (addr, 80) };
+      Replicated.Isolated
+        { local_port = 7; remote = (addr, 80); state = Tcb2.Syn_received };
     ]
   in
   let chain_events =
@@ -294,7 +295,8 @@ let test_event_strings_exhaustive () =
       Chain.Degraded 2;
       Chain.Rejoined 2;
       Chain.Transfers_complete 4;
-      Chain.Isolated { local_port = 7; remote = (addr, 80) };
+      Chain.Isolated
+        { local_port = 7; remote = (addr, 80); state = Tcb2.Established };
     ]
   in
   let audit name to_string events =

@@ -1,24 +1,28 @@
 (* Tier-1 subset of the E10 soak sweep: a fixed handful of seeded fault
-   scenarios run end to end with every invariant checked, plus the
-   seed-replay determinism guarantee.  The full sweep lives in
-   bench/exp_soak.ml (bench/main.exe --exp soak). *)
+   scenarios run end to end with every invariant checked, the first
+   scenario of each newer axis, pinned seed → scenario mappings, the
+   pairwise coverage of the CI seed range, and the seed-replay
+   determinism guarantee.  The full sweep lives in bench/exp_soak.ml
+   (bench/main.exe --exp soak). *)
 
 module Soak = Tcpfo_fault.Soak
 open Testutil
 
-let seeds = [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11; 12 ]
+(* 396, 442 and 1108 are the three pinned-solo classes: a chain survivor
+   in SYN_RCVD at rejoin, and a §7.2 backend connection in SYN_SENT at a
+   repair and at a repair + rekill *)
+let seeds = [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11; 12; 396; 442; 1108 ]
+
+(* the CI seed range, which must cover every reachable pair *)
+let ci_seeds = List.init 1000 (fun i -> i + 1)
+
+let runs_clean sc =
+  let o = Soak.run sc in
+  Alcotest.(check (list string)) (Soak.describe sc) [] o.Soak.violations
 
 let test_invariants_hold () =
-  List.iter
-    (fun seed ->
-      let o = Soak.run (Soak.scenario_of_seed seed) in
-      Alcotest.(check (list string))
-        (Soak.describe o.Soak.scenario)
-        [] o.Soak.violations)
-    seeds
+  List.iter (fun seed -> runs_clean (Soak.scenario_of_seed seed)) seeds
 
-(* The scenario space must stay covered as seeds are drawn: the fixed
-   set above exercises kills of both replicas plus a no-kill control. *)
 let test_seed_set_covers_victims () =
   let victims =
     List.map (fun s -> (Soak.scenario_of_seed s).Soak.victim) seeds
@@ -27,106 +31,94 @@ let test_seed_set_covers_victims () =
   check_bool "kills a secondary" true (List.mem Soak.Secondary victims);
   check_bool "has a no-kill control" true (List.mem Soak.Nobody victims)
 
-(* The pool axis must actually be drawn within the CI seed range, in
-   both variants, and those scenarios must run clean: a 3-replica pool
-   surviving a cascading double kill, with and without a rejoin between
-   the kills. *)
+(* A reordered, reweighted or regated table row changes these. *)
+let test_describe_pinned () =
+  List.iter
+    (fun (seed, want) ->
+      check_string (Printf.sprintf "seed %d" seed) want
+        (Soak.describe (Soak.scenario_of_seed seed)))
+    [
+      ( 1,
+        "seed=1 kill=primary/transfer chaos=pause size=2000 \
+         repair=repair+rekill xloss=0.20 pool=pair role=backend fleet=false \
+         ckpt=false" );
+      ( 5,
+        "seed=5 kill=primary/transfer chaos=corruption size=400000 \
+         repair=none xloss=0.00 pool=pool3 role=server fleet=false ckpt=true" );
+      ( 396,
+        "seed=396 kill=primary/transfer chaos=corruption size=2000 \
+         repair=repair+rekill xloss=0.00 pool=pair role=chain fleet=false \
+         ckpt=false" );
+      ( 611,
+        "seed=611 kill=primary/transfer chaos=drops size=20000 \
+         repair=repair+rekill xloss=0.00 pool=pair role=backend fleet=false \
+         ckpt=false" );
+      ( 1108,
+        "seed=1108 kill=primary/handshake chaos=calm size=20000 \
+         repair=repair+rekill xloss=0.20 pool=pair role=backend fleet=false \
+         ckpt=false" );
+    ]
+
+(* Pure, no simulation: every (axis=value, axis=value) pair the table's
+   gates and forces can produce is drawn by some seed of the CI range. *)
+let test_ci_seeds_cover_every_pair () =
+  let c = Soak.coverage (List.map Soak.scenario_of_seed ci_seeds) in
+  check_int "reachable pairs" 480 (List.length c.Soak.reachable);
+  Alcotest.(check (list string))
+    "pairs no seed in 1-1000 draws" []
+    (List.map Soak.pair_to_string c.Soak.uncovered)
+
+(* the first CI-range scenario satisfying [p] must run clean *)
+let first_runs_clean p =
+  match List.find_opt p (List.map Soak.scenario_of_seed ci_seeds) with
+  | Some sc -> runs_clean sc
+  | None -> Alcotest.fail "no scenario in the CI seed range"
+
+(* a 3-replica pool surviving a cascading double kill, with and without
+   a rejoin between the kills *)
 let test_pool_axis_covered () =
-  let pool_seeds variant =
-    List.filter
-      (fun s -> (Soak.scenario_of_seed s).Soak.pool = variant)
-      (List.init 60 (fun i -> i + 1))
-  in
-  let plain = pool_seeds (Soak.Pool3 { rejoin_first = false }) in
-  let rejoin = pool_seeds (Soak.Pool3 { rejoin_first = true }) in
-  check_bool "seeds 1-60 draw pool3" true (plain <> []);
-  check_bool "seeds 1-60 draw pool3+rejoin" true (rejoin <> []);
-  List.iter
-    (fun seed ->
-      let o = Soak.run (Soak.scenario_of_seed seed) in
-      Alcotest.(check (list string))
-        (Soak.describe o.Soak.scenario)
-        [] o.Soak.violations)
-    [ List.hd plain; List.hd rejoin ]
+  first_runs_clean (fun s -> s.Soak.pool = Soak.Pool3 { rejoin_first = false });
+  first_runs_clean (fun s -> s.Soak.pool = Soak.Pool3 { rejoin_first = true })
 
-(* The newest axis: the CI seed range must draw all three service
-   roles — classic server, §7.2 backend-client, and the three-tier
-   chain — and the first scenario of each new role must run clean. *)
 let test_role_axis_covered () =
-  let role_seeds r =
-    List.filter
-      (fun s -> (Soak.scenario_of_seed s).Soak.role = r)
-      (List.init 60 (fun i -> i + 1))
-  in
-  let server = role_seeds Soak.Server in
-  let backend = role_seeds Soak.Backend_client in
-  let chain = role_seeds Soak.Chain3 in
-  check_bool "seeds 1-60 draw the server role" true (server <> []);
-  check_bool "seeds 1-60 draw the backend-client role" true (backend <> []);
-  check_bool "seeds 1-60 draw the chain role" true (chain <> []);
+  first_runs_clean (fun s -> s.Soak.role = Soak.Backend_client);
+  first_runs_clean (fun s -> s.Soak.role = Soak.Chain3)
+
+(* fleet only rides the plain pair/server shape *)
+let test_fleet_axis_covered () =
   List.iter
     (fun seed ->
-      let o = Soak.run (Soak.scenario_of_seed seed) in
-      Alcotest.(check (list string))
-        (Soak.describe o.Soak.scenario)
-        [] o.Soak.violations)
-    [ List.hd backend; List.hd chain ]
-
-(* The fleet axis: the CI seed range must draw fleet scenarios, the
-   first kill-bearing one must run clean, and the forcing rules must
-   hold everywhere — fleet only rides the plain pair/server shape. *)
-let test_fleet_axis_covered () =
-  let all = List.init 200 (fun i -> Soak.scenario_of_seed (i + 1)) in
-  List.iter
-    (fun (sc : Soak.scenario) ->
+      let sc = Soak.scenario_of_seed seed in
       if sc.Soak.fleet then
         check_bool
           (Printf.sprintf "seed %d: fleet forced onto pair/server/no-cross"
-             sc.Soak.seed)
+             seed)
           true
           (sc.Soak.pool = Soak.Pair && sc.Soak.role = Soak.Server
           && sc.Soak.chaos <> Soak.Cross_traffic))
-    all;
-  let fleet_kills =
-    List.filter
-      (fun (sc : Soak.scenario) -> sc.Soak.fleet && sc.Soak.victim <> Soak.Nobody)
-      all
-  in
-  check_bool "seeds 1-200 draw a fleet kill" true (fleet_kills <> []);
-  let o = Soak.run (List.hd fleet_kills) in
-  Alcotest.(check (list string))
-    (Soak.describe o.Soak.scenario)
-    [] o.Soak.violations
+    ci_seeds;
+  first_runs_clean (fun s -> s.Soak.fleet && s.Soak.victim <> Soak.Nobody)
 
-(* The checkpointed-connection axis: the CI seed range must draw it,
-   its forcing rules must hold everywhere (only server-role pair/pool
-   worlds where a transfer happens, never fleet or cross traffic), and
-   the first such scenario — a long-lived checkpointing connection
-   surviving a repair under a tight retention budget — must run
-   clean. *)
+(* the checkpointed connection only rides server-role pair/pool worlds
+   where a transfer happens, never fleet or cross traffic; the first such
+   scenario — a long-lived checkpointing connection surviving a repair
+   under a tight retention budget — must run clean *)
 let test_checkpoint_axis_covered () =
-  let all = List.init 200 (fun i -> Soak.scenario_of_seed (i + 1)) in
   List.iter
-    (fun (sc : Soak.scenario) ->
+    (fun seed ->
+      let sc = Soak.scenario_of_seed seed in
       if sc.Soak.checkpointed then
         check_bool
           (Printf.sprintf
-             "seed %d: checkpoint axis forced onto transfer-bearing \
-              server worlds"
-             sc.Soak.seed)
+             "seed %d: checkpoint axis forced onto transfer-bearing server \
+              worlds"
+             seed)
           true
           (sc.Soak.role = Soak.Server && (not sc.Soak.fleet)
           && sc.Soak.chaos <> Soak.Cross_traffic
           && (sc.Soak.repair <> Soak.No_repair || sc.Soak.pool <> Soak.Pair)))
-    all;
-  let ckpts =
-    List.filter (fun (sc : Soak.scenario) -> sc.Soak.checkpointed) all
-  in
-  check_bool "seeds 1-200 draw a checkpointed scenario" true (ckpts <> []);
-  let o = Soak.run (List.hd ckpts) in
-  Alcotest.(check (list string))
-    (Soak.describe o.Soak.scenario)
-    [] o.Soak.violations
+    ci_seeds;
+  first_runs_clean (fun s -> s.Soak.checkpointed)
 
 let test_replay_is_byte_identical () =
   let sc = Soak.scenario_of_seed 5 in
@@ -141,6 +133,10 @@ let suite =
       test_invariants_hold;
     Alcotest.test_case "seed set covers both victims" `Quick
       test_seed_set_covers_victims;
+    Alcotest.test_case "describe pinned for sample seeds" `Quick
+      test_describe_pinned;
+    Alcotest.test_case "CI seeds cover every reachable axis pair" `Quick
+      test_ci_seeds_cover_every_pair;
     Alcotest.test_case "pool axis covered and clean" `Quick
       test_pool_axis_covered;
     Alcotest.test_case "role axis covered and clean" `Quick

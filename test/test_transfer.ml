@@ -325,8 +325,9 @@ let test_retention_overflow_isolates () =
   in
   let isolated_ports = ref [] in
   Replicated.set_on_event repl (function
-    | Replicated.Isolated { local_port; _ } ->
-      isolated_ports := local_port :: !isolated_ports
+    | Replicated.Isolated { local_port; state; _ } ->
+      isolated_ports :=
+        (local_port, Tcb.state_to_string state) :: !isolated_ports
     | _ -> ());
   (* reply "done" after every 1200 request bytes — deterministic on both
      replicas regardless of segment boundaries *)
@@ -364,8 +365,10 @@ let test_retention_overflow_isolates () =
   let stats = Replicated.transfer_stats repl in
   check_int "the overflowed conn was never offered" 0
     stats.Tcpfo_statex.Transfer.offers_sent;
-  (* the solo demotion is announced, per connection, and counted *)
-  Alcotest.(check (list int)) "Isolated event named the connection" [ 80 ]
+  (* the solo demotion is announced, per connection with the state it was
+     pinned in, and counted *)
+  Alcotest.(check (list (pair int string)))
+    "Isolated event named the connection" [ (80, "ESTABLISHED") ]
     !isolated_ports;
   check_bool "isolation surfaced in metrics" true
     (counter world "statex.isolated_conns" >= 1);
