@@ -54,7 +54,7 @@ type outcome = {
 }
 
 let one_trial ~pools:n_pools ~conns ~cycles ~seed =
-  let world = World.create ~seed ~engine_backend:!Harness.engine_backend () in
+  let world = World.create ~seed () in
   note_world world;
   let gw = "10.0.0.254" in
   let shard_name i = Printf.sprintf "shard%d" i in

@@ -1,28 +1,31 @@
-(* E13 — high-connection-count worlds: events/s and peak memory vs live
-   connections {1k, 4k, 10k}, swept over the engine scheduling backend
-   (--engine heap,wheel).
+(* E13 — high-connection worlds: events/s and peak memory vs live
+   connections {1k, 4k, 10k}.
 
-   The workload is shaped like the fleet-dispatcher scenario this PR
-   unlocks: a replicated pair serves [conns] long-LIVED connections at
-   once.  Every connection, once established, exchanges a small
-   request/response round [rounds] times on a per-connection period, and
-   both ends re-arm an application idle-watchdog timer on every receipt
-   (armed ~5 s out, almost always cancelled by the next round — the
-   far-future, usually-cancelled timer population that timer wheels
-   exist for, cf. the BSD callout wheel and PnO-TCP's per-packet timer
-   argument).  With 10k connections the engine carries tens of
-   thousands of pending timers: the binary heap pays O(log n) per
-   schedule/cancel with cold cache lines, the wheel O(1) bucket pushes.
+   The workload is shaped like the fleet-dispatcher scenario: a
+   replicated pair serves [conns] long-LIVED connections at once.  Every
+   connection, once established, exchanges a small request/response
+   round [rounds] times on a per-connection period, and both ends re-arm
+   an application idle-watchdog timer on every receipt (armed ~5 s out,
+   almost always cancelled by the next round — the far-future,
+   usually-cancelled timer population that timer wheels exist for, cf.
+   the BSD callout wheel and PnO-TCP's per-packet timer argument).  With
+   10k connections the engine carries tens of thousands of pending
+   timers.
+
+   Each connection count runs in its own forked process, so every size
+   is timed on a fresh heap rather than on the heap the smaller sizes
+   grew before it (bench/suite/README.md records how far an in-process
+   sweep skews the larger sizes).
 
    Determinism contract (the part CI gates on): for a fixed seed the
-   trial table (conns/completed/bytes/events/sim_ms columns) and the
-   metrics fingerprint are byte-identical across --engine heap|wheel
-   and --jobs 1|2.  The fingerprint hashes the final world's registry
-   dump minus the [engine.*] scope — those two counters are structural
-   to the backend (the backends meet cancelled events at different
-   moments) and are the ONLY registry entries allowed to differ; see
-   DESIGN.  Wall-clock, events/s and peak-RSS are reported separately
-   and excluded from the identity comparison. *)
+   trial table (conns/completed/bytes/events/sim_ms columns), the
+   metrics fingerprint and the [highconn-summary] lines are
+   byte-identical across --jobs 1|2 (minus the jobs field).  The
+   fingerprint hashes the final world's registry dump minus the
+   [engine.*] scope, whose two counters measure the event queue's own
+   work (DESIGN 7.11).  Wall-clock, events/s and peak RSS are reported
+   on separate [highconn-timing] lines, outside the identity
+   comparison. *)
 
 open Harness
 module Engine = Tcpfo_sim.Engine
@@ -49,10 +52,10 @@ let watchdog_delay = Time.sec 5.
    at one round per second — queueing delay then grows without bound,
    heartbeats blow the 40 ms detector deadline, and the secondary
    falsely takes the service address over.  E13 therefore models a
-   server-class host an order of magnitude faster; the snooping
-   secondary (which processes every service-addressed frame on the
-   segment) is the capacity bottleneck and stays under ~60 %
-   utilization at 10k connections. *)
+   server-class host an order of magnitude faster.  The primary, which
+   merges both replicas' output on top of its own TCP work, is the
+   capacity bottleneck: at 10k connections it is saturated while the
+   snooping secondary stays near 25 % busy. *)
 let e13_profile =
   { Host.tx_cost = Time.us 5; rx_cost = Time.us 7; jitter_frac = 0.25;
     hiccup_prob = 0.015 }
@@ -65,7 +68,7 @@ type outcome = {
   conns : int;
   completed : int; (* connections that finished all rounds and closed *)
   bytes : int; (* payload bytes received by clients *)
-  events : int; (* engine events fired — identical across backends *)
+  events : int; (* engine events fired — deterministic per seed *)
   sim_ns : int;
   peak_live : int; (* peak concurrently-established connections *)
   wdog_fires : int; (* idle watchdogs that fired (stalled >5 s) *)
@@ -73,9 +76,9 @@ type outcome = {
   fingerprint : string; (* registry dump minus engine.*, hashed *)
 }
 
-(* Hash of the final registry dump with the backend-structural engine.*
-   lines removed: equal across backends, and across --jobs for a fixed
-   backend. *)
+(* Hash of the final registry dump with the structural engine.* lines
+   removed: equal across --jobs, and across changes to the event queue
+   that keep the firing order. *)
 let metrics_fingerprint world =
   let dump = Registry.dump (World.metrics world) in
   let kept =
@@ -85,8 +88,8 @@ let metrics_fingerprint world =
   in
   Digest.to_hex (Digest.string (String.concat "\n" kept))
 
-let one_trial ~backend ~conns ~seed =
-  let world = World.create ~seed ~engine_backend:backend () in
+let one_trial ~conns ~seed =
+  let world = World.create ~seed () in
   note_world world;
   let spec =
     (Topo.segment ~config:lan_config "lan"
@@ -217,9 +220,8 @@ let one_trial ~backend ~conns ~seed =
 let events_per_sec o =
   if o.wall_s <= 0.0 then infinity else float_of_int o.events /. o.wall_s
 
-(* Peak RSS of the whole process (VmHWM), informational: it is a
-   process-global high-water mark, so only the largest configuration's
-   reading is meaningful, and it is excluded from identity checks. *)
+(* Peak RSS of this process (VmHWM).  Each connection count runs in its
+   own process, so the reading belongs to that size alone. *)
 let peak_rss_kb () =
   try
     let ic = open_in "/proc/self/status" in
@@ -240,70 +242,99 @@ let peak_rss_kb () =
     scan ()
   with Sys_error _ -> 0
 
-let run_exp ~conn_counts ~backends ~trials =
+(* [f ()] computed in a forked child and marshalled back, paired with
+   [true]; or computed in this process, paired with [false], when fork
+   is unavailable (OCaml refuses to fork once a process has spawned
+   domains, e.g. an earlier experiment run with --jobs > 1). *)
+let in_fresh_process (type a) (f : unit -> a) : a * bool =
+  flush_all ();
+  let r, w = Unix.pipe ~cloexec:true () in
+  match Unix.fork () with
+  | exception Failure _ ->
+    Unix.close r;
+    Unix.close w;
+    (f (), false)
+  | 0 ->
+    Unix.close r;
+    let res = try Ok (f ()) with e -> Error (Printexc.to_string e) in
+    let oc = Unix.out_channel_of_descr w in
+    Marshal.to_channel oc (res : (a, string) result) [];
+    close_out oc;
+    flush_all ();
+    Unix._exit 0
+  | pid -> (
+    Unix.close w;
+    let ic = Unix.in_channel_of_descr r in
+    let res : (a, string) result = Marshal.from_channel ic in
+    close_in ic;
+    ignore (Unix.waitpid [] pid);
+    match res with Ok v -> (v, true) | Error m -> failwith m)
+
+let run_exp ~conn_counts ~trials =
   print_header
     (Printf.sprintf
-       "E13: high-connection worlds (conns in {%s}, engines {%s}, %d \
-        trial%s, %d job%s)"
+       "E13: high-connection worlds (conns in {%s}, %d trial%s, %d job%s)"
        (String.concat ", " (List.map string_of_int conn_counts))
-       (String.concat ", " (List.map Engine.backend_name backends))
        trials
        (if trials = 1 then "" else "s")
        !jobs
-       (if !jobs = 1 then "" else "s"))
-    ;
+       (if !jobs = 1 then "" else "s"));
+  Printf.printf "%-6s %8s %8s %10s %12s %10s %9s %6s %34s\n" "trial" "conns"
+    "done" "bytes" "events" "sim[ms]" "peak-live" "wdog"
+    "metrics-fingerprint";
   let total_events = ref 0 in
   let all_ok = ref true in
-  let summaries = ref [] in
-  List.iter
-    (fun backend ->
-      Printf.printf "\n--- engine=%s ---\n" (Engine.backend_name backend);
-      Printf.printf "%-6s %8s %8s %10s %12s %10s %9s %6s %34s\n" "trial"
-        "conns" "done" "bytes" "events" "sim[ms]" "peak-live" "wdog"
-        "metrics-fingerprint";
-      List.iter
-        (fun conns ->
-          let outcomes =
-            map_trials trials (fun i ->
-                one_trial ~backend ~conns ~seed:(13_000 + i))
-          in
-          (* deterministic table: identical bytes across backends/jobs *)
-          List.iteri
-            (fun i o ->
-              total_events := !total_events + o.events;
-              if o.completed <> o.conns then all_ok := false;
-              Printf.printf "%-6d %8d %8d %10d %12d %10.1f %9d %6d %34s\n" i
-                o.conns o.completed o.bytes o.events
-                (float_of_int o.sim_ns /. 1e6)
-                o.peak_live o.wdog_fires o.fingerprint)
-            outcomes;
-          let med_eps = Stats.median (List.map events_per_sec outcomes) in
-          summaries :=
-            (backend, conns, med_eps, outcomes) :: !summaries)
-        conn_counts)
-    backends;
+  let metrics = ref None in
+  let sizes =
+    List.map
+      (fun conns ->
+        let (outcomes, rss, json), fresh =
+          in_fresh_process (fun () ->
+              let outcomes =
+                map_trials trials (fun i ->
+                    one_trial ~conns ~seed:(13_000 + i))
+              in
+              (outcomes, peak_rss_kb (), last_metrics_json ()))
+        in
+        metrics := json;
+        (* deterministic table: identical bytes across jobs *)
+        List.iteri
+          (fun i o ->
+            total_events := !total_events + o.events;
+            if o.completed <> o.conns then all_ok := false;
+            Printf.printf "%-6d %8d %8d %10d %12d %10.1f %9d %6d %34s\n" i
+              o.conns o.completed o.bytes o.events
+              (float_of_int o.sim_ns /. 1e6)
+              o.peak_live o.wdog_fires o.fingerprint)
+          outcomes;
+        let med_eps = Stats.median (List.map events_per_sec outcomes) in
+        (conns, med_eps, rss, fresh, List.hd outcomes))
+      conn_counts
+  in
   (* timing section: intentionally NOT part of the identity contract *)
-  Printf.printf "\n%-8s %8s %14s %12s\n" "engine" "conns" "median-ev/s"
-    "peak-RSS[kB]";
-  let rss = peak_rss_kb () in
+  Printf.printf "\n%8s %14s %12s %8s\n" "conns" "median-ev/s" "peak-RSS[kB]"
+    "process";
   List.iter
-    (fun (backend, conns, med_eps, _) ->
-      Printf.printf "%-8s %8d %14.0f %12d\n" (Engine.backend_name backend)
-        conns med_eps rss)
-    (List.rev !summaries);
-  (* machine-readable summary for BENCH_highconn.json *)
+    (fun (conns, med_eps, rss, fresh, _) ->
+      Printf.printf "%8d %14.0f %12d %8s\n" conns med_eps rss
+        (if fresh then "fresh" else "shared"))
+    sizes;
+  (* machine-readable lines for BENCH_highconn.json: the summary is
+     sim-deterministic (CI diffs it across --jobs and gates it against
+     the baseline), the timing line is not *)
   List.iter
-    (fun (backend, conns, med_eps, outcomes) ->
-      let o = List.hd outcomes in
+    (fun (conns, med_eps, rss, fresh, o) ->
       Printf.printf
-        "[highconn-summary] {\"engine\":%S,\"conns\":%d,\"trials\":%d,\
-         \"jobs\":%d,\"median_events_per_sec\":%.0f,\"events\":%d,\
-         \"sim_ms\":%.1f,\"peak_rss_kb\":%d,\"fingerprint\":%S,\
-         \"all_completed\":%b}\n%!"
-        (Engine.backend_name backend)
-        conns trials !jobs med_eps o.events
+        "[highconn-summary] {\"conns\":%d,\"trials\":%d,\"jobs\":%d,\
+         \"events\":%d,\"sim_ms\":%.1f,\"fingerprint\":%S,\
+         \"all_completed\":%b}\n"
+        conns trials !jobs o.events
         (float_of_int o.sim_ns /. 1e6)
-        rss o.fingerprint !all_ok)
-    (List.rev !summaries);
+        o.fingerprint !all_ok;
+      Printf.printf
+        "[highconn-timing] {\"conns\":%d,\"median_events_per_sec\":%.0f,\
+         \"peak_rss_kb\":%d,\"fresh_process\":%b}\n%!"
+        conns med_eps rss fresh)
+    sizes;
   events_line ~exp:"highconn" !total_events;
-  dump_metrics ~exp:"highconn"
+  Option.iter (write_metrics ~exp:"highconn") !metrics

@@ -42,7 +42,7 @@ type outcome = {
 }
 
 let one_trial ~conns ~reply_size ~seed =
-  let world = World.create ~seed ~engine_backend:!engine_backend () in
+  let world = World.create ~seed () in
   note_world world;
   let spec =
     (Topo.segment "lan"

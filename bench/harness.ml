@@ -59,12 +59,6 @@ type env = {
 
 let jobs = ref 1
 
-(* Engine scheduling backend for every world the experiments build,
-   set from --engine.  Simulation results are byte-identical across
-   backends (the packed table/metrics lines prove it per run); only
-   wall-clock differs. *)
-let engine_backend = ref Engine.Heap
-
 (* Deterministic total-event line, one per experiment run: CI smoke jobs
    gate on these (and on the metrics snapshots) instead of wall-clock,
    which varies with the runner. *)
@@ -108,23 +102,26 @@ let run_tasks tasks =
 
 let metrics_dir : string option ref = ref None
 
-let dump_metrics ~exp =
-  match last_world () with
-  | None -> ()
-  | Some world -> (
-    let json = Tcpfo_obs.Registry.to_json (World.metrics world) in
-    match !metrics_dir with
-    | Some dir ->
-      let path = Filename.concat dir (exp ^ ".metrics.json") in
-      let oc = open_out path in
-      output_string oc json;
-      output_char oc '\n';
-      close_out oc;
-      Printf.printf "[metrics:%s -> %s]\n%!" exp path
-    | None -> Printf.printf "[metrics:%s] %s\n%!" exp json)
+let write_metrics ~exp json =
+  match !metrics_dir with
+  | Some dir ->
+    let path = Filename.concat dir (exp ^ ".metrics.json") in
+    let oc = open_out path in
+    output_string oc json;
+    output_char oc '\n';
+    close_out oc;
+    Printf.printf "[metrics:%s -> %s]\n%!" exp path
+  | None -> Printf.printf "[metrics:%s] %s\n%!" exp json
+
+let last_metrics_json () =
+  Option.map
+    (fun world -> Tcpfo_obs.Registry.to_json (World.metrics world))
+    (last_world ())
+
+let dump_metrics ~exp = Option.iter (write_metrics ~exp) (last_metrics_json ())
 
 let make_env ?(seed = 1) mode =
-  let world = World.create ~seed ~engine_backend:!engine_backend () in
+  let world = World.create ~seed () in
   note_world world;
   (* the benchmark testbed as data; declaration order mirrors the old
      hand-wired construction so seeded runs stay byte-identical *)

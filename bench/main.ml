@@ -78,24 +78,12 @@ let rec mkdir_p dir =
     Sys.mkdir dir 0o755
   end
 
-let run which quick metrics_dir jobs seeds first_seed soak_report loss_rates
-    engines =
+let run which quick metrics_dir jobs seeds first_seed soak_report loss_rates =
   (match metrics_dir with
   | Some dir ->
     mkdir_p dir;
     Harness.metrics_dir := Some dir
   | None -> ());
-  let backends =
-    List.map
-      (fun s ->
-        match Tcpfo_sim.Engine.backend_of_string s with
-        | Ok b -> b
-        | Error m -> failwith m)
-      (if engines = [] then [ "heap" ] else engines)
-  in
-  (* every experiment's worlds use the first listed backend; E13
-     additionally sweeps the full list *)
-  Harness.engine_backend := List.hd backends;
   let jobs =
     if jobs = 0 then Tcpfo_util.Domain_pool.default_jobs () else max 1 jobs
   in
@@ -106,7 +94,12 @@ let run which quick metrics_dir jobs seeds first_seed soak_report loss_rates
     else Harness.fig34_sizes
   in
   let stream_size = (if quick then 10 else 100) * (1 lsl 20) in
-  let t0 = Sys.time () in
+  (* CPU time of this process and of the children E13 forks *)
+  let cpu () =
+    let t = Unix.times () in
+    t.tms_utime +. t.tms_stime +. t.tms_cutime +. t.tms_cstime
+  in
+  let t0 = cpu () in
   let should w = which = All || which = w in
   if should Setup then Exp_setup.run_exp ~trials:(if quick then 20 else 100);
   if should Fig3 then Exp_fig3.run_exp ~sizes ~trials:fig_trials;
@@ -140,7 +133,6 @@ let run which quick metrics_dir jobs seeds first_seed soak_report loss_rates
   if should Highconn_exp then
     Exp_highconn.run_exp
       ~conn_counts:(if quick then [ 100; 400 ] else [ 1000; 4000; 10000 ])
-      ~backends
       ~trials:(if quick then 1 else 2);
   if should Fleet_exp then
     Exp_fleet.run_exp
@@ -156,7 +148,7 @@ let run which quick metrics_dir jobs seeds first_seed soak_report loss_rates
     else 0
   in
   Printf.printf "\n[bench completed in %.1fs cpu time]\n%!"
-    (Sys.time () -. t0);
+    (cpu () -. t0);
   if soak_failures > 0 then exit 1
 
 let which_arg =
@@ -202,20 +194,12 @@ let loss_arg =
                the LAN, reporting transfer latency and chunk \
                retransmissions.")
 
-let engine_arg =
-  Arg.(value & opt (list string) [ "heap" ] & info [ "engine" ] ~docv:"B,..."
-         ~doc:"Engine scheduling backend(s): heap, wheel.  Experiments \
-               run on the first; the highconn experiment sweeps the \
-               whole list.  Results are byte-identical across backends \
-               (only wall-clock differs).")
-
 let cmd =
   Cmd.v
     (Cmd.info "tcpfo-bench"
        ~doc:"Reproduce the evaluation of 'Transparent TCP Connection \
              Failover' (DSN 2003)")
     Term.(const run $ which_arg $ quick_arg $ metrics_dir_arg $ jobs_arg
-          $ seeds_arg $ first_seed_arg $ soak_report_arg $ loss_arg
-          $ engine_arg)
+          $ seeds_arg $ first_seed_arg $ soak_report_arg $ loss_arg)
 
 let () = exit (Cmd.eval cmd)

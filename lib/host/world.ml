@@ -18,13 +18,14 @@ type t = {
   mutable bindings : (Medium.t * Ipaddr.t * Macaddr.t * string) list;
 }
 
-let create ?(seed = 0xC0FFEE) ?engine_backend () =
-  let engine = Engine.create ?backend:engine_backend () in
+let create ?(seed = 0xC0FFEE) () =
+  let engine = Engine.create () in
   let obs = Obs.create () in
   (* [lib/sim] cannot see [lib/obs], so the engine's structural counters
-     are mirrored into the registry from here.  They are deliberately
-     backend-dependent: byte-identity across backends is asserted on
-     everything BUT the [engine.*] scope (see DESIGN). *)
+     are mirrored into the registry from here.  They count the queue's
+     own work (when it meets tombstones, how often buckets cascade), not
+     the simulation's, so identity checks that span engine changes
+     compare everything BUT the [engine.*] scope (see DESIGN). *)
   let eobs = Obs.scope obs "engine" in
   let skips = Obs.counter eobs "cancelled_skips" in
   let cascades = Obs.counter eobs "wheel_cascades" in

@@ -10,12 +10,10 @@
 
 type t
 
-val create : ?seed:int -> ?engine_backend:Tcpfo_sim.Engine.backend -> unit -> t
-(** [engine_backend] selects the event-queue implementation (default
-    [Heap]).  Simulation results are byte-identical across backends; the
-    engine's structural counters ([engine.cancelled_skips],
-    [engine.wheel_cascades]) are mirrored into the registry and are the
-    only backend-dependent metrics. *)
+val create : ?seed:int -> unit -> t
+(** The engine's structural counters ([engine.cancelled_skips],
+    [engine.wheel_cascades]) are mirrored into the registry.  They
+    measure the event queue's own work, not the simulation's. *)
 
 val engine : t -> Tcpfo_sim.Engine.t
 val rng : t -> Tcpfo_util.Rng.t

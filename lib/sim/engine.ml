@@ -18,26 +18,25 @@ type event_id = {
   mutable home : int; (* which structure holds the event, see home_* *)
 }
 
+(* home values *)
+let home_bucket = 0 (* a wheel bucket; swept when the bucket cascades *)
+let home_cur = 1 (* the open-slot heap *)
+let home_overflow = 2 (* the far-future heap *)
+let home_done = 3 (* popped (fired or discarded) *)
+
 let rec nil =
   { cancelled = true; consumed = true; at = max_int; seq = -1; fn = ignore;
-    next = nil; home = 0 }
-
-(* home values *)
-let home_main = 0 (* the heap backend's single queue *)
-let home_bucket = 1 (* a wheel bucket; swept when the bucket cascades *)
-let home_cur = 2 (* the wheel's open-slot heap *)
-let home_overflow = 3 (* the wheel's far-future heap *)
-let home_done = 4 (* popped (fired or discarded) *)
+    next = nil; home = home_done }
 
 (* ------------------------------------------------------------------ *)
-(* Flat binary min-heap over event_ids ordered by (at, seq).  Unlike the
-   generic Tcpfo_util.Heap it stores the event records directly (no
-   per-push entry allocation) and orders by the global scheduling
-   sequence, so events that reach a queue out of scheduling order (a
-   cascaded wheel bucket merging with directly-scheduled events) still
-   pop in exactly the order the heap backend fires them.  Cancelled
-   entries are tombstones: [note_dead] sweeps them once they outnumber
-   the live entries. *)
+(* Flat binary min-heap over event_ids ordered by (at, seq), backing the
+   wheel's open-slot and overflow queues.  Unlike the generic
+   Tcpfo_util.Heap it stores the event records directly (no per-push
+   entry allocation) and orders by the global scheduling sequence, so
+   events that reach a queue out of scheduling order (a cascaded wheel
+   bucket merging with directly-scheduled events) still pop in
+   (time, scheduling order).  Cancelled entries are tombstones:
+   [note_dead] sweeps them once they outnumber the live entries. *)
 module Evheap = struct
   type h = {
     mutable arr : event_id array;
@@ -144,8 +143,13 @@ end
    each coarser wheel covers 256x more time; anything beyond the top
    span (~73 simulated minutes) waits in the overflow heap.  Events of
    the slot currently being drained sit in [cur], a small (at, seq)
-   heap, which preserves the exact global firing order the heap backend
-   produces. *)
+   heap, which yields the exact global (time, scheduling order) firing
+   sequence.
+
+   Each level carries a 256-bit occupancy bitmap (one bit per bucket,
+   set while the bucket is non-empty), so the wheel position jumps
+   straight to the next bucket that holds anything instead of visiting
+   empty slots one by one. *)
 
 let slot_bits = 10 (* 1.024 us granularity *)
 let wheel_bits = 8
@@ -153,22 +157,18 @@ let wheel_slots = 1 lsl wheel_bits
 let slot_mask = wheel_slots - 1
 let levels = 4
 
-type wheel = {
-  heads : event_id array array; (* heads.(level).(slot), nil when empty *)
-  tails : event_id array array;
-  counts : int array; (* queued entries (incl. tombstones) per level *)
-  mutable opened : int; (* absolute level-0 slot number currently open *)
-  cur : Evheap.h;
-  overflow : Evheap.h;
-}
-
-type backend = Heap | Wheel
+(* occupancy words: [words] ints of [word_bits] bits per level *)
+let word_bits = 32
+let words = wheel_slots / word_bits
 
 type t = {
   mutable clock : Time.t;
-  backend : backend;
-  queue : Evheap.h; (* heap backend's only queue; unused under Wheel *)
-  wheel : wheel option;
+  heads : event_id array array; (* heads.(level).(slot), nil when empty *)
+  tails : event_id array array;
+  occupied : int array; (* occupied.(level * words + slot / word_bits) *)
+  mutable opened : int; (* absolute level-0 slot number currently open *)
+  cur : Evheap.h;
+  overflow : Evheap.h;
   mutable live : int;
   mutable processed : int;
   mutable seq : int;
@@ -178,32 +178,15 @@ type t = {
   mutable on_wheel_cascade : unit -> unit;
 }
 
-let create ?(backend = Heap) () =
-  let wheel =
-    match backend with
-    | Heap -> None
-    | Wheel ->
-      Some
-        {
-          heads = Array.init levels (fun _ -> Array.make wheel_slots nil);
-          tails = Array.init levels (fun _ -> Array.make wheel_slots nil);
-          counts = Array.make levels 0;
-          opened = 0;
-          cur = Evheap.create ();
-          overflow = Evheap.create ();
-        }
-  in
-  { clock = 0; backend; queue = Evheap.create (); wheel; live = 0;
-    processed = 0; seq = 0; cancelled_skips = 0; wheel_cascades = 0;
-    on_cancelled_skip = ignore; on_wheel_cascade = ignore }
-
-let backend t = t.backend
-let backend_name = function Heap -> "heap" | Wheel -> "wheel"
-
-let backend_of_string = function
-  | "heap" -> Ok Heap
-  | "wheel" -> Ok Wheel
-  | s -> Error (Printf.sprintf "unknown engine backend %S (heap|wheel)" s)
+let create () =
+  { clock = 0;
+    heads = Array.init levels (fun _ -> Array.make wheel_slots nil);
+    tails = Array.init levels (fun _ -> Array.make wheel_slots nil);
+    occupied = Array.make (levels * words) 0;
+    opened = 0; cur = Evheap.create (); overflow = Evheap.create ();
+    live = 0; processed = 0; seq = 0; cancelled_skips = 0;
+    wheel_cascades = 0; on_cancelled_skip = ignore;
+    on_wheel_cascade = ignore }
 
 let now t = t.clock
 let processed t = t.processed
@@ -220,14 +203,56 @@ let discard t ev =
   t.cancelled_skips <- t.cancelled_skips + 1;
   t.on_cancelled_skip ()
 
+(* ------------------------- occupancy bitmaps ---------------------- *)
+
+(* Count trailing zeros of a non-zero 32-bit word (de Bruijn). *)
+let ctz_table =
+  [| 0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8; 31; 27; 13;
+     23; 21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9 |]
+
+let ctz32 x = ctz_table.((((x land -x) * 0x077CB531) land 0xFFFF_FFFF) lsr 27)
+
+let mark t ~level ~slot =
+  let i = (level * words) + (slot / word_bits) in
+  t.occupied.(i) <- t.occupied.(i) lor (1 lsl (slot land (word_bits - 1)))
+
+let unmark t ~level ~slot =
+  let i = (level * words) + (slot / word_bits) in
+  t.occupied.(i) <-
+    t.occupied.(i) land lnot (1 lsl (slot land (word_bits - 1)))
+
+(* The first occupied bucket of [level] at or circularly after [from],
+   or -1 when the level is empty. *)
+let next_occupied t ~level ~from =
+  let base = level * words in
+  let w0 = from / word_bits in
+  let low = from land (word_bits - 1) in
+  let first = t.occupied.(base + w0) land (-1 lsl low) in
+  if first <> 0 then (w0 * word_bits) + ctz32 first
+  else begin
+    (* the other words, then [w0] again for the bits below [from] *)
+    let rec scan i =
+      if i > words then -1
+      else begin
+        let wi = (w0 + i) land (words - 1) in
+        let x = t.occupied.(base + wi) in
+        let x = if i = words then x land ((1 lsl low) - 1) else x in
+        if x <> 0 then (wi * word_bits) + ctz32 x else scan (i + 1)
+      end
+    in
+    scan 1
+  end
+
 (* -------------------------- wheel internals ----------------------- *)
 
-let bucket_append w ~level ~slot ev =
+let bucket_append t ~level ~slot ev =
   ev.next <- nil;
-  if w.heads.(level).(slot) == nil then w.heads.(level).(slot) <- ev
-  else w.tails.(level).(slot).next <- ev;
-  w.tails.(level).(slot) <- ev;
-  w.counts.(level) <- w.counts.(level) + 1
+  if t.heads.(level).(slot) == nil then begin
+    t.heads.(level).(slot) <- ev;
+    mark t ~level ~slot
+  end
+  else t.tails.(level).(slot).next <- ev;
+  t.tails.(level).(slot) <- ev
 
 (* Place [ev] relative to the wheel position (the open slot), not the
    clock: after an overflow pop or an idle [run ~until] the clock can
@@ -235,43 +260,37 @@ let bucket_append w ~level ~slot ev =
    keeps every non-empty bucket strictly ahead of the wheel, so it
    cascades before its events come due.  Events for the open slot (or
    earlier) join [cur] directly. *)
-let wheel_insert w ev =
+let wheel_insert t ev =
   let slot_abs = ev.at lsr slot_bits in
-  if slot_abs <= w.opened then begin
+  if slot_abs <= t.opened then begin
     ev.home <- home_cur;
-    Evheap.push w.cur ev
+    Evheap.push t.cur ev
   end
   else begin
-    let delta = ev.at - (w.opened lsl slot_bits) in
+    let delta = ev.at - (t.opened lsl slot_bits) in
     let rec place level =
       if level >= levels then begin
         ev.home <- home_overflow;
-        Evheap.push w.overflow ev
+        Evheap.push t.overflow ev
       end
       else if delta < 1 lsl (slot_bits + (wheel_bits * (level + 1))) then begin
         let slot =
           (ev.at lsr (slot_bits + (wheel_bits * level))) land slot_mask
         in
         ev.home <- home_bucket;
-        bucket_append w ~level ~slot ev
+        bucket_append t ~level ~slot ev
       end
       else place (level + 1)
     in
     place 0
   end
 
-let bucket_take w ~level ~slot =
-  let head = w.heads.(level).(slot) in
+let bucket_take t ~level ~slot =
+  let head = t.heads.(level).(slot) in
   if head != nil then begin
-    let n = ref 0 in
-    let p = ref head in
-    while !p != nil do
-      incr n;
-      p := !p.next
-    done;
-    w.counts.(level) <- w.counts.(level) - !n;
-    w.heads.(level).(slot) <- nil;
-    w.tails.(level).(slot) <- nil
+    t.heads.(level).(slot) <- nil;
+    t.tails.(level).(slot) <- nil;
+    unmark t ~level ~slot
   end;
   head
 
@@ -279,8 +298,8 @@ let bucket_take w ~level ~slot =
    entries are dropped instead of re-inserted, so a cancel costs O(1) at
    cancel time and the corpse is reclaimed the next time its bucket
    moves. *)
-let cascade t w ~level ~slot =
-  let head = bucket_take w ~level ~slot in
+let cascade t ~level ~slot =
+  let head = bucket_take t ~level ~slot in
   if head != nil then begin
     t.wheel_cascades <- t.wheel_cascades + 1;
     t.on_wheel_cascade ();
@@ -289,12 +308,12 @@ let cascade t w ~level ~slot =
       let ev = !p in
       p := ev.next;
       ev.next <- nil;
-      if ev.cancelled then discard t ev else wheel_insert w ev
+      if ev.cancelled then discard t ev else wheel_insert t ev
     done
   end
 
-let open_slot t w pos =
-  let head = bucket_take w ~level:0 ~slot:(pos land slot_mask) in
+let open_slot t pos =
+  let head = bucket_take t ~level:0 ~slot:(pos land slot_mask) in
   let p = ref head in
   while !p != nil do
     let ev = !p in
@@ -303,19 +322,19 @@ let open_slot t w pos =
     if ev.cancelled then discard t ev
     else begin
       ev.home <- home_cur;
-      Evheap.push w.cur ev
+      Evheap.push t.cur ev
     end
   done
 
-let enter t w pos =
-  w.opened <- pos;
+let enter t pos =
+  t.opened <- pos;
   if pos land ((1 lsl (3 * wheel_bits)) - 1) = 0 then
-    cascade t w ~level:3 ~slot:((pos lsr (3 * wheel_bits)) land slot_mask);
+    cascade t ~level:3 ~slot:((pos lsr (3 * wheel_bits)) land slot_mask);
   if pos land ((1 lsl (2 * wheel_bits)) - 1) = 0 then
-    cascade t w ~level:2 ~slot:((pos lsr (2 * wheel_bits)) land slot_mask);
+    cascade t ~level:2 ~slot:((pos lsr (2 * wheel_bits)) land slot_mask);
   if pos land slot_mask = 0 then
-    cascade t w ~level:1 ~slot:((pos lsr wheel_bits) land slot_mask);
-  open_slot t w pos
+    cascade t ~level:1 ~slot:((pos lsr wheel_bits) land slot_mask);
+  open_slot t pos
 
 (* Drop tombstones sitting on top of a heap, leaving a live minimum (or
    an empty heap). *)
@@ -327,62 +346,48 @@ let drain_tombstones t h =
     else continue := false
   done
 
-let buckets_total w =
-  w.counts.(0) + w.counts.(1) + w.counts.(2) + w.counts.(3)
-
 (* Advance the wheel position until the open-slot heap holds a live
-   event or the wheels are empty.  Empty levels are skipped a whole
-   boundary at a time, so an idle gap costs O(wheel_slots * levels)
-   rather than one step per elapsed slot. *)
-let rec advance t w =
-  drain_tombstones t w.cur;
-  if Evheap.is_empty w.cur && buckets_total w > 0 then begin
-    let pos =
-      if w.counts.(0) > 0 then w.opened + 1
-      else if w.counts.(1) > 0 then (w.opened lor slot_mask) + 1
-      else if w.counts.(2) > 0 then
-        (w.opened lor ((1 lsl (2 * wheel_bits)) - 1)) + 1
-      else (w.opened lor ((1 lsl (3 * wheel_bits)) - 1)) + 1
+   event or the wheels are empty.  Each move goes straight to the next
+   occupied bucket of the lowest non-empty level, but never past the
+   next boundary of the level above it: a coarser bucket due at that
+   boundary may cascade events in ahead of the target.  Every skipped
+   position would have entered an empty slot and cascaded nothing, so
+   the firing order and both counters are those of visiting every slot
+   in turn. *)
+let rec advance t =
+  drain_tombstones t t.cur;
+  if Evheap.is_empty t.cur then begin
+    let rec from_level level =
+      if level < levels then begin
+        let shift = wheel_bits * level in
+        let idx = t.opened lsr shift in
+        let next =
+          next_occupied t ~level ~from:((idx + 1) land slot_mask)
+        in
+        if next < 0 then from_level (level + 1)
+        else begin
+          let target = (idx + 1 + ((next - idx - 1) land slot_mask)) lsl shift in
+          let boundary = ((idx lsr wheel_bits) + 1) lsl (shift + wheel_bits) in
+          enter t (min target boundary);
+          advance t
+        end
+      end
     in
-    enter t w pos;
-    advance t w
+    from_level 0
   end
 
 (* The next live event, without removing it: the wheel candidate (after
    advancing) compared against the overflow heap by (at, seq) — an event
    scheduled beyond the horizon can come due before events bucketed
    later from a nearer position. *)
-let wheel_peek t w =
-  advance t w;
-  drain_tombstones t w.overflow;
-  let a = Evheap.peek w.cur and b = Evheap.peek w.overflow in
-  if a == nil then if b == nil then nil else b
+let peek_next t =
+  advance t;
+  drain_tombstones t t.overflow;
+  let a = Evheap.peek t.cur and b = Evheap.peek t.overflow in
+  if a == nil then b
   else if b == nil then a
   else if Evheap.less a b then a
   else b
-
-let wheel_take t w =
-  let ev = wheel_peek t w in
-  if ev == nil then nil
-  else begin
-    let h = if ev.home = home_cur then w.cur else w.overflow in
-    ignore (Evheap.pop h);
-    ev
-  end
-
-let heap_peek t =
-  drain_tombstones t t.queue;
-  Evheap.peek t.queue
-
-let heap_take t =
-  let ev = heap_peek t in
-  if ev == nil then nil else Evheap.pop t.queue
-
-let peek_next t =
-  match t.wheel with None -> heap_peek t | Some w -> wheel_peek t w
-
-let take_next t =
-  match t.wheel with None -> heap_take t | Some w -> wheel_take t w
 
 (* ------------------------------ API ------------------------------- *)
 
@@ -391,11 +396,9 @@ let schedule_at t ~at fn =
   t.seq <- t.seq + 1;
   let ev =
     { cancelled = false; consumed = false; at; seq = t.seq; fn; next = nil;
-      home = home_main }
+      home = home_done }
   in
-  (match t.wheel with
-  | None -> Evheap.push t.queue ev
-  | Some w -> wheel_insert w ev);
+  wheel_insert t ev;
   t.live <- t.live + 1;
   ev
 
@@ -407,12 +410,9 @@ let cancel t id =
     (* a consumed event already left the live count at firing time *)
     if not id.consumed then begin
       t.live <- t.live - 1;
-      if id.home = home_main then Evheap.note_dead t.queue
-      else
-        match t.wheel with
-        | Some w when id.home = home_cur -> Evheap.note_dead w.cur
-        | Some w when id.home = home_overflow -> Evheap.note_dead w.overflow
-        | _ -> () (* bucketed: reclaimed when the bucket next moves *)
+      if id.home = home_cur then Evheap.note_dead t.cur
+      else if id.home = home_overflow then Evheap.note_dead t.overflow
+      (* bucketed: reclaimed when the bucket next moves *)
     end
   end
 
@@ -420,18 +420,24 @@ let pending t = t.live
 
 let is_cancelled id = id.cancelled
 
+(* Remove and run [ev], the event {!peek_next} just returned: it is the
+   top of the heap its [home] names. *)
+let fire t ev =
+  ignore (Evheap.pop (if ev.home = home_cur then t.cur else t.overflow));
+  t.clock <- ev.at;
+  t.live <- t.live - 1;
+  t.processed <- t.processed + 1;
+  ev.consumed <- true;
+  ev.home <- home_done;
+  let fn = ev.fn in
+  ev.fn <- ignore;
+  fn ()
+
 let step t =
-  let ev = take_next t in
+  let ev = peek_next t in
   if ev == nil then false
   else begin
-    t.clock <- ev.at;
-    t.live <- t.live - 1;
-    t.processed <- t.processed + 1;
-    ev.consumed <- true;
-    ev.home <- home_done;
-    let fn = ev.fn in
-    ev.fn <- ignore;
-    fn ();
+    fire t ev;
     true
   end
 
@@ -447,7 +453,7 @@ let run ?until ?max_events t =
         t.clock <- max t.clock u;
         continue := false
       | _ ->
-        ignore (step t);
+        fire t ev;
         decr budget
   done;
   match until with

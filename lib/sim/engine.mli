@@ -4,34 +4,18 @@
     Events scheduled for the same instant fire in scheduling order, which
     makes whole-network simulations reproducible.
 
-    Two interchangeable scheduling backends exist ({!backend}).  Both
-    fire events in exactly the same order — (time, scheduling order) is a
-    total order and each backend realises it faithfully — so simulation
-    results are byte-identical across backends; only wall-clock cost
-    differs.  See DESIGN.md for the identity argument. *)
+    The queue is a hierarchical timer wheel: near-future events hash into
+    cascading buckets in O(1), far-future events wait in an overflow
+    heap, and per-level occupancy bitmaps let the wheel jump straight to
+    the next non-empty bucket.  Events fire in exact (time, scheduling
+    order); see DESIGN.md 7.11. *)
 
 type t
 
 type event_id
 (** Handle for cancelling a scheduled event. *)
 
-type backend =
-  | Heap  (** one global binary min-heap; O(log n) schedule/pop *)
-  | Wheel
-      (** hierarchical timer wheel: near-future events hash into
-          cascading buckets in O(1), far-future events wait in an
-          overflow heap.  Same firing order as [Heap]. *)
-
-val create : ?backend:backend -> unit -> t
-(** [backend] defaults to [Heap]. *)
-
-val backend : t -> backend
-
-val backend_name : backend -> string
-(** ["heap"] / ["wheel"] — the names accepted by {!backend_of_string}
-    and by bench [--engine]. *)
-
-val backend_of_string : string -> (backend, string) result
+val create : unit -> t
 
 val now : t -> Time.t
 (** Current simulated time. *)
@@ -63,13 +47,13 @@ val cancelled_skips : t -> int
 (** Cancelled events the engine discarded while scanning for the next
     live event (heap-top tombstones, cancelled wheel-bucket entries).
     Entries swept by a heap compaction are not counted — this tallies
-    engine-side skips, not every reclaimed tombstone.  Backend-dependent
-    by construction (the two backends meet tombstones at different
-    moments), so it is excluded from cross-backend identity checks. *)
+    engine-side skips, not every reclaimed tombstone.  Deterministic for
+    a given schedule, but structural: it depends on when the wheel meets
+    a cancelled event, not on what the simulation does. *)
 
 val wheel_cascades : t -> int
-(** Non-empty bucket migrations performed by the wheel backend (always 0
-    under [Heap]).  Backend-structural, like {!cancelled_skips}. *)
+(** Non-empty bucket migrations from a coarser wheel level to a finer
+    one.  Structural and deterministic, like {!cancelled_skips}. *)
 
 val set_stat_hooks :
   t -> cancelled_skip:(unit -> unit) -> wheel_cascade:(unit -> unit) -> unit

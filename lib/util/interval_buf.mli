@@ -5,7 +5,11 @@
     TCP receive path (out-of-order reassembly) and — crucially — by the
     failover bridge's two output queues, which must match the primary's and
     secondary's reply bytes irrespective of how either TCP layer segmented
-    them (paper §3.4, Fig. 2). *)
+    them (paper §3.4, Fig. 2).
+
+    Inserted strings are kept as slices, never concatenated: merging
+    islands and consuming bytes copy nothing, and a read copies only the
+    bytes it returns. *)
 
 type t
 
@@ -29,13 +33,15 @@ val peek : t -> max_len:int -> string
 (** Up to [max_len] contiguous bytes from [base], not consumed. *)
 
 val pop : t -> max_len:int -> string
-(** Like [peek], but advances [base] past the returned bytes. *)
+(** Like [peek], but advances [base] past the returned bytes.  When the
+    bytes popped are exactly one whole inserted string, that string
+    itself is returned. *)
 
 val drop : t -> len:int -> unit
-(** Advance [base] by [len], discarding bytes (or recording them as already
-    consumed if not yet present). [len] must be <= contiguous length unless
-    [force] semantics are desired — here it simply moves the base and clips
-    anything below it. *)
+(** Advance [base] by [len], discarding the bytes below the new base.
+    [len] may exceed {!contiguous_length}: positions in a gap are then
+    skipped as if already consumed, and any island straddling the new
+    base is clipped to it. *)
 
 val total_buffered : t -> int
 (** Total bytes held, including non-contiguous islands beyond a gap. *)

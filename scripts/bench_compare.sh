@@ -92,8 +92,8 @@ case "$exp" in
 
   highconn)
     require_flag all_completed
-    # engine events per trial are sim-deterministic and must be equal
-    # across scheduling backends AND equal to the committed baseline
+    # engine events per trial are sim-deterministic: every summary line
+    # for a size must agree, and equal the committed baseline
     for conns in $(sed -n '/"smoke"/,/}/p' "$baseline" \
                      | sed -n 's/.*"events_\([0-9]*\)".*/\1/p'); do
       want=$(smoke_num "events_$conns")
@@ -101,7 +101,7 @@ case "$exp" in
                   | sed 's/.*"events"://' | sort -u)
       n_distinct=$(printf '%s\n' "$got_all" | grep -c . || true)
       if [ "$n_distinct" -ne 1 ]; then
-        complain "events @$conns conns differ across engine lines: $(echo "$got_all" | tr '\n' ' ')"
+        complain "events @$conns conns differ across summary lines: $(echo "$got_all" | tr '\n' ' ')"
       fi
       check_eq "events @$conns conns" "$(printf '%s\n' "$got_all" | head -1)" "$want"
     done

@@ -17,7 +17,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-EXPECTED=321
+EXPECTED=323
 
 if [ $# -ge 1 ]; then
   log=$(cat "$1")

@@ -75,69 +75,148 @@ let test_guarded_clock () =
   Engine.run e;
   Alcotest.(check (list int)) "only pre-death" [ 1 ] (List.rev !fired)
 
-(* ---------------- wheel backend vs heap reference ------------------ *)
+(* ------------------ wheel vs an obvious reference ------------------ *)
 
-(* Run the same deterministic scenario on both backends and demand
-   identical firing logs, clocks, and counters.  [scenario] receives the
-   engine and a [record : int -> unit] sink. *)
-let both_backends name scenario =
-  let run backend =
-    let e = Engine.create ~backend () in
-    let log = ref [] in
-    scenario e (fun tag -> log := (Engine.now e, tag) :: !log);
-    Engine.run e;
-    (List.rev !log, Engine.now e, Engine.processed e, Engine.pending e)
-  in
-  let lh, nh, ph, qh = run Engine.Heap in
-  let lw, nw, pw, qw = run Engine.Wheel in
-  Alcotest.(check (list (pair int int))) (name ^ ": log") lh lw;
-  Testutil.check_int (name ^ ": clock") nh nw;
-  Testutil.check_int (name ^ ": processed") ph pw;
-  Testutil.check_int (name ^ ": pending") qh qw
+(* The oracle: every pending event in one list kept sorted by
+   (time, scheduling order), O(n) per operation.  The wheel must fire
+   exactly what this fires, at the same instants. *)
+module Reference = struct
+  type event = { at : Time.t; seq : int; fn : unit -> unit }
+
+  type t = {
+    mutable clock : Time.t;
+    mutable seq : int;
+    mutable queue : event list;
+    mutable processed : int;
+  }
+
+  let create () = { clock = 0; seq = 0; queue = []; processed = 0 }
+
+  let schedule_at t ~at fn =
+    let at = max at t.clock in
+    t.seq <- t.seq + 1;
+    let ev = { at; seq = t.seq; fn } in
+    (* the newest event sorts after every event due at or before it *)
+    let rec insert = function
+      | e :: rest when e.at <= at -> e :: insert rest
+      | l -> ev :: l
+    in
+    t.queue <- insert t.queue;
+    ev
+
+  let schedule t ~delay fn = schedule_at t ~at:(t.clock + max 0 delay) fn
+  let cancel t ev = t.queue <- List.filter (fun e -> e != ev) t.queue
+
+  let rec run ?until t =
+    match t.queue with
+    | ev :: rest when (match until with Some u -> ev.at <= u | None -> true)
+      ->
+      t.queue <- rest;
+      t.clock <- ev.at;
+      t.processed <- t.processed + 1;
+      ev.fn ();
+      run ?until t
+    | _ -> Option.iter (fun u -> t.clock <- max t.clock u) until
+end
+
+(* What a scenario may do to a scheduler, so one scenario drives both. *)
+type 'id ops = {
+  schedule : delay:Time.t -> (unit -> unit) -> 'id;
+  schedule_at : at:Time.t -> (unit -> unit) -> 'id;
+  cancel : 'id -> unit;
+  run_for : Time.t -> unit;
+  now : unit -> Time.t;
+}
+
+type scenario = { play : 'id. 'id ops -> (int -> unit) -> unit }
+
+(* (firing log, final clock, processed, pending) on the wheel, plus the
+   engine itself for counter checks *)
+let on_engine scenario =
+  let e = Engine.create () in
+  let log = ref [] in
+  scenario.play
+    { schedule = (fun ~delay fn -> Engine.schedule e ~delay fn);
+      schedule_at = (fun ~at fn -> Engine.schedule_at e ~at fn);
+      cancel = Engine.cancel e; run_for = Engine.run_for e;
+      now = (fun () -> Engine.now e) }
+    (fun tag -> log := (Engine.now e, tag) :: !log);
+  Engine.run e;
+  ((List.rev !log, Engine.now e, Engine.processed e, Engine.pending e), e)
+
+let on_reference scenario =
+  let r = Reference.create () in
+  let log = ref [] in
+  scenario.play
+    { schedule = (fun ~delay fn -> Reference.schedule r ~delay fn);
+      schedule_at = (fun ~at fn -> Reference.schedule_at r ~at fn);
+      cancel = Reference.cancel r;
+      run_for = (fun d -> Reference.run r ~until:(r.clock + d));
+      now = (fun () -> r.clock) }
+    (fun tag -> log := (r.clock, tag) :: !log);
+  Reference.run r;
+  (List.rev !log, r.clock, r.processed, List.length r.queue)
+
+let matches_reference name scenario =
+  let (lw, nw, pw, qw), e = on_engine scenario in
+  let lr, nr, pr, qr = on_reference scenario in
+  Alcotest.(check (list (pair int int))) (name ^ ": log") lr lw;
+  Testutil.check_int (name ^ ": clock") nr nw;
+  Testutil.check_int (name ^ ": processed") pr pw;
+  Testutil.check_int (name ^ ": pending") qr qw;
+  e
 
 (* The classification bug class this guards: an event scheduled while
    far in the future reaches the open slot via cascades, while a second
    event for the same instant is scheduled directly once the wheel is
    close — equal times must still fire in scheduling order. *)
 let test_wheel_equal_time_across_paths () =
-  both_backends "cross-path tie" (fun e record ->
-      let at = Time.ms 5 in
-      ignore (Engine.schedule_at e ~at (fun () -> record 1));
-      ignore
-        (Engine.schedule_at e ~at:(Time.ms 4) (fun () ->
-             ignore (Engine.schedule_at e ~at (fun () -> record 2))));
-      ignore (Engine.schedule_at e ~at:(Time.us 1) (fun () -> record 0)))
+  ignore
+    (matches_reference "cross-path tie"
+       { play = (fun ops record ->
+             let at = Time.ms 5 in
+             ignore (ops.schedule_at ~at (fun () -> record 1));
+             ignore
+               (ops.schedule_at ~at:(Time.ms 4) (fun () ->
+                    ignore (ops.schedule_at ~at (fun () -> record 2))));
+             ignore (ops.schedule_at ~at:(Time.us 1) (fun () -> record 0)))
+       })
 
 let test_wheel_spans () =
-  both_backends "all levels + overflow" (fun e record ->
-      (* one event per wheel level plus one beyond the ~73 min horizon *)
-      List.iteri
-        (fun i d -> ignore (Engine.schedule e ~delay:d (fun () -> record i)))
-        [
-          Time.ns 100; (* open slot *)
-          Time.us 50; (* level 0 *)
-          Time.ms 3; (* level 1 *)
-          Time.ms 900; (* level 2 *)
-          Time.sec 120.; (* level 3 *)
-          Time.sec 7200.; (* overflow heap *)
-        ])
+  ignore
+    (matches_reference "all levels + overflow"
+       { play = (fun ops record ->
+             (* one event per wheel level plus one beyond the ~73 min
+                horizon *)
+             List.iteri
+               (fun i d -> ignore (ops.schedule ~delay:d (fun () -> record i)))
+               [
+                 Time.ns 100; (* open slot *)
+                 Time.us 50; (* level 0 *)
+                 Time.ms 3; (* level 1 *)
+                 Time.ms 900; (* level 2 *)
+                 Time.sec 120.; (* level 3 *)
+                 Time.sec 7200.; (* overflow heap *)
+               ]) })
 
 let test_wheel_idle_gap () =
-  both_backends "idle gap then burst" (fun e record ->
-      ignore (Engine.schedule e ~delay:(Time.us 2) (fun () -> record 0));
-      ignore
-        (Engine.schedule e ~delay:(Time.sec 60.) (fun () ->
-             record 1;
-             for i = 2 to 6 do
-               ignore
-                 (Engine.schedule e ~delay:(Time.us i) (fun () -> record i))
-             done)))
+  ignore
+    (matches_reference "idle gap then burst"
+       { play = (fun ops record ->
+             ignore (ops.schedule ~delay:(Time.us 2) (fun () -> record 0));
+             ignore
+               (ops.schedule ~delay:(Time.sec 60.) (fun () ->
+                    record 1;
+                    for i = 2 to 6 do
+                      ignore
+                        (ops.schedule ~delay:(Time.us i) (fun () -> record i))
+                    done))) })
 
-(* Random schedule/cancel/run-until programs, interpreted on both
-   backends; handlers re-schedule children and cancel earlier ids, so
+(* Random schedule/cancel/run-until programs, on the wheel and on the
+   reference; handlers re-schedule children and cancel earlier ids, so
    insertions happen at many wheel positions.  Delays mix every level
    of the hierarchy including the overflow horizon. *)
-let prop_wheel_matches_heap =
+let prop_wheel_matches_reference =
   let op_gen =
     QCheck.Gen.(
       frequency
@@ -152,53 +231,94 @@ let prop_wheel_matches_heap =
           (1, map (fun d -> `Run_for (max 1 d)) (int_range 1 50_000_000));
         ])
   in
-  QCheck.Test.make ~name:"wheel fires identically to heap" ~count:60
+  QCheck.Test.make ~name:"wheel fires identically to reference" ~count:60
     QCheck.(make ~print:(fun l -> string_of_int (List.length l))
               Gen.(list_size (int_range 5 60) op_gen))
-    (fun ops ->
-      let interp backend =
-        let e = Engine.create ~backend () in
-        let log = ref [] in
+    (fun ops_list ->
+      let program =
+        { play = (fun ops record ->
+              let ids = ref [||] in
+              let tag = ref 0 in
+              let rec handler n () =
+                record n;
+                (* deterministic in-handler activity driven by the tag *)
+                if n mod 3 = 0 then remember (n * 37 mod 2_000_000) (n + 1000);
+                if n mod 5 = 0 && Array.length !ids > 0 then
+                  ops.cancel !ids.(n mod Array.length !ids)
+              and remember delay n =
+                let id = ops.schedule ~delay (fun () -> handler n ()) in
+                ids := Array.append !ids [| id |]
+              in
+              List.iter
+                (fun op ->
+                  incr tag;
+                  match op with
+                  | `Schedule d -> remember d !tag
+                  | `Cancel i ->
+                    if Array.length !ids > 0 then
+                      ops.cancel !ids.(i mod Array.length !ids)
+                  | `Run_for d -> ops.run_for d)
+                ops_list) }
+      in
+      fst (on_engine program) = on_reference program)
+
+(* A sparse schedule: events 100 us to 3 s apart, so the wheel idles
+   across level-1 (262 us) and level-2 (67 ms) boundaries and crosses a
+   level-3 (17 s) one, while handlers cancel events still sitting in
+   buckets.  This is the regime where the occupancy bitmaps skip runs
+   of empty slots; the counters are pinned to what visiting every slot
+   in turn produces. *)
+let sparse_program =
+  { play = (fun ops record ->
+        let state = ref 12345 in
+        let rand n =
+          state := ((!state * 1103515245) + 12345) land 0x3FFF_FFFF;
+          (!state lsr 8) mod n
+        in
+        let delay () =
+          match rand 4 with
+          | 0 -> Time.us (100 + rand 400)
+          | 1 -> Time.ms (1 + rand 60)
+          | 2 -> Time.ms (70 + rand 900)
+          | _ -> Time.ms (1000 + rand 2000)
+        in
         let ids = ref [||] in
-        let tag = ref 0 in
-        let rec handler n () =
-          log := (Engine.now e, n) :: !log;
-          (* deterministic in-handler activity driven by the tag *)
-          if n mod 3 = 0 then remember (n * 37 mod 2_000_000) (n + 1000);
-          if n mod 5 = 0 && Array.length !ids > 0 then
-            Engine.cancel e !ids.(n mod Array.length !ids)
-        and remember delay n =
-          let id = Engine.schedule e ~delay (fun () -> handler n ()) in
+        let count = ref 0 in
+        let rec spawn () =
+          incr count;
+          let n = !count in
+          let id =
+            ops.schedule ~delay:(delay ()) (fun () ->
+                record n;
+                if !count < 300 then begin
+                  spawn ();
+                  if rand 3 = 0 then spawn ();
+                  if rand 4 = 0 then ops.cancel !ids.(rand (Array.length !ids))
+                end)
+          in
           ids := Array.append !ids [| id |]
         in
-        List.iter
-          (fun op ->
-            incr tag;
-            match op with
-            | `Schedule d -> remember d !tag
-            | `Cancel i ->
-              if Array.length !ids > 0 then
-                Engine.cancel e !ids.(i mod Array.length !ids)
-            | `Run_for d -> Engine.run_for e d)
-          ops;
-        Engine.run e;
-        (List.rev !log, Engine.now e, Engine.processed e, Engine.pending e)
-      in
-      interp Engine.Heap = interp Engine.Wheel)
+        for _ = 1 to 4 do
+          spawn ()
+        done;
+        ops.run_for (Time.ms 70);
+        (* an idle stretch past a level-3 boundary, then a late burst *)
+        ignore
+          (ops.schedule ~delay:(Time.sec 20.) (fun () ->
+               record 0;
+               for i = 1 to 8 do
+                 ignore
+                   (ops.schedule ~delay:(i * Time.ms 40) (fun () ->
+                        record (-i)))
+               done))) }
 
-let test_backend_of_string () =
-  Testutil.check_bool "heap" true
-    (Engine.backend_of_string "heap" = Ok Engine.Heap);
-  Testutil.check_bool "wheel" true
-    (Engine.backend_of_string "wheel" = Ok Engine.Wheel);
-  Testutil.check_bool "junk" true
-    (match Engine.backend_of_string "btree" with
-    | Error _ -> true
-    | Ok _ -> false);
-  Testutil.check_string "name" "wheel" (Engine.backend_name Engine.Wheel)
+let test_wheel_sparse () =
+  let e = matches_reference "sparse" sparse_program in
+  Testutil.check_int "cancelled_skips" 17 (Engine.cancelled_skips e);
+  Testutil.check_int "wheel_cascades" 328 (Engine.wheel_cascades e)
 
 let test_wheel_counters () =
-  let e = Engine.create ~backend:Engine.Wheel () in
+  let e = Engine.create () in
   let skips = ref 0 and cascades = ref 0 in
   Engine.set_stat_hooks e
     ~cancelled_skip:(fun () -> incr skips)
@@ -230,8 +350,8 @@ let suite =
     Alcotest.test_case "wheel: all levels + overflow" `Quick test_wheel_spans;
     Alcotest.test_case "wheel: idle gap then burst" `Quick
       test_wheel_idle_gap;
-    Alcotest.test_case "backend parsing" `Quick test_backend_of_string;
+    Alcotest.test_case "wheel: sparse program" `Quick test_wheel_sparse;
     Alcotest.test_case "wheel: counters and stat hooks" `Quick
       test_wheel_counters;
-    QCheck_alcotest.to_alcotest prop_wheel_matches_heap;
+    QCheck_alcotest.to_alcotest prop_wheel_matches_reference;
   ]

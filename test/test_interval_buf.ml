@@ -118,6 +118,119 @@ let prop_full_cover =
         chunks;
       Interval_buf.pop b ~max_len:max_int = master)
 
+(* Whole inserted strings come back physically: aligned inserts, in
+   order or not, are popped without a copy. *)
+let test_zero_copy_pop () =
+  let b = base100 () in
+  let parts = [ "abc"; "defgh"; "ij"; String.make 3000 'k' ] in
+  let offs = [ 0; 3; 8; 10 ] in
+  List.iter2
+    (fun off p -> Interval_buf.insert b ~seq:(Seq32.of_int (100 + off)) p)
+    (List.rev offs) (List.rev parts);
+  List.iter
+    (fun p ->
+      let got = Interval_buf.pop b ~max_len:(String.length p) in
+      Testutil.check_bool ("physically " ^ String.sub p 0 1) true (got == p))
+    parts;
+  Testutil.check_bool "drained" true (Interval_buf.is_empty b)
+
+(* Random interleavings of every operation against a naive model: a
+   table from absolute position to byte, plus a base.  Inserts carry a
+   tag that changes their bytes, so overlapping writes disagree and the
+   model pins first-write-wins; drops may run past a gap. *)
+let prop_model =
+  let op_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          ( 5,
+            map3
+              (fun off len tag -> `Insert (off, len, tag))
+              (int_range (-20) 200) (int_range 0 70) (int_range 0 3) );
+          (1, map (fun n -> `Drop n) (int_range 0 60));
+          ( 2,
+            map (fun n -> `Pop n)
+              (frequency [ (5, int_range 0 80); (1, return max_int) ]) );
+          (1, map (fun n -> `Peek n) (int_range 0 80));
+          (1, map (fun p -> `Has_byte p) (int_range (-5) 250));
+        ])
+  in
+  let origin = Seq32.of_int 0xFFFF_FF00 (* crosses the wrap *) in
+  let byte tag pos = Char.chr (97 + (((tag * 7) + pos) mod 26)) in
+  QCheck.Test.make ~name:"all operations match a byte table"
+    ~count:300
+    QCheck.(make ~print:(fun l -> string_of_int (List.length l))
+              Gen.(list_size (int_range 1 80) op_gen))
+    (fun ops ->
+      let b = Interval_buf.create ~base:origin in
+      let model = Hashtbl.create 64 in
+      let base = ref 0 in
+      let at pos = Seq32.add origin pos in
+      let run_from pos =
+        let rec go p = if Hashtbl.mem model p then go (p + 1) else p - pos in
+        go pos
+      in
+      let take n =
+        let k = min n (run_from !base) in
+        String.init k (fun j -> Hashtbl.find model (!base + j))
+      in
+      let advance n =
+        for p = !base to !base + n - 1 do
+          Hashtbl.remove model p
+        done;
+        base := !base + n
+      in
+      (* sorted (start, bytes) runs of the model *)
+      let runs () =
+        let ps = List.sort compare (Hashtbl.fold (fun p _ l -> p :: l) model []) in
+        let rec group acc = function
+          | [] -> List.rev acc
+          | p :: rest ->
+            let n = run_from p in
+            let s = String.init n (fun j -> Hashtbl.find model (p + j)) in
+            group ((at p, s) :: acc) (List.filteri (fun i _ -> i >= n - 1) rest)
+        in
+        group [] ps
+      in
+      let check_all () =
+        Interval_buf.contiguous_length b = run_from !base
+        && Interval_buf.total_buffered b = Hashtbl.length model
+        && Interval_buf.is_empty b = (Hashtbl.length model = 0)
+        && Seq32.equal (Interval_buf.base b) (at !base)
+        && Interval_buf.islands b = runs ()
+        && Interval_buf.spans b
+           = List.map (fun (s, d) -> (s, String.length d)) (runs ())
+      in
+      List.for_all
+        (fun op ->
+          let ok =
+            match op with
+            | `Insert (off, len, tag) ->
+              let pos = !base + off in
+              let data = String.init len (fun j -> byte tag (pos + j)) in
+              Interval_buf.insert b ~seq:(at pos) data;
+              for j = 0 to len - 1 do
+                let p = pos + j in
+                if p >= !base && not (Hashtbl.mem model p) then
+                  Hashtbl.replace model p data.[j]
+              done;
+              true
+            | `Drop n ->
+              Interval_buf.drop b ~len:n;
+              advance n;
+              true
+            | `Pop n ->
+              let want = take n in
+              advance (String.length want);
+              Interval_buf.pop b ~max_len:n = want
+            | `Peek n -> Interval_buf.peek b ~max_len:n = take n
+            | `Has_byte p ->
+              Interval_buf.has_byte b (at (!base + p))
+              = (p >= 0 && Hashtbl.mem model (!base + p))
+          in
+          ok && check_all ())
+        ops)
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -130,6 +243,9 @@ let suite =
     Alcotest.test_case "drop advances base" `Quick test_drop;
     Alcotest.test_case "has_byte island query" `Quick test_has_byte;
     Alcotest.test_case "sequence wraparound" `Quick test_wraparound;
+    Alcotest.test_case "whole inserts pop without a copy" `Quick
+      test_zero_copy_pop;
     q prop_reassembly;
     q prop_full_cover;
+    q prop_model;
   ]
