@@ -42,19 +42,23 @@ type registry = {
 let create_registry config = { config; extra_local = []; extra_remote = [] }
 let config r = r.config
 
+(* port membership runs on every segment the bridges see; [List.mem]
+   would compare through [compare_val] *)
+let rec mem (p : int) = function [] -> false | q :: l -> p = q || mem p l
+
 let register_endpoint r ~local_port =
-  if not (List.mem local_port r.extra_local) then
+  if not (mem local_port r.extra_local) then
     r.extra_local <- local_port :: r.extra_local
 
 let register_remote r ~remote_port =
-  if not (List.mem remote_port r.extra_remote) then
+  if not (mem remote_port r.extra_remote) then
     r.extra_remote <- remote_port :: r.extra_remote
 
 let is_failover_local_port r p =
-  List.mem p r.config.service_ports || List.mem p r.extra_local
+  mem p r.config.service_ports || mem p r.extra_local
 
 let is_failover_remote_port r p =
-  List.mem p r.config.remote_service_ports || List.mem p r.extra_remote
+  mem p r.config.remote_service_ports || mem p r.extra_remote
 
 let is_failover_conn r ~local_port ~remote_port =
   is_failover_local_port r local_port

@@ -76,7 +76,18 @@ type conn = {
       (* first unmatched byte arrived: feeds the merge-latency histogram *)
 }
 
-type key = Ipaddr.t * int * int (* remote addr, remote port, local port *)
+(* Keyed by (remote addr, remote port, local port).  [equal] is
+   monomorphic, so a lookup makes no [compare_val] call.  [hash] must
+   stay [Hashtbl.hash]: it fixes the order in which [secondary_failed]
+   visits connections (see the interface). *)
+module Conns = Hashtbl.Make (struct
+  type t = Ipaddr.t * int * int
+
+  let equal (a, rp, lp) (a', rp', lp') =
+    Ipaddr.equal a a' && Int.equal rp rp' && Int.equal lp lp'
+
+  let hash = Hashtbl.hash
+end)
 
 type output = Direct | Divert_to of Ipaddr.t
 
@@ -88,7 +99,7 @@ type t = {
   self_addr : Ipaddr.t; (* this host's own address *)
   mutable out : output;
   claim_service : bool; (* claim client datagrams for local delivery *)
-  conns : (key, conn) Hashtbl.t;
+  conns : conn Conns.t;
   mutable degraded : bool; (* secondary has failed: §6 mode *)
   mutable installed : bool;
   mutable total_emitted : int;
@@ -160,11 +171,11 @@ let min_ack_cfg ~use_min conn =
   | None, None -> None
 
 let min_win_cfg ~use_min conn =
-  if use_min then min conn.win_p conn.win_s else conn.win_p
+  if use_min then Int.min conn.win_p conn.win_s else conn.win_p
 
 let min_ack t conn = min_ack_cfg ~use_min:(config t).use_min_ack conn
 let min_win t conn = min_win_cfg ~use_min:(config t).use_min_window conn
-let merged_mss conn = min conn.p_mss conn.s_mss
+let merged_mss conn = Int.min conn.p_mss conn.s_mss
 
 (* ------------------------------------------------------------------ *)
 (* Emission                                                            *)
@@ -207,7 +218,7 @@ let emit_data t conn ~seq ~payload ~fin ~psh =
     (Seg.make
        ~flags:{ Seg.no_flags with ack = true; fin; psh }
        ~ack
-       ~window:(min 0xFFFF (window asr conn.merged_shift))
+       ~window:(Int.min 0xFFFF (window asr conn.merged_shift))
        ~options ~payload ~src_port:conn.local_port
        ~dst_port:(snd conn.remote) ~seq ())
 
@@ -256,12 +267,12 @@ let rec pump t conn =
     let continue = ref true in
     while !continue do
       let common =
-        min
+        Int.min
           (Interval_buf.contiguous_length conn.pq)
           (Interval_buf.contiguous_length conn.sq)
       in
       if common > 0 then begin
-        let len = min common (merged_mss conn) in
+        let len = Int.min common (merged_mss conn) in
         let seq = conn.next_seq in
         let payload = Interval_buf.pop conn.pq ~max_len:len in
         (* the secondary's copy carries the same bytes; drop without
@@ -338,7 +349,7 @@ and maybe_finish t conn =
     conn.mode <- Linger;
     ignore
       ((Host.clock t.host).schedule (Time.sec 10.0) (fun () ->
-           Hashtbl.remove t.conns (key_of conn)))
+           Conns.remove t.conns (key_of conn)))
   end
 
 (* ------------------------------------------------------------------ *)
@@ -364,7 +375,7 @@ let try_merge_syn t conn =
     (* the merged window scale is the smaller of the replicas' shifts,
        and only if both offered the option — mirroring the min-MSS rule *)
     (match (conn.shift_p, conn.shift_s) with
-    | Some a, Some b -> conn.merged_shift <- min a b
+    | Some a, Some b -> conn.merged_shift <- Int.min a b
     | _ -> conn.merged_shift <- 0);
     conn.syn_done <- true;
     Registry.Counter.incr t.c_syn_merges;
@@ -387,7 +398,7 @@ let try_merge_syn t conn =
       (Seg.make
          ~flags:{ Seg.no_flags with syn = true; ack = with_ack }
          ~ack
-         ~window:(min 0xFFFF window)
+         ~window:(Int.min 0xFFFF window)
          ~options:(merged_syn_options conn)
          ~src_port:conn.local_port ~dst_port:(snd conn.remote) ~seq:ss ());
     pump t conn
@@ -410,7 +421,7 @@ let reemit_merged_syn t conn =
       (Seg.make
          ~flags:{ Seg.no_flags with syn = true; ack = with_ack }
          ~ack
-         ~window:(min 0xFFFF (min_win t conn))
+         ~window:(Int.min 0xFFFF (min_win t conn))
          ~options:(merged_syn_options conn)
          ~src_port:conn.local_port ~dst_port:(snd conn.remote)
          ~seq:ss ())
@@ -455,7 +466,7 @@ let forward_rst t conn ~wire_seq (seg : Seg.t) =
        ~flags:{ Seg.no_flags with rst = true; ack = seg.flags.ack }
        ~ack:seg.ack ~window:0 ~src_port:conn.local_port
        ~dst_port:(snd conn.remote) ~seq:wire_seq ());
-  Hashtbl.remove t.conns (key_of conn)
+  Conns.remove t.conns (key_of conn)
 
 let from_primary t conn (seg : Seg.t) =
   if conn.mode = Linger then ()
@@ -632,7 +643,7 @@ let from_client t conn (pkt : Ipv4_packet.t) (seg : Seg.t) =
          drop the bridge state too *)
       ignore
         ((Host.clock t.host).schedule 0 (fun () ->
-             Hashtbl.remove t.conns (key_of conn)));
+             Conns.remove t.conns (key_of conn)));
     (* Inverse sequence translation (§3.3): the client acknowledges wire
        (secondary-space) sequence numbers; the primary's TCP layer counts
        in its own space. *)
@@ -658,7 +669,7 @@ let flush_and_degrade_conn t conn =
     (* 1. Remove all payload data from the primary output queue and send
        it to the client (in MSS-sized segments), with the primary's own
        ack and window from now on. *)
-    let mss = max 1 conn.p_mss in
+    let mss = Int.max 1 conn.p_mss in
     let ack = match conn.ack_p with Some a -> a | None -> Seq32.zero in
     let rec flush () =
       let chunk = Interval_buf.pop conn.pq ~max_len:mss in
@@ -742,23 +753,23 @@ let secondary_failed t =
        through the degraded pass-through and the level above merges
        against them as if they came from a live secondary. *)
     let unmerged =
-      Hashtbl.fold
+      Conns.fold
         (fun k conn acc -> if conn.syn_done then acc else k :: acc)
         t.conns []
     in
     (match t.out with
-    | Direct -> List.iter (Hashtbl.remove t.conns) unmerged
+    | Direct -> List.iter (Conns.remove t.conns) unmerged
     | Divert_to _ ->
       List.iter
         (fun k ->
-          match Hashtbl.find_opt t.conns k with
+          match Conns.find_opt t.conns k with
           | Some conn ->
             conn.solo <- true;
             conn.syn_done <- true;
             if conn.delta = None then conn.delta <- Some 0
           | None -> ())
         unmerged);
-    Hashtbl.iter
+    Conns.iter
       (fun _ conn ->
         conn.solo <- true;
         flush_and_degrade_conn t conn)
@@ -783,7 +794,7 @@ let is_failover_seg t ~local_port ~remote_port =
   Failover_config.is_failover_conn t.registry ~local_port ~remote_port
 
 let find_conn t ~remote ~local_port =
-  Hashtbl.find_opt t.conns (fst remote, snd remote, local_port)
+  Conns.find_opt t.conns (fst remote, snd remote, local_port)
 
 let find_or_create t ~remote ~local_port ~create =
   match find_conn t ~remote ~local_port with
@@ -791,7 +802,7 @@ let find_or_create t ~remote ~local_port ~create =
   | None ->
     if create then begin
       let c = mk_conn ~remote ~local_port in
-      Hashtbl.replace t.conns (key_of c) c;
+      Conns.replace t.conns (key_of c) c;
       Some c
     end
     else None
@@ -925,7 +936,7 @@ let abort_transfer t ~remote ~local_port =
         conn.xfer_held;
       Queue.clear conn.xfer_held;
       Queue.clear conn.xfer_tap;
-      if not conn.syn_done then Hashtbl.remove t.conns (key_of conn)
+      if not conn.syn_done then Conns.remove t.conns (key_of conn)
     end
 
 (* Mark a connection that is NOT being transferred as permanently solo.
@@ -1031,7 +1042,7 @@ let install host ~registry ~service_addr ~secondary_addr ?(output = Direct)
       self_addr = Host.addr host;
       out = output;
       claim_service;
-      conns = Hashtbl.create 16;
+      conns = Conns.create 16;
       degraded = false;
       installed = true;
       total_emitted = 0;
@@ -1056,7 +1067,7 @@ let uninstall t =
     Ip_layer.set_rx_hook (Host.ip t.host) None
   end
 
-let connection_count t = Hashtbl.length t.conns
+let connection_count t = Conns.length t.conns
 
 type conn_stats = {
   delta : int option;

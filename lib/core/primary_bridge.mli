@@ -31,6 +31,12 @@
 
 type t
 
+module Conns : Hashtbl.S with type key = Tcpfo_packet.Ipaddr.t * int * int
+(** The bridge's connection table, keyed by (remote address, remote port,
+    local port).  Its [hash] is [Hashtbl.hash], so [fold]/[iter] — which
+    degrade every connection at failover — visit connections in the order
+    a generic [Hashtbl] given the same operations would. *)
+
 type output =
   | Direct
       (** emit merged segments straight to the client — the head of the

@@ -84,7 +84,7 @@ let create engine ~name ~rng ?(profile = default_profile)
                let extra =
                  if profile.jitter_frac > 0.0 then
                    Rng.int rng
-                     (max 1
+                     (Int.max 1
                         (int_of_float
                            (float_of_int base *. profile.jitter_frac)))
                  else 0

@@ -9,7 +9,7 @@ type entry = { mac : Macaddr.t; expires : Tcpfo_sim.Time.t }
 type t = {
   clock : Clock.t;
   ttl : Tcpfo_sim.Time.t;
-  table : (Ipaddr.t, entry) Hashtbl.t;
+  table : entry Ipaddr.Tbl.t;
   hits : Registry.counter;
   misses : Registry.counter;
   learned : Registry.counter;
@@ -19,17 +19,17 @@ let create clock ~ttl ?obs () =
   let obs =
     Obs.scope (match obs with Some o -> o | None -> Obs.silent ()) "arp"
   in
-  { clock; ttl; table = Hashtbl.create 16; hits = Obs.counter obs "hits";
+  { clock; ttl; table = Ipaddr.Tbl.create 16; hits = Obs.counter obs "hits";
     misses = Obs.counter obs "misses";
     learned = Obs.counter obs "learned" }
 
 let lookup t ip =
-  match Hashtbl.find_opt t.table ip with
+  match Ipaddr.Tbl.find_opt t.table ip with
   | Some e when e.expires > t.clock.now () ->
     Registry.Counter.incr t.hits;
     Some e.mac
   | Some _ ->
-    Hashtbl.remove t.table ip;
+    Ipaddr.Tbl.remove t.table ip;
     Registry.Counter.incr t.misses;
     None
   | None ->
@@ -38,14 +38,14 @@ let lookup t ip =
 
 let learn t ip mac =
   Registry.Counter.incr t.learned;
-  Hashtbl.replace t.table ip { mac; expires = t.clock.now () + t.ttl }
+  Ipaddr.Tbl.replace t.table ip { mac; expires = t.clock.now () + t.ttl }
 
-let forget t ip = Hashtbl.remove t.table ip
-let clear t = Hashtbl.reset t.table
+let forget t ip = Ipaddr.Tbl.remove t.table ip
+let clear t = Ipaddr.Tbl.reset t.table
 
 let entries t =
   let now = t.clock.now () in
-  Hashtbl.fold
+  Ipaddr.Tbl.fold
     (fun ip e acc -> if e.expires > now then (ip, e.mac) :: acc else acc)
     t.table []
   |> List.sort (fun (a, _) (b, _) -> Ipaddr.compare a b)

@@ -27,7 +27,7 @@ type t = {
   addrs : Ipaddr.t Tcpfo_util.Vec.t; (* index 0 = primary address *)
   prefix : int;
   arp : Arp_cache.t;
-  pending : (Ipaddr.t, pending) Hashtbl.t;
+  pending : pending Ipaddr.Tbl.t;
   mutable rx : Ipv4_packet.t -> link_addressed:bool -> unit;
   mutable on_addr_change : unit -> unit;
       (* lets the IP layer invalidate its local-address cache when a
@@ -47,7 +47,7 @@ let rec create clock ?obs ?(host = "host") ~nic ~addr ~prefix () =
       addrs;
       prefix;
       arp = Arp_cache.create clock ~ttl:(Time.sec 1200.0) ~obs ();
-      pending = Hashtbl.create 4;
+      pending = Ipaddr.Tbl.create 4;
       rx = (fun _ ~link_addressed:_ -> ());
       on_addr_change = (fun () -> ());
     }
@@ -74,14 +74,14 @@ and handle_arp t (a : Arp_packet.t) =
   | Arp_packet.Request | Arp_packet.Reply -> ()
 
 and flush_pending t ip =
-  match Hashtbl.find_opt t.pending ip with
+  match Ipaddr.Tbl.find_opt t.pending ip with
   | None -> ()
   | Some p ->
     (match Arp_cache.lookup t.arp ip with
     | None -> ()
     | Some mac ->
       (match p.timer with Some id -> t.clock.cancel id | None -> ());
-      Hashtbl.remove t.pending ip;
+      Ipaddr.Tbl.remove t.pending ip;
       Queue.iter (fun pkt -> Nic.send t.nic ~dst:mac (Eth_frame.Ip pkt))
         p.queue)
 
@@ -122,10 +122,10 @@ let rec arm_retry t ip p =
   p.timer <-
     Some
       (t.clock.schedule arp_retry_interval (fun () ->
-           if Hashtbl.mem t.pending ip then
+           if Ipaddr.Tbl.mem t.pending ip then
              if p.tries >= arp_max_tries then begin
                (* resolution failed: drop queued datagrams *)
-               Hashtbl.remove t.pending ip
+               Ipaddr.Tbl.remove t.pending ip
              end
              else begin
                p.tries <- p.tries + 1;
@@ -137,13 +137,13 @@ let send_ip t ~next_hop pkt =
   match Arp_cache.lookup t.arp next_hop with
   | Some mac -> Nic.send t.nic ~dst:mac (Eth_frame.Ip pkt)
   | None ->
-    (match Hashtbl.find_opt t.pending next_hop with
+    (match Ipaddr.Tbl.find_opt t.pending next_hop with
     | Some p ->
       if Queue.length p.queue < max_pending_per_hop then
         Queue.push pkt p.queue
     | None ->
       let p = { tries = 1; queue = Queue.create (); timer = None } in
       Queue.push pkt p.queue;
-      Hashtbl.replace t.pending next_hop p;
+      Ipaddr.Tbl.replace t.pending next_hop p;
       send_arp_request t next_hop;
       arm_retry t next_hop p)

@@ -187,7 +187,7 @@ and on_idle t =
           if not (Queue.is_empty p.backlog) then retry_later t p 0
         end
         else begin
-          let k = min p.attempts 10 in
+          let k = Int.min p.attempts 10 in
           let slots = Rng.int t.rng (1 lsl k) in
           retry_later t p slots
         end)

@@ -10,6 +10,13 @@ let equal (a : t) (b : t) = a = b
 let compare (a : t) (b : t) = compare a b
 let hash (t : t) = Hashtbl.hash t
 
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = hash
+end)
+
 let to_string t =
   Printf.sprintf "%d.%d.%d.%d" ((t lsr 24) land 0xFF) ((t lsr 16) land 0xFF)
     ((t lsr 8) land 0xFF) (t land 0xFF)

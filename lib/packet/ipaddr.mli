@@ -24,4 +24,10 @@ val any : t
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int
+(** [Hashtbl.hash]: a table keyed by addresses buckets them exactly as a
+    generic [Hashtbl] would. *)
+
+module Tbl : Hashtbl.S with type key = t
+(** Address-keyed table with a monomorphic [equal] and {!hash}. *)
+
 val pp : Format.formatter -> t -> unit

@@ -8,10 +8,10 @@ let create clock = { clock; busy_until = Time.zero; total_busy = Time.zero }
 
 let run t ~cost fn =
   let now = t.clock.Clock.now () in
-  let start = max now t.busy_until in
-  let finish = start + max 0 cost in
+  let start = Int.max now t.busy_until in
+  let finish = start + Int.max 0 cost in
   t.busy_until <- finish;
-  t.total_busy <- t.total_busy + max 0 cost;
+  t.total_busy <- t.total_busy + Int.max 0 cost;
   ignore (t.clock.Clock.schedule (finish - now) fn)
 
 let busy_until t = t.busy_until

@@ -68,7 +68,7 @@ module Evheap = struct
 
   let push h ev =
     if h.size = Array.length h.arr then begin
-      let cap = max 16 (2 * Array.length h.arr) in
+      let cap = Int.max 16 (2 * Array.length h.arr) in
       let arr = Array.make cap nil in
       Array.blit h.arr 0 arr 0 h.size;
       h.arr <- arr
@@ -368,7 +368,7 @@ let rec advance t =
         else begin
           let target = (idx + 1 + ((next - idx - 1) land slot_mask)) lsl shift in
           let boundary = ((idx lsr wheel_bits) + 1) lsl (shift + wheel_bits) in
-          enter t (min target boundary);
+          enter t (Int.min target boundary);
           advance t
         end
       end
@@ -392,7 +392,7 @@ let peek_next t =
 (* ------------------------------ API ------------------------------- *)
 
 let schedule_at t ~at fn =
-  let at = max at t.clock in
+  let at = Int.max at t.clock in
   t.seq <- t.seq + 1;
   let ev =
     { cancelled = false; consumed = false; at; seq = t.seq; fn; next = nil;
@@ -402,7 +402,7 @@ let schedule_at t ~at fn =
   t.live <- t.live + 1;
   ev
 
-let schedule t ~delay fn = schedule_at t ~at:(t.clock + max 0 delay) fn
+let schedule t ~delay fn = schedule_at t ~at:(t.clock + Int.max 0 delay) fn
 
 let cancel t id =
   if not id.cancelled then begin
@@ -450,14 +450,14 @@ let run ?until ?max_events t =
     else
       match until with
       | Some u when ev.at > u ->
-        t.clock <- max t.clock u;
+        t.clock <- Int.max t.clock u;
         continue := false
       | _ ->
         fire t ev;
         decr budget
   done;
   match until with
-  | Some u when peek_next t == nil -> t.clock <- max t.clock u
+  | Some u when peek_next t == nil -> t.clock <- Int.max t.clock u
   | _ -> ()
 
 let run_for t d = run t ~until:(t.clock + d)

@@ -105,18 +105,21 @@ module R = struct
   let at_end r = r.pos = String.length r.data
 end
 
-(* FNV-1a 64-bit over the body — cheap, deterministic, and sensitive to
-   any single-bit flip, which is all the integrity check needs inside a
-   simulator (this is corruption detection, not authentication). *)
+(* FNV-1a 64-bit over the body — deterministic and sensitive to any
+   single-bit flip, which is all the integrity check needs inside a
+   simulator (this is corruption detection, not authentication).  It runs
+   twice per statex chunk ([seal], [unseal]), so it must not allocate:
+   [h] is a local ref that never escapes, which ocamlopt keeps as an
+   unboxed int64 register across the loop.  A [String.iter] closure would
+   capture the ref and box an [Int64] per byte. *)
 let fnv1a64 s =
   let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h :=
-        Int64.mul
-          (Int64.logxor !h (Int64.of_int (Char.code c)))
-          0x100000001b3L)
-    s;
+  for i = 0 to String.length s - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        0x100000001b3L
+  done;
   !h
 
 let magic = "TFX1"

@@ -12,13 +12,13 @@ type t = {
   rtt_us : Registry.histogram;
 }
 
-let create ?obs ~init ~min ~max () =
+let create ?obs ~init ~min:rto_min ~max:rto_max () =
   let obs = match obs with Some o -> o | None -> Obs.silent () in
-  { rto_min = min; rto_max = max; srtt = None; rttvar = 0.0; base = init;
+  { rto_min; rto_max; srtt = None; rttvar = 0.0; base = init;
     shift = 0; backoffs = Obs.counter obs "rto_backoffs";
     rtt_us = Obs.histogram obs "rtt_us" }
 
-let clamp t v = Stdlib.max t.rto_min (Stdlib.min t.rto_max v)
+let clamp t v = Int.max t.rto_min (Int.min t.rto_max v)
 
 let sample t rtt =
   Registry.Histogram.observe t.rtt_us (float_of_int rtt /. 1_000.0);
@@ -33,7 +33,9 @@ let sample t rtt =
     t.srtt <- Some (((1.0 -. alpha) *. srtt) +. (alpha *. r)));
   match t.srtt with
   | Some srtt ->
-    t.base <- clamp t (int_of_float (srtt +. Stdlib.max 1.0 (4.0 *. t.rttvar)))
+    (* [rttvar] is a finite non-negative float (built from int samples
+       and [Float.abs]), so neither NaN nor -0 reaches [Float.max] *)
+    t.base <- clamp t (int_of_float (srtt +. Float.max 1.0 (4.0 *. t.rttvar)))
   | None -> ()
 
 let current t =

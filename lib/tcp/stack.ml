@@ -34,6 +34,15 @@ end
 
 module Ctbl = Hashtbl.Make (Key)
 
+(* listening ports: a monomorphic [equal], so a SYN's lookup makes no
+   [compare_val] call *)
+module Ptbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
 let max_addr_id = 0x7FFF
 
 let pack ~lid ~lport ~rid ~rport =
@@ -48,7 +57,7 @@ type t = {
   conns : Tcb.t Ctbl.t;
   addr_ids : int Ctbl.t; (* Ipaddr.to_int -> intern id, first-seen order *)
   mutable next_addr_id : int;
-  listeners : (int, Tcb.t -> unit) Hashtbl.t;
+  listeners : (Tcb.t -> unit) Ptbl.t;
   mutable extra_local : Ipaddr.t -> bool;
   mutable next_ephemeral : int;
   rst_sent : Registry.counter;
@@ -138,7 +147,7 @@ let handle_segment t ~src ~dst (seg : Seg.t) =
     Tcb.segment_arrives tcb seg
   | exception Not_found -> (
     Registry.Counter.incr t.demux_misses;
-    match Hashtbl.find_opt t.listeners seg.dst_port with
+    match Ptbl.find_opt t.listeners seg.dst_port with
     | Some on_accept
       when seg.flags.syn && (not seg.flags.ack) && (not seg.flags.rst)
            && local_ok t dst ->
@@ -168,7 +177,7 @@ let create clock ~ip ~config ~rng =
       conns = Ctbl.create 64;
       addr_ids = Ctbl.create 16;
       next_addr_id = 0;
-      listeners = Hashtbl.create 8;
+      listeners = Ptbl.create 8;
       extra_local = (fun _ -> false);
       next_ephemeral = 49152;
       rst_sent = Obs.counter obs "rst_sent";
@@ -181,8 +190,8 @@ let create clock ~ip ~config ~rng =
       handle_segment t ~src ~dst seg);
   t
 
-let listen t ~port ~on_accept = Hashtbl.replace t.listeners port on_accept
-let unlisten t ~port = Hashtbl.remove t.listeners port
+let listen t ~port ~on_accept = Ptbl.replace t.listeners port on_accept
+let unlisten t ~port = Ptbl.remove t.listeners port
 
 let connect t ?local ?local_port ~remote () =
   let local_addr =

@@ -155,7 +155,7 @@ let set_on_reset t f = t.on_reset <- f
 let state t = t.state
 let local_endpoint t = t.local
 let remote_endpoint t = t.remote
-let effective_mss t = min t.config.mss t.peer_mss
+let effective_mss t = Int.min t.config.mss t.peer_mss
 let iss t = t.iss
 let snd_una t = t.snd_una
 let snd_nxt t = t.snd_nxt
@@ -182,14 +182,14 @@ let rcv_wnd t =
   (* Window = receive buffer minus bytes parked out of order in
      reassembly and minus in-order bytes a paused reader has not yet
      consumed; representable range grows with window scaling. *)
-  max 0
-    (min (65535 lsl t.rcv_wscale)
+  Int.max 0
+    (Int.min (65535 lsl t.rcv_wscale)
        (t.config.recv_buf_size
        - Interval_buf.total_buffered t.reasm
        - Buffer.length t.recv_pending))
 
 (* value of the 16-bit window field on a non-SYN segment *)
-let advertised_window t = min 0xFFFF (rcv_wnd t asr t.rcv_wscale)
+let advertised_window t = Int.min 0xFFFF (rcv_wnd t asr t.rcv_wscale)
 
 let now_ms t = t.clock.now () / 1_000_000
 
@@ -315,9 +315,9 @@ let rec arm_keepalive t =
 let flight_size t = Seq32.diff t.snd_nxt t.snd_una
 
 let effective_window t =
-  let w = if t.config.congestion_control then min t.snd_wnd t.cwnd
+  let w = if t.config.congestion_control then Int.min t.snd_wnd t.cwnd
           else t.snd_wnd in
-  max 0 w
+  Int.max 0 w
 
 let can_send_data t =
   match t.state with
@@ -348,7 +348,7 @@ and retransmit_one t =
     emit t
       (Seg.make
          ~flags:{ Seg.no_flags with syn = true }
-         ~window:(min 0xFFFF (rcv_wnd t))
+         ~window:(Int.min 0xFFFF (rcv_wnd t))
          ~options:(syn_options t) ~src_port:(snd t.local)
          ~dst_port:(snd t.remote) ~seq:t.iss ())
   | Syn_received ->
@@ -356,14 +356,14 @@ and retransmit_one t =
       (Seg.make
          ~flags:{ Seg.no_flags with syn = true; ack = true }
          ~ack:t.rcv_nxt
-         ~window:(min 0xFFFF (rcv_wnd t))
+         ~window:(Int.min 0xFFFF (rcv_wnd t))
          ~options:(syn_options t) ~src_port:(snd t.local)
          ~dst_port:(snd t.remote) ~seq:t.iss ())
   | _ ->
     let data_end = seq_of_offset t (Bytebuf.end_offset t.sndbuf) in
     if Seq32.lt t.snd_una data_end then begin
       (* unacked payload exists: resend one MSS from snd_una *)
-      let len = min (effective_mss t) (Seq32.diff data_end t.snd_una) in
+      let len = Int.min (effective_mss t) (Seq32.diff data_end t.snd_una) in
       let payload =
         Bytebuf.read t.sndbuf ~pos:(offset_of_seq t t.snd_una) ~len
       in
@@ -398,7 +398,7 @@ and on_rtx t =
          (RFC 6675 spirit). *)
       if t.config.congestion_control then begin
         let mss = effective_mss t in
-        t.ssthresh <- max (flight_size t / 2) (2 * mss);
+        t.ssthresh <- Int.max (flight_size t / 2) (2 * mss);
         t.cwnd <-
           (if t.sack_on && not (Rangeset.is_empty t.sack_board) then
              t.ssthresh
@@ -422,14 +422,14 @@ and on_rtx t =
 and arm_persist t =
   if t.persist_timer = None then begin
     let delay =
-      min (Rto.current t.rto lsl t.persist_shift) (Time.sec 60.0)
+      Int.min (Rto.current t.rto lsl t.persist_shift) (Time.sec 60.0)
     in
     t.persist_timer <-
       Some
         (t.clock.schedule delay (fun () ->
              t.persist_timer <- None;
              if t.state <> Closed && t.snd_wnd = 0 then begin
-               t.persist_shift <- min (t.persist_shift + 1) 6;
+               t.persist_shift <- Int.min (t.persist_shift + 1) 6;
                (* 1-byte window probe *)
                let data_end =
                  seq_of_offset t (Bytebuf.end_offset t.sndbuf)
@@ -467,7 +467,7 @@ and try_output t =
       | Some _ | None -> ());
       let sendable = Seq32.diff data_end t.snd_nxt in
       let window_room = Seq32.diff limit t.snd_nxt in
-      let len = min mss (min sendable window_room) in
+      let len = Int.min mss (Int.min sendable window_room) in
       if len > 0 then begin
         let nagle_blocked =
           t.config.nagle && len < mss
@@ -614,7 +614,7 @@ let create_active clock ?obs ~config ~local ~remote ~iss actions =
   emit t
     (Seg.make
        ~flags:{ Seg.no_flags with syn = true }
-       ~window:(min 0xFFFF (rcv_wnd t))
+       ~window:(Int.min 0xFFFF (rcv_wnd t))
        ~options:(syn_options t)
        ~src_port:(snd local) ~dst_port:(snd remote) ~seq:iss ());
   t.snd_nxt <- Seq32.succ iss;
@@ -633,7 +633,7 @@ let accept_syn t (syn : Seg.t) =
   (* RFC 7323 negotiation: an option is live only if both sides sent it *)
   (match Seg.window_scale_option syn with
   | Some peer_shift when t.config.window_scale > 0 ->
-    t.snd_wscale <- min 14 peer_shift;
+    t.snd_wscale <- Int.min 14 peer_shift;
     t.rcv_wscale <- t.config.window_scale
   | Some _ | None ->
     t.snd_wscale <- 0;
@@ -660,7 +660,7 @@ let create_passive clock ?obs ~config ~local ~remote ~iss actions ~syn =
     (Seg.make
        ~flags:{ Seg.no_flags with syn = true; ack = true }
        ~ack:t.rcv_nxt
-       ~window:(min 0xFFFF (rcv_wnd t))
+       ~window:(Int.min 0xFFFF (rcv_wnd t))
        ~options:(syn_options t) ~src_port:(snd local) ~dst_port:(snd remote)
        ~seq:iss ());
   t.snd_nxt <- Seq32.succ iss;
@@ -905,13 +905,13 @@ let congestion_on_ack t acked =
   if t.config.congestion_control && acked > 0 then begin
     let mss = effective_mss t in
     if t.cwnd < t.ssthresh then t.cwnd <- t.cwnd + mss
-    else t.cwnd <- t.cwnd + max 1 (mss * mss / t.cwnd)
+    else t.cwnd <- t.cwnd + Int.max 1 (mss * mss / t.cwnd)
   end
 
 let fast_retransmit t =
   if t.config.congestion_control then begin
     let mss = effective_mss t in
-    t.ssthresh <- max (flight_size t / 2) (2 * mss);
+    t.ssthresh <- Int.max (flight_size t / 2) (2 * mss);
     t.cwnd <- t.ssthresh
   end;
   retransmit_one t;
@@ -959,7 +959,7 @@ let process_ack t (seg : Seg.t) =
       if Seq32.lt seg.ack lo then 0
       else
         let o = offset_of_seq t seg.ack in
-        min o (Bytebuf.end_offset t.sndbuf)
+        Int.min o (Bytebuf.end_offset t.sndbuf)
     in
     if data_ack > Bytebuf.start_offset t.sndbuf then begin
       let released = data_ack - Bytebuf.start_offset t.sndbuf in
@@ -1044,7 +1044,7 @@ let segment_in_syn_sent t (seg : Seg.t) =
         (Seg.make
            ~flags:{ Seg.no_flags with syn = true; ack = true }
            ~ack:t.rcv_nxt
-           ~window:(min 0xFFFF (rcv_wnd t))
+           ~window:(Int.min 0xFFFF (rcv_wnd t))
            ~options:(syn_options t) ~src_port:(snd t.local)
            ~dst_port:(snd t.remote) ~seq:t.iss ());
       arm_rtx t

@@ -8,8 +8,11 @@
    gives O(n) push/read in the bytes moved and O(1) release, independent
    of access history.
 
-   The physical ring starts small and doubles up to [capacity], so idle
-   connections don't pay for a full send buffer up front. *)
+   The physical ring is sized by content: it starts empty and grows to
+   the larger of what is needed and twice its size, never past
+   [capacity].  A connection that never sends holds no ring at all, and
+   one that sends 16 B requests holds a few dozen bytes — not a send
+   buffer's worth.  The ring never shrinks. *)
 
 type t = {
   capacity : int;
@@ -19,16 +22,8 @@ type t = {
   mutable len : int;
 }
 
-let initial_size = 4096
-
 let create ~capacity =
-  {
-    capacity;
-    buf = Bytes.create (min capacity initial_size);
-    head = 0;
-    start = 0;
-    len = 0;
-  }
+  { capacity; buf = Bytes.empty; head = 0; start = 0; len = 0 }
 
 let capacity t = t.capacity
 let length t = t.len
@@ -41,21 +36,21 @@ let is_empty t = t.len = 0
    live window to the front. *)
 let grow t needed =
   let size = Bytes.length t.buf in
-  let new_size = min t.capacity (max needed (max initial_size (2 * size))) in
-  let b = Bytes.create new_size in
-  let first = min t.len (size - t.head) in
+  let b = Bytes.create (Int.min t.capacity (Int.max needed (2 * size))) in
+  let first = Int.min t.len (size - t.head) in
   Bytes.blit t.buf t.head b 0 first;
   if t.len > first then Bytes.blit t.buf 0 b first (t.len - first);
   t.buf <- b;
   t.head <- 0
 
 let push t s =
-  let n = min (String.length s) (free t) in
+  let n = Int.min (String.length s) (free t) in
   if n > 0 then begin
     if t.len + n > Bytes.length t.buf then grow t (t.len + n);
+    (* [n > 0] and the grow above make the ring non-empty *)
     let size = Bytes.length t.buf in
     let tail = (t.head + t.len) mod size in
-    let first = min n (size - tail) in
+    let first = Int.min n (size - tail) in
     Bytes.blit_string s 0 t.buf tail first;
     if n > first then Bytes.blit_string s first t.buf 0 (n - first);
     t.len <- t.len + n
@@ -65,13 +60,14 @@ let push t s =
 let read t ~pos ~len =
   assert (pos >= t.start);
   let avail = t.start + t.len - pos in
-  let len = min len (max 0 avail) in
+  let len = Int.min len (Int.max 0 avail) in
   if len = 0 then ""
   else begin
+    (* [len > 0] implies held bytes, so the ring is non-empty *)
     let size = Bytes.length t.buf in
     let off = (t.head + (pos - t.start)) mod size in
     let b = Bytes.create len in
-    let first = min len (size - off) in
+    let first = Int.min len (size - off) in
     Bytes.blit t.buf off b 0 first;
     if len > first then Bytes.blit t.buf 0 b first (len - first);
     Bytes.unsafe_to_string b
@@ -89,8 +85,9 @@ let of_string ~capacity ~start_offset data =
 
 let release_to t ~pos =
   if pos > t.start then begin
-    let drop = min (pos - t.start) t.len in
+    let drop = Int.min (pos - t.start) t.len in
     let size = Bytes.length t.buf in
+    (* a never-pushed ring is empty: nothing to advance *)
     if size > 0 then t.head <- (t.head + drop) mod size;
     t.start <- t.start + drop;
     t.len <- t.len - drop

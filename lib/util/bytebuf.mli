@@ -9,8 +9,14 @@
 type t
 
 val create : capacity:int -> t
+(** An empty buffer that will hold at most [capacity] bytes.  No byte
+    storage is allocated until the first {!push}; the storage then grows
+    with the bytes held, up to [capacity]. *)
 
 val capacity : t -> int
+(** The logical bound on held bytes given at creation (the socket send
+    buffer size), not the size of the storage allocated so far. *)
+
 val length : t -> int
 (** Bytes currently held. *)
 

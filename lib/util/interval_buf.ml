@@ -72,7 +72,7 @@ let read i n =
     let b = Bytes.create n in
     let rec fill s pos =
       if pos < n then begin
-        let k = min s.len (n - pos) in
+        let k = Int.min s.len (n - pos) in
         Bytes.blit_string s.data s.off b pos k;
         fill s.next (pos + k)
       end
@@ -133,7 +133,7 @@ let contiguous_length t =
 let peek t ~max_len =
   match t.islands with
   | i :: _ when Seq32.equal i.start t.base && max_len > 0 ->
-    read i (min max_len i.size)
+    read i (Int.min max_len i.size)
   | _ -> ""
 
 let drop t ~len =

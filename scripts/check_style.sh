@@ -36,6 +36,66 @@ for f in $files; do
   fi
 done
 
+# Hot-path lint.  These modules run per segment (or per event), where
+# every polymorphic comparison is a C call into compare_val: reject bare
+# or Stdlib [max]/[min] (use Int.*/Float.*), [List.mem]/[List.assoc]
+# (write a monomorphic loop) and the polymorphic [Hashtbl] accessors
+# (use a Hashtbl.Make instance with a monomorphic [equal]).  Comments,
+# string and char literals are blanked first, keeping line numbers, so
+# only code counts.  [compare] is not flagged: on int-typed arguments
+# ocamlopt already specialises it.
+hot_path="
+lib/util/bytebuf.ml
+lib/util/interval_buf.ml
+lib/sim/engine.ml
+lib/sim/cpu.ml
+lib/tcp/tcb.ml
+lib/tcp/rto.ml
+lib/tcp/stack.ml
+lib/core/primary_bridge.ml
+lib/core/secondary_bridge.ml
+lib/core/failover_config.ml
+lib/ip/arp_cache.ml
+lib/ip/eth_iface.ml
+lib/net/medium.ml
+lib/host/host.ml
+lib/statex/codec.ml
+"
+
+hot_hits=$(for f in $hot_path; do
+  [ -f "$f" ] || { echo "$f: missing hot-path module"; continue; }
+  perl -0777 -ne '
+    my $f = $ARGV; my $src = $_; my $out = ""; my $depth = 0;
+    my $blank = sub { (my $x = shift) =~ s/[^\n]/ /g; $x };
+    my $chr = qr{\x27(?:\\(?:[\\\x27"ntbr ]|\d{3}|x[0-9a-fA-F]{2}|o[0-7]{3})|[^\\\x27\n])\x27};
+    pos($src) = 0;
+    while (pos($src) < length $src) {
+      if ($src =~ /\G\(\*/gc) { $depth++; $out .= "  " }
+      elsif ($depth > 0 && $src =~ /\G\*\)/gc) { $depth--; $out .= "  " }
+      elsif ($src =~ /\G("(?:[^"\\]|\\.)*")/gcs) { $out .= $blank->($1) }
+      elsif ($src =~ /\G($chr)/gc) { $out .= $blank->($1) }
+      elsif ($depth == 0 && $src =~ /\G([A-Za-z_][\w\x27]*)/gc) { $out .= $1 }
+      elsif ($src =~ /\G(.)/gcs) { $out .= $depth > 0 ? $blank->($1) : $1 }
+    }
+    my $n = 0;
+    for my $line (split /\n/, $out, -1) {
+      $n++;
+      while ($line =~ /(?<![\w.~?\x27])(max|min)(?![\w\x27])
+                      |\bStdlib\.(?:max|min)\b
+                      |\bList\.(?:mem|assoc|mem_assoc|assoc_opt)\b
+                      |(?<![\w.])Hashtbl\.(?:find|find_opt|find_all|replace|mem|add|remove)\b/xg) {
+        print "$f:$n: $&\n";
+      }
+    }
+  ' "$f"
+done)
+if [ -n "$hot_hits" ]; then
+  printf '%s\n' "$hot_hits" | while IFS= read -r h; do
+    complain "${h%%: *}" "polymorphic compare on the hot path: ${h##*: }"
+  done
+  fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
   echo "style: FAILED" >&2
   exit 1

@@ -574,3 +574,45 @@ let suite =
       Alcotest.test_case "2^32 wraparound with failover" `Quick
         test_sequence_wraparound_with_failover;
     ]
+
+(* At failover the bridge degrades every connection by folding and
+   iterating its keyed table, and the order it visits them in is part of
+   the simulation.  The table uses [Hashtbl.hash] with a monomorphic
+   [equal], so under any sequence of inserts and removes it must visit
+   keys exactly as a generic [Hashtbl] fed the same operations — across
+   resizes too. *)
+let prop_conn_table_order =
+  let module Conns = Primary_bridge.Conns in
+  let key =
+    QCheck.Gen.(
+      map3
+        (fun a rp lp -> (Tcpfo_packet.Ipaddr.of_int (0x0a00_0000 + a), rp, lp))
+        (int_range 0 40) (int_range 1024 1100) (oneofl [ 80; 443; 8080 ]))
+  in
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 0 400)
+        (pair (frequency [ (3, return true); (1, return false) ]) key))
+  in
+  QCheck.Test.make ~name:"conn table folds in generic Hashtbl order"
+    ~count:200 (QCheck.make gen) (fun ops ->
+      let keyed = Conns.create 16 and generic = Hashtbl.create 16 in
+      List.iteri
+        (fun i (insert, k) ->
+          if insert then begin
+            Conns.replace keyed k i;
+            Hashtbl.replace generic k i
+          end
+          else begin
+            Conns.remove keyed k;
+            Hashtbl.remove generic k
+          end)
+        ops;
+      let order_k = Conns.fold (fun k v acc -> (k, v) :: acc) keyed [] in
+      let order_g = Hashtbl.fold (fun k v acc -> (k, v) :: acc) generic [] in
+      let iter_k = ref [] and iter_g = ref [] in
+      Conns.iter (fun k _ -> iter_k := k :: !iter_k) keyed;
+      Hashtbl.iter (fun k _ -> iter_g := k :: !iter_g) generic;
+      order_k = order_g && !iter_k = !iter_g)
+
+let suite = suite @ [ QCheck_alcotest.to_alcotest prop_conn_table_order ]

@@ -121,6 +121,126 @@ let test_wrap_stream_intact () =
   Testutil.check_string "wrapped stream intact" (Buffer.contents sent)
     (Buffer.contents got)
 
+(* Model test.  The physical ring starts at zero bytes and grows on
+   demand, so growing out of a wrapped window — head near the end of the
+   ring, tail wrapped to its front — happens on nearly every connection.
+   Random interleavings of every mutator are checked against a plain
+   string model of the held window. *)
+type op =
+  | Push of string
+  | Read of int * int (* position within the held window, length *)
+  | Release of int (* target offset relative to the window start *)
+  | Rebuild of int (* [of_string] at this absolute start offset *)
+
+let show_op = function
+  | Push s -> Printf.sprintf "push %d" (String.length s)
+  | Read (p, l) -> Printf.sprintf "read +%d %d" p l
+  | Release d -> Printf.sprintf "release %+d" d
+  | Rebuild o -> Printf.sprintf "of_string @%d" o
+
+let prop_model =
+  let gen =
+    QCheck.Gen.(
+      let op =
+        frequency
+          [
+            ( 5,
+              map
+                (fun s -> Push s)
+                (string_size ~gen:printable (int_range 0 320)) );
+            ( 3,
+              map2 (fun p l -> Read (p, l)) (int_range 0 320) (int_range 0 320)
+            );
+            (3, map (fun d -> Release d) (int_range (-20) 340));
+            (1, map (fun o -> Rebuild o) (int_range 0 1000));
+          ]
+      in
+      pair (int_range 1 300) (list_size (int_range 1 60) op))
+  in
+  let print (cap, ops) =
+    Printf.sprintf "capacity %d: %s" cap
+      (String.concat "; " (List.map show_op ops))
+  in
+  QCheck.Test.make ~name:"ring matches string model" ~count:500
+    (QCheck.make ~print gen) (fun (capacity, ops) ->
+      let b = ref (Bytebuf.create ~capacity) in
+      (* model: the held bytes and the absolute offset of the first one *)
+      let held = ref "" and start = ref 0 in
+      let agree () =
+        Bytebuf.start_offset !b = !start
+        && Bytebuf.length !b = String.length !held
+        && Bytebuf.end_offset !b = !start + String.length !held
+        && Bytebuf.free !b = capacity - String.length !held
+        && Bytebuf.capacity !b = capacity
+        && Bytebuf.is_empty !b = (!held = "")
+        && Bytebuf.read !b ~pos:!start ~len:capacity = !held
+      in
+      List.for_all
+        (fun op ->
+          let ok =
+            match op with
+            | Push s ->
+              let room = capacity - String.length !held in
+              let want = Int.min (String.length s) room in
+              held := !held ^ String.sub s 0 want;
+              Bytebuf.push !b s = want
+            | Read (p, len) ->
+              let n = String.length !held in
+              let p = if n = 0 then 0 else p mod (n + 1) in
+              let got = Bytebuf.read !b ~pos:(!start + p) ~len in
+              got = String.sub !held p (Int.min len (n - p))
+            | Release d ->
+              let n = String.length !held in
+              let drop = Int.max 0 (Int.min d n) in
+              Bytebuf.release_to !b ~pos:(!start + d);
+              held := String.sub !held drop (n - drop);
+              start := !start + drop;
+              true
+            | Rebuild o ->
+              b := Bytebuf.of_string ~capacity ~start_offset:o !held;
+              start := o;
+              true
+          in
+          ok && agree ())
+        ops)
+
+(* A connection that has not sent holds no ring: the buffer is a
+   fixed-size record however large its logical capacity, and a small
+   push grows the ring to the bytes pushed, not to a send buffer. *)
+let test_footprint () =
+  let b = Bytebuf.create ~capacity:65536 in
+  let words () = Obj.reachable_words (Obj.repr b) in
+  Alcotest.(check bool)
+    (Printf.sprintf "fresh buffer is %d words" (words ()))
+    true
+    (words () <= 8);
+  Testutil.check_int "push 16" 16 (Bytebuf.push b (String.make 16 'x'));
+  Alcotest.(check bool)
+    (Printf.sprintf "after a 16 B push: %d words" (words ()))
+    true
+    (words () <= 12);
+  Testutil.check_int "logical capacity unchanged" 65536 (Bytebuf.capacity b);
+  Testutil.check_int "free is logical" (65536 - 16) (Bytebuf.free b)
+
+(* [read] and [release_to] before any push must not divide by the empty
+   ring's size. *)
+let test_empty_ring () =
+  let b = Bytebuf.create ~capacity:100 in
+  Testutil.check_string "read nothing" "" (Bytebuf.read b ~pos:0 ~len:10);
+  Bytebuf.release_to b ~pos:5;
+  Testutil.check_int "release clipped" 0 (Bytebuf.start_offset b);
+  Testutil.check_string "read past end" "" (Bytebuf.read b ~pos:7 ~len:3);
+  let r = Bytebuf.of_string ~capacity:100 ~start_offset:42 "" in
+  Bytebuf.release_to r ~pos:50;
+  Testutil.check_int "rebuilt empty start" 42 (Bytebuf.start_offset r);
+  Testutil.check_string "rebuilt empty read" "" (Bytebuf.read r ~pos:42 ~len:1);
+  Testutil.check_int "push after release" 3 (Bytebuf.push r "abc");
+  Testutil.check_string "then read" "abc" (Bytebuf.read r ~pos:42 ~len:3);
+  let z = Bytebuf.create ~capacity:0 in
+  Testutil.check_int "zero capacity" 0 (Bytebuf.push z "a");
+  Bytebuf.release_to z ~pos:1;
+  Testutil.check_string "zero capacity read" "" (Bytebuf.read z ~pos:0 ~len:1)
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -132,6 +252,9 @@ let suite =
       test_sliding_window_amortized;
     Alcotest.test_case "ring wrap keeps stream intact" `Quick
       test_wrap_stream_intact;
+    Alcotest.test_case "footprint sized by content" `Quick test_footprint;
+    Alcotest.test_case "empty ring read and release" `Quick test_empty_ring;
     q prop_fifo;
     q prop_release_read_agree;
+    q prop_model;
   ]

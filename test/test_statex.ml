@@ -217,6 +217,30 @@ let test_exhaustive_small_flip () =
   check_bool "original still decodes" true
     (Snapshot.decode img = Ok conn)
 
+(* FNV-1a-64 known answers, and equality with the closure formulation
+   the loop replaced, over a body larger than any snapshot. *)
+let test_fnv1a64 () =
+  let fnv = Tcpfo_statex.Codec.fnv1a64 in
+  let check name want s = Alcotest.(check int64) name want (fnv s) in
+  check "empty" 0xcbf29ce484222325L "";
+  check "a" 0xaf63dc4c8601ec8cL "a";
+  check "foobar" 0x85944171f73967e8L "foobar";
+  let big =
+    String.init (1 lsl 20) (fun i -> Char.chr ((i * 131) lxor (i lsr 8) land 0xFF))
+  in
+  let reference =
+    let h = ref 0xcbf29ce484222325L in
+    String.iter
+      (fun c ->
+        h :=
+          Int64.mul
+            (Int64.logxor !h (Int64.of_int (Char.code c)))
+            0x100000001b3L)
+      big;
+    !h
+  in
+  check "1 MiB matches String.iter" reference big
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -230,4 +254,5 @@ let suite =
         test_delta_roundtrip;
       Alcotest.test_case "version byte flip rejected" `Quick
         test_version_flip_rejected;
+      Alcotest.test_case "fnv1a64 known answers" `Quick test_fnv1a64;
     ]
