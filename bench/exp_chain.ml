@@ -19,23 +19,12 @@ module Failover_config = Tcpfo_core.Failover_config
 let reply_size = 262144
 
 let serve_reply_on listen =
+  let reply = String.make reply_size 'c' in
   listen (fun tcb ->
       let got = ref 0 in
       Tcb.set_on_data tcb (fun d ->
           got := !got + String.length d;
-          if !got >= 3 then begin
-            let off = ref 0 in
-            let rec pump () =
-              if !off < reply_size then begin
-                let want = min 32768 (reply_size - !off) in
-                let n = Tcb.send tcb (String.make want 'c') in
-                off := !off + n;
-                if n < want then Tcb.set_on_drain tcb pump else pump ()
-              end
-              else Tcb.close tcb
-            in
-            pump ()
-          end))
+          if !got >= 3 then Tcpfo_apps.Bulk.send_and_close tcb reply))
 
 type run_result = { total : Time.t; stall : Time.t; intact : bool }
 
@@ -130,22 +119,46 @@ let run_exp ~trials =
     "\n3-chain, kill one replica at 20 ms mid-transfer (%d trials):\n" trials;
   Printf.printf "%-10s %8s %14s %14s\n" "victim" "intact" "stall med[ms]"
     "total med[ms]";
-  List.iter
-    (fun (name, idx) ->
-      let runs =
-        List.filter_map Fun.id
-          (map_trials trials (fun i ->
-               chain_run ~n:3 ~seed:(9500 + (idx * 100) + i)
-                 ~kill:(Some (Time.ms 20, idx))))
-      in
-      match runs with
-      | [] -> Printf.printf "%-10s %8s\n" name "DNF"
-      | _ ->
-        Printf.printf "%-10s %8b %14.2f %14.2f\n" name
-          (List.for_all (fun r -> r.intact) runs)
-          (median_of runs (fun r -> Time.to_ms r.stall))
-          (median_of runs (fun r -> Time.to_ms r.total)))
-    [ ("head", 0); ("middle", 1); ("tail", 2) ];
+  let rows =
+    List.map
+      (fun (name, idx) ->
+        let outcomes =
+          map_trials trials (fun i ->
+              chain_run ~n:3 ~seed:(9500 + (idx * 100) + i)
+                ~kill:(Some (Time.ms 20, idx)))
+        in
+        let runs = List.filter_map Fun.id outcomes in
+        (* a DNF trial never saw EOF, so its stream is not intact *)
+        let intact =
+          List.for_all
+            (function Some r -> r.intact | None -> false)
+            outcomes
+        in
+        let stall =
+          match runs with
+          | [] ->
+            Printf.printf "%-10s %8s\n" name "DNF";
+            "null"
+          | _ ->
+            let stall = median_of runs (fun r -> Time.to_ms r.stall) in
+            Printf.printf "%-10s %8b %14.2f %14.2f\n" name intact stall
+              (median_of runs (fun r -> Time.to_ms r.total));
+            Printf.sprintf "%.2f" stall
+        in
+        (name, intact, stall))
+      [ ("head", 0); ("middle", 1); ("tail", 2) ]
+  in
+  let all_ok = List.for_all (fun (_, intact, _) -> intact) rows in
+  Printf.printf
+    "[chain-summary] {\"trials\":%d,\"jobs\":%d,\"all_ok\":%b,\"rows\":[%s]}\n"
+    trials !jobs all_ok
+    (String.concat ","
+       (List.map
+          (fun (name, intact, stall) ->
+            Printf.sprintf
+              "{\"victim\":\"%s\",\"intact\":%b,\"stall_median_ms\":%s}"
+              name intact stall)
+          rows));
   Printf.printf
     "findings: (1) fault-free cost grows ~linearly to depth 3 (each level\n\
      re-crosses the shared segment once); (2) at depth 4+ the topology\n\

@@ -51,17 +51,7 @@ let one_run ~seed ~victim ~kill_at ~detector_timeout =
   let reply = String.init reply_size (fun i -> Char.chr ((i * 7) land 0xFF)) in
   Replicated.listen repl ~port:5002 ~on_accept:(fun ~role:_ tcb ->
       Tcb.set_on_established tcb (fun () ->
-          let off = ref 0 in
-          let rec pump () =
-            if !off < reply_size then begin
-              let want = min 32768 (reply_size - !off) in
-              let n = Tcb.send tcb (String.sub reply !off want) in
-              off := !off + n;
-              if n < want then Tcb.set_on_drain tcb pump else pump ()
-            end
-            else Tcb.close tcb
-          in
-          pump ()));
+          Tcpfo_apps.Bulk.send_and_close tcb reply));
   let buf = Buffer.create reply_size in
   let started = ref Time.zero in
   let last_arrival = ref Time.zero in

@@ -8,68 +8,96 @@
 open Cmdliner
 open Bench_lib
 
-type which =
-  | All
-  | Setup
-  | Fig3
-  | Fig4
-  | Fig5
-  | Fig6
-  | Failover_exp
-  | Ablation
-  | Chain_exp
-  | Scale_exp
-  | Micro_exp
-  | Soak_exp
-  | Reintegration_exp
-  | Pool_exp
-  | Threetier_exp
-  | Highconn_exp
-  | Fleet_exp
+type opts = {
+  quick : bool;
+  seeds : int;
+  first_seed : int;
+  soak_report : string option;
+  loss_rates : float list;
+}
 
-let which_of_string = function
-  | "all" -> Ok All
-  | "setup" -> Ok Setup
-  | "fig3" -> Ok Fig3
-  | "fig4" -> Ok Fig4
-  | "fig5" -> Ok Fig5
-  | "fig6" -> Ok Fig6
-  | "failover" -> Ok Failover_exp
-  | "ablation" -> Ok Ablation
-  | "chain" -> Ok Chain_exp
-  | "scale" -> Ok Scale_exp
-  | "micro" -> Ok Micro_exp
-  | "soak" -> Ok Soak_exp
-  | "reintegration" -> Ok Reintegration_exp
-  | "pool" -> Ok Pool_exp
-  | "threetier" -> Ok Threetier_exp
-  | "highconn" -> Ok Highconn_exp
-  | "fleet" -> Ok Fleet_exp
-  | s -> Error (`Msg ("unknown experiment: " ^ s))
+let fig_trials o = if o.quick then 1 else 3
+
+let fig_sizes o =
+  if o.quick then [ 64; 1024; 16384; 65536; 262144; 1048576 ]
+  else Harness.fig34_sizes
+
+(* Every experiment, in the order [--exp all] runs them.  A runner
+   returns its number of failed scenarios; only the soak can fail. *)
+let experiments : (string * (opts -> int)) list =
+  let plain f o =
+    f o;
+    0
+  in
+  let q o ~quick ~full = if o.quick then quick else full in
+  [
+    ( "setup",
+      plain (fun o -> Exp_setup.run_exp ~trials:(q o ~quick:20 ~full:100)) );
+    ( "fig3",
+      plain (fun o ->
+          Exp_fig3.run_exp ~sizes:(fig_sizes o) ~trials:(fig_trials o)) );
+    ( "fig4",
+      plain (fun o ->
+          Exp_fig4.run_exp ~sizes:(fig_sizes o) ~trials:(fig_trials o)) );
+    ( "fig5",
+      plain (fun o ->
+          Exp_fig5.run_exp ~size:(q o ~quick:10 ~full:100 * (1 lsl 20))) );
+    ("fig6", plain (fun o -> Exp_fig6.run_exp ~trials:(fig_trials o)));
+    ( "failover",
+      plain (fun o -> Exp_failover.run_exp ~trials:(q o ~quick:3 ~full:7)) );
+    ( "ablation",
+      plain (fun o -> Exp_ablation.run_exp ~trials:(q o ~quick:3 ~full:7)) );
+    ( "chain",
+      plain (fun o -> Exp_chain.run_exp ~trials:(q o ~quick:3 ~full:5)) );
+    ( "scale",
+      plain (fun o ->
+          Exp_scale.run_exp ~conns:(q o ~quick:64 ~full:256)
+            ~reply_size:(q o ~quick:4096 ~full:65536)
+            ~trials:(q o ~quick:2 ~full:4)) );
+    ("micro", plain (fun _ -> Micro.run_exp ()));
+    ( "reintegration",
+      plain (fun o ->
+          Exp_reintegration.run_exp
+            ~conn_counts:(q o ~quick:[ 4; 16 ] ~full:[ 10; 100; 1000 ])
+            ~loss_rates:(if o.loss_rates = [] then [ 0.0 ] else o.loss_rates)
+            ~big:(q o ~quick:0 ~full:10_000)
+            ~trials:(q o ~quick:2 ~full:3)) );
+    ( "pool",
+      plain (fun o ->
+          Exp_pool.run_exp
+            ~pool_sizes:(q o ~quick:[ 3; 4 ] ~full:[ 3; 4; 5 ])
+            ~trials:(q o ~quick:2 ~full:3)) );
+    ( "threetier",
+      plain (fun o ->
+          Exp_threetier.run_exp
+            ~cycle_counts:(q o ~quick:[ 3 ] ~full:[ 3; 6 ])
+            ~trials:(q o ~quick:2 ~full:3)) );
+    ( "highconn",
+      plain (fun o ->
+          Exp_highconn.run_exp
+            ~conn_counts:(q o ~quick:[ 100; 400 ] ~full:[ 1000; 4000; 10000 ])
+            ~trials:(q o ~quick:1 ~full:2)) );
+    ( "fleet",
+      plain (fun o ->
+          Exp_fleet.run_exp ~pools:(q o ~quick:4 ~full:16)
+            ~conns:(q o ~quick:256 ~full:2048)
+            ~cycles:(q o ~quick:2 ~full:8)
+            ~trials:(q o ~quick:1 ~full:2)) );
+    ( "soak",
+      fun o ->
+        Exp_soak.run_exp
+          ~seeds:(if o.quick then min o.seeds 20 else o.seeds)
+          ~first_seed:o.first_seed ?report:o.soak_report () );
+  ]
+
+let exp_names = "all" :: List.map fst experiments
 
 let which_conv =
   Arg.conv
-    ( which_of_string,
-      fun fmt w ->
-        Format.pp_print_string fmt
-          (match w with
-          | All -> "all"
-          | Setup -> "setup"
-          | Fig3 -> "fig3"
-          | Fig4 -> "fig4"
-          | Fig5 -> "fig5"
-          | Fig6 -> "fig6"
-          | Failover_exp -> "failover"
-          | Ablation -> "ablation"
-          | Chain_exp -> "chain"
-          | Scale_exp -> "scale"
-          | Micro_exp -> "micro"
-          | Soak_exp -> "soak"
-          | Reintegration_exp -> "reintegration"
-          | Pool_exp -> "pool"
-          | Threetier_exp -> "threetier"
-          | Highconn_exp -> "highconn"
-          | Fleet_exp -> "fleet") )
+    ( (fun s ->
+        if List.mem s exp_names then Ok s
+        else Error (`Msg ("unknown experiment: " ^ s))),
+      Format.pp_print_string )
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
@@ -88,74 +116,26 @@ let run which quick metrics_dir jobs seeds first_seed soak_report loss_rates =
     if jobs = 0 then Tcpfo_util.Domain_pool.default_jobs () else max 1 jobs
   in
   Harness.jobs := jobs;
-  let fig_trials = if quick then 1 else 3 in
-  let sizes =
-    if quick then [ 64; 1024; 16384; 65536; 262144; 1048576 ]
-    else Harness.fig34_sizes
-  in
-  let stream_size = (if quick then 10 else 100) * (1 lsl 20) in
+  let opts = { quick; seeds; first_seed; soak_report; loss_rates } in
   (* CPU time of this process and of the children E13 forks *)
   let cpu () =
     let t = Unix.times () in
     t.tms_utime +. t.tms_stime +. t.tms_cutime +. t.tms_cstime
   in
   let t0 = cpu () in
-  let should w = which = All || which = w in
-  if should Setup then Exp_setup.run_exp ~trials:(if quick then 20 else 100);
-  if should Fig3 then Exp_fig3.run_exp ~sizes ~trials:fig_trials;
-  if should Fig4 then Exp_fig4.run_exp ~sizes ~trials:fig_trials;
-  if should Fig5 then Exp_fig5.run_exp ~size:stream_size;
-  if should Fig6 then Exp_fig6.run_exp ~trials:fig_trials;
-  if should Failover_exp then
-    Exp_failover.run_exp ~trials:(if quick then 3 else 7);
-  if should Ablation then Exp_ablation.run_exp ~trials:(if quick then 3 else 7);
-  if should Chain_exp then Exp_chain.run_exp ~trials:(if quick then 3 else 5);
-  if should Scale_exp then
-    Exp_scale.run_exp
-      ~conns:(if quick then 64 else 256)
-      ~reply_size:(if quick then 4096 else 65536)
-      ~trials:(if quick then 2 else 4);
-  if should Micro_exp then Micro.run_exp ();
-  if should Reintegration_exp then
-    Exp_reintegration.run_exp
-      ~conn_counts:(if quick then [ 4; 16 ] else [ 10; 100; 1000 ])
-      ~loss_rates:(if loss_rates = [] then [ 0.0 ] else loss_rates)
-      ~big:(if quick then 0 else 10_000)
-      ~trials:(if quick then 2 else 3);
-  if should Pool_exp then
-    Exp_pool.run_exp
-      ~pool_sizes:(if quick then [ 3; 4 ] else [ 3; 4; 5 ])
-      ~trials:(if quick then 2 else 3);
-  if should Threetier_exp then
-    Exp_threetier.run_exp
-      ~cycle_counts:(if quick then [ 3 ] else [ 3; 6 ])
-      ~trials:(if quick then 2 else 3);
-  if should Highconn_exp then
-    Exp_highconn.run_exp
-      ~conn_counts:(if quick then [ 100; 400 ] else [ 1000; 4000; 10000 ])
-      ~trials:(if quick then 1 else 2);
-  if should Fleet_exp then
-    Exp_fleet.run_exp
-      ~pools:(if quick then 4 else 16)
-      ~conns:(if quick then 256 else 2048)
-      ~cycles:(if quick then 2 else 8)
-      ~trials:(if quick then 1 else 2);
-  let soak_failures =
-    if should Soak_exp then
-      Exp_soak.run_exp
-        ~seeds:(if quick then min seeds 20 else seeds)
-        ~first_seed ?report:soak_report ()
-    else 0
+  let failures =
+    List.fold_left
+      (fun acc (name, runner) ->
+        if which = "all" || which = name then acc + runner opts else acc)
+      0 experiments
   in
   Printf.printf "\n[bench completed in %.1fs cpu time]\n%!"
     (cpu () -. t0);
-  if soak_failures > 0 then exit 1
+  if failures > 0 then exit 1
 
 let which_arg =
-  Arg.(value & opt which_conv All & info [ "exp" ] ~docv:"EXP"
-         ~doc:"Experiment to run: all, setup, fig3, fig4, fig5, fig6, \
-               failover, ablation, chain, scale, micro, soak, \
-               reintegration, pool, threetier, highconn, fleet.")
+  Arg.(value & opt which_conv "all" & info [ "exp" ] ~docv:"EXP"
+         ~doc:("Experiment to run: " ^ String.concat ", " exp_names ^ "."))
 
 let quick_arg =
   Arg.(value & flag & info [ "quick" ] ~doc:"Reduced sizes and trial counts.")

@@ -97,25 +97,17 @@ let build_world ?fault_plan ?(standbys = 0) ~seed ~detector_ms ~trace () =
   if trace then attach_trace world;
   (world, lan, client, primary, secondary, repl)
 
+(* the demo service, shared by pools and chains: once the 3-byte
+   request is in, stream [reply] and close *)
+let reply_app ~reply tcb =
+  let got = ref 0 in
+  Tcb.set_on_data tcb (fun d ->
+      got := !got + String.length d;
+      if !got >= 3 then Tcpfo_apps.Bulk.send_and_close tcb reply)
+
 let serve_reply repl ~reply =
   Replicated.listen repl ~port:80 ~on_accept:(fun ~role:_ tcb ->
-      let got = ref 0 in
-      Tcb.set_on_data tcb (fun d ->
-          got := !got + String.length d;
-          if !got >= 3 then begin
-            let size = String.length reply in
-            let off = ref 0 in
-            let rec pump () =
-              if !off < size then begin
-                let want = min 32768 (size - !off) in
-                let n = Tcb.send tcb (String.sub reply !off want) in
-                off := !off + n;
-                if n < want then Tcb.set_on_drain tcb pump else pump ()
-              end
-              else Tcb.close tcb
-            in
-            pump ()
-          end))
+      reply_app ~reply tcb)
 
 let run_failover victim kill_at_ms size_kb detector_ms trace stats seed
     fault_plan repair_at_ms rekill_at_ms standbys =
@@ -329,23 +321,7 @@ let run_chain n_replicas kills_ms size_kb trace stats seed =
     String.init (size_kb * 1024) (fun i -> Char.chr ((i * 31) land 0xFF))
   in
   Tcpfo_core.Chain.listen chain ~port:80 ~on_accept:(fun ~replica:_ tcb ->
-      let got = ref 0 in
-      Tcb.set_on_data tcb (fun d ->
-          got := !got + String.length d;
-          if !got >= 3 then begin
-            let size = String.length reply in
-            let off = ref 0 in
-            let rec pump () =
-              if !off < size then begin
-                let want = min 32768 (size - !off) in
-                let n = Tcb.send tcb (String.sub reply !off want) in
-                off := !off + n;
-                if n < want then Tcb.set_on_drain tcb pump else pump ()
-              end
-              else Tcb.close tcb
-            in
-            pump ()
-          end));
+      reply_app ~reply tcb);
   let buf = Buffer.create (size_kb * 1024) in
   let finished = ref None in
   let conn =

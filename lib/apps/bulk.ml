@@ -7,27 +7,38 @@ let stream_byte i = Char.chr ((i * 31 + (i lsr 8) * 17 + 5) land 0xFF)
 
 let stream_chunk ~pos n = String.init n (fun i -> stream_byte (pos + i))
 
-(* Pump [size] bytes of the deterministic stream into [tcb], respecting
-   backpressure; [on_buffered] fires when the last byte enters the send
-   buffer, [then_close] closes afterwards. *)
-let pump ?(chunk = 32768) ~size ~on_buffered ~then_close tcb =
+(* Write [size] bytes into [tcb] at most [chunk] per send, respecting
+   backpressure: [piece ~pos n] yields the [n] bytes at offset [pos],
+   and [on_done] fires when the last byte enters the send buffer. *)
+let write ~chunk ~size ~piece ~on_done tcb =
   let pos = ref 0 in
   let rec go () =
     if !pos < size then begin
-      let want = min chunk (size - !pos) in
-      let n = Tcb.send tcb (stream_chunk ~pos:!pos want) in
+      let want = Int.min chunk (size - !pos) in
+      let n = Tcb.send tcb (piece ~pos:!pos want) in
       pos := !pos + n;
       if n < want then
         (* buffer full: resume when acknowledgments free space *)
         Tcb.set_on_drain tcb go
       else go ()
     end
-    else begin
-      on_buffered ();
-      if then_close then Tcb.close tcb
-    end
+    else on_done ()
   in
   go ()
+
+(* Pump [size] bytes of the deterministic stream into [tcb];
+   [on_buffered] fires when the last byte enters the send buffer,
+   [then_close] closes afterwards. *)
+let pump ?(chunk = 32768) ~size ~on_buffered ~then_close tcb =
+  write ~chunk ~size ~piece:stream_chunk tcb ~on_done:(fun () ->
+      on_buffered ();
+      if then_close then Tcb.close tcb)
+
+let send_and_close tcb payload =
+  write ~chunk:32768 ~size:(String.length payload)
+    ~piece:(fun ~pos n -> String.sub payload pos n)
+    ~on_done:(fun () -> Tcb.close tcb)
+    tcb
 
 module Sink = struct
   let handle ?on_complete tcb =

@@ -44,6 +44,11 @@ module Rr : sig
     Tcpfo_core.Replicated.t -> port:int -> reply_size:int -> unit
 end
 
+val send_and_close : Tcpfo_tcp.Tcb.t -> string -> unit
+(** Write the whole payload into the connection, at most 32 KiB per
+    send; a short write resumes when the send buffer drains.  Closes
+    the connection once the last byte is buffered. *)
+
 (** {1 Client-side drivers} *)
 
 val upload :

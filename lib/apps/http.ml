@@ -160,10 +160,6 @@ let serve_replicated repl ~port handler =
   Tcpfo_core.Replicated.listen repl ~port ~on_accept:(fun ~role:_ tcb ->
       handle_connection handler tcb)
 
-let serve_chain chain ~port handler =
-  Tcpfo_core.Chain.listen chain ~port ~on_accept:(fun ~replica:_ tcb ->
-      handle_connection handler tcb)
-
 (* ------------------------------------------------------------------ *)
 (* Client                                                             *)
 

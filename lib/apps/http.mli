@@ -33,8 +33,6 @@ val serve : Tcpfo_tcp.Stack.t -> port:int -> handler -> unit
 
 val serve_replicated : Tcpfo_core.Replicated.t -> port:int -> handler -> unit
 
-val serve_chain : Tcpfo_core.Chain.t -> port:int -> handler -> unit
-
 val get :
   Tcpfo_tcp.Stack.t ->
   server:Tcpfo_packet.Ipaddr.t * int ->

@@ -1,11 +1,6 @@
-module Time = Tcpfo_sim.Time
 module Host = Tcpfo_host.Host
-module Stack = Tcpfo_tcp.Stack
 module Tcb = Tcpfo_tcp.Tcb
 module Ipaddr = Tcpfo_packet.Ipaddr
-module Ip_layer = Tcpfo_ip.Ip_layer
-module Eth_iface = Tcpfo_ip.Eth_iface
-module Ipv4_packet = Tcpfo_packet.Ipv4_packet
 module Obs = Tcpfo_obs.Obs
 module Registry = Tcpfo_obs.Registry
 module Transfer = Tcpfo_statex.Transfer
@@ -59,6 +54,8 @@ type t = {
   service : Ipaddr.t;
   (* listener and §7.2 setup hooks, plus the offer scheduler *)
   hot : (replica:int -> Tcb.t -> unit) Hot_transfer.t;
+  (* (watching node, watched node, detector) for every live pair *)
+  mutable watchers : (int * int * Heartbeat.t) list;
   mutable on_event : event -> unit;
   c_deaths : Registry.counter;
 }
@@ -70,73 +67,6 @@ let node_of t i = List.find (fun n -> n.index = i) t.nodes
 let alive t = t.order
 let head t = match t.order with i :: _ -> i | [] -> -1
 let pending_transfers t = Hot_transfer.pending t.hot
-
-(* ---------------------------------------------------------------- *)
-(* All-pairs heartbeat mesh.  Each live node unicasts a heartbeat to
-   every other live node each period; a per-node watcher tracks
-   last-seen times and reports silent peers.  Per-node state lives in
-   the closures of [start_node_mesh] so a rejoined replica gets a fresh
-   watcher, and existing watchers pick it up through [t.order]. *)
-
-let start_node_mesh t node ~on_death =
-  let clock = Host.clock node.host in
-  let period = t.config.Failover_config.heartbeat_period in
-  let timeout = t.config.Failover_config.detector_timeout in
-  (* sender *)
-  let seq = ref 0 in
-  let rec send_loop () =
-    if Host.alive node.host then begin
-      incr seq;
-      List.iter
-        (fun i ->
-          if i <> node.index then
-            let peer = node_of t i in
-            Ip_layer.send (Host.ip node.host)
-              (Ipv4_packet.make ~src:(Host.addr node.host)
-                 ~dst:(Host.addr peer.host)
-                 (Ipv4_packet.Heartbeat
-                    {
-                      origin = Host.name node.host;
-                      hb_seq = !seq;
-                      role = (if node.is_head then `Primary else `Secondary);
-                    })))
-        t.order;
-      ignore (clock.schedule period send_loop)
-    end
-  in
-  send_loop ();
-  (* watcher: peers alive when this watcher starts get their grace
-     period from now; peers that appear later (a rejoin) get it on
-     first sight *)
-  let last_seen : (int, Time.t) Hashtbl.t = Hashtbl.create 8 in
-  let reported : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun i -> if i <> node.index then Hashtbl.replace last_seen i (clock.now ()))
-    t.order;
-  Ip_layer.set_heartbeat_handler (Host.ip node.host) (fun ~src _hb ->
-      List.iter
-        (fun n ->
-          if Ipaddr.equal src (Host.addr n.host) then
-            Hashtbl.replace last_seen n.index (clock.now ()))
-        t.nodes);
-  let rec check_loop () =
-    if Host.alive node.host then begin
-      let now = clock.now () in
-      List.iter
-        (fun i ->
-          if i <> node.index && not (Hashtbl.mem reported i) then
-            match Hashtbl.find_opt last_seen i with
-            | None -> Hashtbl.replace last_seen i now
-            | Some seen ->
-              if now - seen > timeout then begin
-                Hashtbl.replace reported i ();
-                on_death ~observer:node.index ~dead:i
-              end)
-        t.order;
-      ignore (clock.schedule period check_loop)
-    end
-  in
-  ignore (clock.schedule (timeout + period) check_loop)
 
 (* ---------------------------------------------------------------- *)
 (* Role reconfiguration after a death.                               *)
@@ -153,20 +83,10 @@ let upstream_addr t j =
 let promote_node t node =
   if not node.is_head then begin
     node.is_head <- true;
+    let on_complete () = t.on_event (Promoted node.index) in
     match node.bridge with
-    | Merger b ->
-      (* generalized §5 for a middle replica: stop diverting upstream,
-         leave promiscuous snooping, own the service address *)
-      Primary_bridge.promote b;
-      Eth_iface.set_promiscuous (Host.eth node.host) false;
-      ignore
-        ((Host.clock node.host).schedule t.config.takeover_processing
-           (fun () ->
-             Eth_iface.add_address (Host.eth node.host) t.service;
-             t.on_event (Promoted node.index)))
-    | Tail b ->
-      Secondary_bridge.begin_takeover b ~on_complete:(fun () ->
-          t.on_event (Promoted node.index))
+    | Merger b -> Primary_bridge.promote b ~on_complete
+    | Tail b -> Secondary_bridge.begin_takeover b ~on_complete
   end
 
 let reconfigure t =
@@ -207,22 +127,41 @@ let reconfigure t =
           | Tail _ -> ())
       live
 
-let handle_death t ~observer:_ ~dead =
+let handle_death t dead =
   if List.mem dead t.order then begin
     t.order <- List.filter (fun i -> i <> dead) t.order;
+    (* a node out of the chain neither watches nor is watched *)
+    t.watchers <-
+      List.filter
+        (fun (a, b, hb) ->
+          let keep = a <> dead && b <> dead in
+          if not keep then Heartbeat.stop hb;
+          keep)
+        t.watchers;
     Registry.Counter.incr t.c_deaths;
     t.on_event (Death_detected dead);
     reconfigure t
   end
 
-(* A control-channel endpoint on replica [index]; snapshots landing
-   there re-attach as that replica's copy. *)
-let attach_transfer hot host index =
-  let xfer = Transfer.attach host in
-  Transfer.set_installer xfer
-    (Hot_transfer.installer hot host ~reattach:(fun hook tcb ->
-         hook ~replica:index tcb));
-  xfer
+(* Failure detection: every pair of live nodes runs the detector pair a
+   pool's active pair runs.  The node earlier in the chain beats as
+   [`Primary], so each side's opposite-role filter accepts exactly the
+   other's beats. *)
+let pair_up t ~up ~down =
+  let watch self peer role =
+    let hb =
+      Heartbeat.start self.host ~peer:(Host.addr peer.host) ~role
+        ~config:t.config ~on_peer_failure:(fun () ->
+          handle_death t peer.index)
+    in
+    t.watchers <- (self.index, peer.index, hb) :: t.watchers
+  in
+  watch up down `Primary;
+  watch down up `Secondary
+
+let as_replica i hook tcb = hook ~replica:i tcb
+let replica_of node = (node.host, as_replica node.index)
+let live_replicas t = List.map (fun i -> replica_of (node_of t i)) t.order
 
 (* ---------------------------------------------------------------- *)
 
@@ -247,17 +186,13 @@ let create ~replicas ~config () =
               (Primary_bridge.install host ~registry ~service_addr:service
                  ~secondary_addr:(Host.addr arr.(1))
                  ~output:Primary_bridge.Direct ())
-          else if i < n - 1 then begin
+          else if i < n - 1 then
             (* middle replica: snoop + merge + divert upstream *)
-            Eth_iface.set_promiscuous (Host.eth host) true;
-            Stack.set_extra_local (Host.tcp host) (fun ip ->
-                Ipaddr.equal ip service);
             Merger
               (Primary_bridge.install host ~registry ~service_addr:service
                  ~secondary_addr:(Host.addr arr.(i + 1))
                  ~output:(Primary_bridge.Divert_to (Host.addr arr.(i - 1)))
                  ~claim_service:true ())
-          end
           else
             Tail
               (Secondary_bridge.install host ~registry ~service_addr:service
@@ -269,7 +204,7 @@ let create ~replicas ~config () =
           host;
           bridge;
           is_head = i = 0;
-          xfer = attach_transfer hot host i;
+          xfer = Hot_transfer.attach hot (host, as_replica i);
         })
   in
   let obs = Obs.scope (Obs.root (Host.obs (List.hd replicas))) "chain" in
@@ -282,47 +217,25 @@ let create ~replicas ~config () =
       config;
       service;
       hot;
+      watchers = [];
       on_event = (fun _ -> ());
       c_deaths = Obs.counter obs "deaths";
     }
   in
-  List.iter
-    (fun node ->
-      start_node_mesh t node ~on_death:(fun ~observer ~dead ->
-          handle_death t ~observer ~dead))
-    t.nodes;
+  List.iteri
+    (fun i up ->
+      List.iteri (fun j down -> if i < j then pair_up t ~up ~down) nodes)
+    nodes;
   t
 
 let listen t ~port ~on_accept =
-  Failover_config.register_endpoint t.registry ~local_port:port;
-  Hot_transfer.add_service t.hot ~port on_accept;
-  (* retention makes the connection transferable onto a rejoined tail *)
-  List.iter
-    (fun i ->
-      let node = node_of t i in
-      Stack.listen (Host.tcp node.host) ~port ~on_accept:(fun tcb ->
-          Tcb.enable_input_retention tcb;
-          on_accept ~replica:node.index tcb))
-    t.order
+  Hot_transfer.listen t.hot ~port on_accept (live_replicas t)
 
+(* live replicas only: a dead node cannot connect, and a rejoined tail
+   receives the connection by hot state transfer instead *)
 let connect_backend t ~remote ?local_port ~setup () =
-  (match local_port with
-  | Some p -> Failover_config.register_endpoint t.registry ~local_port:p
-  | None ->
-    Failover_config.register_remote t.registry ~remote_port:(snd remote));
-  Hot_transfer.add_backend t.hot ~remote setup;
-  (* live replicas only: a dead node cannot connect, and a rejoined tail
-     receives the connection by hot state transfer instead *)
-  List.iter
-    (fun i ->
-      let node = node_of t i in
-      let tcb =
-        Stack.connect (Host.tcp node.host) ~local:t.service ?local_port
-          ~remote ()
-      in
-      Tcb.enable_input_retention tcb;
-      setup ~replica:node.index tcb)
-    t.order
+  Hot_transfer.connect_backend t.hot ~remote ?local_port setup
+    (live_replicas t)
 
 let rejoin t host =
   if not (Host.alive host) then invalid_arg "Chain.rejoin: host is not alive";
@@ -360,18 +273,12 @@ let rejoin t host =
           | Some up -> Primary_bridge.Divert_to up
           | None -> Primary_bridge.Direct
       in
-      let claim = not prev.is_head in
-      if claim then begin
-        (* uninstall dropped the promiscuous snoop and the service-address
-           claim a middle node needs; restore them *)
-        Eth_iface.set_promiscuous (Host.eth prev.host) true;
-        Stack.set_extra_local (Host.tcp prev.host) (fun ip ->
-            Ipaddr.equal ip t.service)
-      end;
+      (* a middle node claims back the promiscuous snoop and the
+         service address that uninstall dropped *)
       let b =
         Primary_bridge.install prev.host ~registry:t.registry
           ~service_addr:t.service ~secondary_addr:newaddr ~output
-          ~claim_service:claim ()
+          ~claim_service:(not prev.is_head) ()
       in
       prev.bridge <- Merger b;
       b
@@ -385,19 +292,13 @@ let rejoin t host =
   in
   let node =
     { index = idx; host; bridge = Tail sb; is_head = false;
-      xfer = attach_transfer t.hot host idx }
+      xfer = Hot_transfer.attach t.hot (host, as_replica idx) }
   in
+  let live = List.map (node_of t) t.order in
   t.nodes <- t.nodes @ [ node ];
   t.order <- t.order @ [ idx ];
-  (* start the registered services on the newcomer *)
-  List.iter
-    (fun (port, on_accept) ->
-      Stack.listen (Host.tcp host) ~port ~on_accept:(fun tcb ->
-          Tcb.enable_input_retention tcb;
-          on_accept ~replica:idx tcb))
-    (Hot_transfer.services t.hot);
-  start_node_mesh t node ~on_death:(fun ~observer ~dead ->
-      handle_death t ~observer ~dead);
+  Hot_transfer.start_services t.hot (replica_of node);
+  List.iter (fun up -> pair_up t ~up ~down:node) live;
   t.on_event (Rejoined idx);
   (* 3. re-replicate live connections onto the new tail; whatever
      cannot travel is pinned solo, and so is the queued remainder if

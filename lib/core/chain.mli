@@ -15,10 +15,14 @@
     compose, and the merged SYN carries the minimum MSS of the whole
     chain.
 
-    Failures (detected by an all-pairs heartbeat mesh):
-    - head dies → the next replica promotes: its bridge output flips to
+    Failures are detected by the pool's own {!Heartbeat} detector: every
+    pair of live replicas runs the two watchers a pool pair runs, the
+    replica earlier in the chain beating as the primary.
+    - head dies → the next replica promotes through its bridge's §5
+      takeover ({!Primary_bridge.promote} for a merging replica,
+      {!Secondary_bridge.begin_takeover} for a tail): output flips to
       direct, promiscuous mode goes off, and it takes over the service
-      address (gratuitous ARP) — §5 generalized;
+      address (gratuitous ARP);
     - a middle replica dies → the replica below re-diverts to the replica
       above; queues and sequence spaces need no adjustment because every
       level already speaks the deepest replica's space;
@@ -85,15 +89,18 @@ val rejoin : t -> Tcpfo_host.Host.t -> int
     newcomer — a degraded merger is reinstated; an original tail swaps
     its secondary bridge for the merging bridge (keeping its diversion
     target, or [Direct] output if it had become head) — the registered
-    services start on the newcomer, the heartbeat mesh extends to it,
-    and every live service connection is quiesced, snapshotted into wire
-    sequence space and shipped onto it ({!Transfers_complete});
+    services start on the newcomer, every live replica pairs its
+    detector with it, and every live service connection is quiesced,
+    snapshotted into wire sequence space and shipped onto it
+    ({!Transfers_complete});
     connections that cannot travel are pinned solo ({!Isolated}).
     Raises [Invalid_argument] for a dead host, a host already in the
     live chain, or while a §5 takeover is still in flight. *)
 
 type event =
   | Death_detected of int
+      (** a detector watching this replica timed out: it leaves the
+          live chain and every detector pair it was part of stops *)
   | Promoted of int  (** replica became head and owns the service address *)
   | Retargeted of int * int  (** replica i now diverts to replica j *)
   | Degraded of int  (** replica lost the node below it (§6) *)

@@ -44,9 +44,6 @@ let create obs ~service_addr ~registry =
     pace_wait = Obs.counter statex "pace_wait_us";
   }
 
-let add_service t ~port h = t.services <- (port, h) :: t.services
-let add_backend t ~remote h = t.backends <- (remote, h) :: t.backends
-let services t = t.services
 let pending t = t.pending
 let failures t = t.failures
 
@@ -93,6 +90,47 @@ let installer t host ~reattach ~src:_ (sc : Snapshot.conn) =
       Option.iter (fun h -> reattach h tcb) app;
       Tcb.resume_restored tcb;
       Ok ()
+
+type 'h replica = Host.t * ('h -> Tcb.t -> unit)
+
+let attach t (host, apply) =
+  let xfer = Transfer.attach host in
+  Transfer.set_installer xfer (installer t host ~reattach:apply);
+  xfer
+
+(* retention makes the connection transferable: a later reintegration
+   replays the retained input on the new replica to rebuild the
+   application layer *)
+let listen_on (host, apply) ~port hook =
+  Stack.listen (Host.tcp host) ~port ~on_accept:(fun tcb ->
+      Tcb.enable_input_retention tcb;
+      apply hook tcb)
+
+let listen t ~port hook replicas =
+  Failover_config.register_endpoint t.registry ~local_port:port;
+  t.services <- (port, hook) :: t.services;
+  List.iter (fun r -> listen_on r ~port hook) replicas
+
+let connect_backend t ~remote ?local_port hook replicas =
+  (match local_port with
+  | Some p -> Failover_config.register_endpoint t.registry ~local_port:p
+  | None ->
+    Failover_config.register_remote t.registry ~remote_port:(snd remote));
+  t.backends <- (remote, hook) :: t.backends;
+  (* retention makes the client-role connection transferable, exactly as
+     [listen] does for server-role connections *)
+  List.iter
+    (fun (host, apply) ->
+      let tcb =
+        Stack.connect (Host.tcp host) ~local:t.service_addr ?local_port ~remote
+          ()
+      in
+      Tcb.enable_input_retention tcb;
+      apply hook tcb)
+    replicas
+
+let start_services t r =
+  List.iter (fun (port, hook) -> listen_on r ~port hook) t.services
 
 let start t ~survivor ~bridge:pb ~xfer ~dst ~live ~on_isolated ~on_complete =
   let clock = Host.clock survivor in

@@ -5,7 +5,10 @@
     callbacks per service port and §7.2 setups per backend endpoint, of
     the caller's hook type ['h] — so a restored connection can be handed
     back to the application, plus the bookkeeping of the latest
-    {!start}.
+    {!start}.  It also runs the service lifecycle on each replica host:
+    the transfer endpoint, listening and §7.2 connecting with input
+    retention, and starting every service on a fresh host.  Pools and
+    chains differ only in the hook adapter of a {!replica}.
 
     There is one offer scheduler.  At most {!window} connections are
     mid-transfer at once, and successive offers are spaced by the
@@ -28,30 +31,40 @@ val create :
   registry:Failover_config.registry ->
   'h t
 
-val add_service : 'h t -> port:int -> 'h -> unit
-(** Record the listener hook of a service port. *)
-
-val add_backend : 'h t -> remote:Tcpfo_packet.Ipaddr.t * int -> 'h -> unit
-(** Record the §7.2 setup hook of a backend endpoint. *)
-
-val services : 'h t -> (int * 'h) list
-(** Registered service ports with their hooks, newest first. *)
-
 val window : int
 (** Offers in flight at once (32). *)
 
-val installer :
+type 'h replica = Tcpfo_host.Host.t * ('h -> Tcpfo_tcp.Tcb.t -> unit)
+(** A replica host with its hook adapter: how a hook is applied to a
+    connection on that host, e.g. [fun hook tcb -> hook ~role:`Primary tcb]
+    for a pool or [fun hook tcb -> hook ~replica:i tcb] for a chain. *)
+
+val attach : 'h t -> 'h replica -> Tcpfo_statex.Transfer.t
+(** The replica's control-channel endpoint.  A snapshot landing there is
+    adopted as a restored TCB and handed, through the adapter, to the
+    listener hook (server role) or the backend setup (client role) it
+    belongs to, then resumed; the retained-input replay rebuilds the
+    application's per-connection state. *)
+
+val listen : 'h t -> port:int -> 'h -> 'h replica list -> unit
+(** Register a failover service port and its listener hook, then listen
+    on every given replica, in order, with input retention enabled on
+    each accepted connection so it can later travel by {!start}. *)
+
+val connect_backend :
   'h t ->
-  Tcpfo_host.Host.t ->
-  reattach:('h -> Tcpfo_tcp.Tcb.t -> unit) ->
-  src:Tcpfo_packet.Ipaddr.t ->
-  Tcpfo_statex.Snapshot.conn ->
-  (unit, string) result
-(** The {!Tcpfo_statex.Transfer.set_installer} callback for [host]:
-    adopt the restored TCB, hand it to [reattach] with the listener hook
-    (server role) or the backend setup (client role) it belongs to, and
-    resume.  The retained-input replay then rebuilds the application's
-    per-connection state. *)
+  remote:Tcpfo_packet.Ipaddr.t * int ->
+  ?local_port:int ->
+  'h ->
+  'h replica list ->
+  unit
+(** §7.2: register the backend endpoint ([local_port] if given, else the
+    remote port) and its setup hook, then open the connection from the
+    service address on every given replica, in order, with input
+    retention enabled. *)
+
+val start_services : 'h t -> 'h replica -> unit
+(** Listen on a fresh replica for every registered service port. *)
 
 val start :
   'h t ->

@@ -9,6 +9,7 @@ module Ip_layer = Tcpfo_ip.Ip_layer
 module Eth_iface = Tcpfo_ip.Eth_iface
 module Host = Tcpfo_host.Host
 module Tcb = Tcpfo_tcp.Tcb
+module Stack = Tcpfo_tcp.Stack
 module Obs = Tcpfo_obs.Obs
 module Event = Tcpfo_obs.Event
 module Registry = Tcpfo_obs.Registry
@@ -1055,6 +1056,13 @@ let install host ~registry ~service_addr ~secondary_addr ?(output = Direct)
       h_merge_latency = Obs.histogram obs "merge_latency_us";
     }
   in
+  if claim_service then begin
+    (* a middle node sees client datagrams only by snooping, and its TCP
+       layer must own connections addressed to the service address *)
+    Eth_iface.set_promiscuous (Host.eth host) true;
+    Stack.set_extra_local (Host.tcp host) (fun ip ->
+        Ipaddr.equal ip service_addr)
+  end;
   Ip_layer.set_tx_hook (Host.ip host) (Some (fun pkt -> tx_hook t pkt));
   Ip_layer.set_rx_hook (Host.ip host)
     (Some (fun pkt ~link_addressed -> rx_hook t pkt ~link_addressed));
@@ -1095,5 +1103,23 @@ let conn_stats t ~remote ~local_port =
 
 let total_emitted t = t.total_emitted
 let degraded t = t.degraded
-let promote t = t.out <- Direct
+(* §5 for a middle node.  Its output switches to the client in one step:
+   merged segments already carry the service address and the wire
+   sequence space, so there is nothing to hold while the alias moves. *)
+let promote t ~on_complete =
+  t.out <- Direct;
+  if Obs.tracing t.obs then
+    Obs.emit t.obs ~at:(now t)
+      (Event.Failover { host = Host.name t.host; phase = Takeover_started });
+  Eth_iface.set_promiscuous (Host.eth t.host) false;
+  ignore
+    ((Host.clock t.host).schedule (config t).takeover_processing (fun () ->
+         (* IP takeover: alias + gratuitous ARP *)
+         Eth_iface.add_address (Host.eth t.host) t.service_addr;
+         if Obs.tracing t.obs then
+           Obs.emit t.obs ~at:(now t)
+             (Event.Failover
+                { host = Host.name t.host; phase = Takeover_complete });
+         on_complete ()))
+
 let output t = t.out

@@ -63,6 +63,8 @@ val install :
     bridge claim client datagrams addressed to the service address for
     local delivery — required on middle chain nodes, whose NIC sees them
     only promiscuously; the head owns the address and needs no claim.
+    A claiming bridge also puts the NIC into promiscuous mode and makes
+    the TCP layer treat the service address as local.
 
     Observability: the world-absolute scope [bridge.primary] carries
     counters [emitted], [retrans_forwarded], [empty_acks], [syn_merges]
@@ -73,9 +75,14 @@ val install :
     is active.  Instruments aggregate across every merging bridge of a
     chain (shared names, shared registry). *)
 
-val promote : t -> unit
-(** Switch a diverting (middle) bridge to [Direct] output: the node has
-    taken over as head of the chain. *)
+val promote : t -> on_complete:(unit -> unit) -> unit
+(** §5 takeover by a diverting (middle) bridge whose head died: switch
+    to [Direct] output at once, leave promiscuous mode, and after
+    [takeover_processing] alias the service address with a gratuitous
+    ARP, then call [on_complete].  Publishes [Failover Takeover_started]
+    and [Failover Takeover_complete], as the secondary's takeover does.
+    Unlike the secondary it holds nothing: its merged output is already
+    in the wire sequence space. *)
 
 val output : t -> output
 

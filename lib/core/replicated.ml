@@ -1,5 +1,4 @@
 module Host = Tcpfo_host.Host
-module Stack = Tcpfo_tcp.Stack
 module Tcb = Tcpfo_tcp.Tcb
 module Ipaddr = Tcpfo_packet.Ipaddr
 module Transfer = Tcpfo_statex.Transfer
@@ -117,16 +116,12 @@ let arm_standbys t =
 
 (* --- hot state transfer -------------------------------------------- *)
 
-(* A control-channel endpoint on [host]; snapshots landing there
-   re-attach as the secondary-role copy — server role through the
-   registered listener, client role (§7.2) through the connect_backend
-   setup registered for the remote endpoint. *)
+let as_role role hook tcb = hook ~role tcb
+
+(* A control-channel endpoint on [host]; snapshots only ever land on a
+   fresh replica, so they re-attach as the secondary-role copy. *)
 let attach_transfer hot host =
-  let xfer = Transfer.attach host in
-  Transfer.set_installer xfer
-    (Hot_transfer.installer hot host ~reattach:(fun hook tcb ->
-         hook ~role:`Secondary tcb));
-  xfer
+  Hot_transfer.attach hot (host, as_role `Secondary)
 
 (* --- failure handling, promotion, reintegration ---------------------- *)
 
@@ -213,12 +208,7 @@ and reintegrate t ~secondary:fresh =
     t.xfer_p <- t.xfer_s;
     t.xfer_s <- attach_transfer t.hot fresh);
   (* start the registered services on the new replica *)
-  List.iter
-    (fun (port, on_accept) ->
-      Stack.listen (Host.tcp fresh) ~port ~on_accept:(fun tcb ->
-          Tcb.enable_input_retention tcb;
-          on_accept ~role:`Secondary tcb))
-    (Hot_transfer.services t.hot);
+  Hot_transfer.start_services t.hot (fresh, as_role `Secondary);
   (* restart mutual fault detection, and re-point the remaining standby
      watchers at the (possibly new) primary *)
   t.status <- `Normal;
@@ -334,39 +324,14 @@ let pending_transfers t = Hot_transfer.pending t.hot
 let transfer_failures t = Hot_transfer.failures t.hot
 let transfer_stats t = Transfer.stats t.xfer_p
 
+let active_pair t =
+  [ (t.primary, as_role `Primary); (t.secondary, as_role `Secondary) ]
+
 let listen t ~port ~on_accept =
-  Failover_config.register_endpoint t.registry ~local_port:port;
-  Hot_transfer.add_service t.hot ~port on_accept;
-  (* retention makes the connection transferable: a later reintegration
-     replays the retained input on the new replica to rebuild the
-     application layer *)
-  Stack.listen (Host.tcp t.primary) ~port ~on_accept:(fun tcb ->
-      Tcb.enable_input_retention tcb;
-      on_accept ~role:`Primary tcb);
-  Stack.listen (Host.tcp t.secondary) ~port ~on_accept:(fun tcb ->
-      Tcb.enable_input_retention tcb;
-      on_accept ~role:`Secondary tcb)
+  Hot_transfer.listen t.hot ~port on_accept (active_pair t)
 
 let connect_backend t ~remote ?local_port ~setup () =
-  (match local_port with
-  | Some p -> Failover_config.register_endpoint t.registry ~local_port:p
-  | None ->
-    Failover_config.register_remote t.registry ~remote_port:(snd remote));
-  Hot_transfer.add_backend t.hot ~remote setup;
-  let service = service_addr t in
-  (* retention makes the client-role connection transferable, exactly as
-     [listen] does for server-role connections *)
-  let cp =
-    Stack.connect (Host.tcp t.primary) ~local:service ?local_port ~remote ()
-  in
-  Tcb.enable_input_retention cp;
-  setup ~role:`Primary cp;
-  let cs =
-    Stack.connect (Host.tcp t.secondary) ~local:service ?local_port ~remote
-      ()
-  in
-  Tcb.enable_input_retention cs;
-  setup ~role:`Secondary cs
+  Hot_transfer.connect_backend t.hot ~remote ?local_port setup (active_pair t)
 
 let kill_primary t = Host.kill t.primary
 let kill_secondary t = Host.kill t.secondary

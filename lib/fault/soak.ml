@@ -20,6 +20,7 @@ module Chain = Tcpfo_core.Chain
 module Failover_config = Tcpfo_core.Failover_config
 module Registry = Tcpfo_obs.Registry
 module Dispatch = Tcpfo_dispatch.Dispatch
+module Bulk = Tcpfo_apps.Bulk
 
 type victim = Primary | Secondary | Nobody
 type phase = Handshake | Transfer | Fin | Idle
@@ -258,27 +259,12 @@ let ck_req_bytes = 1_200
 let ck_tcp_config =
   { Tcpfo_tcp.Tcp_config.default with retention_budget = 8_000 }
 
-(* stream [payload] into [tcb] respecting the send buffer, then close *)
-let stream_and_close tcb payload =
-  let off = ref 0 in
-  let n = String.length payload in
-  let rec pump () =
-    if !off < n then begin
-      let want = min 32768 (n - !off) in
-      let sent = Tcb.send tcb (String.sub payload !off want) in
-      off := !off + sent;
-      if sent < want then Tcb.set_on_drain tcb pump else pump ()
-    end
-    else Tcb.close tcb
-  in
-  pump ()
-
 (* deterministic request/reply service body, shared by every role *)
 let service_app ~reply tcb =
   let got = Buffer.create 8 in
   Tcb.set_on_data tcb (fun data ->
       Buffer.add_string got data;
-      if Buffer.length got >= 4 then stream_and_close tcb reply)
+      if Buffer.length got >= 4 then Bulk.send_and_close tcb reply)
 
 let install_service repl ~port ~reply =
   Replicated.listen repl ~port ~on_accept:(fun ~role:_ tcb ->
@@ -668,7 +654,7 @@ let pool_rig ctx =
         main.tcb <- Some tcb;
         Tcb.set_on_data tcb (fun d ->
             Buffer.add_string main.buf d;
-            if Buffer.length main.buf >= 4 then stream_and_close tcb ctx.reply);
+            if Buffer.length main.buf >= 4 then Bulk.send_and_close tcb ctx.reply);
         Tcb.set_on_eof tcb (fun () -> main.eof <- true);
         Tcb.set_on_reset tcb (fun () -> main.resets <- main.resets + 1));
     Replicated.connect_backend repl ~remote:(Host.addr client, backend_port)

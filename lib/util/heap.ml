@@ -4,16 +4,12 @@ type 'a t = {
   mutable arr : 'a entry array;
   mutable size : int;
   mutable next_tie : int;
-  dead : ('a -> bool) option;
-  mutable dead_count : int;
 }
 
-let create ?dead () =
-  { arr = [||]; size = 0; next_tie = 0; dead; dead_count = 0 }
+let create () = { arr = [||]; size = 0; next_tie = 0 }
 
 let length t = t.size
 let is_empty t = t.size = 0
-let dead_count t = t.dead_count
 
 let less a b = a.prio < b.prio || (a.prio = b.prio && a.tie < b.tie)
 
@@ -40,38 +36,6 @@ let sift_down t i =
     end
     else continue := false
   done
-
-(* Drop every entry the [dead] predicate rejects and re-heapify the
-   survivors in place.  Entries keep their original tie stamps, and
-   (prio, tie) is a total order, so the pop sequence of the survivors is
-   unchanged by the rebuild. *)
-let compact t =
-  match t.dead with
-  | None -> ()
-  | Some dead ->
-    let kept = ref 0 in
-    for i = 0 to t.size - 1 do
-      let e = t.arr.(i) in
-      if not (dead e.value) then begin
-        t.arr.(!kept) <- e;
-        incr kept
-      end
-    done;
-    t.size <- !kept;
-    t.dead_count <- 0;
-    for i = (t.size / 2) - 1 downto 0 do
-      sift_down t i
-    done
-
-(* Tombstone bookkeeping: the owner reports entries that became dead
-   (e.g. cancelled events); when more than half the array is dead we
-   sweep, so cancelled-heavy workloads stay O(live) rather than
-   O(ever-pushed). *)
-let note_dead t =
-  if t.dead <> None then begin
-    t.dead_count <- t.dead_count + 1;
-    if 2 * t.dead_count > t.size then compact t
-  end
 
 let push t ~prio value =
   let e = { prio; tie = t.next_tie; value } in
@@ -109,11 +73,5 @@ let pop t =
       t.arr.(0) <- t.arr.(t.size);
       sift_down t 0
     end;
-    (* keep the tombstone count honest when a dead entry drains out the
-       normal way instead of via a sweep *)
-    (match t.dead with
-    | Some dead when t.dead_count > 0 && dead top.value ->
-      t.dead_count <- t.dead_count - 1
-    | _ -> ());
     Some (top.prio, top.value)
   end

@@ -1,19 +1,10 @@
 (** Array-based binary min-heap with integer priorities and a stable
-    tiebreaker, used as the simulator's event queue.  Entries with equal
-    priority pop in insertion order, which keeps simulations deterministic.
-
-    Tombstone support: a heap created with a [dead] predicate sweeps
-    logically-deleted entries out of the array once they outnumber the
-    live ones, instead of letting them sit until popped.  The owner
-    reports deaths with {!note_dead}; the predicate decides, at sweep
-    time, which values to drop. *)
+    tiebreaker (the simulator's tick queues use it).  Entries with equal
+    priority pop in insertion order, which keeps simulations deterministic. *)
 
 type 'a t
 
-val create : ?dead:('a -> bool) -> unit -> 'a t
-(** [dead] identifies entries that were logically removed (e.g. a
-    cancelled event).  Without it, {!note_dead} is a no-op and entries
-    stay until popped. *)
+val create : unit -> 'a t
 
 val length : 'a t -> int
 val is_empty : 'a t -> bool
@@ -28,14 +19,3 @@ val peek_prio : 'a t -> int option
 
 val peek : 'a t -> (int * 'a) option
 (** Minimum (priority, value) without removing it. *)
-
-val note_dead : 'a t -> unit
-(** Tell the heap one of its entries became dead.  When more than half
-    the stored entries are dead, the heap compacts: dead entries are
-    filtered out and the survivors re-heapified in place, preserving
-    their (priority, insertion-order) pop sequence.  Counted deaths must
-    match entries the [dead] predicate actually rejects, or the sweep
-    trigger drifts (a drifted sweep is wasted work, never incorrect). *)
-
-val dead_count : 'a t -> int
-(** Deaths reported since the last sweep (for tests/introspection). *)

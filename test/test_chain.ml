@@ -468,3 +468,105 @@ let suite =
       Alcotest.test_case "client write during paced rejoin counted once"
         `Quick test_chain_write_during_paced_rejoin;
     ]
+
+(* ---------------- failure detection and takeover ---------------- *)
+
+let period = Failover_config.default.heartbeat_period
+let timeout = Failover_config.default.detector_timeout
+
+let record_deaths c =
+  let deaths = ref [] in
+  Chain.set_on_event c.chain (function
+    | Chain.Death_detected i -> deaths := (i, World.now c.cworld) :: !deaths
+    | _ -> ());
+  deaths
+
+(* Chains run the pool's deadline detector, so a killed head is declared
+   dead within [detector_timeout + 2 * heartbeat_period] plus delivery. *)
+let test_head_death_detection_bound () =
+  let c = make_chain () in
+  let deaths = record_deaths c in
+  World.run c.cworld ~for_:(Time.ms 55);
+  Chain.kill c.chain 0;
+  let killed = World.now c.cworld in
+  World.run c.cworld ~for_:(Time.ms 300);
+  match !deaths with
+  | [ (0, at) ] ->
+    check_bool "detected within timeout + 2 periods" true
+      (at - killed <= timeout + (2 * period) + Time.ms 1)
+  | _ -> Alcotest.fail "expected exactly the head's death"
+
+(* A silence shorter than [detector_timeout + heartbeat_period] is
+   jitter, not death.  The first pause shifts the tail's beats off the
+   period grid the other replicas started on; the second silences it
+   for 37.5 ms between beats.  A fixed-period poll on that grid sees
+   the last beat more than [detector_timeout] old at its next tick and
+   declares the tail dead; the deadline detector does not. *)
+let test_short_silence_not_death () =
+  let c = make_chain () in
+  let deaths = record_deaths c in
+  let tail = List.nth c.hosts 2 in
+  let pause_at ms ~for_ =
+    ignore
+      (Engine.schedule (World.engine c.cworld) ~delay:(Time.us ms)
+         (fun () ->
+           Host.pause tail;
+           ignore
+             (Engine.schedule (World.engine c.cworld) ~delay:for_ (fun () ->
+                  Host.resume tail))))
+  in
+  pause_at 58_000 ~for_:(Time.ms 7);
+  pause_at 75_500 ~for_:(Time.ms 37);
+  World.run c.cworld ~for_:(Time.ms 300);
+  check_int "no replica declared dead" 0 (List.length !deaths);
+  Alcotest.(check (list int)) "all alive" [ 0; 1; 2 ] (Chain.alive c.chain)
+
+(* A middle replica's promotion is the §5 takeover: it publishes the
+   same Failover phases the secondary bridge's takeover does. *)
+let test_middle_promotion_events () =
+  let c = make_chain () in
+  let phases = ref [] in
+  let _ =
+    Tcpfo_obs.Event.Bus.subscribe
+      (Tcpfo_obs.Obs.bus (World.obs c.cworld))
+      (fun ~at:_ ev ->
+        match ev with
+        | Tcpfo_obs.Event.Failover
+            {
+              host = "replica1";
+              phase = (Takeover_started | Takeover_complete) as p;
+            } ->
+          phases := p :: !phases
+        | _ -> ())
+  in
+  World.run c.cworld ~for_:(Time.ms 30);
+  Chain.kill c.chain 0;
+  World.run c.cworld ~for_:(Time.ms 300);
+  check_int "replica 1 promoted" 1 (Chain.head c.chain);
+  check_bool "takeover started, then completed" true
+    (List.rev !phases = [ Takeover_started; Takeover_complete ])
+
+let test_chain_heartbeat_counters () =
+  let c = make_chain () in
+  World.run c.cworld ~for_:(Time.ms 100);
+  List.iter
+    (fun h ->
+      let sent =
+        Tcpfo_obs.Registry.counter_value (World.metrics c.cworld)
+          (Printf.sprintf "host.%s.heartbeat.sent" (Host.name h))
+      in
+      check_bool (Host.name h ^ " counts its beats") true (sent > 0))
+    c.hosts
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "killed head detected within the deadline bound"
+        `Quick test_head_death_detection_bound;
+      Alcotest.test_case "silence under timeout + period is not death"
+        `Quick test_short_silence_not_death;
+      Alcotest.test_case "middle promotion publishes takeover events" `Quick
+        test_middle_promotion_events;
+      Alcotest.test_case "chain registers heartbeat counters" `Quick
+        test_chain_heartbeat_counters;
+    ]

@@ -49,73 +49,6 @@ let prop_heap_sort =
       in
       List.length out = List.length prios && ok out)
 
-(* -------------------- tombstone compaction ------------------------- *)
-
-let test_compaction_sweeps () =
-  let killed = Hashtbl.create 16 in
-  let h = Heap.create ~dead:(fun v -> Hashtbl.mem killed v) () in
-  for i = 0 to 99 do
-    Heap.push h ~prio:(i mod 10) i
-  done;
-  (* kill 60 of 100: the 51st death crosses the half mark and sweeps,
-     so the array holds the 49 survivors plus at most the 9 corpses
-     reported after the sweep — never a dead majority *)
-  for i = 0 to 59 do
-    Hashtbl.replace killed i ();
-    Heap.note_dead h
-  done;
-  Testutil.check_int "swept length" 49 (Heap.length h);
-  Testutil.check_bool "tombstones are a minority" true
-    (2 * Heap.dead_count h <= Heap.length h);
-  (* survivors drain in (prio, insertion) order *)
-  let rec drain acc =
-    match Heap.pop h with
-    | None -> List.rev acc
-    | Some (p, v) ->
-      if Hashtbl.mem killed v then drain acc else drain ((p, v) :: acc)
-  in
-  let out = drain [] in
-  Testutil.check_int "all survivors" 40 (List.length out);
-  let sorted =
-    List.sort
-      (fun (p1, v1) (p2, v2) ->
-        if p1 <> p2 then compare p1 p2 else compare v1 v2)
-      out
-  in
-  Alcotest.(check (list (pair int int))) "order survives compaction"
-    sorted out
-
-let prop_compaction_order =
-  QCheck.Test.make ~name:"pop order identical with and without sweeps"
-    ~count:200
-    QCheck.(list (pair (int_bound 50) bool))
-    (fun entries ->
-      (* same pushes into a sweeping heap and a plain one; dead entries
-         are reported to the former and filtered from both at pop *)
-      let killed = Hashtbl.create 16 in
-      let hs = Heap.create ~dead:(fun (_, id) -> Hashtbl.mem killed id) () in
-      let hp = Heap.create () in
-      List.iteri
-        (fun i (p, _) ->
-          Heap.push hs ~prio:p (p, i);
-          Heap.push hp ~prio:p (p, i))
-        entries;
-      List.iteri
-        (fun i (_, kill) ->
-          if kill then begin
-            Hashtbl.replace killed i ();
-            Heap.note_dead hs
-          end)
-        entries;
-      let rec drain h acc =
-        match Heap.pop h with
-        | None -> List.rev acc
-        | Some (_, (_, id)) ->
-          if Hashtbl.mem killed id then drain h acc
-          else drain h ((id : int) :: acc)
-      in
-      drain hs [] = drain hp [])
-
 let suite =
   [
     Alcotest.test_case "min-heap ordering" `Quick test_ordering;
@@ -123,7 +56,4 @@ let suite =
     Alcotest.test_case "empty heap" `Quick test_empty;
     Alcotest.test_case "interleaved push/pop" `Quick test_interleaved;
     QCheck_alcotest.to_alcotest prop_heap_sort;
-    Alcotest.test_case "tombstone sweep at half dead" `Quick
-      test_compaction_sweeps;
-    QCheck_alcotest.to_alcotest prop_compaction_order;
   ]
