@@ -77,7 +77,8 @@ let installer t host ~reattach ~src:_ (sc : Snapshot.conn) =
     match
       Stack.adopt stack ~local:snap.Tcb.sn_local ~remote:snap.Tcb.sn_remote
         ~make:(fun actions ->
-          Tcb.restore (Host.clock host) ~obs:(Stack.obs stack)
+          Tcb.restore (Host.clock host)
+            ~instruments:(Stack.tcb_instruments stack)
             ~config:(Stack.config stack) actions snap)
     with
     | Error _ as e -> e

@@ -1,24 +1,49 @@
 module Stats = Tcpfo_util.Stats
+module Stbl = Hashtbl.Make (String)
 
 type counter = { mutable c : int }
 type gauge = { mutable g : int }
 
+(* Histograms are fixed-precision log-linear bucket counts in the style
+   of HdrHistogram; no sample is stored.  A positive value's bucket is
+   its IEEE-754 bit pattern shifted right by [52 - sub_bits]: the biased
+   exponent followed by the top [sub_bits] mantissa bits.  So every
+   power of two splits into [2^sub_bits] equal-width sub-buckets, the
+   index grows with the value, and a bucket's lowest value lies within
+   a relative [2^-sub_bits] below anything counted in it.  [count],
+   [min] and [max] are exact; [mean] and [stddev] follow Welford's
+   method in insertion order. *)
+let sub_bits = 7
+let shift = 52 - sub_bits
+
+(* all-float, so the fields are stored unboxed and updating them
+   allocates nothing *)
+type moments = {
+  mutable mean : float;
+  mutable m2 : float; (* sum of squared deviations from [mean] *)
+  mutable lo : float;
+  mutable hi : float;
+}
+
 type histogram = {
-  mutable samples : float list; (* newest first *)
+  mutable counts : int array; (* [counts.(i)] counts bucket [base + i] *)
+  mutable base : int;
   mutable n : int;
+  mutable nonpos : int; (* values <= 0, ranked below every bucket *)
+  m : moments;
 }
 
 type instrument = C of counter | G of gauge | H of histogram
 
-type t = { tbl : (string, instrument) Hashtbl.t }
+type t = { tbl : instrument Stbl.t }
 
-let create () = { tbl = Hashtbl.create 64 }
+let create () = { tbl = Stbl.create 64 }
 
 let register t name make describe =
-  match Hashtbl.find_opt t.tbl name with
+  match Stbl.find_opt t.tbl name with
   | None ->
     let i = make () in
-    Hashtbl.replace t.tbl name i;
+    Stbl.replace t.tbl name i;
     i
   | Some i -> describe i
 
@@ -48,7 +73,15 @@ let gauge t name =
 let histogram t name =
   match
     register t name
-      (fun () -> H { samples = []; n = 0 })
+      (fun () ->
+        H
+          {
+            counts = [||];
+            base = 0;
+            n = 0;
+            nonpos = 0;
+            m = { mean = 0.0; m2 = 0.0; lo = infinity; hi = neg_infinity };
+          })
       (function H _ as i -> i | C _ | G _ -> kind_error name "histogram")
   with
   | H h -> h
@@ -67,28 +100,110 @@ module Gauge = struct
 end
 
 module Histogram = struct
+  let bucket v =
+    Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float v) shift)
+
+  let bucket_low b =
+    Int64.float_of_bits (Int64.shift_left (Int64.of_int b) shift)
+
+  (* Widen [counts] to cover bucket [b], at least doubling it at the end
+     [b] falls off, then count [b]. *)
+  let add_widened h b =
+    let len = Array.length h.counts in
+    let base, len' =
+      if len = 0 then (b, 1 lsl sub_bits)
+      else if b < h.base then
+        let base = Int.max 0 (Int.min b (h.base - len)) in
+        (base, h.base + len - base)
+      else (h.base, Int.max (2 * len) (b - h.base + 1))
+    in
+    let counts = Array.make len' 0 in
+    if len > 0 then Array.blit h.counts 0 counts (h.base - base) len;
+    counts.(b - base) <- 1;
+    h.counts <- counts;
+    h.base <- base
+
   let observe h v =
-    h.samples <- v :: h.samples;
-    h.n <- h.n + 1
+    let n = h.n + 1 in
+    h.n <- n;
+    let m = h.m in
+    let d = v -. m.mean in
+    m.mean <- m.mean +. (d /. float_of_int n);
+    m.m2 <- m.m2 +. (d *. (v -. m.mean));
+    if v < m.lo then m.lo <- v;
+    if v > m.hi then m.hi <- v;
+    if v > 0.0 then begin
+      let b = bucket v in
+      let i = b - h.base in
+      if i >= 0 && i < Array.length h.counts then
+        h.counts.(i) <- h.counts.(i) + 1
+      else add_widened h b
+    end
+    else h.nonpos <- h.nonpos + 1
 
   let count h = h.n
-  let summary h = if h.n = 0 then None else Some (Stats.summarize h.samples)
+
+  let percentiles = [| 25.0; 50.0; 75.0; 95.0; 99.0; 99.9 |]
+
+  (* One cumulative pass: each percentile is the lowest value of the
+     bucket holding its nearest-rank order statistic, clamped to the
+     exact [min, max]; the non-positive values report 0 so clamped. *)
+  let quantiles h =
+    let m = h.m in
+    let clamp v = Float.min m.hi (Float.max m.lo v) in
+    let out = Array.make (Array.length percentiles) 0.0 in
+    let k = ref 0 and seen = ref 0 in
+    let take v c =
+      seen := !seen + c;
+      while
+        !k < Array.length percentiles
+        && Stats.nearest_rank percentiles.(!k) h.n < !seen
+      do
+        out.(!k) <- clamp v;
+        incr k
+      done
+    in
+    take 0.0 h.nonpos;
+    Array.iteri (fun i c -> if c > 0 then take (bucket_low (h.base + i)) c)
+      h.counts;
+    out
+
+  let summary h =
+    if h.n = 0 then None
+    else
+      let q = quantiles h and m = h.m in
+      (* qualified [min]/[max] labels: the hot-path lint reads a bare
+         [min]/[max] as the polymorphic function *)
+      Some
+        {
+          Stats.count = h.n;
+          mean = m.mean;
+          stddev = sqrt (m.m2 /. float_of_int h.n);
+          Stats.min = m.lo;
+          p25 = q.(0);
+          median = q.(1);
+          p75 = q.(2);
+          p95 = q.(3);
+          p99 = q.(4);
+          p999 = q.(5);
+          Stats.max = m.hi;
+        }
 end
 
 let counter_value t name =
-  match Hashtbl.find_opt t.tbl name with Some (C c) -> c.c | _ -> 0
+  match Stbl.find_opt t.tbl name with Some (C c) -> c.c | _ -> 0
 
 let gauge_value t name =
-  match Hashtbl.find_opt t.tbl name with Some (G g) -> g.g | _ -> 0
+  match Stbl.find_opt t.tbl name with Some (G g) -> g.g | _ -> 0
 
 let histogram_summary t name =
-  match Hashtbl.find_opt t.tbl name with
+  match Stbl.find_opt t.tbl name with
   | Some (H h) -> Histogram.summary h
   | _ -> None
 
 let sorted_bindings t =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  Stbl.fold (fun k v acc -> (k, v) :: acc) t.tbl []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let names t = List.map fst (sorted_bindings t)
 
@@ -137,6 +252,8 @@ let summary_fields (s : Stats.summary) =
     ("p50", fun b -> Buffer.add_string b (json_float s.median));
     ("p75", fun b -> Buffer.add_string b (json_float s.p75));
     ("p95", fun b -> Buffer.add_string b (json_float s.p95));
+    ("p99", fun b -> Buffer.add_string b (json_float s.p99));
+    ("p999", fun b -> Buffer.add_string b (json_float s.p999));
     ("max", fun b -> Buffer.add_string b (json_float s.max));
   ]
 

@@ -41,12 +41,21 @@ module Gauge : sig
   val value : gauge -> int
 end
 
+(** Histograms keep log-linear bucket counts, not samples: 128 linear
+    sub-buckets per power of two, over the range of values seen so far.
+    [observe] is O(1) and allocates nothing, and memory depends on that
+    range, not on the number of observations. *)
 module Histogram : sig
   val observe : histogram -> float -> unit
   val count : histogram -> int
 
   val summary : histogram -> Tcpfo_util.Stats.summary option
-  (** [None] when no observation has been recorded. *)
+  (** [None] when no observation has been recorded.  [count], [min] and
+      [max] are exact; [mean] and [stddev] are computed incrementally
+      (Welford).  Each percentile is the lowest value of the bucket
+      holding its nearest-rank order statistic, clamped to [[min, max]]:
+      within a relative 2{^-7} below the exact value, and exact for
+      integers below 256.  Values [<= 0] all report as 0 (clamped). *)
 end
 
 (** {2 Lookups by name}

@@ -141,7 +141,8 @@ type incoming =
 
 type t = {
   host : Host.t;
-  obs : Obs.t;
+  rto_ins : Rto.instruments Lazy.t;
+      (* [statex.{rto_backoffs,rtt_us}], resolved on the first offer *)
   mutable installer :
     (src:Ipaddr.t -> Snapshot.conn -> (unit, string) result) option;
   pending : (int, outgoing) Hashtbl.t;
@@ -362,7 +363,7 @@ let attach host =
   let t =
     {
       host;
-      obs;
+      rto_ins = lazy (Rto.instruments obs);
       installer = None;
       pending = Hashtbl.create 8;
       incoming = Hashtbl.create 8;
@@ -415,8 +416,8 @@ let offer t ?(chunk_bytes = max_datagram_bytes) ?(window = default_window)
       o_window = max 1 window;
       o_max_attempts = max 1 max_attempts;
       o_rto =
-        Rto.create ~obs:t.obs ~init:(Time.ms 10) ~min:(Time.ms 2)
-          ~max:(Time.ms 256) ();
+        Rto.create (Lazy.force t.rto_ins) ~init:(Time.ms 10)
+          ~min:(Time.ms 2) ~max:(Time.ms 256) ();
       o_next_needed = 0;
       o_sent_hi = 0;
       o_attempts = 0;

@@ -1,6 +1,15 @@
 module Obs = Tcpfo_obs.Obs
 module Registry = Tcpfo_obs.Registry
 
+type instruments = {
+  backoffs : Registry.counter;
+  rtt_us : Registry.histogram;
+}
+
+let instruments obs =
+  { backoffs = Obs.counter obs "rto_backoffs";
+    rtt_us = Obs.histogram obs "rtt_us" }
+
 type t = {
   rto_min : int;
   rto_max : int;
@@ -8,20 +17,17 @@ type t = {
   mutable rttvar : float;
   mutable base : int; (* ns, before backoff *)
   mutable shift : int; (* backoff exponent *)
-  backoffs : Registry.counter;
-  rtt_us : Registry.histogram;
+  ins : instruments;
 }
 
-let create ?obs ~init ~min:rto_min ~max:rto_max () =
-  let obs = match obs with Some o -> o | None -> Obs.silent () in
+let create ins ~init ~min:rto_min ~max:rto_max () =
   { rto_min; rto_max; srtt = None; rttvar = 0.0; base = init;
-    shift = 0; backoffs = Obs.counter obs "rto_backoffs";
-    rtt_us = Obs.histogram obs "rtt_us" }
+    shift = 0; ins }
 
 let clamp t v = Int.max t.rto_min (Int.min t.rto_max v)
 
 let sample t rtt =
-  Registry.Histogram.observe t.rtt_us (float_of_int rtt /. 1_000.0);
+  Registry.Histogram.observe t.ins.rtt_us (float_of_int rtt /. 1_000.0);
   let r = float_of_int rtt in
   (match t.srtt with
   | None ->
@@ -44,7 +50,7 @@ let current t =
 
 let backoff t =
   if current t < t.rto_max then begin
-    Registry.Counter.incr t.backoffs;
+    Registry.Counter.incr t.ins.backoffs;
     t.shift <- t.shift + 1
   end
 

@@ -3,16 +3,21 @@
 
 type t
 
+type instruments
+(** The shared counter [rto_backoffs] and histogram [rtt_us] (every RTT
+    measurement, in microseconds). *)
+
+val instruments : Tcpfo_obs.Obs.t -> instruments
+(** Resolve the instruments under [obs] (normally the stack's [tcp]
+    scope), once per owner rather than once per estimator. *)
+
 val create :
-  ?obs:Tcpfo_obs.Obs.t ->
+  instruments ->
   init:Tcpfo_sim.Time.t ->
   min:Tcpfo_sim.Time.t ->
   max:Tcpfo_sim.Time.t ->
   unit ->
   t
-(** [obs] (normally the stack's [tcp] scope) receives the shared counter
-    [rto_backoffs] and histogram [rtt_us] — every RTT measurement, in
-    microseconds. *)
 
 val sample : t -> Tcpfo_sim.Time.t -> unit
 (** Feed a round-trip measurement from an un-retransmitted segment. *)

@@ -53,7 +53,10 @@ type t = {
   ip : Ip_layer.t;
   config : Tcp_config.t;
   rng : Rng.t;
-  obs : Obs.t; (* the host scope narrowed to "tcp" *)
+  tcb_ins : Tcb.instruments Lazy.t;
+      (* under the host scope narrowed to "tcp", resolved on the first
+         connection, so a stack that never opens one registers no
+         per-connection names *)
   conns : Tcb.t Ctbl.t;
   addr_ids : int Ctbl.t; (* Ipaddr.to_int -> intern id, first-seen order *)
   mutable next_addr_id : int;
@@ -67,6 +70,7 @@ type t = {
 }
 
 let config t = t.config
+let tcb_instruments t = Lazy.force t.tcb_ins
 let ip t = t.ip
 let set_extra_local t p = t.extra_local <- p
 let connection_count t = Ctbl.length t.conns
@@ -157,8 +161,8 @@ let handle_segment t ~src ~dst (seg : Seg.t) =
          the connection present if anything loops back synchronously. *)
       let actions = actions_for t key (local, remote) in
       let tcb =
-        Tcb.create_passive t.clock ~obs:t.obs ~config:t.config ~local ~remote
-          ~iss actions ~syn:seg
+        Tcb.create_passive t.clock ~instruments:(tcb_instruments t)
+          ~config:t.config ~local ~remote ~iss actions ~syn:seg
       in
       Ctbl.replace t.conns key tcb;
       sync_conn_gauge t;
@@ -173,7 +177,7 @@ let create clock ~ip ~config ~rng =
       ip;
       config;
       rng;
-      obs;
+      tcb_ins = lazy (Tcb.instruments obs);
       conns = Ctbl.create 64;
       addr_ids = Ctbl.create 16;
       next_addr_id = 0;
@@ -213,8 +217,8 @@ let connect t ?local ?local_port ~remote () =
   let iss = fresh_iss t in
   let actions = actions_for t key (local, remote) in
   let tcb =
-    Tcb.create_active t.clock ~obs:t.obs ~config:t.config ~local ~remote ~iss
-      actions
+    Tcb.create_active t.clock ~instruments:(tcb_instruments t)
+      ~config:t.config ~local ~remote ~iss actions
   in
   Ctbl.replace t.conns key tcb;
   sync_conn_gauge t;
@@ -252,7 +256,6 @@ let connections t =
   Ctbl.fold (fun _ tcb acc -> tcb :: acc) t.conns [] |> List.sort cmp
 
 let clock t = t.clock
-let obs t = t.obs
 
 module For_testing = struct
   let pack = pack

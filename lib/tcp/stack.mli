@@ -18,8 +18,10 @@ val create :
   t
 (** Installs itself as the IP layer's TCP protocol handler.  Derives its
     observability scope from the IP layer's ([<host>.tcp]): counter
-    [tcp.rst_sent], gauge [tcp.connections], and — via the connections it
-    creates — [tcp.retransmits], [tcp.rto_backoffs] and the [tcp.rtt_us]
+    [tcp.rst_sent], gauge [tcp.connections], counters [tcp.demux_hits] /
+    [tcp.demux_misses] (segments that matched / failed to match an
+    established connection), and — via the connections it creates —
+    [tcp.retransmits], [tcp.rto_backoffs] and the [tcp.rtt_us]
     histogram. *)
 
 val config : t -> Tcp_config.t
@@ -76,10 +78,10 @@ val connections : t -> Tcb.t list
 
 val clock : t -> Tcpfo_sim.Clock.t
 
-val obs : t -> Tcpfo_obs.Obs.t
-(** The stack's [tcp]-narrowed scope.  Demux instrumentation lives here
-    too: counters [tcp.demux_hits] / [tcp.demux_misses] (segments that
-    matched / failed to match an established connection). *)
+val tcb_instruments : t -> Tcb.instruments
+(** [Tcb.instruments] of the stack's scope, resolved once on first use:
+    every TCB the stack creates reports through this one bundle, and
+    so should any TCB restored onto it ({!adopt} with [Tcb.restore]). *)
 
 (** Internals of the packed demux key, exposed for regression tests.
 

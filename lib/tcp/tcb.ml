@@ -35,6 +35,36 @@ let state_to_string = function
 
 type actions = { emit : Seg.t -> unit; on_delete : unit -> unit }
 
+(* The per-connection instruments, resolved by name once per stack (see
+   [instruments]) rather than once per connection. *)
+type instruments = {
+  rto_ins : Rto.instruments;
+  retransmits : Registry.counter; (* stack-wide [tcp.retransmits] *)
+  retention_bytes : Registry.counter;
+      (* world-absolute [statex.retention_bytes]: cumulative bytes ever
+         retained for transfer, all connections *)
+  retention_overflows : Registry.counter;
+      (* world-absolute [statex.retention_overflows]: connections that
+         outgrew the budget and lost transferability *)
+  checkpoints : Registry.counter;
+      (* world-absolute [statex.checkpoints]: application checkpoints
+         taken (timer-driven and explicit) *)
+  retention_truncated : Registry.counter;
+      (* world-absolute [statex.retention_truncated_bytes]: retained
+         input dropped at checkpoint boundaries *)
+}
+
+let instruments obs =
+  let statex = Obs.scope (Obs.root obs) "statex" in
+  {
+    rto_ins = Rto.instruments obs;
+    retransmits = Obs.counter obs "retransmits";
+    retention_bytes = Obs.counter statex "retention_bytes";
+    retention_overflows = Obs.counter statex "retention_overflows";
+    checkpoints = Obs.counter statex "checkpoints";
+    retention_truncated = Obs.counter statex "retention_truncated_bytes";
+  }
+
 type t = {
   clock : Clock.t;
   config : Tcp_config.t;
@@ -127,19 +157,7 @@ type t = {
   mutable n_retransmits : int;
   mutable n_segments_in : int;
   mutable n_segments_out : int;
-  c_retransmits : Registry.counter; (* stack-wide [tcp.retransmits] *)
-  c_retention_bytes : Registry.counter;
-      (* world-absolute [statex.retention_bytes]: cumulative bytes ever
-         retained for transfer, all connections *)
-  c_retention_overflows : Registry.counter;
-      (* world-absolute [statex.retention_overflows]: connections that
-         outgrew the budget and lost transferability *)
-  c_checkpoints : Registry.counter;
-      (* world-absolute [statex.checkpoints]: application checkpoints
-         taken (timer-driven and explicit) *)
-  c_retention_truncated : Registry.counter;
-      (* world-absolute [statex.retention_truncated_bytes]: retained
-         input dropped at checkpoint boundaries *)
+  ins : instruments;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -341,7 +359,7 @@ and restart_rtx t =
 (* Retransmit the first unacknowledged chunk (go-back from snd_una). *)
 and retransmit_one t =
   t.n_retransmits <- t.n_retransmits + 1;
-  Registry.Counter.incr t.c_retransmits;
+  Registry.Counter.incr t.ins.retransmits;
   t.rtt_probe <- None (* Karn's rule *);
   match t.state with
   | Syn_sent ->
@@ -413,7 +431,7 @@ and on_rtx t =
         t.rtt_probe <- None;
         t.snd_nxt <- t.snd_una;
         t.n_retransmits <- t.n_retransmits + 1;
-        Registry.Counter.incr t.c_retransmits;
+        Registry.Counter.incr t.ins.retransmits;
         try_output t);
       arm_rtx t
     end
@@ -529,8 +547,7 @@ and fin_was_sent t =
 (* ------------------------------------------------------------------ *)
 (* Construction                                                       *)
 
-let make clock ?obs ~config ~local ~remote ~iss actions state =
-  let obs = match obs with Some o -> o | None -> Obs.silent () in
+let make clock ~instruments:ins ~config ~local ~remote ~iss actions state =
   {
     clock;
     config;
@@ -563,7 +580,8 @@ let make clock ?obs ~config ~local ~remote ~iss actions state =
     eof_signalled = false;
     recv_paused = false;
     recv_pending = Buffer.create 0;
-    rto = Rto.create ~obs ~init:config.rto_init ~min:config.rto_min
+    rto =
+      Rto.create ins.rto_ins ~init:config.rto_init ~min:config.rto_min
         ~max:config.rto_max ();
     rtx_timer = None;
     delack_timer = None;
@@ -596,21 +614,13 @@ let make clock ?obs ~config ~local ~remote ~iss actions state =
     n_retransmits = 0;
     n_segments_in = 0;
     n_segments_out = 0;
-    c_retransmits = Obs.counter obs "retransmits";
-    c_retention_bytes =
-      Obs.counter (Obs.scope (Obs.root obs) "statex") "retention_bytes";
-    c_retention_overflows =
-      Obs.counter (Obs.scope (Obs.root obs) "statex") "retention_overflows";
-    c_checkpoints =
-      Obs.counter (Obs.scope (Obs.root obs) "statex") "checkpoints";
-    c_retention_truncated =
-      Obs.counter
-        (Obs.scope (Obs.root obs) "statex")
-        "retention_truncated_bytes";
+    ins;
   }
 
-let create_active clock ?obs ~config ~local ~remote ~iss actions =
-  let t = make clock ?obs ~config ~local ~remote ~iss actions Syn_sent in
+let create_active clock ~instruments ~config ~local ~remote ~iss actions =
+  let t =
+    make clock ~instruments ~config ~local ~remote ~iss actions Syn_sent
+  in
   emit t
     (Seg.make
        ~flags:{ Seg.no_flags with syn = true }
@@ -653,8 +663,11 @@ let accept_syn t (syn : Seg.t) =
   t.snd_wl1 <- syn.seq;
   t.snd_wl2 <- syn.ack
 
-let create_passive clock ?obs ~config ~local ~remote ~iss actions ~syn =
-  let t = make clock ?obs ~config ~local ~remote ~iss actions Syn_received in
+let create_passive clock ~instruments ~config ~local ~remote ~iss actions
+    ~syn =
+  let t =
+    make clock ~instruments ~config ~local ~remote ~iss actions Syn_received
+  in
   accept_syn t syn;
   emit t
     (Seg.make
@@ -846,12 +859,12 @@ let deliver_payload t (seg : Seg.t) =
           t.retained <- None;
           t.retained_bytes <- 0;
           t.retention_overflowed <- true;
-          Registry.Counter.incr t.c_retention_overflows
+          Registry.Counter.incr t.ins.retention_overflows
         end
         else begin
           t.retained <- Some (delivered :: chunks);
           t.retained_bytes <- nb;
-          Registry.Counter.add t.c_retention_bytes (String.length delivered)
+          Registry.Counter.add t.ins.retention_bytes (String.length delivered)
         end
       | None ->
         (* after an overflow, keep the input position current so a
@@ -1109,15 +1122,15 @@ let checkpoint t =
       t.checkpoint_base <- t.checkpoint_base + dropped;
       t.retained <- Some [];
       t.retained_bytes <- 0;
-      Registry.Counter.add t.c_retention_truncated dropped
+      Registry.Counter.add t.ins.retention_truncated dropped
     end;
-    Registry.Counter.incr t.c_checkpoints
+    Registry.Counter.incr t.ins.checkpoints
   | None ->
     if t.retention_overflowed then begin
       t.retention_overflowed <- false;
       t.retained <- Some [];
       t.retained_bytes <- 0;
-      Registry.Counter.incr t.c_checkpoints
+      Registry.Counter.incr t.ins.checkpoints
     end
 
 (* Periodic checkpoints on [config.checkpoint_interval].  Timer-driven
@@ -1214,9 +1227,9 @@ let shift_snapshot s n =
       List.map (fun (lo, hi) -> (sh lo, sh hi)) s.sn_sack_ranges;
   }
 
-let restore clock ?obs ~config actions (s : snapshot) =
+let restore clock ~instruments ~config actions (s : snapshot) =
   let t =
-    make clock ?obs ~config ~local:s.sn_local ~remote:s.sn_remote
+    make clock ~instruments ~config ~local:s.sn_local ~remote:s.sn_remote
       ~iss:s.sn_iss actions s.sn_state
   in
   t.sndbuf <-

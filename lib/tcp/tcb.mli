@@ -64,6 +64,17 @@ val set_on_reset : t -> (unit -> unit) -> unit
 
 (** {1 Creation} — used by {!Stack}, not by applications directly. *)
 
+type instruments
+(** The registry instruments every connection reports to: the stack's
+    [retransmits], [rto_backoffs] and [rtt_us], and the world-absolute
+    [statex.{retention_bytes,retention_overflows,checkpoints,
+    retention_truncated_bytes}]. *)
+
+val instruments : Tcpfo_obs.Obs.t -> instruments
+(** Resolve (create-or-get) the bundle under a stack's [tcp] scope.  A
+    stack does this once, on its first connection, and passes the
+    bundle to every TCB it creates. *)
+
 type actions = {
   emit : Tcpfo_packet.Tcp_segment.t -> unit;
       (** transmit a segment to the peer *)
@@ -72,18 +83,20 @@ type actions = {
 
 val create_active :
   Tcpfo_sim.Clock.t ->
-  ?obs:Tcpfo_obs.Obs.t ->
+  instruments:instruments ->
   config:Tcp_config.t ->
   local:Tcpfo_packet.Ipaddr.t * int ->
   remote:Tcpfo_packet.Ipaddr.t * int ->
   iss:Tcpfo_util.Seq32.t ->
   actions ->
   t
-(** Client-side open: emits the initial SYN immediately. *)
+(** Client-side open: emits the initial SYN immediately.  The TCB
+    reports to [instruments] (a test without a stack can pass
+    [instruments (Obs.silent ())]). *)
 
 val create_passive :
   Tcpfo_sim.Clock.t ->
-  ?obs:Tcpfo_obs.Obs.t ->
+  instruments:instruments ->
   config:Tcp_config.t ->
   local:Tcpfo_packet.Ipaddr.t * int ->
   remote:Tcpfo_packet.Ipaddr.t * int ->
@@ -255,7 +268,7 @@ val shift_snapshot : snapshot -> int -> snapshot
 
 val restore :
   Tcpfo_sim.Clock.t ->
-  ?obs:Tcpfo_obs.Obs.t ->
+  instruments:instruments ->
   config:Tcp_config.t ->
   actions ->
   snapshot ->

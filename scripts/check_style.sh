@@ -60,6 +60,7 @@ lib/ip/eth_iface.ml
 lib/net/medium.ml
 lib/host/host.ml
 lib/statex/codec.ml
+lib/obs/registry.ml
 "
 
 hot_hits=$(for f in $hot_path; do

@@ -11,6 +11,7 @@ module Obs = Tcpfo_obs.Obs
 module Event = Tcpfo_obs.Event
 module Registry = Tcpfo_obs.Registry
 module Stats = Tcpfo_util.Stats
+module Rng = Tcpfo_util.Rng
 open Testutil
 
 (* ---------------- registry semantics ---------------- *)
@@ -171,6 +172,98 @@ let test_percentile_edges () =
   Alcotest.(check (float 1e-9)) "p50 is the median" 3.0
     (Stats.percentile 50.0 xs)
 
+(* ---------------- bounded histograms ---------------- *)
+
+let summary_of h =
+  match Registry.Histogram.summary h with
+  | Some s -> s
+  | None -> Alcotest.fail "expected a summary"
+
+(* Against the exact order statistics of the same sample: count, min and
+   max are exact and every reported percentile lies in
+   [exact·(1−2⁻⁷), exact], across uniform, exponential and heavy-tailed
+   draws spanning 1e-3..1e6 with zeros mixed in. *)
+let test_histogram_error_bound () =
+  let uniform r = 1e-3 +. Rng.float r (1e6 -. 1e-3)
+  and exponential r = Rng.exponential r ~mean:1e3
+  and log_uniform r = 10.0 ** (Rng.float r 9.0 -. 3.0)
+  and pareto r =
+    Float.min 1e6 (1e-3 /. ((1.0 -. Rng.float r 1.0) ** (1.0 /. 0.5)))
+  in
+  let draws =
+    [ ("uniform", uniform); ("exponential", exponential);
+      ("log-uniform", log_uniform); ("pareto", pareto) ]
+  in
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun (name, draw) ->
+          let r = Rng.create ~seed in
+          let xs =
+            List.init 10_000 (fun _ ->
+                if Rng.bool r 0.05 then 0.0 else draw r)
+          in
+          let h = Registry.histogram (Registry.create ()) "h" in
+          List.iter (Registry.Histogram.observe h) xs;
+          let s = summary_of h in
+          let what f = Printf.sprintf "%s seed %d %s" name seed f in
+          check_int (what "count") 10_000 s.Stats.count;
+          Alcotest.(check (float 0.0)) (what "min")
+            (List.fold_left Float.min infinity xs) s.Stats.min;
+          Alcotest.(check (float 0.0)) (what "max")
+            (List.fold_left Float.max neg_infinity xs) s.Stats.max;
+          (* mean and stddev come from running updates; the two-pass
+             reference over the same list must agree *)
+          let ref_s = Stats.summarize xs in
+          List.iter
+            (fun (f, want, got) ->
+              if Float.abs (got -. want) > 1e-9 *. Float.abs want then
+                Alcotest.failf "%s = %h, reference %h" (what f) got want)
+            [ ("mean", ref_s.Stats.mean, s.Stats.mean);
+              ("stddev", ref_s.Stats.stddev, s.Stats.stddev) ];
+          List.iter
+            (fun (p, got) ->
+              let exact = Stats.percentile p xs in
+              let lo = exact *. (1.0 -. (2.0 ** -7.0)) in
+              if not (lo <= got && got <= exact) then
+                Alcotest.failf "%s: p%g = %h outside [%h, %h]" (what "")
+                  p got lo exact)
+            [ (25.0, s.Stats.p25); (50.0, s.Stats.median);
+              (75.0, s.Stats.p75); (95.0, s.Stats.p95);
+              (99.0, s.Stats.p99); (99.9, s.Stats.p999) ])
+        draws)
+    [ 1; 2; 3 ]
+
+(* Memory depends on the range of values seen, not on how many. *)
+let test_histogram_memory_bounded () =
+  let h = Registry.histogram (Registry.create ()) "h" in
+  let r = Rng.create ~seed:5 in
+  (* pin the range's ends, then draw inside it *)
+  Registry.Histogram.observe h 1.0;
+  Registry.Histogram.observe h 1e6;
+  let observe n =
+    for _ = 1 to n do
+      Registry.Histogram.observe h (10.0 ** Rng.float r 6.0)
+    done
+  in
+  observe 1_000;
+  let words_1k = Obj.reachable_words (Obj.repr h) in
+  observe (1_000_000 - 1_000);
+  check_int "reachable words after 10^3 and 10^6 observations" words_1k
+    (Obj.reachable_words (Obj.repr h))
+
+let test_histogram_observe_allocates_nothing () =
+  let h = Registry.histogram (Registry.create ()) "h" in
+  let xs = List.init 100_000 (fun i -> float_of_int (1 + (i mod 5000))) in
+  let observe = Registry.Histogram.observe h in
+  List.iter observe xs;
+  let w0 = Gc.minor_words () in
+  List.iter observe xs;
+  let w1 = Gc.minor_words () in
+  Alcotest.(check (float 0.0)) "minor words over 100k warm observations" 0.0
+    (w1 -. w0);
+  check_int "all counted" 200_000 (Registry.Histogram.count h)
+
 let suite =
   [
     Alcotest.test_case "counter basics" `Quick test_counter_basics;
@@ -188,4 +281,10 @@ let suite =
     Alcotest.test_case "snapshot determinism" `Quick
       test_snapshot_deterministic;
     Alcotest.test_case "percentile edge cases" `Quick test_percentile_edges;
+    Alcotest.test_case "histogram percentile error bound" `Quick
+      test_histogram_error_bound;
+    Alcotest.test_case "histogram memory independent of count" `Quick
+      test_histogram_memory_bounded;
+    Alcotest.test_case "histogram observe allocates nothing" `Quick
+      test_histogram_observe_allocates_nothing;
   ]
