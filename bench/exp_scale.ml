@@ -172,13 +172,18 @@ let run_exp ~conns ~reply_size ~trials =
     med_wps
     (if all_done then "all connections completed"
      else "WARNING: some connections did not complete");
-  (* machine-readable line for BENCH_scale.json bookkeeping *)
+  let total f = List.fold_left (fun acc o -> acc + f o) 0 outcomes in
+  let events = total (fun o -> o.events) in
+  (* machine-readable line for BENCH_scale.json bookkeeping; [events]
+     and [bytes] are simulated totals over all trials, deterministic
+     per seed and gated exactly by scripts/bench_compare.sh *)
   Printf.printf
     "[scale-summary] {\"conns\":%d,\"reply_size\":%d,\"trials\":%d,\
-     \"jobs\":%d,\"median_events_per_sec\":%.0f,\
-     \"median_wall_s_per_sim_s\":%.4f,\"suite_wall_s\":%.3f,\
-     \"all_completed\":%b}\n%!"
-    conns reply_size trials !jobs med_eps med_wps wall_total all_done;
-  events_line ~exp:"scale"
-    (List.fold_left (fun acc o -> acc + o.events) 0 outcomes);
+     \"events\":%d,\"bytes\":%d,\"jobs\":%d,\
+     \"median_events_per_sec\":%.0f,\"median_wall_s_per_sim_s\":%.4f,\
+     \"suite_wall_s\":%.3f,\"all_completed\":%b}\n%!"
+    conns reply_size trials events
+    (total (fun o -> o.bytes))
+    !jobs med_eps med_wps wall_total all_done;
+  events_line ~exp:"scale" events;
   dump_metrics ~exp:"scale"

@@ -9,7 +9,6 @@ open Toolkit
 module Seq32 = Tcpfo_util.Seq32
 module Checksum = Tcpfo_util.Checksum
 module Interval_buf = Tcpfo_util.Interval_buf
-module Heap = Tcpfo_util.Heap
 module Wire = Tcpfo_packet.Wire
 module Ipaddr = Tcpfo_packet.Ipaddr
 module Seg = Tcpfo_packet.Tcp_segment
@@ -61,15 +60,6 @@ let test_interval_buf =
          Interval_buf.insert b ~seq:(Seq32.of_int 1000) payload_1460;
          ignore (Interval_buf.pop b ~max_len:1460)))
 
-let test_heap =
-  Test.make ~name:"heap/push-pop-64" (Staged.stage (fun () ->
-      let h = Heap.create () in
-      for i = 0 to 63 do
-        Heap.push h ~prio:((i * 37) land 255) i
-      done;
-      let rec drain () = match Heap.pop h with Some _ -> drain () | None -> () in
-      drain ()))
-
 let test_engine =
   Test.make ~name:"engine/schedule+run-100"
     (Staged.stage (fun () ->
@@ -88,7 +78,6 @@ let all_tests =
       test_decode;
       test_seq32;
       test_interval_buf;
-      test_heap;
       test_engine;
     ]
 

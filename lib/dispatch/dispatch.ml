@@ -72,7 +72,6 @@ type t = {
   clock : Clock.t;
   service : Ipaddr.t;
   back : Ipaddr.t;
-  config : config;
   shard_arr : shard array;
   flows : int Ftbl.t;
   obs : Obs.t;
@@ -109,9 +108,13 @@ let transition t sh state =
 
 let rec decay_tick t sh epoch () =
   if sh.s_epoch = epoch && sh.s_state = Degrading then begin
-    set_weight t sh (max 0 (sh.s_weight - t.config.decay_step)) "decay";
+    set_weight t sh
+      (Int.max 0 (sh.s_weight - default_config.decay_step))
+      "decay";
     if sh.s_weight > 0 then
-      ignore (t.clock.Clock.schedule t.config.decay_period (decay_tick t sh epoch))
+      ignore
+        (t.clock.Clock.schedule default_config.decay_period
+           (decay_tick t sh epoch))
   end
 
 let start_degrading t sh =
@@ -126,21 +129,25 @@ let start_degrading t sh =
    transfers still settling) rests at a quarter-weight floor — alive
    enough to accept traffic if the whole fleet is hurting, drained
    enough that siblings absorb the load until repair. *)
-let ramp_target t sh =
+let ramp_target sh =
   if
     Replicated.status sh.s_pool = `Normal
     && Replicated.pending_transfers sh.s_pool = 0
-  then t.config.max_weight
-  else max 1 (t.config.max_weight / 4)
+  then default_config.max_weight
+  else Int.max 1 (default_config.max_weight / 4)
 
 let rec ramp_tick t sh epoch () =
   if sh.s_epoch = epoch && sh.s_state = Ramping then begin
-    let target = ramp_target t sh in
+    let target = ramp_target sh in
     if sh.s_weight < target then
-      set_weight t sh (min target (sh.s_weight + t.config.ramp_step)) "ramp";
-    if sh.s_weight >= t.config.max_weight then transition t sh Healthy
+      set_weight t sh
+        (Int.min target (sh.s_weight + default_config.ramp_step))
+        "ramp";
+    if sh.s_weight >= default_config.max_weight then transition t sh Healthy
     else if sh.s_weight < target then
-      ignore (t.clock.Clock.schedule t.config.ramp_period (ramp_tick t sh epoch))
+      ignore
+        (t.clock.Clock.schedule default_config.ramp_period
+           (ramp_tick t sh epoch))
     (* else: rest at the degraded floor until the pool settles *)
   end
 
@@ -211,7 +218,10 @@ let handle_reply t svc =
 
 let probe_shard t seq sh =
   let now = t.clock.Clock.now () in
-  if sh.s_probes_out > 0 && now - sh.s_last_reply > t.config.probe_timeout then
+  if
+    sh.s_probes_out > 0
+    && now - sh.s_last_reply > default_config.probe_timeout
+  then
     force_down t sh;
   sh.s_probes_out <- sh.s_probes_out + 1;
   Registry.Counter.incr t.c_probes;
@@ -227,7 +237,9 @@ let probe_shard t seq sh =
 
 let rec probe_loop t seq () =
   Array.iter (probe_shard t seq) t.shard_arr;
-  ignore (t.clock.Clock.schedule t.config.probe_period (probe_loop t (seq + 1)))
+  ignore
+    (t.clock.Clock.schedule default_config.probe_period
+       (probe_loop t (seq + 1)))
 
 (* ------------------------------------------------------------------ *)
 (* weighted routing + NAT                                              *)
@@ -254,7 +266,8 @@ let pick t key =
         end)
       t.shard_arr;
     let n = Array.length t.shard_arr in
-    let full = h mod (n * t.config.max_weight) / t.config.max_weight in
+    let max_w = default_config.max_weight in
+    let full = h mod (n * max_w) / max_w in
     if full <> !chosen then Registry.Counter.incr t.c_drained;
     Some !chosen
   end
@@ -339,7 +352,7 @@ let install_hooks t =
 (* ------------------------------------------------------------------ *)
 (* construction                                                        *)
 
-let create ~host ~service ~back ?(config = default_config) ~shards () =
+let create ~host ~service ~back ~shards () =
   if shards = [] then invalid_arg "Dispatch.create: no shards";
   let ip = Host.ip host in
   if not (Ip_layer.is_local_address ip service) then
@@ -355,12 +368,12 @@ let create ~host ~service ~back ?(config = default_config) ~shards () =
       (List.map
          (fun (name, pool) ->
            let g = Obs.gauge (Obs.scope obs name) "weight" in
-           Registry.Gauge.set g config.max_weight;
+           Registry.Gauge.set g default_config.max_weight;
            {
              s_name = name;
              s_pool = pool;
              s_svc = Replicated.service_addr pool;
-             s_weight = config.max_weight;
+             s_weight = default_config.max_weight;
              s_state = Healthy;
              s_epoch = 0;
              s_last_reply = now;
@@ -375,7 +388,6 @@ let create ~host ~service ~back ?(config = default_config) ~shards () =
       clock;
       service;
       back;
-      config;
       shard_arr;
       flows = Ftbl.create 64;
       obs;
@@ -400,7 +412,8 @@ let create ~host ~service ~back ?(config = default_config) ~shards () =
         | _ -> ()))
     t.shard_arr;
   install_hooks t;
-  ignore (clock.Clock.schedule config.probe_period (probe_loop t 0));
+  ignore
+    (clock.Clock.schedule default_config.probe_period (probe_loop t 0));
   t
 
 (* ------------------------------------------------------------------ *)
@@ -449,7 +462,7 @@ let counters t =
     shift_transitions = Registry.Counter.value t.c_shifts;
   }
 
-let of_topo topo ~name ~config ?(dispatch_config = default_config) () =
+let of_topo topo ~name ~config () =
   let info = Topo.dispatch_of topo name in
   let shards =
     List.map
@@ -462,6 +475,6 @@ let of_topo topo ~name ~config ?(dispatch_config = default_config) () =
   in
   let t =
     create ~host:info.Topo.di_host ~service:info.Topo.di_service
-      ~back:info.Topo.di_back ~config:dispatch_config ~shards ()
+      ~back:info.Topo.di_back ~shards ()
   in
   (t, shards)

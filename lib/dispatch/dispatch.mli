@@ -50,9 +50,10 @@ type config = {
 }
 
 val default_config : config
-(** max_weight 16, decay 4/2ms, ramp 2/4ms, probes every 10ms with a
-    35ms timeout (just beyond the default failure-detector timeout, so
-    an in-flight §5 takeover does not trip it). *)
+(** The tuning every dispatcher runs with: max_weight 16, decay
+    4/2ms, ramp 2/4ms, probes every 10ms with a 35ms timeout (just
+    beyond the default failure-detector timeout, so an in-flight §5
+    takeover does not trip it). *)
 
 val probe_proto : int
 (** Raw IP protocol number of the health probes (252); the hot state
@@ -73,7 +74,6 @@ val create :
   host:Tcpfo_host.Host.t ->
   service:Tcpfo_packet.Ipaddr.t ->
   back:Tcpfo_packet.Ipaddr.t ->
-  ?config:config ->
   shards:(string * Tcpfo_core.Replicated.t) list ->
   unit ->
   t
@@ -126,7 +126,6 @@ val of_topo :
   Tcpfo_host.Topo.built ->
   name:string ->
   config:Tcpfo_core.Failover_config.t ->
-  ?dispatch_config:config ->
   unit ->
   t * (string * Tcpfo_core.Replicated.t) list
 (** Convenience elaboration of a [Topo] [dispatch] declaration: builds

@@ -53,11 +53,12 @@ let create engine ~name ~rng ?(profile = default_profile)
   in
   let rec t =
     lazy
-      ((* Pause-aware variant of [Clock.guarded]: when the event comes due
-          on a paused host its body is parked on [deferred] instead of
-          running, keyed by the event's own id so a cancel that arrives
-          while the body is parked still takes effect (the engine keeps
-          cancelled-after-fire observable for exactly this purpose). *)
+      ((* Liveness- and pause-aware clock: a dead host's events are
+          inert, and when an event comes due on a paused host its body is
+          parked on [deferred] instead of running, keyed by the event's
+          own id so a cancel that arrives while the body is parked still
+          takes effect (the engine keeps cancelled-after-fire observable
+          for exactly this purpose). *)
        let clock =
          let schedule delay fn =
            let id_cell = ref None in

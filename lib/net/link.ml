@@ -1,5 +1,4 @@
 module Engine = Tcpfo_sim.Engine
-module Tick_queue = Tcpfo_sim.Tick_queue
 module Time = Tcpfo_sim.Time
 module Rng = Tcpfo_util.Rng
 module Ipv4_packet = Tcpfo_packet.Ipv4_packet
@@ -29,9 +28,6 @@ let default_config =
 type direction = {
   mutable receiver : Ipv4_packet.t -> unit;
   queue : Ipv4_packet.t Queue.t;
-  deliveries : Ipv4_packet.t Tick_queue.t;
-      (* in-flight packets batched by delivery instant; jitter/reorder
-         make due times non-monotone, the queue orders them *)
   mutable transmitting : bool;
   mutable tx_blocked : bool;
   mutable rx_blocked : bool;
@@ -53,37 +49,20 @@ type t = {
 
 type endpoint = { link : t; out_dir : direction; in_dir : direction }
 
-(* The delivery closure reads the direction's live [rx_blocked]/[receiver]
-   fields, so the direction is built first and the queue's fire patched
-   in after. *)
-let mk_direction engine ~delivered ~fault_dropped =
-  let dir =
-    { receiver = (fun _ -> ()); queue = Queue.create ();
-      deliveries = Tick_queue.create engine ~fire:ignore;
-      transmitting = false; tx_blocked = false; rx_blocked = false }
-  in
-  Tick_queue.set_fire dir.deliveries (fun p ->
-      if dir.rx_blocked then Registry.Counter.incr fault_dropped
-      else begin
-        Registry.Counter.incr delivered;
-        dir.receiver p
-      end);
-  dir
+let mk_direction () =
+  { receiver = (fun _ -> ()); queue = Queue.create (); transmitting = false;
+    tx_blocked = false; rx_blocked = false }
 
 let create engine ~rng ?obs config =
   let obs =
     Obs.scope (match obs with Some o -> o | None -> Obs.silent ()) "link"
   in
-  let delivered = Obs.counter obs "delivered" in
-  let fault_dropped = Obs.counter obs "fault_dropped" in
-  { engine; rng; config;
-    a_to_b = mk_direction engine ~delivered ~fault_dropped;
-    b_to_a = mk_direction engine ~delivered ~fault_dropped;
+  { engine; rng; config; a_to_b = mk_direction (); b_to_a = mk_direction ();
     fault_hook = None;
     dropped = Obs.counter obs "dropped";
     queue_full = Obs.counter obs "queue_full";
-    delivered;
-    fault_dropped;
+    delivered = Obs.counter obs "delivered";
+    fault_dropped = Obs.counter obs "fault_dropped";
     corrupted = Obs.counter obs "corrupted" }
 
 let set_fault_hook t h = t.fault_hook <- h
@@ -131,8 +110,17 @@ let rec pump t dir =
       else extra
     in
     if not lost then begin
+      (* each copy is its own engine event; jitter and reordering make due
+         times non-monotone and the engine orders them.  The direction's
+         live [rx_blocked]/[receiver] are read at delivery time. *)
       let deliver_once delay =
-        Tick_queue.add dir.deliveries ~due:(Engine.now t.engine + delay) p
+        ignore
+          (Engine.schedule t.engine ~delay (fun () ->
+               if dir.rx_blocked then Registry.Counter.incr t.fault_dropped
+               else begin
+                 Registry.Counter.incr t.delivered;
+                 dir.receiver p
+               end))
       in
       deliver_once (ser + t.config.delay + extra);
       if t.config.dup_prob > 0.0 && Rng.bool t.rng t.config.dup_prob then

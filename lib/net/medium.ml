@@ -1,5 +1,4 @@
 module Engine = Tcpfo_sim.Engine
-module Tick_queue = Tcpfo_sim.Tick_queue
 module Time = Tcpfo_sim.Time
 module Rng = Tcpfo_util.Rng
 module Vec = Tcpfo_util.Vec
@@ -33,10 +32,6 @@ type t = {
   rng : Rng.t;
   config : config;
   ports : port Vec.t; (* in attach order, for determinism *)
-  deliveries : (Eth_frame.t * int) Tick_queue.t;
-      (* (frame, sender id) batched per delivery instant: one engine
-         event drains every frame due at that time instead of one event
-         per frame *)
   mutable next_id : int;
   mutable busy : bool;
   waiters : port Queue.t; (* deferring stations, FIFO; filtered lazily *)
@@ -53,14 +48,7 @@ let create engine ~rng ?obs config =
   let obs =
     Obs.scope (match obs with Some o -> o | None -> Obs.silent ()) "medium"
   in
-  let ports = Vec.create () in
-  let deliveries =
-    Tick_queue.create engine ~fire:(fun (frame, sender) ->
-        Vec.iter
-          (fun q -> if q.attached && q.id <> sender then q.deliver frame)
-          ports)
-  in
-  { engine; rng; config; ports; deliveries; next_id = 0; busy = false;
+  { engine; rng; config; ports = Vec.create (); next_id = 0; busy = false;
     waiters = Queue.create (); fault_hook = None;
     collisions = Obs.counter obs "collisions";
     frames = Obs.counter obs "frames"; bytes = Obs.counter obs "bytes";
@@ -126,12 +114,16 @@ let rec start_single t p =
           Registry.Counter.incr t.corrupted;
           true)
     in
-    (* Delivery completes one serialization + propagation later.  A frame
-       already decided lost never enqueues its (no-op) delivery. *)
+    (* Delivery completes one serialization + propagation later, as one
+       engine event that fans the frame out to every other attached port.
+       A frame already decided lost schedules no (no-op) delivery. *)
     if not lost then
-      Tick_queue.add t.deliveries
-        ~due:(Engine.now t.engine + ser + t.config.propagation)
-        (frame, p.id);
+      ignore
+        (Engine.schedule t.engine ~delay:(ser + t.config.propagation)
+           (fun () ->
+             Vec.iter
+               (fun q -> if q.attached && q.id <> p.id then q.deliver frame)
+               t.ports));
     ignore
       (Engine.schedule t.engine ~delay:ser (fun () ->
            t.busy <- false;

@@ -10,12 +10,3 @@ let of_engine engine =
     schedule = (fun delay fn -> Engine.schedule engine ~delay fn);
     cancel = (fun id -> Engine.cancel engine id);
   }
-
-let guarded engine ~alive =
-  {
-    now = (fun () -> Engine.now engine);
-    schedule =
-      (fun delay fn ->
-        Engine.schedule engine ~delay (fun () -> if alive () then fn ()));
-    cancel = (fun id -> Engine.cancel engine id);
-  }

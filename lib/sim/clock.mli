@@ -14,7 +14,3 @@ type t = {
 
 val of_engine : Engine.t -> t
 (** Direct, unguarded clock. *)
-
-val guarded : Engine.t -> alive:(unit -> bool) -> t
-(** Events fire only while [alive ()]; scheduling while dead is a no-op
-    (the event is created but its body is skipped). *)

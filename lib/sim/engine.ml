@@ -30,9 +30,9 @@ let rec nil =
 
 (* ------------------------------------------------------------------ *)
 (* Flat binary min-heap over event_ids ordered by (at, seq), backing the
-   wheel's open-slot and overflow queues.  Unlike the generic
-   Tcpfo_util.Heap it stores the event records directly (no per-push
-   entry allocation) and orders by the global scheduling sequence, so
+   wheel's open-slot and overflow queues.  It stores the event records
+   directly (no per-push entry allocation) and orders by the global
+   scheduling sequence, so
    events that reach a queue out of scheduling order (a cascaded wheel
    bucket merging with directly-scheduled events) still pop in
    (time, scheduling order).  Cancelled entries are tombstones:

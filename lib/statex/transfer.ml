@@ -45,8 +45,15 @@ let max_datagram_bytes = 1460
    length, FNV-1a-64 digest) + 1 kind + 4 xfer_id + 4 seq + 4 total +
    4 data length. *)
 let chunk_overhead = 35
-let default_window = 8
-let default_max_attempts = 12
+
+(* Data bytes per installment. *)
+let chunk_data = max_datagram_bytes - chunk_overhead
+
+(* Unacknowledged installments in flight per offer. *)
+let window = 8
+
+(* Consecutive silent RTOs before an offer gives up. *)
+let max_attempts = 12
 
 (* Conservative cap on advertised chunk counts, so a corrupted-but-
    validly-sealed header cannot make the receiver allocate gigabytes. *)
@@ -110,10 +117,7 @@ let decode_msg s =
 type outgoing = {
   o_dst : Ipaddr.t;
   o_payload : string;  (* the sealed snapshot image *)
-  o_chunk_data : int;  (* data bytes per installment *)
   o_total : int;
-  o_window : int;
-  o_max_attempts : int;
   o_rto : Rto.t;
   mutable o_next_needed : int;  (* receiver's cumulative frontier *)
   mutable o_sent_hi : int;  (* first seq never transmitted *)
@@ -176,8 +180,8 @@ let send_msg t ~dst m =
 (* --- sender -------------------------------------------------------- *)
 
 let chunk_of o seq =
-  let lo = seq * o.o_chunk_data in
-  let len = min o.o_chunk_data (String.length o.o_payload - lo) in
+  let lo = seq * chunk_data in
+  let len = min chunk_data (String.length o.o_payload - lo) in
   String.sub o.o_payload lo len
 
 let send_chunk t o xfer_id seq =
@@ -189,7 +193,7 @@ let send_chunk t o xfer_id seq =
    frontier; the first of them becomes the RTT probe if none is
    outstanding. *)
 let rec refill t xfer_id o =
-  let hi = min o.o_total (o.o_next_needed + o.o_window) in
+  let hi = min o.o_total (o.o_next_needed + window) in
   let lo = max o.o_next_needed o.o_sent_hi in
   if lo < hi then begin
     if o.o_probe = None then
@@ -227,7 +231,7 @@ and arm_timer t xfer_id o =
 and on_timeout t xfer_id o =
   if not o.o_done then begin
     o.o_attempts <- o.o_attempts + 1;
-    if o.o_attempts > o.o_max_attempts then begin
+    if o.o_attempts > max_attempts then begin
       o.o_done <- true;
       o.o_timer <- None;
       Hashtbl.remove t.pending xfer_id;
@@ -395,26 +399,17 @@ let attach host =
 
 let set_installer t f = t.installer <- Some f
 
-let offer t ?(chunk_bytes = max_datagram_bytes) ?(window = default_window)
-    ?(max_attempts = default_max_attempts) ~dst conn ~on_result =
-  if chunk_bytes <= chunk_overhead then
-    invalid_arg "Transfer.offer: chunk_bytes must exceed the chunk header";
-  if chunk_bytes > max_datagram_bytes then
-    invalid_arg "Transfer.offer: chunk_bytes above the MSS datagram bound";
+let offer t ~dst conn ~on_result =
   let xfer_id = t.next_id in
   t.next_id <- t.next_id + 1;
   let payload = Snapshot.encode conn in
-  let chunk_data = chunk_bytes - chunk_overhead in
   let total = (String.length payload + chunk_data - 1) / chunk_data in
   let total = max 1 total in
   let o =
     {
       o_dst = dst;
       o_payload = payload;
-      o_chunk_data = chunk_data;
       o_total = total;
-      o_window = max 1 window;
-      o_max_attempts = max 1 max_attempts;
       o_rto =
         Rto.create (Lazy.force t.rto_ins) ~init:(Time.ms 10)
           ~min:(Time.ms 2) ~max:(Time.ms 256) ();
@@ -440,7 +435,7 @@ let rtt_estimate t = t.last_rtt
    guess. *)
 let suggested_pace t =
   match t.last_rtt with
-  | Some rtt -> max (Time.us 10) (rtt / default_window)
+  | Some rtt -> max (Time.us 10) (rtt / window)
   | None -> Time.us 200
 
 type stats = {

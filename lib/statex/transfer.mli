@@ -75,23 +75,16 @@ val set_installer :
 
 val offer :
   t ->
-  ?chunk_bytes:int ->
-  ?window:int ->
-  ?max_attempts:int ->
   dst:Tcpfo_packet.Ipaddr.t ->
   Snapshot.conn ->
   on_result:((unit, string) result -> unit) ->
   unit
-(** Encode, stream, and await the peer's verdict.  [on_result] fires
-    exactly once: [Ok] on Accept, [Error] on Reject or once
-    [max_attempts] (default 12) consecutive RTOs pass without any
-    acknowledgement progress — progress resets the budget, so a slow
-    lossy channel is distinguished from a dead one.  [chunk_bytes]
-    (default {!max_datagram_bytes}) bounds each datagram and must lie
-    in []({!chunk_overhead}, {!max_datagram_bytes}]]; [window] (default
-    8) caps unacknowledged installments in flight.
-
-    @raise Invalid_argument if [chunk_bytes] is out of range. *)
+(** Encode, stream, and await the peer's verdict.  Each datagram is at
+    most {!max_datagram_bytes}, and at most 8 unacknowledged
+    installments are in flight.  [on_result] fires exactly once: [Ok] on
+    Accept, [Error] on Reject or once 12 consecutive RTOs pass without
+    any acknowledgement progress — progress resets the budget, so a slow
+    lossy channel is distinguished from a dead one. *)
 
 val pending_count : t -> int
 (** Offers awaiting a verdict. *)

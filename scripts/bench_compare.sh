@@ -65,8 +65,11 @@ check_eq() { # check_eq <what> <got> <want>
 case "$exp" in
   scale)
     require_flag all_completed
-    check_eq "smoke conns" "$(sum_num conns)" "$(smoke_num conns)"
-    check_eq "smoke reply_size" "$(sum_num reply_size)" "$(smoke_num reply_size)"
+    # conns and reply_size are the experiment's own inputs; the event
+    # and byte totals are what the simulation did with them
+    for key in conns reply_size events bytes; do
+      check_eq "smoke $key" "$(sum_num $key)" "$(smoke_num $key)"
+    done
     ;;
 
   reintegration)

@@ -57,7 +57,11 @@ lib/core/secondary_bridge.ml
 lib/core/failover_config.ml
 lib/ip/arp_cache.ml
 lib/ip/eth_iface.ml
+lib/ip/ip_layer.ml
 lib/net/medium.ml
+lib/net/link.ml
+lib/net/nic.ml
+lib/dispatch/dispatch.ml
 lib/host/host.ml
 lib/statex/codec.ml
 lib/obs/registry.ml

@@ -64,17 +64,6 @@ let test_run_until_idle_advances_clock () =
   Engine.run e ~until:(Time.ms 3);
   Testutil.check_int "clock at until" (Time.ms 3) (Engine.now e)
 
-let test_guarded_clock () =
-  let e = Engine.create () in
-  let alive = ref true in
-  let clock = Tcpfo_sim.Clock.guarded e ~alive:(fun () -> !alive) in
-  let fired = ref [] in
-  ignore (clock.schedule (Time.us 1) (fun () -> fired := 1 :: !fired));
-  ignore (clock.schedule (Time.us 10) (fun () -> fired := 2 :: !fired));
-  ignore (Engine.schedule e ~delay:(Time.us 5) (fun () -> alive := false));
-  Engine.run e;
-  Alcotest.(check (list int)) "only pre-death" [ 1 ] (List.rev !fired)
-
 (* ------------------ wheel vs an obvious reference ------------------ *)
 
 (* The oracle: every pending event in one list kept sorted by
@@ -343,8 +332,6 @@ let suite =
       test_run_until;
     Alcotest.test_case "run ~until advances idle clock" `Quick
       test_run_until_idle_advances_clock;
-    Alcotest.test_case "guarded clock dies with host" `Quick
-      test_guarded_clock;
     Alcotest.test_case "wheel: equal time across insert paths" `Quick
       test_wheel_equal_time_across_paths;
     Alcotest.test_case "wheel: all levels + overflow" `Quick test_wheel_spans;

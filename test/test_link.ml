@@ -164,9 +164,79 @@ let test_reordering () =
   Testutil.check_bool "some out of order" true
     (received <> List.sort compare received)
 
+let test_copies_at_own_due_times () =
+  (* 40 back-to-back 1000-byte datagrams at 80 Mb/s: packet i leaves the
+     wire at (i+1) * 100 us.  A reordered packet is held back by k
+     serialization times (k in 2..7), so it lands on the same instant as
+     the unreordered packet k places behind it; a duplicate trails its
+     original by ser/2 + 1.  Each copy must arrive at its own due time,
+     and copies due at the same instant must arrive in send order. *)
+  let ser = Time.us 100 and delay = Time.ms 1 and n = 40 in
+  let e, l =
+    setup
+      ~config:
+        { Link.default_config with bandwidth_bps = 80_000_000; delay;
+          reorder_prob = 0.4; dup_prob = 0.5 }
+      ()
+  in
+  let log = ref [] in
+  Link.set_receiver (Link.endpoint_b l) (fun p ->
+      match p.Ipv4_packet.payload with
+      | Ipv4_packet.Raw { data; _ } ->
+        log := (Engine.now e, int_of_string (String.trim data)) :: !log
+      | _ -> ());
+  for i = 0 to n - 1 do
+    Link.send (Link.endpoint_a l)
+      (Ipv4_packet.make ~src:(Ipaddr.of_int 1) ~dst:(Ipaddr.of_int 2)
+         (Ipv4_packet.Raw { proto = 99; data = Printf.sprintf "%980d" i }))
+  done;
+  Engine.run e;
+  let log = List.rev !log in
+  let reordered = ref 0 and duplicated = ref 0 in
+  for i = 0 to n - 1 do
+    let base = ((i + 1) * ser) + delay in
+    match List.filter_map (fun (at, j) -> if j = i then Some at else None) log
+    with
+    | [] -> Alcotest.failf "packet %d lost" i
+    | first :: rest ->
+      let held = first - base in
+      if held <> 0 then begin
+        incr reordered;
+        if held mod ser <> 0 || held < 2 * ser || held > 7 * ser then
+          Alcotest.failf "packet %d held back %d ns" i held
+      end;
+      (match rest with
+      | [] -> ()
+      | [ dup ] ->
+        incr duplicated;
+        Testutil.check_int
+          (Printf.sprintf "duplicate of %d" i)
+          (first + (ser / 2) + 1)
+          dup
+      | _ -> Alcotest.failf "packet %d delivered %d times" i (List.length rest + 1))
+  done;
+  Testutil.check_bool "some packets reordered" true (!reordered > 0);
+  Testutil.check_bool "some packets duplicated" true (!duplicated > 0);
+  let ties = ref 0 in
+  let rec check_order = function
+    | (t1, i1) :: ((t2, i2) :: _ as rest) ->
+      if t2 < t1 then Alcotest.fail "arrivals out of time order";
+      if t2 = t1 then begin
+        incr ties;
+        if i2 <= i1 then
+          Alcotest.failf "at %d ns packet %d arrived before %d" t1 i1 i2
+      end;
+      check_order rest
+    | _ -> ()
+  in
+  check_order log;
+  Testutil.check_bool "some copies due at the same instant" true (!ties > 0)
+
 let suite =
   suite
   @ [
       Alcotest.test_case "duplication" `Quick test_duplication;
       Alcotest.test_case "reordering" `Quick test_reordering;
+      Alcotest.test_case "reorder+dup: own due times, send order on ties"
+        `Quick test_copies_at_own_due_times;
     ]

@@ -6,7 +6,6 @@ let () =
       ("checksum", Test_checksum.suite);
       ("interval_buf", Test_interval_buf.suite);
       ("bytebuf", Test_bytebuf.suite);
-      ("heap", Test_heap.suite);
       ("engine", Test_engine.suite);
       ("rng_stats", Test_rng_stats.suite);
       ("wire", Test_wire.suite);

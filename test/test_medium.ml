@@ -49,6 +49,26 @@ let test_serialization_time () =
   Engine.run e;
   Testutil.check_int "arrival time" (Time.ns 85_640) !arrival
 
+let test_delivery_orders_with_timers () =
+  (* a delivery is one engine event, scheduled when the frame starts on
+     the wire: a timer set for the frame's arrival instant before
+     [transmit] fires first, one set after [transmit] fires after it *)
+  let e, m, _ = setup () in
+  let log = ref [] in
+  let note what () = log := (what, Engine.now e) :: !log in
+  let _p0 = Medium.attach m ~deliver:(fun _ -> note "frame" ()) in
+  let p1 = Medium.attach m ~deliver:(fun _ -> ()) in
+  (* same 1000-byte frame as above: arrives at 85.64 us *)
+  let arrival = Time.ns 85_640 in
+  ignore (Engine.schedule_at e ~at:arrival (note "before"));
+  Medium.transmit m p1 (mk_frame ~src:2 ~dst:1 1000);
+  ignore (Engine.schedule_at e ~at:arrival (note "after"));
+  Engine.run e;
+  Alcotest.(check (list (pair string int)))
+    "scheduling order at one instant"
+    [ ("before", arrival); ("frame", arrival); ("after", arrival) ]
+    (List.rev !log)
+
 let test_fifo_when_busy () =
   let e, m, obs = setup () in
   let log = ref [] in
@@ -158,6 +178,8 @@ let suite =
       test_broadcast_semantics;
     Alcotest.test_case "serialization + propagation timing" `Quick
       test_serialization_time;
+    Alcotest.test_case "delivery vs timers at the arrival instant" `Quick
+      test_delivery_orders_with_timers;
     Alcotest.test_case "busy medium: FIFO, no collision" `Quick
       test_fifo_when_busy;
     Alcotest.test_case "collision backoff resolves" `Quick

@@ -142,25 +142,6 @@ let test_chunked_within_mss () =
   check_int "no timeouts" 0 stats.Transfer.timeouts;
   Capture.stop cap
 
-let test_chunk_bytes_validated () =
-  let p = mk_pair () in
-  let conn = mk_conn ~size:100 () in
-  let dst = Host.addr p.hb in
-  Alcotest.check_raises "chunk_bytes at the header size rejected"
-    (Invalid_argument
-       "Transfer.offer: chunk_bytes must exceed the chunk header")
-    (fun () ->
-      Transfer.offer p.xa ~chunk_bytes:Transfer.chunk_overhead ~dst conn
-        ~on_result:(fun _ -> ()));
-  Alcotest.check_raises "chunk_bytes above the MSS bound rejected"
-    (Invalid_argument
-       "Transfer.offer: chunk_bytes above the MSS datagram bound")
-    (fun () ->
-      Transfer.offer p.xa
-        ~chunk_bytes:(Transfer.max_datagram_bytes + 1)
-        ~dst conn
-        ~on_result:(fun _ -> ()))
-
 (* -- reassembly edge cases ---------------------------------------------- *)
 
 (* Hand-craft the receiver's datagrams so duplication and reordering are
@@ -220,19 +201,18 @@ let test_corrupt_datagram_counted () =
 
 let test_resume_after_partition () =
   let p = mk_pair () in
-  (* 64 data bytes per installment: the image needs hundreds of chunks,
-     so the partition is guaranteed to open mid-transfer *)
-  let conn = mk_conn ~size:20_000 () in
+  (* a 200 kB send buffer: the image needs over a hundred MSS-sized
+     installments, so the partition is guaranteed to open mid-transfer *)
+  let conn = mk_conn ~size:200_000 () in
   let total =
+    let chunk = Transfer.max_datagram_bytes - Transfer.chunk_overhead in
     let len = String.length (Snapshot.encode conn) in
-    (len + 63) / 64
+    (len + chunk - 1) / chunk
   in
   check_bool "needs many installments" true (total > 100);
   let result = ref None in
-  Transfer.offer p.xa
-    ~chunk_bytes:(Transfer.chunk_overhead + 64)
-    ~dst:(Host.addr p.hb) conn
-    ~on_result:(fun r -> result := Some r);
+  Transfer.offer p.xa ~dst:(Host.addr p.hb) conn ~on_result:(fun r ->
+      result := Some r);
   ignore
     (Engine.schedule (World.engine p.xworld) ~delay:(Time.us 300) (fun () ->
          Host.set_partitioned p.hb true));
@@ -256,7 +236,7 @@ let test_retry_budget_exhausted () =
   let p = mk_pair () in
   Host.set_partitioned p.hb true;
   let result = ref None in
-  Transfer.offer p.xa ~max_attempts:4 ~dst:(Host.addr p.hb)
+  Transfer.offer p.xa ~dst:(Host.addr p.hb)
     (mk_conn ~size:500 ())
     ~on_result:(fun r -> result := Some r);
   World.run p.xworld ~for_:(Time.sec 3.0);
@@ -873,8 +853,6 @@ let suite =
   [
     Alcotest.test_case "chunked transfer stays within the MSS" `Quick
       test_chunked_within_mss;
-    Alcotest.test_case "chunk_bytes bounds are enforced" `Quick
-      test_chunk_bytes_validated;
     Alcotest.test_case "duplicate and reordered chunks reassemble" `Quick
       test_duplicate_and_reordered_chunks;
     Alcotest.test_case "corrupt datagrams are counted, not installed" `Quick
