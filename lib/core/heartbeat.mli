@@ -12,7 +12,28 @@
     exactly when the beat expected at [last_seen + heartbeat_period]
     becomes [detector_timeout] overdue, so detection latency is bounded
     by [detector_timeout + 2 * heartbeat_period] (plus delivery delays),
-    not by an extra polling timeout. *)
+    not by an extra polling timeout.
+
+    Beats travel as raw IP protocol {!proto}.  Each host has one
+    registration for it, made by its first watcher, and a watcher set
+    keyed by peer address: a beat reaches only the watchers of the peer
+    it came from, and {!stop} takes a watcher out of the set. *)
+
+val proto : int
+(** Raw IP protocol number of heartbeats (253). *)
+
+type beat = { origin : string; seq : int; role : [ `Primary | `Secondary ] }
+(** One heartbeat: the sending replica's name, its beat counter (sent
+    modulo 2{^32}) and its role. *)
+
+val encode : beat -> string
+(** The datagram body: u32 seq, u16 origin length, u8 role (0 primary,
+    1 secondary), u8 zero, then the origin — [8 + |origin|] bytes. *)
+
+val decode : string -> beat option
+(** Inverse of {!encode}; [None] on a truncated body, a length that
+    disagrees with the origin, or a bad role or padding byte.  Such beats
+    count in [ip.malformed.heartbeat] and reset no detector. *)
 
 type t
 
@@ -23,15 +44,14 @@ val start :
   config:Failover_config.t ->
   on_peer_failure:(unit -> unit) ->
   t
-(** Begin sending heartbeats to [peer] and watching for theirs.  Installs
-    itself as the host's heartbeat protocol handler.  Counters
+(** Begin sending heartbeats to [peer] and watching for theirs, joining
+    the host's watcher set (registering proto {!proto} on the host's
+    first watcher).  Counters
     [heartbeat.sent] and [heartbeat.received] register under the host's
     scope; declaring the peer dead publishes a
     [Failover Detected] event. *)
 
 val stop : t -> unit
-(** Stop sending and detecting (used after a completed failover, when the
-    survivor runs as an ordinary server). *)
-
-val peer_alive : t -> bool
-(** Current verdict. *)
+(** Stop sending and detecting, and leave the host's watcher set (used
+    after a completed failover, when the survivor runs as an ordinary
+    server).  A watcher that fires leaves the set the same way. *)

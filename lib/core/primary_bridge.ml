@@ -989,7 +989,7 @@ let tx_hook t (pkt : Ipv4_packet.t) =
         from_primary t conn seg;
         Ip_layer.Tx_drop
       | None -> Ip_layer.Tx_pass pkt)
-  | Tcp _ | Heartbeat _ | Raw _ -> Ip_layer.Tx_pass pkt
+  | Tcp _ | Raw _ -> Ip_layer.Tx_pass pkt
 
 let rx_hook t (pkt : Ipv4_packet.t) ~link_addressed =
   ignore link_addressed;
@@ -1029,7 +1029,7 @@ let rx_hook t (pkt : Ipv4_packet.t) ~link_addressed =
           if t.claim_service then Ip_layer.Rx_deliver pkt
           else Ip_layer.Rx_pass pkt
       else Ip_layer.Rx_pass pkt))
-  | Tcp _ | Heartbeat _ | Raw _ -> Ip_layer.Rx_pass pkt
+  | Tcp _ | Raw _ -> Ip_layer.Rx_pass pkt
 
 let install host ~registry ~service_addr ~secondary_addr ?(output = Direct)
     ?(claim_service = false) () =

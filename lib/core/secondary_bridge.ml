@@ -74,7 +74,7 @@ let tx_hook t (pkt : Ipv4_packet.t) =
       Queue.push pkt t.held;
       Ip_layer.Tx_drop
     | Taken_over -> Ip_layer.Tx_pass pkt)
-  | Tcp _ | Heartbeat _ | Raw _ -> Ip_layer.Tx_pass pkt
+  | Tcp _ | Raw _ -> Ip_layer.Tx_pass pkt
 
 let rx_hook t (pkt : Ipv4_packet.t) ~link_addressed =
   match pkt.payload with
@@ -105,7 +105,7 @@ let rx_hook t (pkt : Ipv4_packet.t) ~link_addressed =
       (* translation disabled: the service address is now a local alias
          and normal delivery applies *)
       Ip_layer.Rx_pass pkt)
-  | Tcp _ | Heartbeat _ | Raw _ ->
+  | Tcp _ | Raw _ ->
     ignore link_addressed;
     Ip_layer.Rx_pass pkt
 

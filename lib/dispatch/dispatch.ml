@@ -174,34 +174,38 @@ let force_down t sh =
 
 (* "probe SEQ ADDR" / "reply SEQ ADDR" — ADDR is the probed pool
    service address, carried so the responder can answer *from* it and
-   the dispatcher can attribute the reply without trusting IP sources. *)
+   the dispatcher can attribute the reply without trusting IP sources.
+   Anything else counts in [ip.malformed.probe]. *)
 
-let parse_msg data =
+type probe_msg = { reply : bool; seq : int; svc : Ipaddr.t }
+
+let decode_probe data =
   match String.split_on_char ' ' data with
   | [ kind; seq; addr ] -> (
-    match (int_of_string_opt seq, Ipaddr.of_string addr) with
-    | Some s, a -> Some (kind, s, a)
-    | None, _ | (exception _) -> None)
+    match (kind, int_of_string_opt seq, Ipaddr.of_string addr) with
+    | ("probe" | "reply"), Some seq, svc ->
+      Some { reply = String.equal kind "reply"; seq; svc }
+    | _ | (exception _) -> None)
   | _ -> None
+
+let register_probes ip handler =
+  Ip_layer.register ip ~proto:probe_proto ~name:"probe" ~decode:decode_probe
+    handler
 
 let arm_probe_responder host =
   let ip = Host.ip host in
-  let inner = Ip_layer.raw_handler ip in
-  Ip_layer.set_raw_handler ip (fun ~src ~proto data ->
-      if proto = probe_proto then
-        match parse_msg data with
-        | Some ("probe", seq, svc) when Ip_layer.is_local_address ip svc ->
-          Ip_layer.send ip
-            (Ipv4_packet.make ~ident:(Ip_layer.fresh_ident ip) ~src:svc
-               ~dst:src
-               (Raw
-                  {
-                    proto = probe_proto;
-                    data =
-                      Printf.sprintf "reply %d %s" seq (Ipaddr.to_string svc);
-                  }))
-        | _ -> ()
-      else inner ~src ~proto data)
+  register_probes ip (fun ~src m ->
+      if (not m.reply) && Ip_layer.is_local_address ip m.svc then
+        Ip_layer.send ip
+          (Ipv4_packet.make ~ident:(Ip_layer.fresh_ident ip) ~src:m.svc
+             ~dst:src
+             (Raw
+                {
+                  proto = probe_proto;
+                  data =
+                    Printf.sprintf "reply %d %s" m.seq
+                      (Ipaddr.to_string m.svc);
+                })))
 
 let handle_reply t svc =
   match
@@ -341,13 +345,7 @@ let install_hooks t =
            match pkt.Ipv4_packet.payload with
            | Ipv4_packet.Tcp seg -> handle_tcp t chain pkt seg ~link_addressed
            | _ -> chain pkt ~link_addressed));
-  let inner_raw = Ip_layer.raw_handler ip in
-  Ip_layer.set_raw_handler ip (fun ~src ~proto data ->
-      if proto = probe_proto then
-        match parse_msg data with
-        | Some ("reply", _, svc) -> handle_reply t svc
-        | _ -> ()
-      else inner_raw ~src ~proto data)
+  register_probes ip (fun ~src:_ m -> if m.reply then handle_reply t m.svc)
 
 (* ------------------------------------------------------------------ *)
 (* construction                                                        *)

@@ -79,8 +79,9 @@ val create :
   t
 (** [host] must already own [service] (front) and [back] (back) — build
     it with a [Topo] [dispatch] declaration or [World.attach_extra_lan].
-    Forwarding is switched on, the NAT rx hook and the probe reply
-    handler are installed (both chain to whatever was there), every
+    Forwarding is switched on, the NAT rx hook is installed (chaining to
+    whatever rx hook was there), the host's one proto-{!probe_proto}
+    registration takes the probe replies, every
     pool's events are tapped via [Replicated.add_on_event], and the
     probe loop starts.  Shard order is the registration order used by
     the weighted router.  Raises [Invalid_argument] on an empty shard
@@ -90,9 +91,11 @@ val arm_probe_responder : Tcpfo_host.Host.t -> unit
 (** Install the probe responder on a pool replica: probes for any
     address the host currently owns are answered *from that address*, so
     whoever holds the pool service address — the primary, or the
-    secondary after a §5 takeover — answers for the shard.  Chains to
-    the host's existing raw handler (the transfer channel).  Call it on
-    every replica, including repaired hosts before they rejoin. *)
+    secondary after a §5 takeover — answers for the shard.  This is the
+    host's one proto-{!probe_proto} registration
+    ({!Tcpfo_ip.Ip_layer.register}); garbage probes count in
+    [ip.malformed.probe].  Call it once on every replica, including
+    repaired hosts before they rejoin. *)
 
 val service : t -> Tcpfo_packet.Ipaddr.t
 val shards : t -> (string * Tcpfo_core.Replicated.t) list

@@ -28,6 +28,9 @@ type iface_entry =
   | Lan of Eth_iface.t * Ip_layer.iface
   | Ptp of Link.endpoint * Ipaddr.t * Ip_layer.iface
 
+(* Per-host state of services layered above the host, found by key. *)
+type binding = Binding : 'a Type.Id.t * 'a -> binding
+
 type t = {
   engine : Engine.t;
   name : string;
@@ -42,6 +45,7 @@ type t = {
   (* timers and packet deliveries that came due while paused, in firing
      order; each carries its logical cancellation ref *)
   deferred : (Engine.event_id * (unit -> unit)) Queue.t;
+  mutable locals : binding list;
 }
 
 let create engine ~name ~rng ?(profile = default_profile)
@@ -103,7 +107,7 @@ let create engine ~name ~rng ?(profile = default_profile)
        in
        let tcp = Stack.create clock ~ip ~config:tcp_config ~rng in
        { engine; name; rng; clock; obs; ip; tcp; ifaces = []; alive = true;
-         paused = false; deferred = Queue.create () })
+         paused = false; deferred = Queue.create (); locals = [] })
   in
   Lazy.force t
 
@@ -116,6 +120,23 @@ let ip t = t.ip
 let cpu t = Ip_layer.cpu t.ip
 let tcp t = t.tcp
 let alive t = t.alive
+
+type 'a key = 'a Type.Id.t
+
+let new_key () = Type.Id.make ()
+
+let local (type a) t (key : a key) ~init : a =
+  let rec find = function
+    | [] ->
+      let v = init () in
+      t.locals <- Binding (key, v) :: t.locals;
+      v
+    | Binding (k, v) :: rest -> (
+      match Type.Id.provably_equal key k with
+      | Some Type.Equal -> v
+      | None -> find rest)
+  in
+  find t.locals
 
 let attach_lan t medium ~addr ?(prefix = 24) ~mac () =
   let nic = Nic.create t.engine ~mac ~obs:t.obs medium in

@@ -82,6 +82,17 @@ val addr : t -> Tcpfo_packet.Ipaddr.t
 
 val alive : t -> bool
 
+type 'a key
+(** Names one kind of per-host state kept by a service layered above
+    the host. *)
+
+val new_key : unit -> 'a key
+
+val local : t -> 'a key -> init:(unit -> 'a) -> 'a
+(** [local h key ~init] is [h]'s state under [key], made by [init] on
+    first use.  The state lives and dies with the host, so worlds running
+    in parallel domains never share it. *)
+
 val kill : t -> unit
 (** Fail-stop crash. *)
 

@@ -30,6 +30,10 @@ type rx_verdict =
   | Rx_deliver of Ipv4_packet.t
   | Rx_drop
 
+(* One control protocol's owner: [input] decodes a datagram body and
+   either hands it to the handler or counts it in [ip.malformed.<name>]. *)
+type registration = { r_name : string; input : src:Ipaddr.t -> string -> unit }
+
 type t = {
   clock : Clock.t;
   name : string;
@@ -51,8 +55,7 @@ type t = {
   mutable forwarding : bool;
   mutable tcp_handler :
     src:Ipaddr.t -> dst:Ipaddr.t -> Tcp_segment.t -> unit;
-  mutable hb_handler : src:Ipaddr.t -> Ipv4_packet.heartbeat -> unit;
-  mutable raw_handler : src:Ipaddr.t -> proto:int -> string -> unit;
+  protos : registration option array; (* indexed by IP protocol number *)
   mutable tx_hook : (Ipv4_packet.t -> tx_verdict) option;
   mutable rx_hook :
     (Ipv4_packet.t -> link_addressed:bool -> rx_verdict) option;
@@ -82,8 +85,7 @@ let create clock ~name ?(tx_cost = 0) ?(rx_cost = 0) ?jitter ?cpu ?obs () =
     local_addrs_dirty = true;
     forwarding = false;
     tcp_handler = (fun ~src:_ ~dst:_ _ -> ());
-    hb_handler = (fun ~src:_ _ -> ());
-    raw_handler = (fun ~src:_ ~proto:_ _ -> ());
+    protos = Array.make 256 None;
     tx_hook = None;
     rx_hook = None;
     ident = 1;
@@ -121,10 +123,22 @@ let is_local_address t ip =
 
 let set_forwarding t v = t.forwarding <- v
 let set_tcp_handler t fn = t.tcp_handler <- fn
-let set_heartbeat_handler t fn = t.hb_handler <- fn
-let heartbeat_handler t = t.hb_handler
-let set_raw_handler t fn = t.raw_handler <- fn
-let raw_handler t = t.raw_handler
+
+let register t ~proto ~name ~decode handler =
+  (match t.protos.(proto) with
+  | Some r ->
+    invalid_arg
+      (Printf.sprintf "Ip_layer.register: %s: %s already owns proto %d on %s"
+         name r.r_name proto t.name)
+  | None -> ());
+  let malformed = Obs.counter (Obs.scope t.obs "ip") ("malformed." ^ name) in
+  let input ~src data =
+    match decode data with
+    | Some msg -> handler ~src msg
+    | None -> Registry.Counter.incr malformed
+  in
+  t.protos.(proto) <- Some { r_name = name; input }
+
 let set_tx_hook t h = t.tx_hook <- h
 let set_rx_hook t h = t.rx_hook <- h
 let tx_hook t = t.tx_hook
@@ -167,7 +181,7 @@ let roundtrip_pkt (pkt : Ipv4_packet.t) =
     let b = Tcpfo_packet.Wire.encode_tcp ~src_ip:pkt.src ~dst_ip:pkt.dst seg in
     let seg' = Tcpfo_packet.Wire.decode_tcp ~src_ip:pkt.src ~dst_ip:pkt.dst b in
     { pkt with payload = Tcp seg' }
-  | Heartbeat _ | Raw _ -> pkt
+  | Raw _ -> pkt
 
 let transmit t pkt =
   let pkt = if t.wire_roundtrip then roundtrip_pkt pkt else pkt in
@@ -180,7 +194,7 @@ let transmit t pkt =
        | Tcp seg ->
          Obs.emit t.obs ~at:(t.clock.now ())
            (Event.Segment_tx { host = t.name; dst = pkt.Ipv4_packet.dst; seg })
-       | Heartbeat _ | Raw _ -> ());
+       | Raw _ -> ());
     (match r.via.kind with
     | Ptp p -> Link.send p.ep pkt
     | Eth e ->
@@ -197,11 +211,15 @@ let deliver t (pkt : Ipv4_packet.t) =
      | Tcp seg ->
        Obs.emit t.obs ~at:(t.clock.now ())
          (Event.Segment_rx { host = t.name; src = pkt.src; seg })
-     | Heartbeat _ | Raw _ -> ());
+     | Raw _ -> ());
   match pkt.payload with
   | Tcp seg -> t.tcp_handler ~src:pkt.src ~dst:pkt.dst seg
-  | Heartbeat hb -> t.hb_handler ~src:pkt.src hb
-  | Raw { proto; data } -> t.raw_handler ~src:pkt.src ~proto data
+  | Raw { proto; data } -> (
+    (* unregistered protocols (cross-traffic) are dropped uncounted *)
+    if proto >= 0 && proto < Array.length t.protos then
+      match t.protos.(proto) with
+      | Some r -> r.input ~src:pkt.src data
+      | None -> ())
 
 let forward t (pkt : Ipv4_packet.t) =
   if pkt.ttl > 1 then begin

@@ -2,6 +2,11 @@
     the hook points where the TCP failover bridge interposes itself
     between TCP and IP (the paper's "bridge" sublayer sits exactly here).
 
+    Local delivery: TCP segments go to the {!set_tcp_handler} handler;
+    every other protocol is a control channel with a single owner per
+    host, looked up by protocol number in a table filled by {!register}
+    (heartbeats 253, hot state transfer 254, dispatcher probes 252).
+
     Hooks:
     - the [tx hook] sees every locally-originated datagram before routing;
       the primary bridge uses it to delay, renumber and merge the TCP
@@ -88,28 +93,23 @@ val set_tcp_handler :
    Tcpfo_packet.Tcp_segment.t -> unit) ->
   unit
 
-val set_heartbeat_handler :
+val register :
   t ->
-  (src:Tcpfo_packet.Ipaddr.t -> Tcpfo_packet.Ipv4_packet.heartbeat -> unit) ->
+  proto:int ->
+  name:string ->
+  decode:(string -> 'a option) ->
+  (src:Tcpfo_packet.Ipaddr.t -> 'a -> unit) ->
   unit
+(** [register t ~proto ~name ~decode handler] makes [handler] the one
+    owner of raw IP protocol [proto] (0–255) on this host: every
+    arriving [Raw { proto; data }] datagram is decoded once, and [handler]
+    gets the message together with the sender's address.  A body that
+    [decode] rejects ([None]) is counted in the per-host counter
+    [ip.malformed.<name>], registered here, and goes no further.
+    Datagrams of a protocol nobody registered are dropped uncounted.
 
-val heartbeat_handler :
-  t -> src:Tcpfo_packet.Ipaddr.t -> Tcpfo_packet.Ipv4_packet.heartbeat -> unit
-(** The currently installed heartbeat handler, so a new watcher can chain
-    onto it — a pool primary runs one detector per watched replica. *)
-
-val set_raw_handler :
-  t ->
-  (src:Tcpfo_packet.Ipaddr.t -> proto:int -> string -> unit) ->
-  unit
-
-val raw_handler :
-  t -> src:Tcpfo_packet.Ipaddr.t -> proto:int -> string -> unit
-(** The currently installed raw-protocol handler, so a new consumer of a
-    different protocol number can chain onto it instead of silently
-    stealing the host's single raw slot — the hot-state-transfer channel
-    (proto 254) and the dispatcher's health probes (proto 252) coexist
-    this way. *)
+    @raise Invalid_argument if [proto] is already registered on this
+    host, or out of range. *)
 
 val set_tx_hook : t -> (Tcpfo_packet.Ipv4_packet.t -> tx_verdict) option -> unit
 

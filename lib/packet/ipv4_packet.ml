@@ -1,12 +1,5 @@
-type heartbeat = {
-  origin : string;
-  hb_seq : int;
-  role : [ `Primary | `Secondary ];
-}
-
 type payload =
   | Tcp of Tcp_segment.t
-  | Heartbeat of heartbeat
   | Raw of { proto : int; data : string }
 
 type t = {
@@ -22,12 +15,10 @@ let make ?(ttl = 64) ?(ident = 0) ~src ~dst payload =
 
 let protocol_number = function
   | Tcp _ -> 6
-  | Heartbeat _ -> 253
   | Raw { proto; _ } -> proto
 
 let payload_length = function
   | Tcp seg -> Tcp_segment.wire_length seg
-  | Heartbeat hb -> 8 + String.length hb.origin
   | Raw { data; _ } -> String.length data
 
 let wire_length t = 20 + payload_length t.payload
@@ -37,9 +28,6 @@ let pp fmt t =
   | Tcp seg ->
     Format.fprintf fmt "%a>%a %a" Ipaddr.pp t.src Ipaddr.pp t.dst
       Tcp_segment.pp seg
-  | Heartbeat hb ->
-    Format.fprintf fmt "%a>%a HB(%s,%d)" Ipaddr.pp t.src Ipaddr.pp t.dst
-      hb.origin hb.hb_seq
   | Raw { proto; data } ->
     Format.fprintf fmt "%a>%a raw proto=%d len=%d" Ipaddr.pp t.src Ipaddr.pp
       t.dst proto (String.length data)

@@ -1,18 +1,12 @@
 (** IPv4 datagrams as structured values.
 
-    The payload is a typed variant: TCP segments, the failover system's
-    heartbeat protocol (an IP protocol of its own, used by the fault
-    detector), or raw bytes for cross-traffic generators. *)
-
-type heartbeat = {
-  origin : string; (* replica name *)
-  hb_seq : int;
-  role : [ `Primary | `Secondary ];
-}
+    The payload is either a structured TCP segment or the raw body of
+    any other IP protocol: the failover system's control channels
+    (heartbeats, hot state transfer, dispatcher probes — each decoded by
+    its owner, see [Ip_layer.register]) and cross-traffic. *)
 
 type payload =
   | Tcp of Tcp_segment.t
-  | Heartbeat of heartbeat
   | Raw of { proto : int; data : string }
 
 type t = {
@@ -27,8 +21,7 @@ val make : ?ttl:int -> ?ident:int -> src:Ipaddr.t -> dst:Ipaddr.t ->
   payload -> t
 
 val protocol_number : payload -> int
-(** 6 for TCP, 253 (experimental) for heartbeats, the carried number for
-    raw payloads. *)
+(** 6 for TCP, the carried number for raw payloads. *)
 
 val wire_length : t -> int
 (** 20-byte header (no IP options modelled) plus payload length. *)

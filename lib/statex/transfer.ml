@@ -1,11 +1,13 @@
 (* Streaming control channel + transfer manager.
 
    Transfers ride an in-sim control channel: raw IP protocol 254
-   datagrams between the surviving host and the repaired replica
-   (heartbeats use 253).  A sealed snapshot no longer crosses the wire
-   as one monolithic envelope: the sender slices it into MSS-bounded
-   installments and streams them under a sliding window, so no transfer
-   datagram ever exceeds what the data path itself would carry:
+   datagrams between the surviving host and the repaired replica.  Each
+   host's IP layer hands them to this module's one registration for
+   254 (heartbeats own 253, dispatcher probes 252).  A sealed snapshot
+   no longer crosses the wire as one monolithic envelope: the sender
+   slices it into MSS-bounded installments and streams them under a
+   sliding window, so no transfer datagram ever exceeds what the data
+   path itself would carry:
 
      sender  --- Chunk {xfer_id, seq, total, data}  --->  receiver
      sender  <-- Ack {xfer_id, next}                ---   (cumulative)
@@ -167,7 +169,6 @@ type t = {
   chunks_received : Registry.counter;
   chunk_retransmits : Registry.counter;
   duplicate_chunks : Registry.counter;
-  corrupt_datagrams : Registry.counter;
 }
 
 let send_msg t ~dst m =
@@ -383,18 +384,11 @@ let attach host =
       chunks_received = Obs.counter obs "chunks_received";
       chunk_retransmits = Obs.counter obs "chunk_retransmits";
       duplicate_chunks = Obs.counter obs "duplicate_chunks";
-      corrupt_datagrams = Obs.counter obs "corrupt_datagrams";
     }
   in
-  (* chain, don't steal: other raw protocols on this host (e.g. the
-     dispatcher's health probes) keep their handler *)
-  let inner = Ip_layer.raw_handler (Host.ip host) in
-  Ip_layer.set_raw_handler (Host.ip host) (fun ~src ~proto:p data ->
-      if p = proto then
-        match decode_msg data with
-        | Some m -> handle_msg t ~src m
-        | None -> Registry.Counter.incr t.corrupt_datagrams
-      else inner ~src ~proto:p data);
+  (* unsealable datagrams count in [ip.malformed.statex] *)
+  Ip_layer.register (Host.ip host) ~proto ~name:"statex" ~decode:decode_msg
+    (handle_msg t);
   t
 
 let set_installer t f = t.installer <- Some f
@@ -427,7 +421,6 @@ let offer t ~dst conn ~on_result =
   refill t xfer_id o
 
 let pending_count t = Hashtbl.length t.pending
-let rtt_estimate t = t.last_rtt
 
 (* One full window of MSS-sized chunks per RTT: the spacing at which a
    steady stream of small snapshots saturates the channel without ever

@@ -20,8 +20,9 @@
     Registers counters under the world-absolute [statex.*] scope:
     [offers_sent], [offers_received], [accepts], [rejects], [timeouts],
     [transfer_bytes] (encoded payload bytes of accepted transfers),
-    [chunks_sent], [chunks_received], [chunk_retransmits],
-    [duplicate_chunks] and [corrupt_datagrams]. *)
+    [chunks_sent], [chunks_received], [chunk_retransmits] and
+    [duplicate_chunks].  A datagram that fails to unseal or parse is
+    counted in the receiving host's [ip.malformed.statex]. *)
 
 type t
 
@@ -56,12 +57,10 @@ type msg =
 val encode_msg : msg -> string
 (** Seal a message for the wire. *)
 
-val decode_msg : string -> msg option
-(** Unseal and parse; [None] on corruption, unknown kind, or trailing
-    bytes. *)
-
 val attach : Tcpfo_host.Host.t -> t
-(** Installs itself as the host's raw-protocol handler. *)
+(** Registers the host's one proto-{!proto} handler
+    ({!Tcpfo_ip.Ip_layer.register}); a second [attach] on the same host
+    raises [Invalid_argument]. *)
 
 val set_installer :
   t ->
@@ -89,15 +88,12 @@ val offer :
 val pending_count : t -> int
 (** Offers awaiting a verdict. *)
 
-val rtt_estimate : t -> Tcpfo_sim.Time.t option
-(** Most recent clean (never-retransmitted) chunk round-trip measured on
-    this channel, across all offers; [None] until the first sample. *)
-
 val suggested_pace : t -> Tcpfo_sim.Time.t
 (** Inter-offer spacing at which a steady stream of small snapshots
     keeps one chunk window in flight per RTT — what the reintegration
     scheduler uses when pacing is requested without an explicit period.
-    Derived from {!rtt_estimate} and the chunk window; a LAN-scale
+    Derived from the most recent clean (never-retransmitted) chunk
+    round-trip on this channel and the chunk window; a LAN-scale
     constant before the first RTT sample. *)
 
 type stats = {

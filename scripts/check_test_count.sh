@@ -17,7 +17,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-EXPECTED=328
+EXPECTED=335
 
 if [ $# -ge 1 ]; then
   log=$(cat "$1")

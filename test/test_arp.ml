@@ -21,10 +21,14 @@ let send_raw host ~dst =
     (Ipv4_packet.make ~src:(Host.addr host) ~dst:(Ipaddr.of_string dst)
        (Ipv4_packet.Raw { proto = 77; data = "ping" }))
 
+(* Hand every proto-[proto] datagram [host] receives to [f]. *)
+let on_raw ?(proto = 77) host f =
+  Ip_layer.register (Host.ip host) ~proto ~name:"test" ~decode:Option.some f
+
 let test_resolution_and_delivery () =
   let world, a, b = mk_world () in
   let got = ref 0 in
-  Ip_layer.set_raw_handler (Host.ip b) (fun ~src:_ ~proto:_ _ -> incr got);
+  on_raw b (fun ~src:_ _ -> incr got);
   (* cold cache: the datagram must trigger ARP, wait, then be delivered *)
   send_raw a ~dst:"10.0.0.2";
   World.run_until_idle world;
@@ -40,7 +44,7 @@ let test_resolution_and_delivery () =
 let test_queued_while_resolving () =
   let world, a, b = mk_world () in
   let got = ref 0 in
-  Ip_layer.set_raw_handler (Host.ip b) (fun ~src:_ ~proto:_ _ -> incr got);
+  on_raw b (fun ~src:_ _ -> incr got);
   send_raw a ~dst:"10.0.0.2";
   send_raw a ~dst:"10.0.0.2";
   send_raw a ~dst:"10.0.0.2";
@@ -69,7 +73,7 @@ let test_gratuitous_arp_rebinds () =
   | None -> Alcotest.fail "gratuitous ARP not learned");
   (* traffic to the alias reaches b *)
   let got = ref 0 in
-  Ip_layer.set_raw_handler (Host.ip b) (fun ~src:_ ~proto:_ _ -> incr got);
+  on_raw b (fun ~src:_ _ -> incr got);
   send_raw a ~dst:"10.0.0.50";
   World.run_until_idle world;
   Testutil.check_int "alias reachable" 1 !got
@@ -84,8 +88,8 @@ let test_takeover_rebinding_after_death () =
   let s = World.add_host world lan ~name:"s" ~addr:"10.0.0.2" () in
   World.warm_arp [ c; p; s ];
   let at_p = ref 0 and at_s = ref 0 in
-  Ip_layer.set_raw_handler (Host.ip p) (fun ~src:_ ~proto:_ _ -> incr at_p);
-  Ip_layer.set_raw_handler (Host.ip s) (fun ~src:_ ~proto:_ _ -> incr at_s);
+  on_raw p (fun ~src:_ _ -> incr at_p);
+  on_raw s (fun ~src:_ _ -> incr at_s);
   send_raw c ~dst:"10.0.0.1";
   World.run_until_idle world;
   Testutil.check_int "p got it" 1 !at_p;
@@ -115,7 +119,7 @@ let test_forwarding_router () =
   Host.set_default_via_lan server ~gateway:(Ipaddr.of_string "10.0.0.254");
   ignore router;
   let got = ref 0 in
-  Ip_layer.set_raw_handler (Host.ip server) (fun ~src ~proto:_ _ ->
+  on_raw server (fun ~src _ ->
       incr got;
       (* reply back across the router *)
       if !got = 1 then
@@ -123,8 +127,7 @@ let test_forwarding_router () =
           (Ipv4_packet.make ~src:(Host.addr server) ~dst:src
              (Ipv4_packet.Raw { proto = 78; data = "pong" })));
   let ponged = ref 0 in
-  Ip_layer.set_raw_handler (Host.ip client) (fun ~src:_ ~proto:_ _ ->
-      incr ponged);
+  on_raw ~proto:78 client (fun ~src:_ _ -> incr ponged);
   send_raw client ~dst:"10.0.0.1";
   World.run_until_idle world;
   Testutil.check_int "forwarded to lan" 1 !got;

@@ -165,6 +165,36 @@ let test_refused_when_fleet_down () =
   check_bool "SYN refused" true
     ((Dispatch.counters f.disp).Dispatch.refused > 0)
 
+(* The responder answers a well-formed probe for an address it owns,
+   from that address, and counts garbage in [ip.malformed.probe]
+   without answering it. *)
+let test_garbage_probe_counted () =
+  let world = World.create () in
+  let lan = World.make_lan world () in
+  let r = World.add_host world lan ~name:"r" ~addr:"10.0.0.1" () in
+  let d = World.add_host world lan ~name:"d" ~addr:"10.0.0.9" () in
+  World.warm_arp [ r; d ];
+  Dispatch.arm_probe_responder r;
+  let replies = ref [] in
+  Tcpfo_ip.Ip_layer.register (Host.ip d) ~proto:Dispatch.probe_proto
+    ~name:"probe" ~decode:Option.some (fun ~src:_ m ->
+      replies := m :: !replies);
+  List.iter
+    (fun data ->
+      Tcpfo_ip.Ip_layer.send (Host.ip d)
+        (Tcpfo_packet.Ipv4_packet.make ~src:(Host.addr d) ~dst:(Host.addr r)
+           (Raw { proto = Dispatch.probe_proto; data })))
+    [ "probe x y"; "probe 3 10.0.0.1"; "hello"; "ping 4 10.0.0.1";
+      "probe 5 10.0.0.77" ];
+  World.run world ~for_:(Time.ms 5);
+  let counter name =
+    Tcpfo_obs.Registry.counter_value (World.metrics world) name
+  in
+  check_int "garbage counted at the responder" 3
+    (counter "host.r.ip.malformed.probe");
+  check_bool "only the probe for an owned address answered" true
+    (!replies = [ "reply 3 10.0.0.1" ])
+
 let suite =
   [
     Alcotest.test_case "NAT byte-exact and flow pinned" `Quick
@@ -173,4 +203,6 @@ let suite =
       test_weights_decay_and_ramp;
     Alcotest.test_case "fleet fully down refuses new flows" `Quick
       test_refused_when_fleet_down;
+    Alcotest.test_case "garbage probes are counted, not answered" `Quick
+      test_garbage_probe_counted;
   ]

@@ -1,9 +1,14 @@
 (* Regression tests for the heartbeat fault detector: peer filtering on a
-   shared segment and the detection-latency bound. *)
+   shared segment, the detection-latency bound, the beat's wire format,
+   malformed beats, and watchers leaving the host's watcher set. *)
 
 module Time = Tcpfo_sim.Time
 module World = Tcpfo_host.World
 module Host = Tcpfo_host.Host
+module Ipv4_packet = Tcpfo_packet.Ipv4_packet
+module Ip_layer = Tcpfo_ip.Ip_layer
+module Eth_frame = Tcpfo_packet.Eth_frame
+module Capture = Tcpfo_net.Capture
 module Heartbeat = Tcpfo_core.Heartbeat
 module Failover_config = Tcpfo_core.Failover_config
 open Testutil
@@ -135,6 +140,129 @@ let test_detector_rearmed_after_reintegration () =
   run_case ~first_victim:`Secondary;
   run_case ~first_victim:`Primary
 
+(* A beat is [8 + |origin|] bytes of raw proto 253, so a heartbeat frame
+   is exactly as long as it was when beats were a typed payload; what
+   goes on the wire decodes back to what was sent. *)
+let test_wire_format () =
+  let beats =
+    [
+      { Heartbeat.origin = "primary"; seq = 1; role = `Primary };
+      { origin = "standby12"; seq = 0xFFFF_FFFF; role = `Secondary };
+      { origin = ""; seq = 0; role = `Secondary };
+    ]
+  in
+  List.iter
+    (fun (beat : Heartbeat.beat) ->
+      let pkt =
+        Ipv4_packet.make ~src:Tcpfo_packet.Ipaddr.any
+          ~dst:Tcpfo_packet.Ipaddr.any
+          (Raw { proto = Heartbeat.proto; data = Heartbeat.encode beat })
+      in
+      check_int "wire length" (28 + String.length beat.origin)
+        (Ipv4_packet.wire_length pkt);
+      check_int "protocol number" 253 (Ipv4_packet.protocol_number pkt.payload);
+      check_bool "decode inverts encode" true
+        (Heartbeat.decode (Heartbeat.encode beat) = Some beat))
+    beats;
+  let world = World.create () in
+  let lan = World.make_lan world () in
+  let a = World.add_host world lan ~name:"alpha" ~addr:"10.0.0.1" () in
+  let b = World.add_host world lan ~name:"b" ~addr:"10.0.0.2" () in
+  World.warm_arp [ a; b ];
+  let cap = Capture.start (World.engine world) lan () in
+  let _ =
+    Heartbeat.start a ~peer:(Host.addr b) ~role:`Primary ~config:hb_config
+      ~on_peer_failure:ignore
+  in
+  World.run world ~for_:(Time.ms 25);
+  let sent =
+    List.filter_map
+      (fun { Capture.frame; _ } ->
+        match frame.Eth_frame.payload with
+        | Eth_frame.Ip ({ payload = Raw { proto = 253; data }; _ } as pkt) ->
+          Some (Ipv4_packet.wire_length pkt, Heartbeat.decode data)
+        | _ -> None)
+      (Capture.records cap)
+  in
+  check_bool "beats on the wire" true
+    (sent
+    = List.map
+        (fun seq -> (33, Some { Heartbeat.origin = "alpha"; seq; role = `Primary }))
+        [ 1; 2; 3 ])
+
+(* [a] watches [b]; [b] never runs a detector, but keeps sending beats
+   that are truncated or carry a bad role byte.  Every one is counted in
+   [ip.malformed.heartbeat], none resets the detector, and [a] declares
+   [b] dead on the silence schedule. *)
+let test_malformed_beats_never_reset () =
+  let world = World.create () in
+  let lan = World.make_lan world () in
+  let a = World.add_host world lan ~name:"a" ~addr:"10.0.0.1" () in
+  let b = World.add_host world lan ~name:"b" ~addr:"10.0.0.2" () in
+  World.warm_arp [ a; b ];
+  let detected_at = ref None in
+  let _ =
+    Heartbeat.start a ~peer:(Host.addr b) ~role:`Primary ~config:hb_config
+      ~on_peer_failure:(fun () -> detected_at := Some (World.now world))
+  in
+  let good = Heartbeat.encode { origin = "b"; seq = 1; role = `Secondary } in
+  let bad_role = Bytes.of_string good in
+  Bytes.set_uint8 bad_role 6 7;
+  let garbage =
+    [ String.sub good 0 8; String.sub good 0 3; Bytes.to_string bad_role ]
+  in
+  let rec forge n =
+    if n > 0 then begin
+      List.iter
+        (fun data ->
+          Ip_layer.send (Host.ip b)
+            (Ipv4_packet.make ~src:(Host.addr b) ~dst:(Host.addr a)
+               (Raw { proto = Heartbeat.proto; data })))
+        garbage;
+      ignore ((Host.clock b).schedule (Time.ms 5) (fun () -> forge (n - 1)))
+    end
+  in
+  forge 20;
+  World.run world ~for_:(Time.ms 200);
+  let counter name =
+    Tcpfo_obs.Registry.counter_value (World.metrics world) name
+  in
+  check_int "every malformed beat counted" 60
+    (counter "host.a.ip.malformed.heartbeat");
+  check_int "none credited to b" 0 (counter "host.a.heartbeat.received");
+  check_bool "b declared dead on the silence schedule" true
+    (!detected_at = Some (period + timeout))
+
+(* Stopping a watcher takes it out of the host's watcher set: a watcher
+   stopped and restarted on the same peer, however often, fires exactly
+   once when the peer dies, and only the live one fires. *)
+let test_restarted_watcher_fires_once () =
+  let world = World.create () in
+  let lan = World.make_lan world () in
+  let a = World.add_host world lan ~name:"a" ~addr:"10.0.0.1" () in
+  let b = World.add_host world lan ~name:"b" ~addr:"10.0.0.2" () in
+  World.warm_arp [ a; b ];
+  let fired = Array.make 5 0 in
+  let watch i =
+    Heartbeat.start a ~peer:(Host.addr b) ~role:`Primary ~config:hb_config
+      ~on_peer_failure:(fun () -> fired.(i) <- fired.(i) + 1)
+  in
+  let _ =
+    Heartbeat.start b ~peer:(Host.addr a) ~role:`Secondary ~config:hb_config
+      ~on_peer_failure:ignore
+  in
+  for i = 0 to 3 do
+    let w = watch i in
+    World.run world ~for_:(Time.ms 20);
+    Heartbeat.stop w
+  done;
+  let _ = watch 4 in
+  World.run world ~for_:(Time.ms 100);
+  Host.kill b;
+  World.run world ~for_:(Time.sec 1.0);
+  check_bool "only the live watcher fired, once" true
+    (Array.to_list fired = [ 0; 0; 0; 0; 1 ])
+
 let suite =
   [
     Alcotest.test_case "bystander does not mask dead peer" `Quick
@@ -143,4 +271,9 @@ let suite =
       test_detection_latency_bound;
     Alcotest.test_case "detector re-armed after reintegration" `Quick
       test_detector_rearmed_after_reintegration;
+    Alcotest.test_case "beat wire format" `Quick test_wire_format;
+    Alcotest.test_case "malformed beats never reset the detector" `Quick
+      test_malformed_beats_never_reset;
+    Alcotest.test_case "restarted watcher fires once" `Quick
+      test_restarted_watcher_fires_once;
   ]

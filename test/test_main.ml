@@ -32,6 +32,7 @@ let () =
       ("topo", Test_topo.suite);
       ("pool", Test_pool.suite);
       ("dispatch", Test_dispatch.suite);
+      ("control", Test_control.suite);
       ("obs", Test_obs.suite);
       ("parallel", Test_parallel.suite);
     ]

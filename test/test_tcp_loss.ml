@@ -26,19 +26,19 @@ let drop_incoming host ~count ~pred =
 let is_tcp_data (pkt : Ipv4_packet.t) =
   match pkt.payload with
   | Tcp seg -> String.length seg.payload > 0
-  | Heartbeat _ | Raw _ -> false
+  | Raw _ -> false
 
 let is_tcp_ack_only (pkt : Ipv4_packet.t) =
   match pkt.payload with
   | Tcp seg ->
     String.length seg.payload = 0
     && seg.flags.ack && (not seg.flags.syn) && not seg.flags.fin
-  | Heartbeat _ | Raw _ -> false
+  | Raw _ -> false
 
 let is_syn (pkt : Ipv4_packet.t) =
   match pkt.payload with
   | Tcp seg -> seg.flags.syn
-  | Heartbeat _ | Raw _ -> false
+  | Raw _ -> false
 
 let setup_transfer ?tcp_config data =
   let lan = make_simple_lan ?tcp_config () in

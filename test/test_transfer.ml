@@ -194,8 +194,10 @@ let test_corrupt_datagram_counted () =
        (Ipv4_packet.Raw { proto = Transfer.proto; data = "not a sealed msg" }));
   World.run_until_idle p.xworld;
   check_int "nothing installed" 0 (List.length !(p.installed));
-  check_bool "corruption counted" true
-    (counter p.xworld "statex.corrupt_datagrams" >= 1)
+  check_int "corruption counted at the receiver" 1
+    (counter p.xworld "host.b.ip.malformed.statex");
+  check_int "nothing counted at the sender" 0
+    (counter p.xworld "host.a.ip.malformed.statex")
 
 (* -- resume across a partition ------------------------------------------ *)
 
