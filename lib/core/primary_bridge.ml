@@ -30,16 +30,6 @@ type conn = {
   mutable p_syn_flags : Seg.flags option; (* P's SYN withheld, not merged *)
   mutable p_mss : int;
   mutable s_mss : int;
-  mutable shift_p : int option; (* window-scale shift each replica offered *)
-  mutable shift_s : int option;
-  mutable merged_shift : int; (* shift announced to the client *)
-  mutable ts_p : bool; (* timestamps offered *)
-  mutable ts_s : bool;
-  mutable s_syn_ts : (int * int) option;
-  mutable last_ts_s : (int * int) option;
-      (* latest timestamps from the secondary: merged segments ride the
-         secondary's timestamp clock for the same reason they ride its
-         sequence space — it must stay consistent across a failover *)
   mutable syn_done : bool;
   mutable next_seq : Seq32.t; (* next wire (secondary-space) seq to emit *)
   mutable pq : Interval_buf.t; (* P's unmatched reply bytes, wire space *)
@@ -103,7 +93,6 @@ type t = {
   conns : conn Conns.t;
   mutable degraded : bool; (* secondary has failed: §6 mode *)
   mutable installed : bool;
-  mutable total_emitted : int;
   obs : Obs.t; (* world-absolute [bridge.primary] scope *)
   c_emitted : Registry.counter;
   c_retrans_fwd : Registry.counter;
@@ -130,13 +119,6 @@ let mk_conn ~remote ~local_port =
     p_syn_flags = None;
     p_mss = 536;
     s_mss = 536;
-    shift_p = None;
-    shift_s = None;
-    merged_shift = 0;
-    ts_p = false;
-    ts_s = false;
-    s_syn_ts = None;
-    last_ts_s = None;
     syn_done = false;
     next_seq = Seq32.zero;
     pq = Interval_buf.create ~base:Seq32.zero;
@@ -183,7 +165,6 @@ let merged_mss conn = Int.min conn.p_mss conn.s_mss
 
 let emit t conn (seg : Seg.t) =
   conn.emitted <- conn.emitted + 1;
-  t.total_emitted <- t.total_emitted + 1;
   Registry.Counter.incr t.c_emitted;
   let pkt =
     match t.out with
@@ -210,17 +191,12 @@ let emit_data t conn ~seq ~payload ~fin ~psh =
   let window = min_win t conn in
   conn.last_ack_sent <- Some ack;
   conn.last_win_sent <- window;
-  let options =
-    match (conn.ts_p && conn.ts_s, conn.last_ts_s) with
-    | true, Some (v, e) -> [ Seg.Timestamps (v, e) ]
-    | _ -> []
-  in
   emit t conn
     (Seg.make
        ~flags:{ Seg.no_flags with ack = true; fin; psh }
        ~ack
-       ~window:(Int.min 0xFFFF (window asr conn.merged_shift))
-       ~options ~payload ~src_port:conn.local_port
+       ~window:(Int.min 0xFFFF window)
+       ~payload ~src_port:conn.local_port
        ~dst_port:(snd conn.remote) ~seq ())
 
 (* §3.4: construct an empty segment when the joint acknowledgment — or,
@@ -356,15 +332,7 @@ and maybe_finish t conn =
 (* ------------------------------------------------------------------ *)
 (* SYN merging (§7.1 client-initiated, §7.2 server-initiated)          *)
 
-let merged_syn_options conn =
-  [ Seg.Mss (merged_mss conn) ]
-  @ (match (conn.shift_p, conn.shift_s) with
-    | Some _, Some _ -> [ Seg.Window_scale conn.merged_shift ]
-    | _ -> [])
-  @
-  match (conn.ts_p, conn.ts_s, conn.s_syn_ts) with
-  | true, true, Some (v, e) -> [ Seg.Timestamps (v, e) ]
-  | _ -> []
+let merged_syn_options conn = [ Seg.Mss (merged_mss conn) ]
 
 let try_merge_syn t conn =
   match (conn.seqp_init, conn.seqs_init) with
@@ -373,11 +341,6 @@ let try_merge_syn t conn =
     conn.next_seq <- Seq32.succ ss;
     conn.pq <- Interval_buf.create ~base:conn.next_seq;
     conn.sq <- Interval_buf.create ~base:conn.next_seq;
-    (* the merged window scale is the smaller of the replicas' shifts,
-       and only if both offered the option — mirroring the min-MSS rule *)
-    (match (conn.shift_p, conn.shift_s) with
-    | Some a, Some b -> conn.merged_shift <- Int.min a b
-    | _ -> conn.merged_shift <- 0);
     conn.syn_done <- true;
     Registry.Counter.incr t.c_syn_merges;
     if Obs.tracing t.obs then
@@ -479,11 +442,7 @@ let from_primary t conn (seg : Seg.t) =
           (match conn.ack_p with
           | Some prev -> Seq32.max prev seg.ack
           | None -> seg.ack);
-      conn.win_p <-
-        (if seg.flags.syn then seg.window
-         else
-           seg.window
-           lsl match conn.shift_p with Some v -> v | None -> 0)
+      conn.win_p <- seg.window
     end;
     if seg.flags.rst then begin
       let wire_seq =
@@ -501,8 +460,6 @@ let from_primary t conn (seg : Seg.t) =
         (match Seg.mss_option seg with
         | Some m -> conn.p_mss <- m
         | None -> conn.p_mss <- 536);
-        conn.shift_p <- Seg.window_scale_option seg;
-        conn.ts_p <- Seg.timestamps_option seg <> None;
         try_merge_syn t conn
       | Some _ ->
         (* SYN retransmission by P's TCP layer *)
@@ -547,16 +504,8 @@ let rec from_secondary t conn (seg : Seg.t) =
           (match conn.ack_s with
           | Some prev -> Seq32.max prev seg.ack
           | None -> seg.ack);
-      conn.win_s <-
-        (if seg.flags.syn then seg.window
-         else
-           seg.window
-           lsl match conn.shift_s with Some v -> v | None -> 0)
+      conn.win_s <- seg.window
     end;
-    (* merged segments carry the secondary's timestamps (see conn) *)
-    (match Seg.timestamps_option seg with
-    | Some ts -> conn.last_ts_s <- Some ts
-    | None -> ());
     if seg.flags.rst then forward_rst t conn ~wire_seq:seg.seq seg
     else if seg.flags.syn then begin
       match conn.seqs_init with
@@ -565,9 +514,6 @@ let rec from_secondary t conn (seg : Seg.t) =
         (match Seg.mss_option seg with
         | Some m -> conn.s_mss <- m
         | None -> conn.s_mss <- 536);
-        conn.shift_s <- Seg.window_scale_option seg;
-        conn.ts_s <- Seg.timestamps_option seg <> None;
-        conn.s_syn_ts <- Seg.timestamps_option seg;
         try_merge_syn t conn
       | Some _ -> if conn.syn_done then reemit_merged_syn t conn
     end
@@ -844,9 +790,7 @@ let complete_transfer t ~remote ~local_port ~(tcb : Tcb.t) ~delta =
     let wire_iss = wire (Tcb.iss tcb) in
     let next_seq = wire (Tcb.snd_max tcb) in
     let mss = Tcb.effective_mss tcb in
-    let w = Tcb.rcv_wscale tcb in
     let win = Tcb.receive_window tcb in
-    let ts = Tcb.timestamps_enabled tcb in
     conn.solo <- false;
     conn.mode <- Active;
     conn.seqp_init <- Some (Tcb.iss tcb);
@@ -855,13 +799,6 @@ let complete_transfer t ~remote ~local_port ~(tcb : Tcb.t) ~delta =
     conn.p_syn_flags <- None;
     conn.p_mss <- mss;
     conn.s_mss <- mss;
-    conn.shift_p <- (if w > 0 then Some w else None);
-    conn.shift_s <- (if w > 0 then Some w else None);
-    conn.merged_shift <- w;
-    conn.ts_p <- ts;
-    conn.ts_s <- ts;
-    conn.s_syn_ts <- None;
-    conn.last_ts_s <- None;
     conn.syn_done <- true;
     conn.next_seq <- next_seq;
     conn.pq <- Interval_buf.create ~base:next_seq;
@@ -1046,7 +983,6 @@ let install host ~registry ~service_addr ~secondary_addr ?(output = Direct)
       conns = Conns.create 16;
       degraded = false;
       installed = true;
-      total_emitted = 0;
       obs;
       c_emitted = Obs.counter obs "emitted";
       c_retrans_fwd = Obs.counter obs "retrans_forwarded";
@@ -1101,7 +1037,6 @@ let conn_stats t ~remote ~local_port =
       })
     (find_conn t ~remote ~local_port)
 
-let total_emitted t = t.total_emitted
 let degraded t = t.degraded
 (* §5 for a middle node.  Its output switches to the client in one step:
    merged segments already carry the service address and the wire

@@ -162,5 +162,4 @@ val conn_stats :
   local_port:int ->
   conn_stats option
 
-val total_emitted : t -> int
 val degraded : t -> bool

@@ -49,5 +49,3 @@ val parse_exn : string -> plan
 
 val to_string : plan -> string
 (** Round-trips through {!parse}. *)
-
-val time_to_string : Tcpfo_sim.Time.t -> string

@@ -980,7 +980,17 @@ let fleet_rig ctx =
   let victim_weight () =
     match !victim with Some n -> Dispatch.weight disp n | None -> max_w
   in
+  (* every weight the victim shard passes through, not one sample per
+     drive slice: a fast repair can undo a dip inside a single slice *)
   let min_w = ref max_w in
+  ignore
+    (Tcpfo_obs.Event.Bus.subscribe
+       (Tcpfo_obs.Obs.bus (World.obs world))
+       (fun ~at:_ -> function
+         | Tcpfo_obs.Event.Weight_shift { shard; weight; _ }
+           when !victim = Some shard ->
+           min_w := min !min_w weight
+         | _ -> ()));
   (* drain connection: opened right after the failure is detected, while
      the victim shard's weight is decaying.  Both shards run the same
      service, so it expects the same reply wherever it pins. *)
@@ -1044,9 +1054,6 @@ let fleet_rig ctx =
     slice = Time.ms 10;
     end_state =
       (fun () ->
-        (* sampled every step, so the gradual decay is provable, not
-           just its endpoint *)
-        min_w := min !min_w (victim_weight ());
         (if sc.victim = Nobody then []
          else
            [ expect !drain_started "failure never detected (no drain opened)" ])

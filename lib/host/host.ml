@@ -20,6 +20,8 @@ type profile = {
   hiccup_prob : float; (* rare scheduler hiccup adding ~3x the base cost *)
 }
 
+(* Calibrated so that a standard-TCP connection setup on an otherwise
+   idle 100 Mb/s LAN lands near the paper's ~294 µs median (§9). *)
 let default_profile =
   { tx_cost = Time.us 30; rx_cost = Time.us 45; jitter_frac = 0.0;
     hiccup_prob = 0.0 }

@@ -15,10 +15,6 @@ type profile = {
       (** probability of a rare ~3× scheduling hiccup per packet *)
 }
 
-val default_profile : profile
-(** Calibrated so that a standard-TCP connection setup on an otherwise
-    idle 100 Mb/s LAN lands near the paper's ~294 µs median (§9). *)
-
 type t
 
 val create :

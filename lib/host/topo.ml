@@ -573,7 +573,6 @@ let dispatch_of b name =
   | Some bd -> bd.bd_info
   | None -> invalid_arg (Printf.sprintf "Topo.dispatch_of: no dispatch %S" name)
 
-let dispatches b = List.map fst b.b_dispatches
 
 let warm_dispatch_arp b name extra =
   match List.assoc_opt name b.b_dispatches with

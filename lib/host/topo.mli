@@ -67,7 +67,10 @@ type dispatch = {
   d_service : string;  (** a [Service] declared earlier *)
   d_back : string;  (** dispatcher's own address on the back segment *)
   d_shards : string list;  (** [Group]s declared earlier, one back segment *)
-  d_profile : Host.profile option;  (** default {!dispatch_profile} *)
+  d_profile : Host.profile option;
+      (** default: switch-class per-packet costs (4/6 µs, no jitter) —
+          the dispatcher forwards every fleet packet twice, so it must
+          be much cheaper per packet than an end host *)
 }
 
 type decl =
@@ -124,11 +127,6 @@ val dispatch :
   shards:string list ->
   string ->
   decl
-
-val dispatch_profile : Host.profile
-(** Default profile for dispatcher hosts: switch-class per-packet costs
-    (4/6 µs, no jitter) — the dispatcher forwards every fleet packet
-    twice, so it must be much cheaper per packet than an end host. *)
 
 (** {1 Validation} *)
 
@@ -189,9 +187,6 @@ type dispatch_info = {
 val dispatch_of : built -> string -> dispatch_info
 (** The elaborated dispatcher: a two-homed host with forwarding enabled,
     both interfaces ARP-warmed.  Feed it to [Dispatch.of_topo]. *)
-
-val dispatches : built -> string list
-(** Declared dispatcher names, declaration order. *)
 
 val warm_dispatch_arp : built -> string -> Host.t list -> unit
 (** Bind late-added back-segment hosts (e.g. repaired replicas) to the

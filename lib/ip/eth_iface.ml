@@ -114,10 +114,6 @@ let add_address t ip =
     Nic.send t.nic ~dst:Macaddr.broadcast (Eth_frame.Arp g)
   end
 
-let remove_address t ip =
-  if Tcpfo_util.Vec.remove_first (Ipaddr.equal ip) t.addrs then
-    t.on_addr_change ()
-
 let rec arm_retry t ip p =
   p.timer <-
     Some

@@ -25,16 +25,12 @@ val nic : t -> Tcpfo_net.Nic.t
 val addresses : t -> Tcpfo_packet.Ipaddr.t list
 val primary_address : t -> Tcpfo_packet.Ipaddr.t
 val prefix : t -> int
-val has_address : t -> Tcpfo_packet.Ipaddr.t -> bool
 
 val add_address : t -> Tcpfo_packet.Ipaddr.t -> unit
 (** Install an alias and announce it with a gratuitous ARP. *)
 
-val remove_address : t -> Tcpfo_packet.Ipaddr.t -> unit
-
 val set_on_addr_change : t -> (unit -> unit) -> unit
-(** Notification that the address set changed ({!add_address} /
-    {!remove_address}).  The IP layer uses it to invalidate its cached
+(** Notification that the address set changed ({!add_address}).  The IP layer uses it to invalidate its cached
     local-address list. *)
 
 val arp_cache : t -> Arp_cache.t

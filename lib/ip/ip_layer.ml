@@ -275,7 +275,6 @@ let add_ptp_iface t ep ~addr =
   Link.set_receiver ep (fun pkt -> rx_entry t pkt ~link_addressed:true);
   i
 
-let eth_of_iface i = match i.kind with Eth e -> Some e | Ptp _ -> None
 
 let set_default_route t ~gateway via =
   add_route t ~net:Ipaddr.any ~prefix:0 ~gateway via

@@ -72,8 +72,6 @@ val add_eth_iface : t -> Eth_iface.t -> iface
 val add_ptp_iface :
   t -> Tcpfo_net.Link.endpoint -> addr:Tcpfo_packet.Ipaddr.t -> iface
 
-val eth_of_iface : iface -> Eth_iface.t option
-
 val add_route :
   t -> net:Tcpfo_packet.Ipaddr.t -> prefix:int ->
   ?gateway:Tcpfo_packet.Ipaddr.t -> iface -> unit

@@ -41,7 +41,6 @@ type t = {
   bytes : Registry.counter;
   fault_dropped : Registry.counter;
   corrupted : Registry.counter;
-  mutable busy_ns : Time.t;
 }
 
 let create engine ~rng ?obs config =
@@ -53,8 +52,7 @@ let create engine ~rng ?obs config =
     collisions = Obs.counter obs "collisions";
     frames = Obs.counter obs "frames"; bytes = Obs.counter obs "bytes";
     fault_dropped = Obs.counter obs "fault_dropped";
-    corrupted = Obs.counter obs "corrupted";
-    busy_ns = 0 }
+    corrupted = Obs.counter obs "corrupted" }
 
 let set_fault_hook t h = t.fault_hook <- h
 
@@ -90,7 +88,6 @@ let rec start_single t p =
     p.attempts <- 0;
     t.busy <- true;
     let ser = serialization_time t frame in
-    t.busy_ns <- t.busy_ns + ser;
     Registry.Counter.incr t.frames;
     Registry.Counter.add t.bytes (Eth_frame.wire_length frame);
     let lost =
@@ -165,7 +162,6 @@ and on_idle t =
     (* Collision: jam, then each contender backs off and retries. *)
     Registry.Counter.incr t.collisions;
     t.busy <- true;
-    t.busy_ns <- t.busy_ns + slot_time;
     ignore
       (Engine.schedule t.engine ~delay:slot_time (fun () ->
            t.busy <- false;
@@ -206,5 +202,3 @@ let transmit t p frame =
     Queue.push frame p.backlog;
     if not p.deferring then try_send t p
   end
-
-let busy_time t = t.busy_ns

@@ -58,6 +58,3 @@ val set_fault_hook :
     wire for its serialization time) and bump the [medium.fault_dropped] /
     [medium.corrupted] counters respectively. *)
 
-val busy_time : t -> Tcpfo_sim.Time.t
-(** Cumulative time the medium has spent transmitting or jamming;
-    utilization over an interval is the delta divided by elapsed time. *)

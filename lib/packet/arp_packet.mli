@@ -21,8 +21,6 @@ val gratuitous : sender_mac:Macaddr.t -> ip:Ipaddr.t -> t
 (** Gratuitous ARP announcement: sender and target IP are both [ip];
     broadcast so every cache on the segment updates its binding. *)
 
-val is_gratuitous : t -> bool
-
 val wire_length : int
 (** 28 bytes for Ethernet/IPv4 ARP. *)
 

@@ -21,14 +21,7 @@ let flags_to_string f =
   in
   if s = "" then "." else s
 
-type option_ =
-  | Mss of int
-  | Window_scale of int
-  | Timestamps of int * int
-  | Orig_dst of Ipaddr.t
-  | Sack_permitted
-  | Sack of (Seq32.t * Seq32.t) list
-  | Nop
+type option_ = Mss of int | Orig_dst of Ipaddr.t | Nop
 
 type t = {
   src_port : int;
@@ -57,11 +50,7 @@ let seq_end t = Seq32.add t.seq (seq_length t)
 
 let option_wire_length = function
   | Mss _ -> 4
-  | Window_scale _ -> 3
-  | Timestamps _ -> 10
   | Orig_dst _ -> 6
-  | Sack_permitted -> 2
-  | Sack blocks -> 2 + (8 * List.length blocks)
   | Nop -> 1
 
 let header_length t =
@@ -77,15 +66,6 @@ let find_map_option t f = List.find_map f t.options
 let mss_option t =
   find_map_option t (function Mss m -> Some m | _ -> None)
 
-let window_scale_option t =
-  find_map_option t (function Window_scale s -> Some s | _ -> None)
-
-let timestamps_option t =
-  find_map_option t (function Timestamps (v, e) -> Some (v, e) | _ -> None)
-
-let sack_option t =
-  find_map_option t (function Sack b -> Some b | _ -> None)
-
 let orig_dst_option t =
   find_map_option t (function Orig_dst a -> Some a | _ -> None)
 
@@ -98,16 +78,6 @@ let pp fmt t =
     (fun o ->
       match o with
       | Mss m -> Format.fprintf fmt " <mss %d>" m
-      | Window_scale sc -> Format.fprintf fmt " <wscale %d>" sc
-      | Timestamps (v, e) -> Format.fprintf fmt " <ts %d:%d>" v e
       | Orig_dst a -> Format.fprintf fmt " <odst %a>" Ipaddr.pp a
-      | Sack_permitted -> Format.fprintf fmt " <sackok>"
-      | Sack blocks ->
-        Format.fprintf fmt " <sack";
-        List.iter
-          (fun (lo, hi) ->
-            Format.fprintf fmt " %a-%a" Seq32.pp lo Seq32.pp hi)
-          blocks;
-        Format.fprintf fmt ">"
       | Nop -> ())
     t.options

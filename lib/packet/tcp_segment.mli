@@ -19,15 +19,9 @@ type flags = {
 val no_flags : flags
 val flags_to_string : flags -> string
 
-type option_ =
-  | Mss of int
-  | Window_scale of int  (** RFC 7323 shift count, 0..14 *)
-  | Timestamps of int * int  (** RFC 7323 (TSval, TSecr), 32-bit each *)
-  | Orig_dst of Ipaddr.t
-  | Sack_permitted
-  | Sack of (Tcpfo_util.Seq32.t * Tcpfo_util.Seq32.t) list
-      (** RFC 2018 selective-acknowledgment blocks, half-open [lo, hi) *)
-  | Nop
+type option_ = Mss of int | Orig_dst of Ipaddr.t | Nop
+(** The options the stack and the bridge speak.  {!Wire} skips every
+    other option kind on decode. *)
 
 type t = {
   src_port : int;
@@ -69,12 +63,7 @@ val wire_length : t -> int
 (** [header_length + payload_length]. *)
 
 val mss_option : t -> int option
-val window_scale_option : t -> int option
-val timestamps_option : t -> (int * int) option
-val sack_option : t -> (Tcpfo_util.Seq32.t * Tcpfo_util.Seq32.t) list option
 val orig_dst_option : t -> Ipaddr.t option
-
-val find_map_option : t -> (option_ -> 'a option) -> 'a option
 
 val pp : Format.formatter -> t -> unit
 (** Compact one-line rendering for traces, e.g.

@@ -34,8 +34,8 @@ let flags_of_byte v : Tcp_segment.flags =
   { fin = v land 0x01 <> 0; syn = v land 0x02 <> 0; rst = v land 0x04 <> 0;
     psh = v land 0x08 <> 0; ack = v land 0x10 <> 0; urg = v land 0x20 <> 0 }
 
-(* Option kinds: 0 EOL, 1 NOP, 2 MSS, 3 window scale, 4 SACK-permitted,
-   8 timestamps, 253 experimental = Orig_dst (failover option, §3.1). *)
+(* Option kinds: 0 EOL, 1 NOP, 2 MSS, 253 experimental = Orig_dst
+   (failover option, §3.1).  Every other kind is skipped on decode. *)
 let encode_options opts =
   let buf = Buffer.create 8 in
   List.iter
@@ -47,38 +47,6 @@ let encode_options opts =
         Buffer.add_char buf '\004';
         Buffer.add_char buf (Char.chr ((m lsr 8) land 0xFF));
         Buffer.add_char buf (Char.chr (m land 0xFF))
-      | Window_scale sc ->
-        Buffer.add_char buf '\003';
-        Buffer.add_char buf '\003';
-        Buffer.add_char buf (Char.chr (sc land 0xFF))
-      | Timestamps (v, e) ->
-        Buffer.add_char buf '\008';
-        Buffer.add_char buf '\010';
-        let add32 x =
-          Buffer.add_char buf (Char.chr ((x lsr 24) land 0xFF));
-          Buffer.add_char buf (Char.chr ((x lsr 16) land 0xFF));
-          Buffer.add_char buf (Char.chr ((x lsr 8) land 0xFF));
-          Buffer.add_char buf (Char.chr (x land 0xFF))
-        in
-        add32 v;
-        add32 e
-      | Sack_permitted ->
-        Buffer.add_char buf '\004';
-        Buffer.add_char buf '\002'
-      | Sack blocks ->
-        Buffer.add_char buf '\005';
-        Buffer.add_char buf (Char.chr (2 + (8 * List.length blocks)));
-        List.iter
-          (fun (lo, hi) ->
-            let add32 x =
-              Buffer.add_char buf (Char.chr ((x lsr 24) land 0xFF));
-              Buffer.add_char buf (Char.chr ((x lsr 16) land 0xFF));
-              Buffer.add_char buf (Char.chr ((x lsr 8) land 0xFF));
-              Buffer.add_char buf (Char.chr (x land 0xFF))
-            in
-            add32 (Seq32.to_int lo);
-            add32 (Seq32.to_int hi))
-          blocks
       | Orig_dst ip ->
         let v = Ipaddr.to_int ip in
         Buffer.add_char buf '\253';
@@ -111,29 +79,6 @@ let decode_options s =
           | 2 when len = 4 ->
             let m = (Char.code s.[i + 2] lsl 8) lor Char.code s.[i + 3] in
             Tcp_segment.Mss m :: acc
-          | 3 when len = 3 -> Tcp_segment.Window_scale (Char.code s.[i + 2]) :: acc
-          | 8 when len = 10 ->
-            let g32 off =
-              (Char.code s.[off] lsl 24)
-              lor (Char.code s.[off + 1] lsl 16)
-              lor (Char.code s.[off + 2] lsl 8)
-              lor Char.code s.[off + 3]
-            in
-            Tcp_segment.Timestamps (g32 (i + 2), g32 (i + 6)) :: acc
-          | 4 when len = 2 -> Tcp_segment.Sack_permitted :: acc
-          | 5 when len >= 10 && (len - 2) mod 8 = 0 ->
-            let g32 off =
-              (Char.code s.[off] lsl 24)
-              lor (Char.code s.[off + 1] lsl 16)
-              lor (Char.code s.[off + 2] lsl 8)
-              lor Char.code s.[off + 3]
-            in
-            let blocks =
-              List.init ((len - 2) / 8) (fun k ->
-                  ( Seq32.of_int (g32 (i + 2 + (8 * k))),
-                    Seq32.of_int (g32 (i + 6 + (8 * k))) ))
-            in
-            Tcp_segment.Sack blocks :: acc
           | 253 when len = 6 ->
             let v =
               (Char.code s.[i + 2] lsl 24) lor (Char.code s.[i + 3] lsl 16)

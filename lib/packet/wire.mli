@@ -16,11 +16,6 @@ val decode_tcp :
   src_ip:Ipaddr.t -> dst_ip:Ipaddr.t -> bytes -> Tcp_segment.t
 (** Raises {!Malformed} on short input, bad offsets or checksum mismatch. *)
 
-val tcp_checksum :
-  src_ip:Ipaddr.t -> dst_ip:Ipaddr.t -> bytes -> int
-(** Checksum of an encoded segment, with the checksum field zeroed by the
-    caller or not — computed over the given bytes plus pseudo-header. *)
-
 val encode_ipv4_header : Ipv4_packet.t -> payload_len:int -> bytes
 (** The 20-byte header with a valid header checksum. *)
 

@@ -84,16 +84,6 @@ let write_tcb b (s : Tcb.snapshot) =
   w_seq b s.sn_snd_wl1;
   w_seq b s.sn_snd_wl2;
   Codec.W.u16 b s.sn_peer_mss;
-  Codec.W.u8 b s.sn_snd_wscale;
-  Codec.W.u8 b s.sn_rcv_wscale;
-  Codec.W.bool b s.sn_ts_on;
-  Codec.W.u32 b s.sn_ts_recent;
-  Codec.W.bool b s.sn_sack_on;
-  Codec.W.list b
-    (fun b (lo, hi) ->
-      w_seq b lo;
-      w_seq b hi)
-    s.sn_sack_ranges;
   Codec.W.bool b s.sn_fin_queued;
   Codec.W.bool b s.sn_fin_sent;
   w_seq b s.sn_irs;
@@ -126,17 +116,6 @@ let read_tcb r ~replay_base : Tcb.snapshot =
   let sn_snd_wl1 = r_seq r in
   let sn_snd_wl2 = r_seq r in
   let sn_peer_mss = Codec.R.u16 r in
-  let sn_snd_wscale = Codec.R.u8 r in
-  let sn_rcv_wscale = Codec.R.u8 r in
-  let sn_ts_on = Codec.R.bool r in
-  let sn_ts_recent = Codec.R.u32 r in
-  let sn_sack_on = Codec.R.bool r in
-  let sn_sack_ranges =
-    Codec.R.list r (fun r ->
-        let lo = r_seq r in
-        let hi = r_seq r in
-        (lo, hi))
-  in
   let sn_fin_queued = Codec.R.bool r in
   let sn_fin_sent = Codec.R.bool r in
   let sn_irs = r_seq r in
@@ -169,12 +148,6 @@ let read_tcb r ~replay_base : Tcb.snapshot =
     sn_snd_wl1;
     sn_snd_wl2;
     sn_peer_mss;
-    sn_snd_wscale;
-    sn_rcv_wscale;
-    sn_ts_on;
-    sn_ts_recent;
-    sn_sack_on;
-    sn_sack_ranges;
     sn_fin_queued;
     sn_fin_sent;
     sn_irs;

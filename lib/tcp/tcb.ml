@@ -2,7 +2,6 @@ module Clock = Tcpfo_sim.Clock
 module Time = Tcpfo_sim.Time
 module Seq32 = Tcpfo_util.Seq32
 module Bytebuf = Tcpfo_util.Bytebuf
-module Rangeset = Tcpfo_util.Rangeset
 module Interval_buf = Tcpfo_util.Interval_buf
 module Ipaddr = Tcpfo_packet.Ipaddr
 module Seg = Tcpfo_packet.Tcp_segment
@@ -48,7 +47,7 @@ type instruments = {
          outgrew the budget and lost transferability *)
   checkpoints : Registry.counter;
       (* world-absolute [statex.checkpoints]: application checkpoints
-         taken (timer-driven and explicit) *)
+         taken *)
   retention_truncated : Registry.counter;
       (* world-absolute [statex.retention_truncated_bytes]: retained
          input dropped at checkpoint boundaries *)
@@ -64,6 +63,18 @@ let instruments obs =
     checkpoints = Obs.counter statex "checkpoints";
     retention_truncated = Obs.counter statex "retention_truncated_bytes";
   }
+
+(* Fixed parameters of the paper's FreeBSD 4.4-era stack: a 64 KB send
+   buffer (the knee in Figure 3), the RTO bounds, 100 ms delayed ACKs and
+   the retry limits.  Delayed ACKs, Reno congestion control and fast
+   retransmit are always on. *)
+let send_buf_size = 65536
+let rto_init = Time.sec 1.0
+let rto_min = Time.ms 200
+let rto_max = Time.sec 64.0
+let delack_delay = Time.ms 100
+let max_syn_retries = 5
+let max_data_retries = 10
 
 type t = {
   clock : Clock.t;
@@ -82,12 +93,6 @@ type t = {
   mutable snd_wl1 : Seq32.t;
   mutable snd_wl2 : Seq32.t;
   mutable peer_mss : int;
-  mutable snd_wscale : int; (* shift applied to the peer's window fields *)
-  mutable rcv_wscale : int; (* shift applied to our advertised window *)
-  mutable ts_on : bool; (* RFC 7323 timestamps negotiated *)
-  mutable ts_recent : int; (* latest in-order TSval from the peer *)
-  mutable sack_on : bool; (* RFC 2018 negotiated *)
-  sack_board : Rangeset.t; (* ranges the peer holds beyond snd_una *)
   mutable fin_queued : bool;
   mutable fin_sent : bool;
   mutable send_full : bool; (* a send was refused; fire on_drain later *)
@@ -106,9 +111,6 @@ type t = {
   mutable timewait_timer : Tcpfo_sim.Engine.event_id option;
   mutable persist_timer : Tcpfo_sim.Engine.event_id option;
   mutable persist_shift : int;
-  mutable keepalive_timer : Tcpfo_sim.Engine.event_id option;
-  mutable ka_probes_sent : int;
-  mutable last_activity : Time.t;
   mutable retry_count : int;
   mutable rtt_probe : (Seq32.t * Time.t) option;
   (* --- congestion --- *)
@@ -142,8 +144,6 @@ type t = {
          the retained history begins: 0 until the first checkpoint
          truncates the history.  Ships as [sn_replay_base] so a restored
          replica knows its replay starts mid-stream. *)
-  mutable checkpoint_timer : Tcpfo_sim.Engine.event_id option;
-      (* periodic {!checkpoint} driver ([config.checkpoint_interval]) *)
   (* --- callbacks --- *)
   mutable on_established : unit -> unit;
   mutable on_data : string -> unit;
@@ -155,7 +155,6 @@ type t = {
   mutable n_bytes_acked : int;
   mutable n_bytes_received : int;
   mutable n_retransmits : int;
-  mutable n_segments_in : int;
   mutable n_segments_out : int;
   ins : instruments;
 }
@@ -178,15 +177,10 @@ let iss t = t.iss
 let snd_una t = t.snd_una
 let snd_nxt t = t.snd_nxt
 let rcv_nxt t = t.rcv_nxt
-let snd_wnd t = t.snd_wnd
-let timestamps_enabled t = t.ts_on
-let sack_enabled t = t.sack_on
 let srtt t = Rto.srtt t.rto
 let bytes_acked t = t.n_bytes_acked
 let bytes_received t = t.n_bytes_received
-let bytes_sent t = Bytebuf.end_offset t.sndbuf
 let retransmits t = t.n_retransmits
-let segments_in t = t.n_segments_in
 let segments_out t = t.n_segments_out
 
 (* Sequence <-> send-buffer offset mapping. *)
@@ -199,48 +193,15 @@ let fin_seq t = seq_of_offset t (Bytebuf.end_offset t.sndbuf)
 let rcv_wnd t =
   (* Window = receive buffer minus bytes parked out of order in
      reassembly and minus in-order bytes a paused reader has not yet
-     consumed; representable range grows with window scaling. *)
+     consumed, capped at what the 16-bit window field can carry. *)
   Int.max 0
-    (Int.min (65535 lsl t.rcv_wscale)
+    (Int.min 0xFFFF
        (t.config.recv_buf_size
        - Interval_buf.total_buffered t.reasm
        - Buffer.length t.recv_pending))
 
-(* value of the 16-bit window field on a non-SYN segment *)
-let advertised_window t = Int.min 0xFFFF (rcv_wnd t asr t.rcv_wscale)
-
-let now_ms t = t.clock.now () / 1_000_000
-
-let ts_option t =
-  if t.ts_on then [ Seg.Timestamps (now_ms t land 0xFFFFFFFF, t.ts_recent) ]
-  else []
-
-(* RFC 2018: report up to three out-of-order islands *)
-let sack_blocks t =
-  if not t.sack_on then []
-  else
-    match Interval_buf.spans t.reasm with
-    | [] -> []
-    | spans ->
-      (* capped at two blocks so that a diverted copy (which gains the
-         6-byte Orig_dst option) still fits the 40-byte option space *)
-      let blocks =
-        List.filteri (fun i _ -> i < 2) spans
-        |> List.map (fun (lo, len) -> (lo, Seq32.add lo len))
-      in
-      [ Seg.Sack blocks ]
-
-(* options we offer on our SYN / SYN-ACK *)
-let syn_options t =
-  [ Seg.Mss t.config.mss ]
-  @ (if t.config.window_scale > 0 then
-       [ Seg.Window_scale t.config.window_scale ]
-     else [])
-  @ (if t.config.sack then [ Seg.Sack_permitted ] else [])
-  @
-  if t.config.timestamps then
-    [ Seg.Timestamps (now_ms t land 0xFFFFFFFF, t.ts_recent) ]
-  else []
+(* the only option we offer on our SYN / SYN-ACK *)
+let syn_options t = [ Seg.Mss t.config.mss ]
 
 (* ------------------------------------------------------------------ *)
 (* Timer plumbing                                                     *)
@@ -256,9 +217,7 @@ let cancel_all_timers t =
   t.rtx_timer <- cancel_timer t t.rtx_timer;
   t.delack_timer <- cancel_timer t t.delack_timer;
   t.timewait_timer <- cancel_timer t t.timewait_timer;
-  t.persist_timer <- cancel_timer t t.persist_timer;
-  t.keepalive_timer <- cancel_timer t t.keepalive_timer;
-  t.checkpoint_timer <- cancel_timer t t.checkpoint_timer
+  t.persist_timer <- cancel_timer t t.persist_timer
 
 let delete t =
   if t.state <> Closed then begin
@@ -274,12 +233,9 @@ let emit t seg =
   t.n_segments_out <- t.n_segments_out + 1;
   t.actions.emit seg
 
-let mk_seg t ?(payload = "") ?(options = []) ~flags ~seq () =
-  let options = options @ ts_option t @ sack_blocks t in
-  Seg.make ~flags ~ack:t.rcv_nxt
-    ~window:(advertised_window t)
-    ~options ~payload ~src_port:(snd t.local) ~dst_port:(snd t.remote) ~seq
-    ()
+let mk_seg t ?(payload = "") ~flags ~seq () =
+  Seg.make ~flags ~ack:t.rcv_nxt ~window:(rcv_wnd t) ~payload
+    ~src_port:(snd t.local) ~dst_port:(snd t.remote) ~seq ()
 
 let ack_flags = { Seg.no_flags with ack = true }
 
@@ -294,48 +250,12 @@ let send_rst t ~seq =
        ~ack:t.rcv_nxt ~window:0 ~src_port:(snd t.local)
        ~dst_port:(snd t.remote) ~seq ())
 
-(* Keepalive (RFC 1122 4.2.3.6): after [keepalive] of silence on an
-   established connection, probe with a zero-length segment one byte
-   below snd_una; an alive peer answers a duplicate ACK.  After
-   [keepalive_probes] unanswered probes the connection is reset. *)
-let rec arm_keepalive t =
-  match t.config.keepalive with
-  | None -> ()
-  | Some interval ->
-    if t.keepalive_timer = None then
-      t.keepalive_timer <-
-        Some
-          (t.clock.schedule interval (fun () ->
-               t.keepalive_timer <- None;
-               if t.state = Established then begin
-                 let idle = t.clock.now () - t.last_activity in
-                 if idle >= interval then begin
-                   if t.ka_probes_sent >= t.config.keepalive_probes then begin
-                     let cb = t.on_reset in
-                     delete t;
-                     cb ()
-                   end
-                   else begin
-                     t.ka_probes_sent <- t.ka_probes_sent + 1;
-                     emit t
-                       (mk_seg t ~flags:ack_flags
-                          ~seq:(Seq32.add t.snd_una (-1))
-                          ());
-                     arm_keepalive t
-                   end
-                 end
-                 else arm_keepalive t
-               end))
-
 (* ------------------------------------------------------------------ *)
 (* Output engine                                                      *)
 
 let flight_size t = Seq32.diff t.snd_nxt t.snd_una
 
-let effective_window t =
-  let w = if t.config.congestion_control then Int.min t.snd_wnd t.cwnd
-          else t.snd_wnd in
-  Int.max 0 w
+let effective_window t = Int.max 0 (Int.min t.snd_wnd t.cwnd)
 
 let can_send_data t =
   match t.state with
@@ -366,7 +286,7 @@ and retransmit_one t =
     emit t
       (Seg.make
          ~flags:{ Seg.no_flags with syn = true }
-         ~window:(Int.min 0xFFFF (rcv_wnd t))
+         ~window:(rcv_wnd t)
          ~options:(syn_options t) ~src_port:(snd t.local)
          ~dst_port:(snd t.remote) ~seq:t.iss ())
   | Syn_received ->
@@ -374,7 +294,7 @@ and retransmit_one t =
       (Seg.make
          ~flags:{ Seg.no_flags with syn = true; ack = true }
          ~ack:t.rcv_nxt
-         ~window:(Int.min 0xFFFF (rcv_wnd t))
+         ~window:(rcv_wnd t)
          ~options:(syn_options t) ~src_port:(snd t.local)
          ~dst_port:(snd t.remote) ~seq:t.iss ())
   | _ ->
@@ -401,8 +321,8 @@ and on_rtx t =
     t.retry_count <- t.retry_count + 1;
     let limit =
       match t.state with
-      | Syn_sent | Syn_received -> t.config.max_syn_retries
-      | _ -> t.config.max_data_retries
+      | Syn_sent | Syn_received -> max_syn_retries
+      | _ -> max_data_retries
     in
     if t.retry_count > limit then begin
       let cb = t.on_reset in
@@ -410,18 +330,10 @@ and on_rtx t =
       cb ()
     end
     else begin
-      (* congestion response to a timeout.  With SACK evidence that most
-         of the flight arrived, recovery retransmits the holes at
-         ssthresh pace instead of slow-starting from one segment
-         (RFC 6675 spirit). *)
-      if t.config.congestion_control then begin
-        let mss = effective_mss t in
-        t.ssthresh <- Int.max (flight_size t / 2) (2 * mss);
-        t.cwnd <-
-          (if t.sack_on && not (Rangeset.is_empty t.sack_board) then
-             t.ssthresh
-           else mss)
-      end;
+      (* congestion response to a timeout: slow-start from one segment *)
+      let mss = effective_mss t in
+      t.ssthresh <- Int.max (flight_size t / 2) (2 * mss);
+      t.cwnd <- mss;
       Rto.backoff t.rto;
       (match t.state with
       | Syn_sent | Syn_received -> retransmit_one t
@@ -478,39 +390,27 @@ and try_output t =
     let progress = ref true in
     while !progress do
       progress := false;
-      (* RFC 2018: never (re)transmit ranges the peer already holds *)
-      (match Rangeset.covering_end t.sack_board t.snd_nxt with
-      | Some skip_to when Seq32.gt skip_to t.snd_nxt ->
-        t.snd_nxt <- Seq32.min skip_to (seq_of_offset t (Bytebuf.end_offset t.sndbuf))
-      | Some _ | None -> ());
       let sendable = Seq32.diff data_end t.snd_nxt in
       let window_room = Seq32.diff limit t.snd_nxt in
       let len = Int.min mss (Int.min sendable window_room) in
       if len > 0 then begin
-        let nagle_blocked =
-          t.config.nagle && len < mss
-          && Seq32.lt t.snd_una t.snd_nxt
-          && not t.fin_queued
+        let payload =
+          Bytebuf.read t.sndbuf ~pos:(offset_of_seq t t.snd_nxt) ~len
         in
-        if not nagle_blocked then begin
-          let payload =
-            Bytebuf.read t.sndbuf ~pos:(offset_of_seq t t.snd_nxt) ~len
-          in
-          let reaches_end = Seq32.equal (Seq32.add t.snd_nxt len) data_end in
-          let fin_here = t.fin_queued && reaches_end in
-          let flags = { ack_flags with psh = reaches_end; fin = fin_here } in
-          t.delack_timer <- cancel_timer t t.delack_timer;
-          emit t (mk_seg t ~payload ~flags ~seq:t.snd_nxt ());
-          t.snd_nxt <- Seq32.add t.snd_nxt (len + if fin_here then 1 else 0);
-          let frontier = Seq32.gt t.snd_nxt t.snd_max in
-          t.snd_max <- Seq32.max t.snd_max t.snd_nxt;
-          if fin_here then fin_was_sent t;
-          (* Karn: time only segments that carry new data *)
-          if t.rtt_probe = None && frontier then
-            t.rtt_probe <- Some (t.snd_nxt, t.clock.now ());
-          arm_rtx t;
-          progress := true
-        end
+        let reaches_end = Seq32.equal (Seq32.add t.snd_nxt len) data_end in
+        let fin_here = t.fin_queued && reaches_end in
+        let flags = { ack_flags with psh = reaches_end; fin = fin_here } in
+        t.delack_timer <- cancel_timer t t.delack_timer;
+        emit t (mk_seg t ~payload ~flags ~seq:t.snd_nxt ());
+        t.snd_nxt <- Seq32.add t.snd_nxt (len + if fin_here then 1 else 0);
+        let frontier = Seq32.gt t.snd_nxt t.snd_max in
+        t.snd_max <- Seq32.max t.snd_max t.snd_nxt;
+        if fin_here then fin_was_sent t;
+        (* Karn: time only segments that carry new data *)
+        if t.rtt_probe = None && frontier then
+          t.rtt_probe <- Some (t.snd_nxt, t.clock.now ());
+        arm_rtx t;
+        progress := true
       end
     done;
     (* FIN with no data left to send (first emission or a post-rewind
@@ -556,7 +456,7 @@ let make clock ~instruments:ins ~config ~local ~remote ~iss actions state =
     actions;
     state;
     iss;
-    sndbuf = Bytebuf.create ~capacity:config.send_buf_size;
+    sndbuf = Bytebuf.create ~capacity:send_buf_size;
     snd_una = iss;
     snd_nxt = iss;
     snd_max = iss;
@@ -564,12 +464,6 @@ let make clock ~instruments:ins ~config ~local ~remote ~iss actions state =
     snd_wl1 = Seq32.zero;
     snd_wl2 = Seq32.zero;
     peer_mss = 536;
-    snd_wscale = 0;
-    rcv_wscale = 0;
-    ts_on = false;
-    ts_recent = 0;
-    sack_on = false;
-    sack_board = Rangeset.create ();
     fin_queued = false;
     fin_sent = false;
     send_full = false;
@@ -581,16 +475,12 @@ let make clock ~instruments:ins ~config ~local ~remote ~iss actions state =
     recv_paused = false;
     recv_pending = Buffer.create 0;
     rto =
-      Rto.create ins.rto_ins ~init:config.rto_init ~min:config.rto_min
-        ~max:config.rto_max ();
+      Rto.create ins.rto_ins ~init:rto_init ~min:rto_min ~max:rto_max ();
     rtx_timer = None;
     delack_timer = None;
     timewait_timer = None;
     persist_timer = None;
     persist_shift = 0;
-    keepalive_timer = None;
-    ka_probes_sent = 0;
-    last_activity = clock.now ();
     retry_count = 0;
     rtt_probe = None;
     retained = None;
@@ -599,7 +489,6 @@ let make clock ~instruments:ins ~config ~local ~remote ~iss actions state =
     retained_bytes = 0;
     retention_overflowed = false;
     checkpoint_base = 0;
-    checkpoint_timer = None;
     cwnd = 2 * config.mss;
     ssthresh = 1 lsl 30 (* RFC 5681: initially arbitrarily high *);
     dupacks = 0;
@@ -612,7 +501,6 @@ let make clock ~instruments:ins ~config ~local ~remote ~iss actions state =
     n_bytes_acked = 0;
     n_bytes_received = 0;
     n_retransmits = 0;
-    n_segments_in = 0;
     n_segments_out = 0;
     ins;
   }
@@ -624,7 +512,7 @@ let create_active clock ~instruments ~config ~local ~remote ~iss actions =
   emit t
     (Seg.make
        ~flags:{ Seg.no_flags with syn = true }
-       ~window:(Int.min 0xFFFF (rcv_wnd t))
+       ~window:(rcv_wnd t)
        ~options:(syn_options t)
        ~src_port:(snd local) ~dst_port:(snd remote) ~seq:iss ());
   t.snd_nxt <- Seq32.succ iss;
@@ -640,26 +528,7 @@ let accept_syn t (syn : Seg.t) =
   (match Seg.mss_option syn with
   | Some m -> t.peer_mss <- m
   | None -> t.peer_mss <- 536);
-  (* RFC 7323 negotiation: an option is live only if both sides sent it *)
-  (match Seg.window_scale_option syn with
-  | Some peer_shift when t.config.window_scale > 0 ->
-    t.snd_wscale <- Int.min 14 peer_shift;
-    t.rcv_wscale <- t.config.window_scale
-  | Some _ | None ->
-    t.snd_wscale <- 0;
-    t.rcv_wscale <- 0);
-  (match Seg.timestamps_option syn with
-  | Some (tsval, _) when t.config.timestamps ->
-    t.ts_on <- true;
-    t.ts_recent <- tsval
-  | Some _ | None -> t.ts_on <- false);
-  t.sack_on <-
-    t.config.sack
-    && Seg.find_map_option syn (function
-         | Seg.Sack_permitted -> Some ()
-         | _ -> None)
-       <> None;
-  t.snd_wnd <- syn.window (* SYN windows are never scaled *);
+  t.snd_wnd <- syn.window;
   t.snd_wl1 <- syn.seq;
   t.snd_wl2 <- syn.ack
 
@@ -673,7 +542,7 @@ let create_passive clock ~instruments ~config ~local ~remote ~iss actions
     (Seg.make
        ~flags:{ Seg.no_flags with syn = true; ack = true }
        ~ack:t.rcv_nxt
-       ~window:(Int.min 0xFFFF (rcv_wnd t))
+       ~window:(rcv_wnd t)
        ~options:(syn_options t) ~src_port:(snd local) ~dst_port:(snd remote)
        ~seq:iss ());
   t.snd_nxt <- Seq32.succ iss;
@@ -700,7 +569,6 @@ let resume_reading t =
     if closed && t.state <> Closed then send_ack_now t
   end
 
-let reading_paused t = t.recv_paused
 let recv_queue_length t = Buffer.length t.recv_pending
 
 let send_space t = Bytebuf.free t.sndbuf
@@ -797,7 +665,7 @@ let acceptable_segment t (seg : Seg.t) =
        && Seq32.gt (Seg.seq_end seg) t.rcv_nxt)
 
 let schedule_ack t ~immediate =
-  if immediate || not t.config.delayed_ack then send_ack_now t
+  if immediate then send_ack_now t
   else
     match t.delack_timer with
     | Some _ ->
@@ -806,7 +674,7 @@ let schedule_ack t ~immediate =
     | None ->
       t.delack_timer <-
         Some
-          (t.clock.schedule t.config.delack_delay (fun () ->
+          (t.clock.schedule delack_delay (fun () ->
                t.delack_timer <- None;
                if t.state <> Closed then
                  emit t (mk_seg t ~flags:ack_flags ~seq:t.snd_nxt ())))
@@ -901,11 +769,8 @@ let update_send_window t (seg : Seg.t) =
     Seq32.lt t.snd_wl1 seg.seq
     || (Seq32.equal t.snd_wl1 seg.seq && Seq32.le t.snd_wl2 seg.ack)
   then begin
-    let scaled =
-      if seg.flags.syn then seg.window else seg.window lsl t.snd_wscale
-    in
-    let opened = scaled > 0 && t.snd_wnd = 0 in
-    t.snd_wnd <- scaled;
+    let opened = seg.window > 0 && t.snd_wnd = 0 in
+    t.snd_wnd <- seg.window;
     t.snd_wl1 <- seg.seq;
     t.snd_wl2 <- seg.ack;
     if opened then begin
@@ -915,42 +780,26 @@ let update_send_window t (seg : Seg.t) =
   end
 
 let congestion_on_ack t acked =
-  if t.config.congestion_control && acked > 0 then begin
+  if acked > 0 then begin
     let mss = effective_mss t in
     if t.cwnd < t.ssthresh then t.cwnd <- t.cwnd + mss
     else t.cwnd <- t.cwnd + Int.max 1 (mss * mss / t.cwnd)
   end
 
 let fast_retransmit t =
-  if t.config.congestion_control then begin
-    let mss = effective_mss t in
-    t.ssthresh <- Int.max (flight_size t / 2) (2 * mss);
-    t.cwnd <- t.ssthresh
-  end;
+  let mss = effective_mss t in
+  t.ssthresh <- Int.max (flight_size t / 2) (2 * mss);
+  t.cwnd <- t.ssthresh;
   retransmit_one t;
   restart_rtx t
 
-let record_sack t (seg : Seg.t) =
-  if t.sack_on then
-    match Seg.sack_option seg with
-    | Some blocks ->
-      List.iter
-        (fun (lo, hi) ->
-          (* ignore blocks outside the live window *)
-          if Seq32.ge lo t.snd_una && Seq32.le hi t.snd_max then
-            Rangeset.add t.sack_board ~lo ~hi)
-        blocks
-    | None -> ()
-
 let process_ack t (seg : Seg.t) =
-  record_sack t seg;
   if Seq32.gt seg.ack t.snd_max then
     (* acks something we never sent: resynchronize the peer *)
     send_ack_now t
   else if Seq32.gt seg.ack t.snd_una then begin
     let acked = Seq32.diff seg.ack t.snd_una in
     t.snd_una <- seg.ack;
-    Rangeset.clear_below t.sack_board t.snd_una;
     (* a cumulative ack can overtake a rewound snd_nxt; restore the
        invariant snd_una <= snd_nxt before any callback (on_drain) can
        re-enter the output engine *)
@@ -1008,8 +857,7 @@ let process_ack t (seg : Seg.t) =
     (* old or duplicate ack *)
     update_send_window t seg;
     if
-      t.config.fast_retransmit
-      && Seq32.equal seg.ack t.snd_una
+      Seq32.equal seg.ack t.snd_una
       && String.length seg.payload = 0
       && (not seg.flags.syn) && (not seg.flags.fin)
       && Seq32.lt t.snd_una t.snd_max
@@ -1043,7 +891,6 @@ let segment_in_syn_sent t (seg : Seg.t) =
         t.rtt_probe <- None
       | Some _ | None -> ());
       t.state <- Established;
-      arm_keepalive t;
       send_ack_now t;
       t.on_established ();
       deliver_payload t seg;
@@ -1057,7 +904,7 @@ let segment_in_syn_sent t (seg : Seg.t) =
         (Seg.make
            ~flags:{ Seg.no_flags with syn = true; ack = true }
            ~ack:t.rcv_nxt
-           ~window:(Int.min 0xFFFF (rcv_wnd t))
+           ~window:(rcv_wnd t)
            ~options:(syn_options t) ~src_port:(snd t.local)
            ~dst_port:(snd t.remote) ~seq:t.iss ());
       arm_rtx t
@@ -1084,12 +931,6 @@ type snapshot = {
   sn_snd_wl1 : Seq32.t;
   sn_snd_wl2 : Seq32.t;
   sn_peer_mss : int;
-  sn_snd_wscale : int;
-  sn_rcv_wscale : int;
-  sn_ts_on : bool;
-  sn_ts_recent : int;
-  sn_sack_on : bool;
-  sn_sack_ranges : (Seq32.t * Seq32.t) list;
   sn_fin_queued : bool;
   sn_fin_sent : bool;
   sn_irs : Seq32.t;
@@ -1133,36 +974,13 @@ let checkpoint t =
       Registry.Counter.incr t.ins.checkpoints
     end
 
-(* Periodic checkpoints on [config.checkpoint_interval].  Timer-driven
-   truncation is only safe for applications whose state rebuilds from
-   any delivery boundary; stateful ones leave the interval unset and
-   call {!checkpoint} at their own safe points. *)
-let rec arm_checkpoint_timer t =
-  match t.config.checkpoint_interval with
-  | None -> ()
-  | Some interval ->
-    t.checkpoint_timer <- cancel_timer t t.checkpoint_timer;
-    t.checkpoint_timer <-
-      Some
-        (t.clock.schedule interval (fun () ->
-             t.checkpoint_timer <- None;
-             if
-               t.state <> Closed
-               && (t.retained <> None || t.retention_overflowed)
-             then begin
-               checkpoint t;
-               arm_checkpoint_timer t
-             end))
-
 let enable_input_retention t =
   (* never after an overflow: the replay prefix is gone for good, and a
      partial history would silently corrupt a restored replica (only an
      application {!checkpoint} may resurrect retention — it declares the
      prefix unnecessary) *)
-  if t.retained = None && not t.retention_overflowed then begin
-    t.retained <- Some [];
-    arm_checkpoint_timer t
-  end
+  if t.retained = None && not t.retention_overflowed then
+    t.retained <- Some []
 
 let input_retention_enabled t = t.retained <> None
 let input_retention_overflowed t = t.retention_overflowed
@@ -1187,12 +1005,6 @@ let snapshot t =
     sn_snd_wl1 = t.snd_wl1;
     sn_snd_wl2 = t.snd_wl2;
     sn_peer_mss = t.peer_mss;
-    sn_snd_wscale = t.snd_wscale;
-    sn_rcv_wscale = t.rcv_wscale;
-    sn_ts_on = t.ts_on;
-    sn_ts_recent = t.ts_recent;
-    sn_sack_on = t.sack_on;
-    sn_sack_ranges = Rangeset.ranges t.sack_board;
     sn_fin_queued = t.fin_queued;
     sn_fin_sent = t.fin_sent;
     sn_irs = t.irs;
@@ -1223,8 +1035,6 @@ let shift_snapshot s n =
     sn_snd_una = sh s.sn_snd_una;
     sn_snd_max = sh s.sn_snd_max;
     sn_snd_wl2 = sh s.sn_snd_wl2;
-    sn_sack_ranges =
-      List.map (fun (lo, hi) -> (sh lo, sh hi)) s.sn_sack_ranges;
   }
 
 let restore clock ~instruments ~config actions (s : snapshot) =
@@ -1233,7 +1043,7 @@ let restore clock ~instruments ~config actions (s : snapshot) =
       ~iss:s.sn_iss actions s.sn_state
   in
   t.sndbuf <-
-    Bytebuf.of_string ~capacity:config.Tcp_config.send_buf_size
+    Bytebuf.of_string ~capacity:send_buf_size
       ~start_offset:s.sn_sndbuf_start s.sn_sndbuf_data;
   t.snd_una <- s.sn_snd_una;
   (* resume transmitting at the frontier; a hole below it is repaired by
@@ -1244,13 +1054,6 @@ let restore clock ~instruments ~config actions (s : snapshot) =
   t.snd_wl1 <- s.sn_snd_wl1;
   t.snd_wl2 <- s.sn_snd_wl2;
   t.peer_mss <- s.sn_peer_mss;
-  t.snd_wscale <- s.sn_snd_wscale;
-  t.rcv_wscale <- s.sn_rcv_wscale;
-  t.ts_on <- s.sn_ts_on;
-  t.ts_recent <- s.sn_ts_recent;
-  t.sack_on <- s.sn_sack_on;
-  List.iter (fun (lo, hi) -> Rangeset.add t.sack_board ~lo ~hi)
-    s.sn_sack_ranges;
   t.fin_queued <- s.sn_fin_queued;
   t.fin_sent <- s.sn_fin_sent;
   t.irs <- s.sn_irs;
@@ -1304,18 +1107,13 @@ let resume_restored t =
      every unacknowledged byte, so whatever skip budget remains would
      only swallow genuinely new data: cancel it. *)
   t.resync_skip <- 0;
-  if t.state = Established then arm_keepalive t;
   (* a restored TIME_WAIT connection must still answer retransmitted
      FINs, and still eventually evaporate: restart the 2MSL timer *)
   if t.state = Time_wait then enter_time_wait t;
   if Seq32.lt t.snd_una t.snd_max then arm_rtx t;
-  (* restored connections resume periodic checkpointing on this host *)
-  arm_checkpoint_timer t;
   try_output t
 
 let snd_max t = t.snd_max
-let rcv_wscale t = t.rcv_wscale
-let fin_queued t = t.fin_queued
 let fin_sent t = t.fin_sent
 let rcv_fin t = t.rcv_fin
 let eof_signalled t = t.eof_signalled
@@ -1324,10 +1122,7 @@ let receive_window t = rcv_wnd t
 
 let segment_arrives t (seg : Seg.t) =
   if t.state = Closed then ()
-  else begin
-    t.n_segments_in <- t.n_segments_in + 1;
-    t.last_activity <- t.clock.now ();
-    t.ka_probes_sent <- 0;
+  else
     match t.state with
     | Syn_sent -> segment_in_syn_sent t seg
     | Closed -> ()
@@ -1349,20 +1144,6 @@ let segment_arrives t (seg : Seg.t) =
       end
       else if not seg.flags.ack then ()
       else begin
-        (* RFC 7323: track the peer's timestamp and measure RTT from the
-           echoed value of every acceptable ACK *)
-        if t.ts_on then begin
-          (match Seg.timestamps_option seg with
-          | Some (tsval, tsecr) ->
-            if Seq32.le seg.seq t.rcv_nxt then t.ts_recent <- tsval;
-            if seg.flags.ack && tsecr > 0 then begin
-              let rtt_ms = (now_ms t land 0xFFFFFFFF) - tsecr in
-              if rtt_ms >= 0 && rtt_ms < 60_000
-                 && Seq32.gt seg.ack t.snd_una then
-                Rto.sample t.rto (rtt_ms * 1_000_000)
-            end
-          | None -> ())
-        end;
         (match t.state with
         | Syn_received ->
           if
@@ -1370,7 +1151,6 @@ let segment_arrives t (seg : Seg.t) =
               seg.ack
           then begin
             t.state <- Established;
-            arm_keepalive t;
             t.retry_count <- 0;
             t.rtx_timer <- cancel_timer t t.rtx_timer;
             (match t.rtt_probe with
@@ -1394,4 +1174,3 @@ let segment_arrives t (seg : Seg.t) =
           note_fin t seg
         end
       end
-  end

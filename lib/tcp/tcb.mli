@@ -46,7 +46,6 @@ val resume_reading : t -> unit
 (** Deliver everything parked and reopen the window (advertising it with
     a window update if it had closed). *)
 
-val reading_paused : t -> bool
 val recv_queue_length : t -> int
 
 val set_on_eof : t -> (unit -> unit) -> unit
@@ -135,27 +134,18 @@ val snd_una : t -> Tcpfo_util.Seq32.t
 val snd_nxt : t -> Tcpfo_util.Seq32.t
 val rcv_nxt : t -> Tcpfo_util.Seq32.t
 
-val snd_wnd : t -> int
-(** Peer's advertised window, descaled to bytes (RFC 7323). *)
-
-val timestamps_enabled : t -> bool
-val sack_enabled : t -> bool
 val srtt : t -> Tcpfo_sim.Time.t option
 (** Smoothed round-trip estimate, once at least one sample exists. *)
 
 val snd_max : t -> Tcpfo_util.Seq32.t
 (** Highest sequence number ever transmitted. *)
 
-val rcv_wscale : t -> int
-(** Shift applied to our advertised window (0 when scaling is off). *)
-
-val fin_queued : t -> bool
 val fin_sent : t -> bool
 val rcv_fin : t -> Tcpfo_util.Seq32.t option
 val eof_signalled : t -> bool
 
 val receive_window : t -> int
-(** Current receive window in bytes (before 16-bit field scaling). *)
+(** Current receive window in bytes, at most 65535. *)
 
 (** {1 Hot state transfer}
 
@@ -180,12 +170,6 @@ type snapshot = {
   sn_snd_wl1 : Tcpfo_util.Seq32.t;
   sn_snd_wl2 : Tcpfo_util.Seq32.t;
   sn_peer_mss : int;
-  sn_snd_wscale : int;
-  sn_rcv_wscale : int;
-  sn_ts_on : bool;
-  sn_ts_recent : int;
-  sn_sack_on : bool;
-  sn_sack_ranges : (Tcpfo_util.Seq32.t * Tcpfo_util.Seq32.t) list;
   sn_fin_queued : bool;
   sn_fin_sent : bool;
   sn_irs : Tcpfo_util.Seq32.t;
@@ -218,10 +202,7 @@ val enable_input_retention : t -> unit
     [statex.retention_overflows] is bumped.  A no-op after such an
     overflow; only {!checkpoint} can resurrect retention, because it
     carries the application's declaration that the lost prefix is not
-    needed.
-
-    When {!Tcp_config.checkpoint_interval} is set, enabling retention
-    also starts the periodic checkpoint timer. *)
+    needed. *)
 
 val input_retention_enabled : t -> bool
 
@@ -243,10 +224,8 @@ val checkpoint : t -> unit
     transferability are resurrected at the current input position.
     Bumps [statex.checkpoints]; truncated bytes are accounted in
     [statex.retention_truncated_bytes].  A no-op on connections that
-    never retained.  Driven periodically by
-    {!Tcp_config.checkpoint_interval} when set — only safe for
-    applications whose state rebuilds from any delivery boundary;
-    stateful ones call this explicitly at their own safe points. *)
+    never retained.  Applications call this at their own safe
+    points. *)
 
 val replay_base : t -> int
 (** Input-stream offset where the retained history begins (0 until the
@@ -278,7 +257,7 @@ val restore :
 
 val resume_restored : t -> unit
 (** Fire the application callbacks as history replay (established →
-    retained input → EOF if signalled), re-arm keepalive/retransmission,
+    retained input → EOF if signalled), re-arm retransmission,
     and resume output.  Call after the service's accept handler has
     installed its callbacks on the restored TCB.
 
@@ -303,12 +282,7 @@ val replaying : t -> bool
 
 (** {1 Statistics} *)
 
-val bytes_sent : t -> int
-(** Distinct payload bytes accepted from the application and transmitted at
-    least once. *)
-
 val bytes_acked : t -> int
 val bytes_received : t -> int
 val retransmits : t -> int
-val segments_in : t -> int
 val segments_out : t -> int

@@ -2,58 +2,17 @@ module Time = Tcpfo_sim.Time
 
 type t = {
   mss : int;
-  send_buf_size : int;
   recv_buf_size : int;
-  rto_init : Time.t;
-  rto_min : Time.t;
-  rto_max : Time.t;
-  delayed_ack : bool;
-  delack_delay : Time.t;
-  nagle : bool;
   msl : Time.t;
-  max_syn_retries : int;
-  max_data_retries : int;
-  fast_retransmit : bool;
-  congestion_control : bool;
   iss_override : int option;
-  window_scale : int;
-  timestamps : bool;
-  sack : bool;
-  keepalive : Time.t option;
-  keepalive_probes : int;
   retention_budget : int;
-  checkpoint_interval : Time.t option;
-      (* when set, every retaining connection checkpoints itself on this
-         period ({!Tcb.checkpoint}): retained input is truncated at the
-         boundary so long-lived connections stay transferable instead of
-         overflowing [retention_budget].  Only safe for applications
-         whose per-connection state rebuilds from any delivery boundary;
-         stateful apps should call {!Tcb.checkpoint} explicitly at their
-         own safe points instead. *)
 }
 
 let default =
   {
     mss = 1460;
-    send_buf_size = 65536;
     recv_buf_size = 65536;
-    rto_init = Time.sec 1.0;
-    rto_min = Time.ms 200;
-    rto_max = Time.sec 64.0;
-    delayed_ack = true;
-    delack_delay = Time.ms 100;
-    nagle = false;
     msl = Time.sec 5.0;
-    max_syn_retries = 5;
-    max_data_retries = 10;
-    fast_retransmit = true;
-    congestion_control = true;
     iss_override = None;
-    window_scale = 0;
-    timestamps = false;
-    sack = false;
-    keepalive = None;
-    keepalive_probes = 3;
     retention_budget = 1 lsl 20;
-    checkpoint_interval = None;
   }

@@ -1,43 +1,22 @@
 (** Tunables of the TCP stack.
 
-    Defaults mirror the paper's testbed era (FreeBSD 4.4-ish): 1460-byte
-    MSS, 64 KB send and receive buffers (the knee in Figure 3 comes from
-    the 64 KB send buffer), delayed ACKs, Reno congestion control. *)
+    Only what a workload or a test actually varies is a field.  Everything
+    else is a fixed parameter of the paper's testbed era (FreeBSD 4.4-ish)
+    inside {!Tcb}: a 64 KB send buffer (the knee in Figure 3), Jacobson
+    RTO bounded to 200 ms – 64 s starting at 1 s, 100 ms delayed ACKs,
+    Reno congestion control with fast retransmit, 5 SYN and 10 data
+    retries.  MSS is the only TCP option the stack negotiates; DESIGN
+    §7.19 says which options went and why. *)
 
 type t = {
-  mss : int;  (** MSS we advertise in our SYN *)
-  send_buf_size : int;
+  mss : int;  (** MSS we advertise in our SYN (§7.1 min-MSS merge) *)
   recv_buf_size : int;
-  rto_init : Tcpfo_sim.Time.t;
-  rto_min : Tcpfo_sim.Time.t;
-  rto_max : Tcpfo_sim.Time.t;
-  delayed_ack : bool;
-  delack_delay : Tcpfo_sim.Time.t;
-  nagle : bool;
-  msl : Tcpfo_sim.Time.t;  (** TIME_WAIT lasts 2×MSL *)
-  max_syn_retries : int;
-  max_data_retries : int;
-  fast_retransmit : bool;
-  congestion_control : bool;  (** Reno slow-start/avoidance when true *)
+      (** receive buffer; the advertised window is capped at 65535 *)
+  msl : Tcpfo_sim.Time.t;  (** TIME_WAIT lasts 2×MSL (§8 teardown) *)
   iss_override : int option;
       (** force every new connection's initial send sequence number
           (normally random).  For tests that must cross the 2^32
           sequence-space boundary mid-transfer. *)
-  window_scale : int;
-      (** RFC 7323 receive-window shift to request (0 = option off).
-          Effective only when both ends offer the option. *)
-  timestamps : bool;
-      (** RFC 7323 timestamps: every segment carries TSval/TSecr and RTT
-          is measured per ACK instead of one probe at a time. *)
-  sack : bool;
-      (** RFC 2018 selective acknowledgments: the receiver reports
-          out-of-order islands and the sender retransmits only the
-          holes. *)
-  keepalive : Tcpfo_sim.Time.t option;
-      (** probe an idle established connection after this much silence;
-          after {!field-keepalive_probes} unanswered probes the connection
-          is reset (None = keepalives off, the default) *)
-  keepalive_probes : int;
   retention_budget : int;
       (** Byte cap on input retained for hot state transfer.  A
           connection whose in-order deliveries outgrow the budget drops
@@ -46,15 +25,6 @@ type t = {
           unless a later {!Tcb.checkpoint} resurrects retention); the
           overflow is surfaced through the [statex.retention_*]
           counters.  Default 1 MiB. *)
-  checkpoint_interval : Tcpfo_sim.Time.t option;
-      (** Periodic {!Tcb.checkpoint} driver: every retaining connection
-          truncates its retained input on this period, so long-lived
-          connections stay transferable (and snapshots stay small)
-          instead of overflowing {!field-retention_budget}.  Only safe
-          for applications whose per-connection state rebuilds from any
-          delivery boundary; stateful applications leave this [None]
-          (the default) and call {!Tcb.checkpoint} at their own safe
-          points. *)
 }
 
 val default : t

@@ -16,7 +16,6 @@ let partial ?(accum = 0) b =
   if !i < n then sum := !sum + (Char.code (Bytes.unsafe_get b !i) lsl 8);
   fold !sum
 
-let partial_string ?accum s = partial ?accum (Bytes.unsafe_of_string s)
 
 (* Parity-carrying variant for summing a message in arbitrary chunks.
    [partial ?accum] silently assumes every chunk but the last is

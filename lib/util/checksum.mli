@@ -19,8 +19,6 @@ val partial : ?accum:int -> bytes -> int
     ended the message.  Use {!partial_parity} to sum across arbitrary
     split points. *)
 
-val partial_string : ?accum:int -> string -> int
-
 val partial_parity : ?state:int * bool -> bytes -> int * bool
 (** Parity-carrying chunked sum.  The state is [(sum, odd)]: [odd] means
     the previous chunk ended mid-word, and the next chunk's first byte

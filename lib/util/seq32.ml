@@ -15,7 +15,6 @@ let diff a b =
   let d = (a - b) land mask in
   if d >= half then d - (mask + 1) else d
 
-let compare_near a b = compare (diff a b) 0
 let lt a b = diff a b < 0
 let le a b = diff a b <= 0
 let gt a b = diff a b > 0

@@ -42,8 +42,6 @@ val between : low:t -> high:t -> t -> bool
     the half-open window [low, high). *)
 
 val equal : t -> t -> bool
-val compare_near : t -> t -> int
-(** Modular comparison: negative if the first precedes the second. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

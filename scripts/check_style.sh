@@ -101,6 +101,38 @@ if [ -n "$hot_hits" ]; then
   fail=1
 fi
 
+# Unused-export lint.  Every [val NAME] in a library interface must be
+# named, as a word, in some tracked .ml/.mli outside that module's own
+# .ml/.mli pair (any library, test, bench, binary or example counts,
+# comments included).  The rule is conservative: a common name such as
+# [create] never fires; it catches exports nothing outside the module
+# can be calling.
+unused=$(perl -e '
+  my @files = grep { -f } @ARGV;
+  my %seen;
+  for my $f (@files) {
+    open my $fh, "<", $f or die "$f: $!";
+    local $/; my $src = <$fh>; close $fh;
+    (my $stem = $f) =~ s/\.mli?$//;
+    $seen{$1}{$stem} = 1 while $src =~ /([A-Za-z_][\w\x27]*)/g;
+  }
+  for my $f (grep { m{^lib/.*\.mli$} } @files) {
+    open my $fh, "<", $f or die "$f: $!";
+    local $/; my $src = <$fh>; close $fh;
+    (my $stem = $f) =~ s/\.mli$//;
+    while ($src =~ /^\s*val\s+([a-z_][\w\x27]*)/mg) {
+      my $name = $1;
+      print "$f: $name\n" unless grep { $_ ne $stem } keys %{ $seen{$name} };
+    }
+  }
+' $(git ls-files '*.ml' '*.mli'))
+if [ -n "$unused" ]; then
+  printf '%s\n' "$unused" | while IFS= read -r u; do
+    complain "${u%%: *}" "export named nowhere outside its module: ${u##*: }"
+  done
+  fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
   echo "style: FAILED" >&2
   exit 1

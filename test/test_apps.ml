@@ -347,113 +347,3 @@ let suite =
     Alcotest.test_case "cross-traffic injection rate" `Quick
       test_cross_traffic_rate;
   ]
-
-(* ---------------- HTTP ---------------- *)
-
-module Http = Tcpfo_apps.Http
-
-let http_handler (req : Http.request) : Http.response =
-  match (req.meth, req.path) with
-  | "GET", "/hello" -> Http.ok "hello, world"
-  | "GET", "/big" -> Http.ok (pattern ~tag:90 250_000)
-  | "POST", "/sum" ->
-    let sum =
-      String.fold_left (fun a c -> a + Char.code c) 0 req.body
-    in
-    Http.ok ~headers:[ ("x-kind", "sum") ] (string_of_int sum)
-  | _ -> Http.not_found
-
-let test_http_roundtrip () =
-  let lan = make_simple_lan () in
-  Http.serve (Host.tcp lan.server) ~port:8080 http_handler;
-  let r1 = ref None and r2 = ref None and r3 = ref None in
-  let _ =
-    Http.get (Host.tcp lan.client) ~server:(Host.addr lan.server, 8080)
-      ~path:"/hello" ~on_response:(fun r -> r1 := r) ()
-  in
-  let _ =
-    Http.post (Host.tcp lan.client) ~server:(Host.addr lan.server, 8080)
-      ~path:"/sum" ~body:"abc" ~on_response:(fun r -> r2 := r) ()
-  in
-  let _ =
-    Http.get (Host.tcp lan.client) ~server:(Host.addr lan.server, 8080)
-      ~path:"/nope" ~on_response:(fun r -> r3 := r) ()
-  in
-  World.run lan.world ~for_:(Time.sec 30.0);
-  (match !r1 with
-  | Some r ->
-    check_int "200" 200 r.Http.status;
-    check_string "body" "hello, world" r.Http.resp_body
-  | None -> Alcotest.fail "no /hello response");
-  (match !r2 with
-  | Some r ->
-    check_string "sum" (string_of_int (Char.code 'a' + Char.code 'b' + Char.code 'c')) r.Http.resp_body;
-    check_bool "custom header" true
-      (List.assoc_opt "x-kind" r.Http.resp_headers = Some "sum")
-  | None -> Alcotest.fail "no /sum response");
-  match !r3 with
-  | Some r -> check_int "404" 404 r.Http.status
-  | None -> Alcotest.fail "no /nope response"
-
-let test_http_large_body () =
-  let lan = make_simple_lan () in
-  Http.serve (Host.tcp lan.server) ~port:8080 http_handler;
-  let got = ref None in
-  let _ =
-    Http.get (Host.tcp lan.client) ~server:(Host.addr lan.server, 8080)
-      ~path:"/big" ~on_response:(fun r -> got := r) ()
-  in
-  World.run lan.world ~for_:(Time.sec 30.0);
-  match !got with
-  | Some r ->
-    check_string "250 KB body exact" (pattern ~tag:90 250_000) r.Http.resp_body
-  | None -> Alcotest.fail "no response"
-
-let test_http_replicated_failover () =
-  (* the paper's motivating scenario: a replicated Web server; the
-     primary dies while serving a large response *)
-  let r = make_repl_lan () in
-  Http.serve_replicated r.repl ~port:8080 http_handler;
-  let got = ref None in
-  let _ =
-    Http.get (Host.tcp r.rclient)
-      ~server:(Tcpfo_core.Replicated.service_addr r.repl, 8080)
-      ~path:"/big" ~on_response:(fun x -> got := x) ()
-  in
-  ignore
-    (Engine.schedule (World.engine r.rworld) ~delay:(Time.ms 20) (fun () ->
-         Tcpfo_core.Replicated.kill_primary r.repl));
-  World.run r.rworld ~for_:(Time.sec 60.0);
-  match !got with
-  | Some resp ->
-    check_int "200 across failover" 200 resp.Http.status;
-    check_string "body exact across failover" (pattern ~tag:90 250_000)
-      resp.Http.resp_body
-  | None -> Alcotest.fail "no response across failover"
-
-let test_http_render_parse_roundtrip () =
-  let req =
-    { Http.meth = "POST"; path = "/x/y?z=1";
-      headers = [ ("x-a", "1"); ("x-b", "two words") ]; body = "BODY" }
-  in
-  let s = Http.render_request req in
-  check_bool "request line" true
-    (String.length s > 4 && String.sub s 0 4 = "POST");
-  check_bool "content-length present" true
-    (let lower = String.lowercase_ascii s in
-     let rec contains i =
-       i + 14 <= String.length lower
-       && (String.sub lower i 14 = "content-length" || contains (i + 1))
-     in
-     contains 0)
-
-let suite =
-  suite
-  @ [
-      Alcotest.test_case "http get/post/404" `Quick test_http_roundtrip;
-      Alcotest.test_case "http large body" `Quick test_http_large_body;
-      Alcotest.test_case "http replicated failover (paper 1)" `Quick
-        test_http_replicated_failover;
-      Alcotest.test_case "http render sanity" `Quick
-        test_http_render_parse_roundtrip;
-    ]

@@ -2,7 +2,6 @@ let () =
   Alcotest.run "tcpfo"
     [
       ("seq32", Test_seq32.suite);
-      ("rangeset", Test_rangeset.suite);
       ("checksum", Test_checksum.suite);
       ("interval_buf", Test_interval_buf.suite);
       ("bytebuf", Test_bytebuf.suite);
@@ -16,7 +15,6 @@ let () =
       ("tcp_transfer", Test_tcp_transfer.suite);
       ("tcp_loss", Test_tcp_loss.suite);
       ("tcp_close", Test_tcp_close.suite);
-      ("tcp_options", Test_tcp_options.suite);
       ("tcp_edge", Test_tcp_edge.suite);
       ("bridge", Test_bridge_unit.suite);
       ("failover", Test_failover.suite);

@@ -57,15 +57,6 @@ let rand_snapshot st =
     sn_snd_wl1 = rand_seq st;
     sn_snd_wl2 = rand_seq st;
     sn_peer_mss = 1 + QCheck.Gen.int_bound 0xFFFE st;
-    sn_snd_wscale = QCheck.Gen.int_bound 14 st;
-    sn_rcv_wscale = QCheck.Gen.int_bound 14 st;
-    sn_ts_on = QCheck.Gen.bool st;
-    sn_ts_recent = u32 st;
-    sn_sack_on = QCheck.Gen.bool st;
-    sn_sack_ranges =
-      List.init (QCheck.Gen.int_bound 4 st) (fun _ ->
-          let lo = rand_seq st in
-          (lo, Seq32.add lo (1 + QCheck.Gen.int_bound 5000 st)));
     sn_fin_queued = QCheck.Gen.bool st;
     sn_fin_sent = QCheck.Gen.bool st;
     sn_irs = rand_seq st;

@@ -124,25 +124,6 @@ let test_interleaved_sends () =
   check_string "stream order preserved" (String.concat "" chunks)
     (sink_contents ssink)
 
-let test_nagle_coalesces () =
-  let cfg = { Tcpfo_tcp.Tcp_config.default with nagle = true } in
-  let lan = make_simple_lan ~tcp_config:cfg () in
-  let ssink = make_sink () in
-  Stack.listen (Host.tcp lan.server) ~port:80 ~on_accept:(fun tcb ->
-      wire_sink ssink tcb);
-  let c =
-    Stack.connect (Host.tcp lan.client) ~remote:(Host.addr lan.server, 80) ()
-  in
-  Tcb.set_on_established c (fun () ->
-      (* many tiny writes in a burst: Nagle should coalesce into far fewer
-         segments than writes *)
-      for _ = 1 to 100 do
-        ignore (Tcb.send c "ab")
-      done);
-  World.run_until_idle lan.world;
-  check_int "all bytes" 200 (String.length (sink_contents ssink));
-  check_bool "coalesced" true (Tcb.segments_out c < 50)
-
 let suite =
   [
     Alcotest.test_case "bulk one-way transfer" `Quick test_bulk_one_way;
@@ -158,8 +139,6 @@ let suite =
       test_delayed_ack_quiescent;
     Alcotest.test_case "interleaved timed sends keep order" `Quick
       test_interleaved_sends;
-    Alcotest.test_case "nagle coalesces tiny writes" `Quick
-      test_nagle_coalesces;
   ]
 
 let test_pause_resume_backpressure () =

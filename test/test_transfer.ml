@@ -37,12 +37,6 @@ let mk_conn ?(size = 8_000) () =
         sn_snd_wl1 = Seq32.zero;
         sn_snd_wl2 = Seq32.zero;
         sn_peer_mss = 1460;
-        sn_snd_wscale = 0;
-        sn_rcv_wscale = 0;
-        sn_ts_on = false;
-        sn_ts_recent = 0;
-        sn_sack_on = false;
-        sn_sack_ranges = [];
         sn_fin_queued = false;
         sn_fin_sent = false;
         sn_irs = Seq32.zero;
@@ -434,43 +428,6 @@ let test_checkpoint_resurrects_after_overflow () =
   check_int "suffix retained from the resurrection point" 600
     (Tcb.retained_input_bytes s);
   check_int "base unchanged by retained deliveries" 1_200 (Tcb.replay_base s)
-
-let test_checkpoint_timer_bounds_retention () =
-  (* a periodic checkpoint keeps a long-lived connection under a budget
-     its lifetime traffic exceeds many times over *)
-  let lan =
-    make_simple_lan
-      ~tcp_config:
-        {
-          Tcp_config.default with
-          retention_budget = 2_000;
-          checkpoint_interval = Some (Time.ms 50);
-        }
-      ()
-  in
-  let server_tcb = ref None in
-  Stack.listen (Host.tcp lan.server) ~port:80 ~on_accept:(fun tcb ->
-      Tcb.enable_input_retention tcb;
-      server_tcb := Some tcb);
-  let c =
-    Stack.connect (Host.tcp lan.client) ~remote:(Host.addr lan.server, 80) ()
-  in
-  World.run lan.world ~for_:(Time.ms 20);
-  for i = 1 to 6 do
-    send_all c (pattern ~tag:i 600);
-    World.run lan.world ~for_:(Time.ms 100)
-  done;
-  let s = Option.get !server_tcb in
-  check_bool "never overflowed despite 3600 B through a 2000 B budget"
-    false
-    (Tcb.input_retention_overflowed s);
-  check_bool "still transferable" true (Tcb.input_retention_enabled s);
-  check_bool "timer drove several checkpoints" true
-    (counter lan.world "statex.checkpoints" >= 2);
-  check_bool "retention stayed bounded" true
-    (Tcb.retained_input_bytes s < 2_000);
-  check_int "base + suffix account for the whole stream" 3_600
-    (Tcb.replay_base s + Tcb.retained_input_bytes s)
 
 let test_checkpointed_conn_survives_repair () =
   (* End-to-end delta reintegration: an application that checkpoints at
@@ -871,8 +828,6 @@ let suite =
       test_checkpoint_truncates_unit;
     Alcotest.test_case "checkpoint resurrects retention after overflow"
       `Quick test_checkpoint_resurrects_after_overflow;
-    Alcotest.test_case "checkpoint timer bounds retention" `Quick
-      test_checkpoint_timer_bounds_retention;
     Alcotest.test_case "checkpointed conn ships a delta and survives repair"
       `Quick test_checkpointed_conn_survives_repair;
     Alcotest.test_case "paced scheduler respects the offer window" `Quick

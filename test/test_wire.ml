@@ -101,7 +101,54 @@ let test_ipv4_header_roundtrip () =
   Testutil.check_int "proto" 47 proto;
   Testutil.check_int "total" 23 total
 
-let arb_segment =
+(* Raw bytes of the options the stack no longer speaks: window scale (3),
+   SACK-permitted (4), SACK blocks (5) and timestamps (8).  The decoder
+   must skip each one by its length. *)
+let gen_foreign_option =
+  let open QCheck.Gen in
+  let* kind = oneofl [ 3; 4; 5; 8 ] in
+  let body n = string_size ~gen:char (return n) in
+  match kind with
+  | 3 -> map (fun b -> "\003\003" ^ b) (body 1)
+  | 4 -> return "\004\002"
+  | 5 ->
+    let* blocks = int_range 1 2 in
+    map (fun b -> "\005" ^ String.make 1 (Char.chr (2 + (8 * blocks))) ^ b)
+      (body (8 * blocks))
+  | _ -> map (fun b -> "\008\010" ^ b) (body 8)
+
+let be16 v = String.init 2 (fun k -> Char.chr ((v lsr (8 * (1 - k))) land 0xFF))
+let be32 v = be16 ((v lsr 16) land 0xFFFF) ^ be16 (v land 0xFFFF)
+
+(* [seg]'s header and payload with [opts] as its raw option area, padded
+   with EOL to a 4-byte boundary, and a valid checksum. *)
+let with_raw_options (seg : Seg.t) opts =
+  let opts = opts ^ String.make ((4 - (String.length opts mod 4)) mod 4) '\000' in
+  let plain = Wire.encode_tcp ~src_ip:ip_a ~dst_ip:ip_b { seg with options = [] } in
+  let hlen = 20 + String.length opts in
+  let b = Bytes.make (hlen + String.length seg.payload) '\000' in
+  Bytes.blit plain 0 b 0 20;
+  Bytes.set b 12 (Char.chr ((hlen / 4) lsl 4));
+  Bytes.set b 16 '\000';
+  Bytes.set b 17 '\000';
+  Bytes.blit_string opts 0 b 20 (String.length opts);
+  Bytes.blit_string seg.payload 0 b hlen (String.length seg.payload);
+  let word ip = Ipaddr.to_int ip in
+  let accum =
+    (word ip_a lsr 16) + (word ip_a land 0xFFFF) + (word ip_b lsr 16)
+    + (word ip_b land 0xFFFF) + 6 + Bytes.length b
+  in
+  let ck = Tcpfo_util.Checksum.of_bytes ~accum b in
+  Bytes.set b 16 (Char.chr (ck lsr 8));
+  Bytes.set b 17 (Char.chr (ck land 0xFF));
+  b
+
+type option_case = {
+  seg : Seg.t;  (** carries the options the decoder must return *)
+  raw : string;  (** [seg]'s options interleaved with foreign ones *)
+}
+
+let arb_option_case =
   let open QCheck.Gen in
   let gen =
     let* src_port = int_range 1 65535 in
@@ -112,61 +159,64 @@ let arb_segment =
     let* payload = string_size ~gen:char (int_range 0 200) in
     let* syn = bool and* fin = bool and* psh = bool in
     let* with_mss = bool and* with_odst = bool in
-    let* with_ws = bool and* with_ts = bool and* n_sack = int_range 0 2 in
-    let* ws = int_range 0 14 in
-    let* tsv = int_bound 0xFFFFFFF and* tse = int_bound 0xFFFFFFF in
-    let* sack_base = int_bound 0xFFFFFF in
-    let options =
-      (if with_mss then [ Seg.Mss 1460 ] else [])
-      @ (if with_ws then [ Seg.Window_scale ws ] else [])
-      @ (if with_ts then [ Seg.Timestamps (tsv, tse) ] else [])
-      @ (if n_sack > 0 then
-           [ Seg.Sack
-               (List.init n_sack (fun k ->
-                    ( Seq32.of_int (sack_base + (k * 3000)),
-                      Seq32.of_int (sack_base + (k * 3000) + 1460) ))) ]
-         else [])
-      @ if with_odst then [ Seg.Orig_dst ip_c ] else []
+    let* mss = int_range 1 65535 in
+    let* foreign = list_size (int_range 0 4) gen_foreign_option in
+    let known =
+      (if with_mss then [ (Some (Seg.Mss mss), "\002\004" ^ be16 mss) ]
+       else [])
+      @
+      if with_odst then
+        [ (Some (Seg.Orig_dst ip_c), "\253\006" ^ be32 (Ipaddr.to_int ip_c)) ]
+      else []
     in
-    (* like a real stack, never exceed the 40-byte option space: shed the
-       SACK blocks first, then the rest, until it fits *)
-    let rec shed opts =
-      let seg =
-        Seg.make ~options:opts ~src_port:1 ~dst_port:2 ~seq:Seq32.zero ()
-      in
-      if Seg.header_length seg <= 60 then opts
-      else
-        match
-          List.filter (function Seg.Sack _ -> false | _ -> true) opts
-        with
-        | shorter when List.length shorter < List.length opts ->
-          shed shorter
-        | _ -> shed (List.tl opts)
+    (* like a real stack, never exceed the 40-byte option space *)
+    let room =
+      List.fold_left (fun n (_, r) -> n - String.length r) 40 known
     in
-    let options = shed options in
+    let foreign, _ =
+      List.fold_left
+        (fun (acc, left) o ->
+          if String.length o <= left then ((None, o) :: acc, left - String.length o)
+          else (acc, left))
+        ([], room) foreign
+    in
+    let* pieces = shuffle_l (known @ foreign) in
     return
-      (Seg.make
-         ~flags:{ Seg.no_flags with syn; fin; psh; ack = true }
-         ~ack:(Seq32.of_int ack) ~window ~options ~payload ~src_port
-         ~dst_port ~seq:(Seq32.of_int seq) ())
+      {
+        (* the decoder reports options in wire order *)
+        seg =
+          Seg.make
+            ~flags:{ Seg.no_flags with syn; fin; psh; ack = true }
+            ~ack:(Seq32.of_int ack) ~window
+            ~options:(List.filter_map fst pieces)
+            ~payload ~src_port ~dst_port ~seq:(Seq32.of_int seq) ();
+        raw = String.concat "" (List.map snd pieces);
+      }
   in
   QCheck.make gen
 
 let prop_roundtrip =
   QCheck.Test.make ~name:"wire roundtrip preserves segment" ~count:300
-    arb_segment (fun seg ->
-      let b = Wire.encode_tcp ~src_ip:ip_a ~dst_ip:ip_b seg in
-      let s = Wire.decode_tcp ~src_ip:ip_a ~dst_ip:ip_b b in
+    arb_option_case (fun { seg; raw } ->
+      let s =
+        Wire.decode_tcp ~src_ip:ip_a ~dst_ip:ip_b (with_raw_options seg raw)
+      in
+      let known = List.filter (fun o -> o <> Seg.Nop) s.options in
       s.src_port = seg.src_port && s.dst_port = seg.dst_port
       && Seq32.equal s.seq seg.seq
       && Seq32.equal s.ack seg.ack
       && s.flags = seg.flags && s.window = seg.window
       && s.payload = seg.payload
-      && Seg.mss_option s = Seg.mss_option seg
-      && Seg.window_scale_option s = Seg.window_scale_option seg
-      && Seg.timestamps_option s = Seg.timestamps_option seg
-      && Seg.sack_option s = Seg.sack_option seg
-      && Seg.orig_dst_option s = Seg.orig_dst_option seg)
+      && known = seg.options
+      && (* a SACK option whose length (9) overruns the option area *)
+      (String.length raw + 2 > 40
+      ||
+      match
+        Wire.decode_tcp ~src_ip:ip_a ~dst_ip:ip_b
+          (with_raw_options seg (raw ^ "\005\009"))
+      with
+      | _ -> false
+      | exception Wire.Malformed _ -> true))
 
 let suite =
   [
