@@ -54,6 +54,28 @@ let pairs_line outcomes =
           (fun p -> Printf.sprintf "%S" (Soak.pair_to_string p))
           c.uncovered))
 
+(* Machine-readable digest of the whole sweep: MD5 over every outcome's
+   description, violations and metrics snapshot, in seed order.  Two
+   trees that simulate identically print the same line at any --jobs;
+   scripts/identity.sh compares it across revisions. *)
+let fingerprint_line ~first_seed outcomes =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (o : Soak.outcome) ->
+      Buffer.add_string b (Soak.describe o.scenario);
+      Buffer.add_char b '\n';
+      List.iter
+        (fun v ->
+          Buffer.add_string b v;
+          Buffer.add_char b '\n')
+        o.violations;
+      Buffer.add_string b o.metrics;
+      Buffer.add_char b '\n')
+    outcomes;
+  Printf.printf "[soak-fingerprint] {\"first\":%d,\"seeds\":%d,\"md5\":%S}\n%!"
+    first_seed (List.length outcomes)
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 let write_report path failures =
   let oc = open_out path in
   Printf.fprintf oc "# soak invariant failures (%d)\n" (List.length failures);
@@ -95,6 +117,7 @@ let run_exp ~seeds ?(first_seed = 1) ?report () =
   in
   print_axes outcomes;
   pairs_line outcomes;
+  fingerprint_line ~first_seed outcomes;
   let failures =
     List.filter (fun (o : Soak.outcome) -> o.violations <> []) outcomes
   in

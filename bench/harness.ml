@@ -55,7 +55,9 @@ type env = {
    domain-local storage (each worker records the worlds it builds,
    no cross-domain writes) and {!map_trials} re-publishes the
    highest-index trial's world to the calling domain, which is exactly
-   the world a serial run would have ended on. *)
+   the world a serial run would have ended on.  Only that one world is
+   retained across the sweep, so memory does not grow with the trial
+   count. *)
 
 let jobs = ref 1
 
@@ -72,21 +74,24 @@ let note_world world = Domain.DLS.get dls_last_world := Some world
 let last_world () = !(Domain.DLS.get dls_last_world)
 
 let map_trials n f =
-  let pairs =
+  (* the highest-index world noted so far: a long sweep keeps one world
+     alive, not one per trial *)
+  let last = Atomic.make (-1, None) in
+  let rec publish i w =
+    let ((j, _) as cur) = Atomic.get last in
+    if i > j && not (Atomic.compare_and_set last cur (i, w)) then publish i w
+  in
+  let results =
     Tcpfo_util.Domain_pool.map ~jobs:!jobs n (fun i ->
         let slot = Domain.DLS.get dls_last_world in
         slot := None;
         let r = f i in
-        (r, !slot))
+        (match !slot with Some _ as w -> publish i w | None -> ());
+        slot := None;
+        r)
   in
-  (match
-     List.fold_left
-       (fun acc (_, w) -> match w with Some _ -> w | None -> acc)
-       None pairs
-   with
-  | Some w -> note_world w
-  | None -> ());
-  List.map fst pairs
+  (match snd (Atomic.get last) with Some w -> note_world w | None -> ());
+  results
 
 let run_tasks tasks =
   let arr = Array.of_list tasks in

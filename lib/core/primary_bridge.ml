@@ -16,6 +16,18 @@ module Registry = Tcpfo_obs.Registry
 
 type mode = Active | Linger
 
+(* What the bridge knows of one replica's half of a connection.  The
+   primary's and the secondary's halves are the same record: the merge
+   treats their output alike (§3.2–§3.4). *)
+type side = {
+  mutable init : Seq32.t option; (* the replica's ISN, its own space *)
+  mutable mss : int; (* the MSS its SYN announced *)
+  mutable q : Interval_buf.t; (* its unmatched reply bytes, wire space *)
+  mutable fin : Seq32.t option; (* wire-space position of its FIN (§8) *)
+  mutable ack : Seq32.t option; (* its highest cumulative ack (§3.2) *)
+  mutable win : int; (* its latest advertised window *)
+}
+
 type conn = {
   remote : Ipaddr.t * int;
   local_port : int;
@@ -23,28 +35,18 @@ type conn = {
   mutable solo : bool;
       (* the connection outlived its secondary (§6): offset-only
          translation forever, never re-replicated *)
+  mutable p : side;
+  mutable s : side;
   (* --- sequence synchronization (§3.3, §7) --- *)
-  mutable seqp_init : Seq32.t option;
-  mutable seqs_init : Seq32.t option;
   mutable delta : int option; (* seq_P,init - seq_S,init *)
-  mutable p_syn_flags : Seg.flags option; (* P's SYN withheld, not merged *)
-  mutable p_mss : int;
-  mutable s_mss : int;
+  mutable syn_ack : bool; (* the replicas' SYNs acked a client SYN (§7.1) *)
   mutable syn_done : bool;
   mutable next_seq : Seq32.t; (* next wire (secondary-space) seq to emit *)
-  mutable pq : Interval_buf.t; (* P's unmatched reply bytes, wire space *)
-  mutable sq : Interval_buf.t; (* S's unmatched reply bytes *)
   (* --- FIN tracking (§8) --- *)
-  mutable p_fin : Seq32.t option; (* wire-space position of P's FIN *)
-  mutable s_fin : Seq32.t option;
   mutable fin_sent : bool;
   mutable client_fin : Seq32.t option; (* position of the client's FIN *)
   mutable client_fin_acked : bool;
   (* --- joint acknowledgment state (§3.2) --- *)
-  mutable ack_p : Seq32.t option;
-  mutable ack_s : Seq32.t option;
-  mutable win_p : int;
-  mutable win_s : int;
   mutable last_ack_sent : Seq32.t option;
   mutable last_win_sent : int;
   mutable client_ack : Seq32.t option; (* highest ack the client has sent *)
@@ -59,10 +61,6 @@ type conn = {
          repaired replica at cut-over: the client never retransmits data
          the survivor already acknowledged, so the replica would
          otherwise miss it forever *)
-  (* --- statistics --- *)
-  mutable emitted : int;
-  mutable retrans_fwd : int;
-  mutable empty_acks : int;
   mutable wait_since : Time.t option;
       (* first unmatched byte arrived: feeds the merge-latency histogram *)
 }
@@ -92,7 +90,6 @@ type t = {
   claim_service : bool; (* claim client datagrams for local delivery *)
   conns : conn Conns.t;
   mutable degraded : bool; (* secondary has failed: §6 mode *)
-  mutable installed : bool;
   obs : Obs.t; (* world-absolute [bridge.primary] scope *)
   c_emitted : Registry.counter;
   c_retrans_fwd : Registry.counter;
@@ -107,88 +104,93 @@ let now t = (Host.clock t.host).now ()
 
 let key_of conn = (fst conn.remote, snd conn.remote, conn.local_port)
 
+let new_side ~init ~mss ~base ~fin ~ack ~win =
+  { init; mss; q = Interval_buf.create ~base; fin; ack; win }
+
 let mk_conn ~remote ~local_port =
+  let fresh () =
+    new_side ~init:None ~mss:536 ~base:Seq32.zero ~fin:None ~ack:None
+      ~win:65535
+  in
   {
     remote;
     local_port;
     mode = Active;
     solo = false;
-    seqp_init = None;
-    seqs_init = None;
+    p = fresh ();
+    s = fresh ();
     delta = None;
-    p_syn_flags = None;
-    p_mss = 536;
-    s_mss = 536;
+    syn_ack = false;
     syn_done = false;
     next_seq = Seq32.zero;
-    pq = Interval_buf.create ~base:Seq32.zero;
-    sq = Interval_buf.create ~base:Seq32.zero;
-    p_fin = None;
-    s_fin = None;
     fin_sent = false;
     client_fin = None;
     client_fin_acked = false;
-    ack_p = None;
-    ack_s = None;
-    win_p = 65535;
-    win_s = 65535;
     last_ack_sent = None;
     last_win_sent = 0;
     client_ack = None;
     xfer_hold = false;
     xfer_held = Queue.create ();
     xfer_tap = Queue.create ();
-    emitted = 0;
-    retrans_fwd = 0;
-    empty_acks = 0;
     wait_since = None;
   }
 
 (* Joint acknowledgment: the smaller of the replicas' cumulative acks
    guarantees both have the client data (§3.2).  The ablation switches in
-   {!Failover_config} replace the rule with the primary's own values. *)
-let min_ack_cfg ~use_min conn =
-  match (conn.ack_p, conn.ack_s) with
+   {!Failover_config} take the primary's own values instead, and so does
+   the merge loop of a [solo] connection, whose secondary is gone (§6). *)
+let joint_ack t conn ~solo =
+  let use_min = (not solo) && (config t).use_min_ack in
+  match (conn.p.ack, conn.s.ack) with
   | Some a, Some b -> Some (if use_min then Seq32.min a b else a)
   | Some a, None | None, Some a -> Some a
   | None, None -> None
 
-let min_win_cfg ~use_min conn =
-  if use_min then Int.min conn.win_p conn.win_s else conn.win_p
+let joint_win t conn ~solo =
+  if (not solo) && (config t).use_min_window then
+    Int.min conn.p.win conn.s.win
+  else conn.p.win
 
-let min_ack t conn = min_ack_cfg ~use_min:(config t).use_min_ack conn
-let min_win t conn = min_win_cfg ~use_min:(config t).use_min_window conn
-let merged_mss conn = Int.min conn.p_mss conn.s_mss
+let joint_mss conn =
+  if conn.solo then conn.p.mss else Int.min conn.p.mss conn.s.mss
+
+(* Bytes ready to go out: present in both queues, or in P's alone once
+   the connection is solo. *)
+let joint_length conn =
+  let lp = Interval_buf.contiguous_length conn.p.q in
+  if conn.solo then lp
+  else Int.min lp (Interval_buf.contiguous_length conn.s.q)
 
 (* ------------------------------------------------------------------ *)
 (* Emission                                                            *)
 
-let emit t conn (seg : Seg.t) =
-  conn.emitted <- conn.emitted + 1;
+(* The bridge's one way out.  [Direct] sends from the service address to
+   the client; [Divert_to] presents the stream upstream as an ordinary
+   secondary would divert it: from this host, the original destination
+   riding in the [Orig_dst] option (§3.1). *)
+let packet t conn ~ident (seg : Seg.t) =
+  match t.out with
+  | Direct ->
+    Ipv4_packet.make ~ident ~src:t.service_addr ~dst:(fst conn.remote)
+      (Ipv4_packet.Tcp seg)
+  | Divert_to upstream ->
+    let seg =
+      { seg with Seg.options = Seg.Orig_dst (fst conn.remote) :: seg.options }
+    in
+    Ipv4_packet.make ~ident ~src:t.self_addr ~dst:upstream (Ipv4_packet.Tcp seg)
+
+let emit t conn seg =
   Registry.Counter.incr t.c_emitted;
-  let pkt =
-    match t.out with
-    | Direct ->
-      Ipv4_packet.make
-        ~ident:(Ip_layer.fresh_ident (Host.ip t.host))
-        ~src:t.service_addr ~dst:(fst conn.remote) (Ipv4_packet.Tcp seg)
-    | Divert_to upstream ->
-      (* present the merged stream upstream as if we were an ordinary
-         secondary: original destination rides in the TCP option *)
-      let seg =
-        { seg with Seg.options = Seg.Orig_dst (fst conn.remote) :: seg.options }
-      in
-      Ipv4_packet.make
-        ~ident:(Ip_layer.fresh_ident (Host.ip t.host))
-        ~src:t.self_addr ~dst:upstream (Ipv4_packet.Tcp seg)
-  in
+  let pkt = packet t conn ~ident:(Ip_layer.fresh_ident (Host.ip t.host)) seg in
   let cost = (config t).bridge_cost in
   Tcpfo_sim.Cpu.run (Host.cpu t.host) ~cost (fun () ->
       Ip_layer.inject (Host.ip t.host) pkt)
 
-let emit_data t conn ~seq ~payload ~fin ~psh =
-  let ack = match min_ack t conn with Some a -> a | None -> Seq32.zero in
-  let window = min_win t conn in
+let emit_data t conn ~solo ~seq ~payload ~fin ~psh =
+  let ack =
+    match joint_ack t conn ~solo with Some a -> a | None -> Seq32.zero
+  in
+  let window = joint_win t conn ~solo in
   conn.last_ack_sent <- Some ack;
   conn.last_win_sent <- window;
   emit t conn
@@ -199,24 +201,28 @@ let emit_data t conn ~seq ~payload ~fin ~psh =
        ~payload ~src_port:conn.local_port
        ~dst_port:(snd conn.remote) ~seq ())
 
+(* An empty segment at the stream frontier carrying the joint ack. *)
+let emit_ack t conn =
+  emit_data t conn ~solo:false ~seq:conn.next_seq ~payload:"" ~fin:false
+    ~psh:false
+
 (* §3.4: construct an empty segment when the joint acknowledgment — or,
    to avoid a zero-window deadlock the paper does not discuss, the joint
    window — advances without data to carry it. *)
 let maybe_empty_ack t conn =
   if conn.syn_done && conn.mode = Active then
-    match min_ack t conn with
+    match joint_ack t conn ~solo:false with
     | None -> ()
     | Some a ->
-      let w = min_win t conn in
+      let w = joint_win t conn ~solo:false in
       let advanced =
         match conn.last_ack_sent with
         | None -> true
         | Some prev -> Seq32.gt a prev || w > conn.last_win_sent
       in
       if advanced then begin
-        conn.empty_acks <- conn.empty_acks + 1;
         Registry.Counter.incr t.c_empty_acks;
-        emit_data t conn ~seq:conn.next_seq ~payload:"" ~fin:false ~psh:false
+        emit_ack t conn
       end
 
 (* A replica answered a client retransmission (or an out-of-window
@@ -228,90 +234,25 @@ let maybe_empty_ack t conn =
    duplicate ACK.) *)
 let reemit_merged_ack t conn =
   if conn.syn_done && conn.mode = Active then
-    match min_ack t conn with
+    match joint_ack t conn ~solo:false with
     | Some _ ->
-      conn.empty_acks <- conn.empty_acks + 1;
       Registry.Counter.incr t.c_empty_acks;
-      emit_data t conn ~seq:conn.next_seq ~payload:"" ~fin:false ~psh:false
+      emit_ack t conn
     | None -> ()
 
-(* §3.4, Fig. 2: pump the longest byte prefix present in both output
-   queues, splitting at the negotiated MSS; piggyback the joint FIN when
-   both replicas' FINs line up at the stream end (§8). *)
-let rec pump t conn =
-  if conn.syn_done && conn.mode = Active then begin
-    let progressed = ref false in
-    let continue = ref true in
-    while !continue do
-      let common =
-        Int.min
-          (Interval_buf.contiguous_length conn.pq)
-          (Interval_buf.contiguous_length conn.sq)
-      in
-      if common > 0 then begin
-        let len = Int.min common (merged_mss conn) in
-        let seq = conn.next_seq in
-        let payload = Interval_buf.pop conn.pq ~max_len:len in
-        (* the secondary's copy carries the same bytes; drop without
-           materializing a second string (§3.4 merges identical streams) *)
-        Interval_buf.drop conn.sq ~len;
-        assert (String.length payload = len);
-        Registry.Counter.add t.c_merged_bytes len;
-        conn.next_seq <- Seq32.add conn.next_seq len;
-        let fin = fin_ready conn in
-        if fin then begin
-          conn.fin_sent <- true;
-          conn.next_seq <- Seq32.succ conn.next_seq
-        end;
-        let drained =
-          Interval_buf.contiguous_length conn.pq = 0
-          || Interval_buf.contiguous_length conn.sq = 0
-        in
-        emit_data t conn ~seq ~payload ~fin ~psh:drained;
-        progressed := true
-      end
-      else continue := false
-    done;
-    (* FIN with no payload left *)
-    if (not conn.fin_sent) && fin_ready conn then begin
-      conn.fin_sent <- true;
-      let seq = conn.next_seq in
-      conn.next_seq <- Seq32.succ conn.next_seq;
-      emit_data t conn ~seq ~payload:"" ~fin:true ~psh:false;
-      progressed := true
-    end;
-    if !progressed then begin
-      (* merge latency: how long the earlier replica's bytes sat waiting
-         for their twin before the merged segment could go out *)
-      (match conn.wait_since with
-      | Some t0 ->
-        Registry.Histogram.observe t.h_merge_latency (Time.to_us (now t - t0))
-      | None -> ());
-      conn.wait_since <-
-        (if
-           Interval_buf.total_buffered conn.pq > 0
-           || Interval_buf.total_buffered conn.sq > 0
-         then Some (now t)
-         else None)
-    end
-    else maybe_empty_ack t conn;
-    maybe_finish t conn
-  end
+(* A side is at its stream end: no byte left before its FIN, which sits
+   at the emission frontier. *)
+let at_fin conn side =
+  (match side.fin with Some f -> Seq32.equal f conn.next_seq | None -> false)
+  && Interval_buf.contiguous_length side.q = 0
 
-and fin_ready conn =
-  (not conn.fin_sent)
-  &&
-  match (conn.p_fin, conn.s_fin) with
-  | Some f, Some f' ->
-    Seq32.equal f f' && Seq32.equal conn.next_seq f
-    && Interval_buf.contiguous_length conn.pq = 0
-    && Interval_buf.contiguous_length conn.sq = 0
-  | _ -> false
+let fin_ready conn =
+  (not conn.fin_sent) && at_fin conn conn.p && (conn.solo || at_fin conn conn.s)
 
 (* §8 teardown: both directions closed and all final acknowledgments
    delivered.  The connection lingers to answer stray FIN retransmissions,
    then disappears. *)
-and maybe_finish t conn =
+let maybe_finish t conn =
   let server_fin_acked =
     conn.fin_sent
     &&
@@ -329,98 +270,139 @@ and maybe_finish t conn =
            Conns.remove t.conns (key_of conn)))
   end
 
+(* §3.4, Fig. 2: pump the longest byte prefix present in both output
+   queues, splitting at the negotiated MSS; piggyback the joint FIN when
+   both replicas' FINs line up at the stream end (§8).
+
+   A solo connection runs the same loop on P's side alone: the §6 flush.
+   Its ack, window, MSS and FIN are the primary's own; every segment is
+   pushed, no byte counts as merged, and no empty ACK is added. *)
+let pump t conn =
+  if conn.syn_done && conn.mode = Active then begin
+    let solo = conn.solo in
+    let progressed = ref false in
+    let continue = ref true in
+    while !continue do
+      let common = joint_length conn in
+      if common > 0 then begin
+        let len = Int.min common (joint_mss conn) in
+        let seq = conn.next_seq in
+        let payload = Interval_buf.pop conn.p.q ~max_len:len in
+        assert (String.length payload = len);
+        if not solo then begin
+          (* the secondary's copy carries the same bytes; drop without
+             materializing a second string (§3.4 merges identical streams) *)
+          Interval_buf.drop conn.s.q ~len;
+          Registry.Counter.add t.c_merged_bytes len
+        end;
+        conn.next_seq <- Seq32.add conn.next_seq len;
+        let fin = fin_ready conn in
+        if fin then begin
+          conn.fin_sent <- true;
+          conn.next_seq <- Seq32.succ conn.next_seq
+        end;
+        emit_data t conn ~solo ~seq ~payload ~fin
+          ~psh:(solo || joint_length conn = 0);
+        progressed := true
+      end
+      else continue := false
+    done;
+    (* FIN with no payload left *)
+    if fin_ready conn then begin
+      conn.fin_sent <- true;
+      let seq = conn.next_seq in
+      conn.next_seq <- Seq32.succ conn.next_seq;
+      emit_data t conn ~solo ~seq ~payload:"" ~fin:true ~psh:false;
+      progressed := true
+    end;
+    if solo then ()
+    else if !progressed then begin
+      (* merge latency: how long the earlier replica's bytes sat waiting
+         for their twin before the merged segment could go out *)
+      (match conn.wait_since with
+      | Some t0 ->
+        Registry.Histogram.observe t.h_merge_latency (Time.to_us (now t - t0))
+      | None -> ());
+      conn.wait_since <-
+        (if
+           Interval_buf.total_buffered conn.p.q > 0
+           || Interval_buf.total_buffered conn.s.q > 0
+         then Some (now t)
+         else None)
+    end
+    else maybe_empty_ack t conn;
+    maybe_finish t conn
+  end
+
 (* ------------------------------------------------------------------ *)
 (* SYN merging (§7.1 client-initiated, §7.2 server-initiated)          *)
 
-let merged_syn_options conn = [ Seg.Mss (merged_mss conn) ]
+(* The merged SYN: the secondary's ISN, the smaller MSS, and the joint ack
+   when the replicas answered a client SYN. *)
+let merged_syn t conn ~seq =
+  let ack =
+    if conn.syn_ack then
+      match joint_ack t conn ~solo:false with Some a -> a | None -> Seq32.zero
+    else Seq32.zero
+  in
+  Seg.make
+    ~flags:{ Seg.no_flags with syn = true; ack = conn.syn_ack }
+    ~ack
+    ~window:(Int.min 0xFFFF (joint_win t conn ~solo:false))
+    ~options:[ Seg.Mss (joint_mss conn) ]
+    ~src_port:conn.local_port ~dst_port:(snd conn.remote) ~seq ()
 
 let try_merge_syn t conn =
-  match (conn.seqp_init, conn.seqs_init) with
+  match (conn.p.init, conn.s.init) with
   | Some sp, Some ss when not conn.syn_done ->
     conn.delta <- Some (Seq32.diff sp ss);
     conn.next_seq <- Seq32.succ ss;
-    conn.pq <- Interval_buf.create ~base:conn.next_seq;
-    conn.sq <- Interval_buf.create ~base:conn.next_seq;
+    conn.p.q <- Interval_buf.create ~base:conn.next_seq;
+    conn.s.q <- Interval_buf.create ~base:conn.next_seq;
     conn.syn_done <- true;
     Registry.Counter.incr t.c_syn_merges;
     if Obs.tracing t.obs then
       Obs.emit t.obs ~at:(now t)
         (Event.Merge
            { host = Host.name t.host; port = conn.local_port; bytes = 0 });
-    let with_ack =
-      match conn.p_syn_flags with Some f -> f.Seg.ack | None -> false
-    in
-    let ack =
-      if with_ack then
-        match min_ack t conn with Some a -> a | None -> Seq32.zero
-      else Seq32.zero
-    in
-    let window = min_win t conn in
-    conn.last_ack_sent <- (if with_ack then Some ack else None);
-    conn.last_win_sent <- window;
-    emit t conn
-      (Seg.make
-         ~flags:{ Seg.no_flags with syn = true; ack = with_ack }
-         ~ack
-         ~window:(Int.min 0xFFFF window)
-         ~options:(merged_syn_options conn)
-         ~src_port:conn.local_port ~dst_port:(snd conn.remote) ~seq:ss ());
+    let syn = merged_syn t conn ~seq:ss in
+    conn.last_ack_sent <- (if conn.syn_ack then Some syn.ack else None);
+    conn.last_win_sent <- syn.window;
+    emit t conn syn;
     pump t conn
   | _ -> ()
 
 let reemit_merged_syn t conn =
-  match conn.seqs_init with
+  match conn.s.init with
   | Some ss when conn.syn_done ->
-    conn.retrans_fwd <- conn.retrans_fwd + 1;
     Registry.Counter.incr t.c_retrans_fwd;
-    let with_ack =
-      match conn.p_syn_flags with Some f -> f.Seg.ack | None -> false
-    in
-    let ack =
-      if with_ack then
-        match min_ack t conn with Some a -> a | None -> Seq32.zero
-      else Seq32.zero
-    in
-    emit t conn
-      (Seg.make
-         ~flags:{ Seg.no_flags with syn = true; ack = with_ack }
-         ~ack
-         ~window:(Int.min 0xFFFF (min_win t conn))
-         ~options:(merged_syn_options conn)
-         ~src_port:conn.local_port ~dst_port:(snd conn.remote)
-         ~seq:ss ())
+    emit t conn (merged_syn t conn ~seq:ss)
   | _ -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Retransmission pass-through (§4)                                    *)
-
-let forward_retransmission t conn ~wire_seq ~payload ~fin =
-  conn.retrans_fwd <- conn.retrans_fwd + 1;
-  Registry.Counter.incr t.c_retrans_fwd;
-  emit_data t conn ~seq:wire_seq ~payload ~fin ~psh:(payload <> "")
 
 (* ------------------------------------------------------------------ *)
 (* Per-source segment processing                                       *)
 
 (* Common data/FIN path once sequence numbers are in wire space. *)
-let ingest_wire t conn ~queue ~set_fin ~wire_seq (seg : Seg.t) =
+let ingest_wire t conn side ~wire_seq (seg : Seg.t) =
   let plen = String.length seg.payload in
   let wire_end = Seq32.add wire_seq (plen + if seg.flags.fin then 1 else 0) in
   if
     conn.syn_done
     && Seq32.le wire_end conn.next_seq
     && (plen > 0 || seg.flags.fin)
-  then
+  then begin
     (* Entirely already emitted: a retransmission.  Forward immediately —
        the bridge holds only a single copy of anything (§4). *)
-    forward_retransmission t conn ~wire_seq ~payload:seg.payload
-      ~fin:seg.flags.fin
+    Registry.Counter.incr t.c_retrans_fwd;
+    emit_data t conn ~solo:false ~seq:wire_seq ~payload:seg.payload
+      ~fin:seg.flags.fin ~psh:(plen > 0)
+  end
   else begin
     if plen > 0 then begin
-      Interval_buf.insert queue ~seq:wire_seq seg.payload;
+      Interval_buf.insert side.q ~seq:wire_seq seg.payload;
       if conn.wait_since = None then conn.wait_since <- Some (now t)
     end;
-    if seg.flags.fin then set_fin (Seq32.add wire_seq plen);
+    if seg.flags.fin then side.fin <- Some (Seq32.add wire_seq plen);
     pump t conn
   end
 
@@ -432,105 +414,52 @@ let forward_rst t conn ~wire_seq (seg : Seg.t) =
        ~dst_port:(snd conn.remote) ~seq:wire_seq ());
   Conns.remove t.conns (key_of conn)
 
-let from_primary t conn (seg : Seg.t) =
-  if conn.mode = Linger then ()
-  else begin
-    let prev_ack_p = conn.ack_p in
-    if seg.flags.ack then begin
-      conn.ack_p <-
-        Some
-          (match conn.ack_p with
-          | Some prev -> Seq32.max prev seg.ack
-          | None -> seg.ack);
-      conn.win_p <- seg.window
-    end;
-    if seg.flags.rst then begin
-      let wire_seq =
-        match conn.delta with
-        | Some d -> Seq32.add seg.seq (-d)
-        | None -> seg.seq
-      in
-      forward_rst t conn ~wire_seq seg
-    end
-    else if seg.flags.syn then begin
-      match conn.seqp_init with
-      | None ->
-        conn.seqp_init <- Some seg.seq;
-        conn.p_syn_flags <- Some seg.flags;
-        (match Seg.mss_option seg with
-        | Some m -> conn.p_mss <- m
-        | None -> conn.p_mss <- 536);
-        try_merge_syn t conn
-      | Some _ ->
-        (* SYN retransmission by P's TCP layer *)
-        if conn.syn_done then reemit_merged_syn t conn;
-        maybe_finish t conn
-    end
-    else
-      match conn.delta with
-      | None ->
-        (* data before the handshake is merged: impossible for a correct
-           TCP; drop defensively *)
-        if Obs.tracing t.obs then
-          Obs.emit t.obs ~at:(now t)
-            (Event.Segment_drop
-               { host = Host.name t.host; reason = "pre-merge"; seg })
-      | Some d ->
-        let pure_dup =
-          String.length seg.payload = 0
-          && (not seg.flags.fin)
-          && prev_ack_p = conn.ack_p
-          && prev_ack_p <> None
-        in
-        if pure_dup then reemit_merged_ack t conn
-        else
-          let wire_seq = Seq32.add seg.seq (-d) in
-          ingest_wire t conn ~queue:conn.pq
-            ~set_fin:(fun f -> conn.p_fin <- Some f)
-            ~wire_seq seg
+(* One replica's segment, whichever replica sent it: record its ack and
+   window, its SYN's ISN and MSS, then merge, re-answer or ingest.
+   [shift] maps its sequence numbers into wire space: Δseq for the
+   primary, [None] until the SYNs merge (data before that is impossible
+   for a correct TCP and is dropped), [Some 0] for the secondary. *)
+let from_replica t conn side ~shift (seg : Seg.t) =
+  let prev_ack = side.ack in
+  if seg.flags.ack then begin
+    side.ack <-
+      Some (match prev_ack with Some a -> Seq32.max a seg.ack | None -> seg.ack);
+    side.win <- seg.window
+  end;
+  if seg.flags.rst then
+    forward_rst t conn
+      ~wire_seq:(Seq32.add seg.seq (-Option.value shift ~default:0))
+      seg
+  else if seg.flags.syn then begin
+    match side.init with
+    | None ->
+      side.init <- Some seg.seq;
+      side.mss <- Option.value (Seg.mss_option seg) ~default:536;
+      conn.syn_ack <- seg.flags.ack;
+      try_merge_syn t conn
+    | Some _ -> if conn.syn_done then reemit_merged_syn t conn
   end
-
-let rec from_secondary t conn (seg : Seg.t) =
-  if conn.mode = Linger then begin
-    (* §8: a FIN retransmitted by S after teardown is answered with a
-       plain ACK (see synthesize_ack_to_secondary). *)
-    if seg.flags.fin then synthesize_ack_to_secondary t conn seg
-  end
-  else begin
-    let prev_ack_s = conn.ack_s in
-    if seg.flags.ack then begin
-      conn.ack_s <-
-        Some
-          (match conn.ack_s with
-          | Some prev -> Seq32.max prev seg.ack
-          | None -> seg.ack);
-      conn.win_s <- seg.window
-    end;
-    if seg.flags.rst then forward_rst t conn ~wire_seq:seg.seq seg
-    else if seg.flags.syn then begin
-      match conn.seqs_init with
-      | None ->
-        conn.seqs_init <- Some seg.seq;
-        (match Seg.mss_option seg with
-        | Some m -> conn.s_mss <- m
-        | None -> conn.s_mss <- 536);
-        try_merge_syn t conn
-      | Some _ -> if conn.syn_done then reemit_merged_syn t conn
-    end
-    else begin
+  else
+    match shift with
+    | None ->
+      if Obs.tracing t.obs then
+        Obs.emit t.obs ~at:(now t)
+          (Event.Segment_drop
+             { host = Host.name t.host; reason = "pre-merge"; seg })
+    | Some d ->
       let pure_dup =
         String.length seg.payload = 0
         && (not seg.flags.fin)
-        && prev_ack_s = conn.ack_s
-        && prev_ack_s <> None
+        &&
+        match (prev_ack, side.ack) with
+        | Some a, Some b -> Seq32.equal a b
+        | _ -> false
       in
       if pure_dup then reemit_merged_ack t conn
-      else
-        ingest_wire t conn ~queue:conn.sq
-          ~set_fin:(fun f -> conn.s_fin <- Some f)
-          ~wire_seq:seg.seq seg
-    end
-  end
+      else ingest_wire t conn side ~wire_seq:(Seq32.add seg.seq (-d)) seg
+
+let from_primary t conn seg =
+  if conn.mode = Active then from_replica t conn conn.p ~shift:conn.delta seg
 
 (* Answer a stray FIN from the secondary after (or near) teardown: build
    the ACK the secondary's TCP layer is waiting for and slip it to the
@@ -538,7 +467,7 @@ let rec from_secondary t conn (seg : Seg.t) =
    to the service address but framed to the secondary's MAC — the
    secondary's bridge claims datagrams for the service address, so its TCP
    layer receives it (see Secondary_bridge). *)
-and synthesize_ack_to_secondary t conn (seg : Seg.t) =
+let synthesize_ack_to_secondary t conn (seg : Seg.t) =
   let fin_end =
     Seq32.add seg.seq (String.length seg.payload + 1 (* the FIN itself *))
   in
@@ -557,14 +486,21 @@ and synthesize_ack_to_secondary t conn (seg : Seg.t) =
   in
   Eth_iface.send_ip (Host.eth t.host) ~next_hop:t.secondary_addr pkt
 
+let from_secondary t conn (seg : Seg.t) =
+  match conn.mode with
+  | Active -> from_replica t conn conn.s ~shift:(Some 0) seg
+  | Linger ->
+    (* §8: a FIN retransmitted by S after teardown is answered with a
+       plain ACK (see synthesize_ack_to_secondary). *)
+    if seg.flags.fin then synthesize_ack_to_secondary t conn seg
+
 let from_client t conn (pkt : Ipv4_packet.t) (seg : Seg.t) =
   if conn.mode = Linger then begin
     (* §8: retransmitted client FIN after teardown — answer directly.  By
        linger time both replicas have acknowledged everything, so the
        stored joint ack (client_fin + 1) is exactly the ACK the client is
        waiting for. *)
-    if seg.flags.fin then
-      emit_data t conn ~seq:conn.next_seq ~payload:"" ~fin:false ~psh:false;
+    if seg.flags.fin then emit_ack t conn;
     Ip_layer.Rx_drop
   end
   else begin
@@ -580,7 +516,7 @@ let from_client t conn (pkt : Ipv4_packet.t) (seg : Seg.t) =
         Some
           (Seq32.add seg.seq
              (String.length seg.payload + if seg.flags.syn then 1 else 0));
-    (match (conn.client_fin, min_ack t conn) with
+    (match (conn.client_fin, joint_ack t conn ~solo:false) with
     | Some f, Some a when Seq32.ge a (Seq32.succ f) ->
       conn.client_fin_acked <- true
     | _ -> ());
@@ -604,79 +540,25 @@ let from_client t conn (pkt : Ipv4_packet.t) (seg : Seg.t) =
     | _ -> accept pkt
   end
 
-(* The client-FIN-acked condition can also be completed by a later server
-   ack; re-check whenever acks move.  (Hooked into from_client above and
-   into pump via maybe_finish.) *)
-
 (* ------------------------------------------------------------------ *)
 (* §6: failure of the secondary server                                 *)
 
-let flush_and_degrade_conn t conn =
-  if conn.mode = Active && conn.syn_done then begin
-    (* 1. Remove all payload data from the primary output queue and send
-       it to the client (in MSS-sized segments), with the primary's own
-       ack and window from now on. *)
-    let mss = Int.max 1 conn.p_mss in
-    let ack = match conn.ack_p with Some a -> a | None -> Seq32.zero in
-    let rec flush () =
-      let chunk = Interval_buf.pop conn.pq ~max_len:mss in
-      if String.length chunk > 0 then begin
-        let seq = conn.next_seq in
-        conn.next_seq <- Seq32.add conn.next_seq (String.length chunk) ;
-        let fin =
-          (not conn.fin_sent)
-          && conn.p_fin = Some conn.next_seq
-        in
-        if fin then begin
-          conn.fin_sent <- true;
-          conn.next_seq <- Seq32.succ conn.next_seq
-        end;
-        conn.last_ack_sent <- Some ack;
-        conn.last_win_sent <- conn.win_p;
-        emit t conn
-          (Seg.make
-             ~flags:{ Seg.no_flags with ack = true; fin; psh = true }
-             ~ack ~window:conn.win_p ~payload:chunk
-             ~src_port:conn.local_port ~dst_port:(snd conn.remote) ~seq ());
-        flush ()
-      end
-    in
-    flush ();
-    if
-      (not conn.fin_sent)
-      && conn.p_fin = Some conn.next_seq
-    then begin
-      conn.fin_sent <- true;
-      let seq = conn.next_seq in
-      conn.next_seq <- Seq32.succ conn.next_seq;
-      emit t conn
-        (Seg.make
-           ~flags:{ Seg.no_flags with ack = true; fin = true }
-           ~ack ~window:conn.win_p ~src_port:conn.local_port
-           ~dst_port:(snd conn.remote) ~seq ())
-    end
-  end
-
-(* Degraded pass-through: continue to subtract Δseq forever (§6 step 3 —
+(* Solo pass-through: continue to subtract Δseq forever (§6 step 3 —
    the client's TCP layer is synchronized to the secondary's numbers). *)
 let degraded_tx t conn (seg : Seg.t) =
   match conn.delta with
   | None -> Ip_layer.Tx_drop (* never merged: the conn is dead *)
   | Some d ->
-    let seg' = { seg with seq = Seq32.add seg.seq (-d) } in
-    (match t.out with
-    | Direct ->
-      Ip_layer.Tx_pass
-        (Ipv4_packet.make ~src:t.service_addr ~dst:(fst conn.remote)
-           (Ipv4_packet.Tcp seg'))
-    | Divert_to upstream ->
-      let seg' =
-        { seg' with
-          Seg.options = Seg.Orig_dst (fst conn.remote) :: seg'.options }
-      in
-      Ip_layer.Tx_pass
-        (Ipv4_packet.make ~src:t.self_addr ~dst:upstream
-           (Ipv4_packet.Tcp seg')))
+    Ip_layer.Tx_pass
+      (packet t conn ~ident:0 { seg with seq = Seq32.add seg.seq (-d) })
+
+(* Pin a connection to the solo pass-through.  Δ is forced to 0 only
+   when the conn never merged — such a conn has been running in this
+   host's own numbering all along. *)
+let pin_solo conn =
+  conn.solo <- true;
+  conn.syn_done <- true;
+  if conn.delta = None then conn.delta <- Some 0
 
 let secondary_failed t =
   if not t.degraded then begin
@@ -708,18 +590,14 @@ let secondary_failed t =
     | Direct -> List.iter (Conns.remove t.conns) unmerged
     | Divert_to _ ->
       List.iter
-        (fun k ->
-          match Conns.find_opt t.conns k with
-          | Some conn ->
-            conn.solo <- true;
-            conn.syn_done <- true;
-            if conn.delta = None then conn.delta <- Some 0
-          | None -> ())
+        (fun k -> Option.iter pin_solo (Conns.find_opt t.conns k))
         unmerged);
+    (* §6 step 1: what P alone has queued goes out now, with its own ack
+       and window — the merge loop run solo *)
     Conns.iter
       (fun _ conn ->
         conn.solo <- true;
-        flush_and_degrade_conn t conn)
+        pump t conn)
       t.conns
   end
 
@@ -767,12 +645,9 @@ let find_or_create t ~remote ~local_port ~create =
    pre-failure connections yet — create it here, otherwise held output
    would bypass the bridge entirely during the hold. *)
 let begin_transfer t ~remote ~local_port =
-  let conn =
-    match find_or_create t ~remote ~local_port ~create:true with
-    | Some c -> c
-    | None -> assert false
-  in
-  conn.xfer_hold <- true
+  match find_or_create t ~remote ~local_port ~create:true with
+  | Some conn -> conn.xfer_hold <- true
+  | None -> assert false
 
 (* Re-arm the bridge connection around the restored pair and cut over.
    The replica was installed from a snapshot in wire numbering, so the
@@ -787,39 +662,28 @@ let complete_transfer t ~remote ~local_port ~(tcb : Tcb.t) ~delta =
   | None -> ()
   | Some conn ->
     let wire s = Seq32.add s (-delta) in
-    let wire_iss = wire (Tcb.iss tcb) in
     let next_seq = wire (Tcb.snd_max tcb) in
-    let mss = Tcb.effective_mss tcb in
     let win = Tcb.receive_window tcb in
+    let side ~init ~ack =
+      new_side ~init:(Some init) ~ack ~mss:(Tcb.effective_mss tcb)
+        ~base:next_seq ~win
+        ~fin:
+          (if Tcb.fin_sent tcb then
+             (* snd_max covers the FIN, which sits one below the frontier *)
+             Some (Seq32.add next_seq (-1))
+           else None)
+    in
+    conn.p <- side ~init:(Tcb.iss tcb) ~ack:(Some (Tcb.rcv_nxt tcb));
+    conn.s <- side ~init:(wire (Tcb.iss tcb)) ~ack:None;
     conn.solo <- false;
     conn.mode <- Active;
-    conn.seqp_init <- Some (Tcb.iss tcb);
-    conn.seqs_init <- Some wire_iss;
     conn.delta <- Some delta;
-    conn.p_syn_flags <- None;
-    conn.p_mss <- mss;
-    conn.s_mss <- mss;
+    conn.syn_ack <- false;
     conn.syn_done <- true;
     conn.next_seq <- next_seq;
-    conn.pq <- Interval_buf.create ~base:next_seq;
-    conn.sq <- Interval_buf.create ~base:next_seq;
     conn.fin_sent <- Tcb.fin_sent tcb;
-    (if Tcb.fin_sent tcb then begin
-       (* snd_max covers the FIN, which sits one below the frontier *)
-       let fin_pos = Seq32.add next_seq (-1) in
-       conn.p_fin <- Some fin_pos;
-       conn.s_fin <- Some fin_pos
-     end
-     else begin
-       conn.p_fin <- None;
-       conn.s_fin <- None
-     end);
     conn.client_fin <- Tcb.rcv_fin tcb;
     conn.client_fin_acked <- Tcb.eof_signalled tcb;
-    conn.ack_p <- Some (Tcb.rcv_nxt tcb);
-    conn.ack_s <- None;
-    conn.win_p <- win;
-    conn.win_s <- win;
     conn.client_ack <- Some (wire (Tcb.snd_una tcb));
     conn.last_ack_sent <- Some (Tcb.rcv_nxt tcb);
     conn.last_win_sent <- win;
@@ -837,61 +701,31 @@ let complete_transfer t ~remote ~local_port ~(tcb : Tcb.t) ~delta =
        satisfy the teardown condition: move it to linger straight away *)
     maybe_finish t conn
 
-(* Transfer failed (reject or timeout): release the held output the way
-   degraded pass-through would have sent it, drop the tap, and forget a
-   conn that only existed for the transfer. *)
+(* Transfer failed (reject or timeout): the connection continues solo.
+   Its held output goes out the way the solo pass-through would have
+   sent it, and the tap is dropped. *)
 let abort_transfer t ~remote ~local_port =
   match find_conn t ~remote ~local_port with
-  | None -> ()
-  | Some conn ->
-    if conn.xfer_hold then begin
-      conn.xfer_hold <- false;
-      Queue.iter
-        (fun (seg : Seg.t) ->
-          let seg' =
-            match conn.delta with
-            | Some d -> { seg with Seg.seq = Seq32.add seg.seq (-d) }
-            | None -> seg
-          in
-          let pkt =
-            match t.out with
-            | Direct ->
-              Ipv4_packet.make
-                ~ident:(Ip_layer.fresh_ident (Host.ip t.host))
-                ~src:t.service_addr ~dst:(fst conn.remote)
-                (Ipv4_packet.Tcp seg')
-            | Divert_to upstream ->
-              let seg' =
-                { seg' with
-                  Seg.options =
-                    Seg.Orig_dst (fst conn.remote) :: seg'.options }
-              in
-              Ipv4_packet.make
-                ~ident:(Ip_layer.fresh_ident (Host.ip t.host))
-                ~src:t.self_addr ~dst:upstream (Ipv4_packet.Tcp seg')
-          in
-          Ip_layer.inject (Host.ip t.host) pkt)
-        conn.xfer_held;
-      Queue.clear conn.xfer_held;
-      Queue.clear conn.xfer_tap;
-      if not conn.syn_done then Conns.remove t.conns (key_of conn)
-    end
+  | Some conn when conn.xfer_hold ->
+    conn.xfer_hold <- false;
+    pin_solo conn;
+    Queue.iter
+      (fun seg ->
+        match degraded_tx t conn seg with
+        | Ip_layer.Tx_pass pkt -> Ip_layer.inject (Host.ip t.host) pkt
+        | Ip_layer.Tx_drop -> ())
+      conn.xfer_held;
+    Queue.clear conn.xfer_held;
+    Queue.clear conn.xfer_tap
+  | Some _ | None -> ()
 
-(* Mark a connection that is NOT being transferred as permanently solo.
-   This pins its emissions to the degraded pass-through path so a
-   surviving half-open handshake cannot SYN-merge with the fresh
-   replica's different ISN after reinstatement.  Δ is forced to 0 only
-   when the conn never merged — such a conn has been running in the
-   survivor's own numbering all along. *)
+(* Mark a connection that is NOT being transferred as permanently solo,
+   so a surviving half-open handshake cannot SYN-merge with the fresh
+   replica's different ISN after reinstatement. *)
 let isolate_conn t ~remote ~local_port =
-  let conn =
-    match find_or_create t ~remote ~local_port ~create:true with
-    | Some c -> c
-    | None -> assert false
-  in
-  conn.solo <- true;
-  conn.syn_done <- true;
-  if conn.delta = None then conn.delta <- Some 0
+  match find_or_create t ~remote ~local_port ~create:true with
+  | Some conn -> pin_solo conn
+  | None -> assert false
 
 (* Bridge-side Δseq for a live connection, if one is recorded. *)
 let conn_delta t ~remote ~local_port =
@@ -982,7 +816,6 @@ let install host ~registry ~service_addr ~secondary_addr ?(output = Direct)
       claim_service;
       conns = Conns.create 16;
       degraded = false;
-      installed = true;
       obs;
       c_emitted = Obs.counter obs "emitted";
       c_retrans_fwd = Obs.counter obs "retrans_forwarded";
@@ -1004,38 +837,7 @@ let install host ~registry ~service_addr ~secondary_addr ?(output = Direct)
     (Some (fun pkt ~link_addressed -> rx_hook t pkt ~link_addressed));
   t
 
-let uninstall t =
-  if t.installed then begin
-    t.installed <- false;
-    Ip_layer.set_tx_hook (Host.ip t.host) None;
-    Ip_layer.set_rx_hook (Host.ip t.host) None
-  end
-
 let connection_count t = Conns.length t.conns
-
-type conn_stats = {
-  delta : int option;
-  next_wire_seq : Seq32.t;
-  p_queued : int;
-  s_queued : int;
-  segments_emitted : int;
-  retransmissions_forwarded : int;
-  empty_acks_emitted : int;
-}
-
-let conn_stats t ~remote ~local_port =
-  Option.map
-    (fun (c : conn) ->
-      {
-        delta = c.delta;
-        next_wire_seq = c.next_seq;
-        p_queued = Interval_buf.total_buffered c.pq;
-        s_queued = Interval_buf.total_buffered c.sq;
-        segments_emitted = c.emitted;
-        retransmissions_forwarded = c.retrans_fwd;
-        empty_acks_emitted = c.empty_acks;
-      })
-    (find_conn t ~remote ~local_port)
 
 let degraded t = t.degraded
 (* §5 for a middle node.  Its output switches to the client in one step:
@@ -1056,5 +858,3 @@ let promote t ~on_complete =
              (Event.Failover
                 { host = Host.name t.host; phase = Takeover_complete });
          on_complete ()))
-
-let output t = t.out

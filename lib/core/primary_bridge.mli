@@ -84,10 +84,6 @@ val promote : t -> on_complete:(unit -> unit) -> unit
     Unlike the secondary it holds nothing: its merged output is already
     in the wire sequence space. *)
 
-val output : t -> output
-
-val uninstall : t -> unit
-
 val secondary_failed : t -> unit
 (** §6 recovery: flush queues, switch every connection to offset-only
     pass-through, treat new connections as ordinary TCP. *)
@@ -143,23 +139,5 @@ val conn_delta :
 (** The recorded Δseq for a connection, if it ever merged. *)
 
 val connection_count : t -> int
-
-(** {1 Introspection for tests and benchmarks} *)
-
-type conn_stats = {
-  delta : int option;
-  next_wire_seq : Tcpfo_util.Seq32.t;
-  p_queued : int;  (** unmatched bytes from the primary's TCP layer *)
-  s_queued : int;  (** unmatched bytes from the secondary *)
-  segments_emitted : int;
-  retransmissions_forwarded : int;
-  empty_acks_emitted : int;
-}
-
-val conn_stats :
-  t ->
-  remote:Tcpfo_packet.Ipaddr.t * int ->
-  local_port:int ->
-  conn_stats option
 
 val degraded : t -> bool

@@ -40,7 +40,6 @@ let learn t ip mac =
   Registry.Counter.incr t.learned;
   Ipaddr.Tbl.replace t.table ip { mac; expires = t.clock.now () + t.ttl }
 
-let forget t ip = Ipaddr.Tbl.remove t.table ip
 let clear t = Ipaddr.Tbl.reset t.table
 
 let entries t =

@@ -19,7 +19,6 @@ val lookup : t -> Tcpfo_packet.Ipaddr.t -> Tcpfo_packet.Macaddr.t option
 
 val learn : t -> Tcpfo_packet.Ipaddr.t -> Tcpfo_packet.Macaddr.t -> unit
 
-val forget : t -> Tcpfo_packet.Ipaddr.t -> unit
 val clear : t -> unit
 
 val entries : t -> (Tcpfo_packet.Ipaddr.t * Tcpfo_packet.Macaddr.t) list

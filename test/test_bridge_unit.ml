@@ -135,19 +135,16 @@ let test_bridge_stats_and_delta () =
   in
   Tcb.set_on_established c (fun () -> ignore (Tcb.send c "ping"));
   run_repl r;
-  let stats =
-    Primary_bridge.conn_stats
-      (Replicated.primary_bridge r.repl)
-      ~remote:(Host.addr r.rclient, snd (Tcb.local_endpoint c))
-      ~local_port:80
-  in
-  match stats with
-  | None -> Alcotest.fail "no bridge connection state"
-  | Some st ->
-    check_bool "delta recorded" true (st.delta <> None);
-    check_bool "segments emitted" true (st.segments_emitted > 3);
-    check_int "P queue drained" 0 st.p_queued;
-    check_int "S queue drained" 0 st.s_queued
+  let counter = Tcpfo_obs.Registry.counter_value (World.metrics r.rworld) in
+  check_bool "delta recorded" true
+    (Primary_bridge.conn_delta
+       (Replicated.primary_bridge r.repl)
+       ~remote:(Host.addr r.rclient, snd (Tcb.local_endpoint c))
+       ~local_port:80
+    <> None);
+  check_bool "segments emitted" true (counter "bridge.primary.emitted" > 3);
+  (* both queues drained: every reply byte left as a merged byte *)
+  check_int "whole reply merged" 5000 (counter "bridge.primary.merged_bytes")
 
 let test_secondary_diverts_everything () =
   let r = make_repl_lan () in
@@ -213,19 +210,10 @@ let test_retransmission_forwarded_immediately () =
   in
   run_repl r;
   check_string "stream heals" reply (sink_contents csink);
-  let stats =
-    Primary_bridge.conn_stats
-      (Replicated.primary_bridge r.repl)
-      ~remote:(Host.addr r.rclient, snd (Tcb.local_endpoint c))
-      ~local_port:80
-  in
-  (match stats with
-  | Some st ->
-    check_bool "bridge forwarded retransmissions" true
-      (st.retransmissions_forwarded >= 1)
-  | None ->
-    (* connection may have fully closed and been collected — acceptable *)
-    ())
+  check_bool "bridge forwarded retransmissions" true
+    (Tcpfo_obs.Registry.counter_value (World.metrics r.rworld)
+       "bridge.primary.retrans_forwarded"
+    >= 1)
 
 let test_client_upload_with_secondary_loss () =
   (* §4 second bullet: the secondary misses a client segment the primary
@@ -573,6 +561,177 @@ let suite =
         test_sequence_wraparound_through_bridge;
       Alcotest.test_case "2^32 wraparound with failover" `Quick
         test_sequence_wraparound_with_failover;
+    ]
+
+(* ---- aborts and the §6 flush ---------------------------------------- *)
+
+let client_rx r =
+  tcp_rx_from r.rworld r.rclient ~src:(Replicated.service_addr r.repl)
+
+(* Drop what the secondary diverts to the primary once [pred] holds of a
+   segment. *)
+let drop_diverted r ~pred =
+  ignore
+    (drop_rx r.primary ~pred:(fun pkt ->
+         Tcpfo_packet.Ipaddr.equal pkt.Ipv4_packet.src (Host.addr r.secondary)
+         &&
+         match pkt.payload with Tcp seg -> pred seg | Raw _ -> false))
+
+let test_app_abort_resets_client () =
+  (* Both replicas' applications abort the connection.  The primary's
+     RST reaches the client first, shifted by -Δseq into wire space, so
+     it lands exactly at the client's rcv_nxt and resets it; the bridge
+     forgets the connection, and the secondary's RST dies there. *)
+  let r = make_repl_lan () in
+  Replicated.listen r.repl ~port:80 ~on_accept:(fun ~role:_ tcb ->
+      Tcb.set_on_data tcb (fun d ->
+          if d = "bye" then Tcb.abort tcb
+          else ignore (Tcb.send tcb ("R:" ^ d))));
+  let csink = make_sink () in
+  let c =
+    Stack.connect (Host.tcp r.rclient)
+      ~remote:(Replicated.service_addr r.repl, 80)
+      ()
+  in
+  wire_sink csink c;
+  Tcb.set_on_established c (fun () -> ignore (Tcb.send c "one"));
+  let rx = client_rx r in
+  run_repl ~for_sec:1.0 r;
+  check_string "served" "R:one" (sink_contents csink);
+  let rcv_nxt = Tcb.rcv_nxt c in
+  ignore (Tcb.send c "bye");
+  run_repl ~for_sec:1.0 r;
+  check_int "on_reset fired" 1 csink.resets;
+  (match List.filter (fun (seg : Seg.t) -> seg.flags.rst) (List.map snd (rx ())) with
+  | [ rst ] ->
+    check_bool "RST at the client's rcv_nxt" true (Seq32.equal rst.seq rcv_nxt)
+  | rsts -> check_int "exactly one RST reached the client" 1 (List.length rsts));
+  check_int "bridge forgot the connection" 0
+    (Primary_bridge.connection_count (Replicated.primary_bridge r.repl))
+
+(* §6 step 1: the secondary's output never reached the primary past
+   [pred]; when the secondary dies, everything the primary queued goes to
+   the client at once, in MSS-sized segments with the primary's own
+   ack. *)
+let flush_case ~service ~pred ~client_sends ~expect =
+  let r = make_repl_lan () in
+  let server = ref None in
+  Replicated.listen r.repl ~port:80 ~on_accept:(fun ~role tcb ->
+      if role = `Primary then server := Some tcb;
+      service tcb);
+  drop_diverted r ~pred;
+  let csink = make_sink () in
+  let c =
+    Stack.connect (Host.tcp r.rclient)
+      ~remote:(Replicated.service_addr r.repl, 80)
+      ()
+  in
+  wire_sink csink c;
+  let rx = client_rx r in
+  let detected_at = ref None in
+  Replicated.add_on_event r.repl (function
+    | Replicated.Secondary_failure_detected ->
+      detected_at := Some (World.now r.rworld)
+    | _ -> ());
+  List.iteri
+    (fun i msg ->
+      ignore
+        (Engine.schedule (World.engine r.rworld)
+           ~delay:(Time.ms (10 * (i + 1)))
+           (fun () -> ignore (Tcb.send c msg))))
+    client_sends;
+  run_repl ~for_sec:1.0 r;
+  check_bool "nothing reached the client's application yet" true
+    (String.length (sink_contents csink) < String.length expect
+    || not csink.eof);
+  let before = List.length (rx ()) in
+  Replicated.kill_secondary r.repl;
+  run_repl ~for_sec:2.0 r;
+  check_bool "degraded" true
+    (Primary_bridge.degraded (Replicated.primary_bridge r.repl));
+  check_string "stream byte-exact" expect (sink_contents csink);
+  check_bool "eof" true csink.eof;
+  check_int "never reset" 0 csink.resets;
+  let p_ack = Tcb.rcv_nxt (Option.get !server) in
+  (* the flush, without the primary's TCP retransmissions that may
+     follow it through the solo pass-through *)
+  let detected_at = Option.get !detected_at in
+  (* the flush, without the primary's TCP retransmissions that may
+     follow it through the solo pass-through *)
+  let flushed =
+    List.filteri (fun i _ -> i >= before) (rx ())
+    |> List.filter (fun (_, (seg : Seg.t)) -> seg.payload <> "" || seg.flags.fin)
+    |> List.fold_left
+         (fun acc ((_, (seg : Seg.t)) as x) ->
+           if List.exists (fun (_, (s : Seg.t)) -> Seq32.equal s.seq seg.seq) acc
+           then acc
+           else x :: acc)
+         []
+    |> List.rev
+  in
+  let rec check_segments = function
+    | [] -> Alcotest.fail "no FIN after the kill"
+    | (at, (seg : Seg.t)) :: rest ->
+      check_bool "flushed at the failure detection" true
+        (at - detected_at < Time.ms 5);
+      check_bool "carries the primary's own ack" true
+        (seg.flags.ack && Seq32.equal seg.ack p_ack);
+      if seg.flags.fin then begin
+        check_bool "last flushed segment holds at most an MSS" true
+          (String.length seg.payload <= 1460);
+        check_int "nothing after the FIN" 0 (List.length rest)
+      end
+      else begin
+        check_int "MSS-sized" 1460 (String.length seg.payload);
+        (match rest with
+        | (_, next) :: _ ->
+          check_bool "contiguous" true
+            (Seq32.equal next.Seg.seq (Seq32.add seg.seq 1460))
+        | [] -> ());
+        check_segments rest
+      end
+  in
+  check_segments flushed;
+  List.map snd flushed
+
+let test_flush_unmatched_bytes_then_fin () =
+  (* every diverted segment past the handshake is lost: P alone holds
+     the reply and its FIN, and the secondary's ack lags P's *)
+  let reply = pattern ~tag:91 5000 in
+  let flushed =
+    flush_case
+      ~service:(fun tcb ->
+        Tcb.set_on_data tcb (fun _ -> send_all ~close:true tcb reply))
+      ~pred:(fun seg -> not seg.flags.syn)
+      ~client_sends:[ "get" ] ~expect:reply
+  in
+  check_int "the reply in four segments, FIN on the last" 4
+    (List.length flushed)
+
+let test_flush_bare_fin () =
+  (* the replies merge, but the secondary's FIN is lost: P's FIN waits
+     alone in its queue and leaves as a bare FIN *)
+  let flushed =
+    flush_case
+      ~service:(fun tcb ->
+        Tcb.set_on_data tcb (fun d ->
+            if d = "end" then Tcb.close tcb
+            else ignore (Tcb.send tcb ("R:" ^ d))))
+      ~pred:(fun seg -> seg.flags.fin)
+      ~client_sends:[ "get"; "end" ] ~expect:"R:get"
+  in
+  match flushed with
+  | [ fin ] -> check_int "bare FIN" 0 (String.length fin.payload)
+  | _ -> check_int "one bare FIN after the kill" 1 (List.length flushed)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "application abort resets the client" `Quick
+        test_app_abort_resets_client;
+      Alcotest.test_case "6 flush: unmatched bytes, then FIN" `Quick
+        test_flush_unmatched_bytes_then_fin;
+      Alcotest.test_case "6 flush: bare FIN" `Quick test_flush_bare_fin;
     ]
 
 (* At failover the bridge degrades every connection by folding and

@@ -11,6 +11,7 @@ module Capture = Tcpfo_net.Capture
 module Transfer = Tcpfo_statex.Transfer
 module Snapshot = Tcpfo_statex.Snapshot
 module Seq32 = Tcpfo_util.Seq32
+module Seg = Tcpfo_packet.Tcp_segment
 module Tcp_config = Tcpfo_tcp.Tcp_config
 module Registry = Tcpfo_obs.Registry
 module Soak = Tcpfo_fault.Soak
@@ -757,6 +758,144 @@ let test_restored_relay_new_output_not_swallowed () =
     "R:oneR:two" (sink_contents csink);
   check_int "never reset" 0 csink.resets
 
+(* -- a failed transfer releases the hold ------------------------------- *)
+
+(* Each data segment the client received carries the stream bytes at
+   its own sequence offset from the first: nothing reached the client in
+   a replica's private numbering. *)
+let check_wire_space rx ~stream =
+  match List.filter (fun (_, (seg : Seg.t)) -> seg.payload <> "") rx with
+  | [] -> Alcotest.fail "no data reached the client"
+  | (_, (first : Seg.t)) :: _ as segs ->
+    List.iter
+      (fun (_, (seg : Seg.t)) ->
+        let off = Seq32.diff seg.seq first.seq in
+        let len = String.length seg.payload in
+        check_bool "segment in wire space" true
+          (off >= 0
+          && off + len <= String.length stream
+          && String.equal (String.sub stream off len) seg.payload))
+      segs
+
+(* The client's sink, stamped with the instant it holds [total] bytes. *)
+let timed_sink world tcb ~total =
+  let sink = make_sink () in
+  let full_at = ref None in
+  wire_sink sink tcb;
+  Tcb.set_on_data tcb (fun d ->
+      Buffer.add_string sink.buf d;
+      if Buffer.length sink.buf >= total && !full_at = None then
+        full_at := Some (World.now world));
+  (sink, full_at)
+
+(* The held bytes went out with the abort, not with a later
+   retransmission: the client had them within a few milliseconds of the
+   failed offer's verdict. *)
+let check_released_at_abort ~aborted_at ~full_at =
+  match (aborted_at, full_at) with
+  | Some a, Some f ->
+    check_bool "held bytes delivered right after the abort" true
+      (f >= a && f - a < Time.ms 5)
+  | None, _ -> Alcotest.fail "the offer never failed"
+  | _, None -> Alcotest.fail "the held bytes never arrived"
+
+let test_abort_releases_held_output () =
+  (* The secondary dies, a repaired host rejoins, and the newcomer dies
+     too while its offer is in flight.  The server writes during the
+     hold; when the offer fails, the surviving primary's bridge releases
+     the held segments through the solo pass-through, shifted by -Δseq
+     into wire space. *)
+  let r = make_repl_lan () in
+  let server = ref None in
+  Replicated.listen r.repl ~port:80 ~on_accept:(fun ~role tcb ->
+      if role = `Primary then server := Some tcb;
+      Tcb.set_on_data tcb (fun d -> ignore (Tcb.send tcb ("R:" ^ d))));
+  let held = pattern ~tag:41 3000 in
+  let stream = "R:one" ^ held in
+  let c =
+    Stack.connect (Host.tcp r.rclient)
+      ~remote:(Replicated.service_addr r.repl, 80)
+      ()
+  in
+  let csink, full_at = timed_sink r.rworld c ~total:(String.length stream) in
+  Tcb.set_on_established c (fun () -> ignore (Tcb.send c "one"));
+  let rx =
+    tcp_rx_from r.rworld r.rclient ~src:(Replicated.service_addr r.repl)
+  in
+  let aborted_at = ref None in
+  Replicated.add_on_event r.repl (function
+    | Replicated.Isolated _ -> aborted_at := Some (World.now r.rworld)
+    | _ -> ());
+  run_repl ~for_sec:1.0 r;
+  Replicated.kill_secondary r.repl;
+  run_repl ~for_sec:2.0 r;
+  let fresh =
+    World.add_host r.rworld r.rlan ~name:"repaired" ~addr:"10.0.0.3" ()
+  in
+  World.warm_arp [ r.rclient; r.primary; fresh ];
+  Replicated.rejoin r.repl fresh;
+  check_int "offer in flight" 1 (Replicated.pending_transfers r.repl);
+  Host.kill fresh;
+  ignore (Tcb.send (Option.get !server) held);
+  run_repl ~for_sec:5.0 r;
+  check_int "the offer failed" 1 (Replicated.transfer_failures r.repl);
+  check_string "stream byte-exact" stream (sink_contents csink);
+  check_int "never reset" 0 csink.resets;
+  check_wire_space (rx ()) ~stream;
+  check_released_at_abort ~aborted_at:!aborted_at ~full_at:!full_at
+
+let test_chain_abort_releases_held_output () =
+  (* The same on a 3-chain whose tail dies: the middle replica is a
+     [Divert_to] merger and the transfer source for the rejoined tail.
+     Its held output must travel up to the head with the original
+     destination attached, where it merges with the head's own copy. *)
+  let module Chain = Tcpfo_core.Chain in
+  let world = World.create () in
+  let lan = World.make_lan world () in
+  let client = World.add_host world lan ~name:"client" ~addr:"10.0.0.10" () in
+  let hosts =
+    List.init 3 (fun i ->
+        World.add_host world lan
+          ~name:(Printf.sprintf "replica%d" i)
+          ~addr:(Printf.sprintf "10.0.0.%d" (i + 1))
+          ())
+  in
+  World.warm_arp (client :: hosts);
+  let chain = Chain.create ~replicas:hosts ~config:Failover_config.default () in
+  let servers = Hashtbl.create 4 in
+  Chain.listen chain ~port:80 ~on_accept:(fun ~replica tcb ->
+      Hashtbl.replace servers replica tcb;
+      Tcb.set_on_data tcb (fun d -> ignore (Tcb.send tcb ("R:" ^ d))));
+  let held = pattern ~tag:42 3000 in
+  let stream = "R:one" ^ held in
+  let c =
+    Stack.connect (Host.tcp client) ~remote:(Chain.service_addr chain, 80) ()
+  in
+  let csink, full_at = timed_sink world c ~total:(String.length stream) in
+  Tcb.set_on_established c (fun () -> ignore (Tcb.send c "one"));
+  let rx = tcp_rx_from world client ~src:(Chain.service_addr chain) in
+  let aborted_at = ref None in
+  Chain.set_on_event chain (function
+    | Chain.Isolated _ -> aborted_at := Some (World.now world)
+    | _ -> ());
+  World.run world ~for_:(Time.sec 1.0);
+  Chain.kill chain 2;
+  World.run world ~for_:(Time.sec 2.0);
+  let fresh = World.add_host world lan ~name:"repaired" ~addr:"10.0.0.8" () in
+  World.warm_arp (fresh :: client :: hosts);
+  ignore (Chain.rejoin chain fresh);
+  check_int "offer in flight" 1 (Chain.pending_transfers chain);
+  Host.kill fresh;
+  (* both surviving replicas run the application: the same write *)
+  List.iter
+    (fun i -> ignore (Tcb.send (Hashtbl.find servers i) held))
+    [ 0; 1 ];
+  World.run world ~for_:(Time.sec 5.0);
+  check_string "stream byte-exact" stream (sink_contents csink);
+  check_int "never reset" 0 csink.resets;
+  check_wire_space (rx ()) ~stream;
+  check_released_at_abort ~aborted_at:!aborted_at ~full_at:!full_at
+
 (* -- repair-time ARP hygiene -------------------------------------------- *)
 
 let test_warm_arp_skips_dead_hosts () =
@@ -838,6 +977,10 @@ let suite =
       test_backend_conn_repair_and_rekill;
     Alcotest.test_case "restored relay's new output not swallowed" `Quick
       test_restored_relay_new_output_not_swallowed;
+    Alcotest.test_case "failed transfer releases held output" `Quick
+      test_abort_releases_held_output;
+    Alcotest.test_case "failed chain transfer releases held output" `Quick
+      test_chain_abort_releases_held_output;
     Alcotest.test_case "warm_arp skips dead hosts" `Quick
       test_warm_arp_skips_dead_hosts;
     Alcotest.test_case "soak seeds draw the lossy-transfer axis" `Quick

@@ -148,6 +148,20 @@ let drop_rx host ~pred =
            | Some hook -> hook pkt ~link_addressed));
   dropped
 
+(* Every TCP segment [host] receives from [src], with its arrival
+   instant, in arrival order. *)
+let tcp_rx_from world host ~src =
+  let got = ref [] in
+  let _ =
+    drop_rx host ~pred:(fun pkt ->
+        (match pkt.Ipv4_packet.payload with
+        | Tcp seg when Tcpfo_packet.Ipaddr.equal pkt.src src ->
+          got := (World.now world, seg) :: !got
+        | _ -> ());
+        false)
+  in
+  fun () -> List.rev !got
+
 (* Wrap a host's tx hook with a tap (observes, optionally drops). *)
 let tap_tx host ~f =
   let inner = Ip_layer.tx_hook (Host.ip host) in
