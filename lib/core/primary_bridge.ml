@@ -828,7 +828,7 @@ let install host ~registry ~service_addr ~secondary_addr ?(output = Direct)
   if claim_service then begin
     (* a middle node sees client datagrams only by snooping, and its TCP
        layer must own connections addressed to the service address *)
-    Eth_iface.set_promiscuous (Host.eth host) true;
+    Eth_iface.set_promiscuous (Host.eth host) (Some service_addr);
     Stack.set_extra_local (Host.tcp host) (fun ip ->
         Ipaddr.equal ip service_addr)
   end;
@@ -848,7 +848,7 @@ let promote t ~on_complete =
   if Obs.tracing t.obs then
     Obs.emit t.obs ~at:(now t)
       (Event.Failover { host = Host.name t.host; phase = Takeover_started });
-  Eth_iface.set_promiscuous (Host.eth t.host) false;
+  Eth_iface.set_promiscuous (Host.eth t.host) None;
   ignore
     ((Host.clock t.host).schedule (config t).takeover_processing (fun () ->
          (* IP takeover: alias + gratuitous ARP *)

@@ -129,7 +129,7 @@ let install host ~registry ~service_addr ?divert_to
       held_bytes = Obs.gauge obs "held_bytes";
     }
   in
-  Eth_iface.set_promiscuous (Host.eth host) true;
+  Eth_iface.set_promiscuous (Host.eth host) (Some service_addr);
   Stack.set_extra_local (Host.tcp host) (fun ip ->
       Ipaddr.equal ip service_addr);
   Ip_layer.set_tx_hook (Host.ip host) (Some (fun pkt -> tx_hook t pkt));
@@ -140,7 +140,7 @@ let install host ~registry ~service_addr ?divert_to
 let uninstall t =
   if t.installed then begin
     t.installed <- false;
-    Eth_iface.set_promiscuous (Host.eth t.host) false;
+    Eth_iface.set_promiscuous (Host.eth t.host) None;
     Ip_layer.set_tx_hook (Host.ip t.host) None;
     Ip_layer.set_rx_hook (Host.ip t.host) None
   end
@@ -157,7 +157,7 @@ let begin_takeover t ~on_complete =
          (fun () ->
            (* §5 steps 2-4: disable promiscuous snooping and both
               translations *)
-           Eth_iface.set_promiscuous (Host.eth t.host) false;
+           Eth_iface.set_promiscuous (Host.eth t.host) None;
            (* §5 step 5: IP takeover — alias + gratuitous ARP *)
            Eth_iface.add_address (Host.eth t.host) t.service_addr;
            t.mode <- Taken_over;

@@ -28,6 +28,7 @@ type t = {
   prefix : int;
   arp : Arp_cache.t;
   pending : pending Ipaddr.Tbl.t;
+  mutable snoop : Ipaddr.t option; (* promiscuous mode, for this address *)
   mutable rx : Ipv4_packet.t -> link_addressed:bool -> unit;
   mutable on_addr_change : unit -> unit;
       (* lets the IP layer invalidate its local-address cache when a
@@ -48,6 +49,7 @@ let rec create clock ?obs ?(host = "host") ~nic ~addr ~prefix () =
       prefix;
       arp = Arp_cache.create clock ~ttl:(Time.sec 1200.0) ~obs ();
       pending = Ipaddr.Tbl.create 4;
+      snoop = None;
       rx = (fun _ ~link_addressed:_ -> ());
       on_addr_change = (fun () -> ());
     }
@@ -93,7 +95,11 @@ let has_address t ip = Tcpfo_util.Vec.exists (Ipaddr.equal ip) t.addrs
 let arp_cache t = t.arp
 let set_rx t fn = t.rx <- fn
 let set_on_addr_change t fn = t.on_addr_change <- fn
-let set_promiscuous t v = Nic.set_promiscuous t.nic v
+let set_promiscuous t addr =
+  t.snoop <- addr;
+  Nic.set_promiscuous t.nic (Option.is_some addr)
+
+let snooped t = t.snoop
 let shutdown t = Nic.shutdown t.nic
 
 let send_arp_request t target_ip =

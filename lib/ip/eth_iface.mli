@@ -48,6 +48,15 @@ val send_ip :
 (** Resolve [next_hop] (emitting ARP requests as needed, queueing up to a
     small number of datagrams per pending resolution) and transmit. *)
 
-val set_promiscuous : t -> bool -> unit
+val set_promiscuous : t -> Tcpfo_packet.Ipaddr.t option -> unit
+(** [set_promiscuous t (Some a)] puts the NIC into promiscuous mode to
+    snoop the datagrams addressed to [a] (the service address a bridge
+    replicates); [None] turns promiscuous mode off.  The NIC still
+    captures every frame on the segment; the IP layer charges the
+    receive cost of one addressed to neither [a] nor a local address and
+    drops it before any hook sees it (DESIGN.md 7.1). *)
+
+val snooped : t -> Tcpfo_packet.Ipaddr.t option
+(** The address named by the last {!set_promiscuous}. *)
 
 val shutdown : t -> unit

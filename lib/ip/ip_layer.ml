@@ -248,11 +248,22 @@ let process_rx t pkt ~link_addressed =
 let apply_jitter t base =
   match t.jitter with None -> base | Some j -> base + j ()
 
-let rx_entry t pkt ~link_addressed =
-  if t.rx_cost > 0 then
-    Cpu.run t.cpu ~cost:(apply_jitter t t.rx_cost) (fun () ->
-        process_rx t pkt ~link_addressed)
-  else process_rx t pkt ~link_addressed
+(* A promiscuously captured datagram addressed to neither one of our
+   addresses nor the one the interface snoops for is received and then
+   dropped: no rx hook acts on it (DESIGN.md 7.1), so it costs CPU time
+   but no event. *)
+let rx_entry t ~snooped (pkt : Ipv4_packet.t) ~link_addressed =
+  if
+    link_addressed
+    || (match snooped with Some a -> Ipaddr.equal a pkt.dst | None -> false)
+    || is_local_address t pkt.dst
+  then
+    if t.rx_cost > 0 then
+      Cpu.run t.cpu ~cost:(apply_jitter t t.rx_cost) (fun () ->
+          process_rx t pkt ~link_addressed)
+    else process_rx t pkt ~link_addressed
+  else if t.rx_cost > 0 then
+    Cpu.charge t.cpu ~cost:(apply_jitter t t.rx_cost)
 
 let add_iface t kind =
   let i = { id = t.next_iface; kind } in
@@ -264,7 +275,8 @@ let add_iface t kind =
 let add_eth_iface t e =
   let i = add_iface t (Eth e) in
   Eth_iface.set_on_addr_change e (fun () -> invalidate_addr_cache t);
-  Eth_iface.set_rx e (fun pkt ~link_addressed -> rx_entry t pkt ~link_addressed);
+  Eth_iface.set_rx e (fun pkt ~link_addressed ->
+      rx_entry t ~snooped:(Eth_iface.snooped e) pkt ~link_addressed);
   add_route t
     ~net:(Eth_iface.primary_address e)
     ~prefix:(Eth_iface.prefix e) i;
@@ -272,7 +284,8 @@ let add_eth_iface t e =
 
 let add_ptp_iface t ep ~addr =
   let i = add_iface t (Ptp { ep; addr }) in
-  Link.set_receiver ep (fun pkt -> rx_entry t pkt ~link_addressed:true);
+  Link.set_receiver ep (fun pkt ->
+      rx_entry t ~snooped:None pkt ~link_addressed:true);
   i
 
 

@@ -38,7 +38,6 @@ let create _engine ~mac ?obs medium =
 
 let mac t = t.mac
 let set_promiscuous t v = t.promiscuous <- v
-let promiscuous t = t.promiscuous
 let set_partitioned t v = t.partitioned <- v
 let partitioned t = t.partitioned
 let set_rx t fn = t.rx <- fn

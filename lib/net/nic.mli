@@ -19,7 +19,6 @@ val create :
 val mac : t -> Tcpfo_packet.Macaddr.t
 
 val set_promiscuous : t -> bool -> unit
-val promiscuous : t -> bool
 
 val set_partitioned : t -> bool -> unit
 (** While partitioned the NIC stays attached to the medium but silently

@@ -6,13 +6,14 @@ type t = {
 
 let create clock = { clock; busy_until = Time.zero; total_busy = Time.zero }
 
+let charge t ~cost =
+  let cost = Int.max 0 cost in
+  t.busy_until <- Int.max (t.clock.Clock.now ()) t.busy_until + cost;
+  t.total_busy <- t.total_busy + cost
+
 let run t ~cost fn =
-  let now = t.clock.Clock.now () in
-  let start = Int.max now t.busy_until in
-  let finish = start + Int.max 0 cost in
-  t.busy_until <- finish;
-  t.total_busy <- t.total_busy + Int.max 0 cost;
-  ignore (t.clock.Clock.schedule (finish - now) fn)
+  charge t ~cost;
+  ignore (t.clock.Clock.schedule (t.busy_until - t.clock.Clock.now ()) fn)
 
 let busy_until t = t.busy_until
 let total_busy t = t.total_busy

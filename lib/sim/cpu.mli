@@ -14,9 +14,15 @@ type t
 
 val create : Clock.t -> t
 
+val charge : t -> cost:Time.t -> unit
+(** [charge t ~cost] occupies the CPU for [cost], queued behind all
+    earlier work, with nothing to run when it finishes: work whose only
+    effect is the time it takes (a promiscuously captured frame nobody
+    keeps). *)
+
 val run : t -> cost:Time.t -> (unit -> unit) -> unit
-(** [run t ~cost fn] schedules [fn] to complete after [cost] of CPU time,
-    queued behind all earlier work. *)
+(** [run t ~cost fn] is {!charge} plus one event: [fn] runs when the
+    charged work completes. *)
 
 val busy_until : t -> Time.t
 val total_busy : t -> Time.t

@@ -183,6 +183,65 @@ let test_secondary_diverts_everything () =
        "bridge.secondary.claimed"
     > 0)
 
+(* The secondary's NIC captures every frame on the segment, but only the
+   datagrams for the service address it snoops reach its bridge; those for
+   a third host are charged to its CPU and dropped before any hook
+   (DESIGN.md 7.1). *)
+let test_snoop_claims_service_traffic_only () =
+  let r = make_repl_lan () in
+  let other =
+    World.add_host r.rworld r.rlan ~name:"other" ~addr:"10.0.0.20" ()
+  in
+  World.warm_arp [ r.rclient; r.primary; r.secondary; other ];
+  let sinks = ref [] in
+  echo_service ~request_size:4 ~reply_of:(fun _ -> "pong") r.repl ~port:80
+    ~sinks ();
+  let c =
+    Stack.connect (Host.tcp r.rclient)
+      ~remote:(Replicated.service_addr r.repl, 80)
+      ()
+  in
+  let csink = make_sink () in
+  wire_sink csink c;
+  let foreign = 5 in
+  Tcb.set_on_established c (fun () ->
+      ignore (Tcb.send c "ping");
+      for _ = 1 to foreign do
+        Tcpfo_ip.Ip_layer.send (Host.ip r.rclient)
+          (Ipv4_packet.make ~src:(Host.addr r.rclient) ~dst:(Host.addr other)
+             (Ipv4_packet.Raw { proto = 200; data = "not for the pool" }))
+      done);
+  let hooked = ref 0 and hooked_foreign = ref 0 in
+  let service = Replicated.service_addr r.repl in
+  let _ =
+    drop_rx r.secondary ~pred:(fun pkt ->
+        incr hooked;
+        let dst = pkt.Ipv4_packet.dst in
+        let is = Tcpfo_packet.Ipaddr.equal dst in
+        if not (is service || is (Host.addr r.secondary)) then
+          incr hooked_foreign;
+        false)
+  in
+  let count host =
+    let n = ref 0 in
+    let _ = drop_rx host ~pred:(fun _ -> incr n; false) in
+    n
+  in
+  let at_other = count other and at_client = count r.rclient in
+  run_repl r;
+  let counter = Tcpfo_obs.Registry.counter_value (World.metrics r.rworld) in
+  check_string "client reply" "pong" (sink_contents csink);
+  List.iter
+    (fun (_, s) -> check_string "replica request" "ping" (sink_contents s))
+    !sinks;
+  check_bool "service traffic claimed" true
+    (counter "bridge.secondary.claimed" > 0);
+  check_int "third host got the datagrams" foreign !at_other;
+  (* the primary's output to the client is a third host's traffic too *)
+  check_int "no hook saw a datagram for another host" 0 !hooked_foreign;
+  check_int "the rest were captured and dropped" (foreign + !at_client)
+    (counter "host.secondary.nic.rx" - !hooked)
+
 let test_retransmission_forwarded_immediately () =
   (* drop one merged data segment at the client: both replicas retransmit;
      the bridge forwards the retransmissions instead of queueing (§4) *)
@@ -774,4 +833,10 @@ let prop_conn_table_order =
       Hashtbl.iter (fun k _ -> iter_g := k :: !iter_g) generic;
       order_k = order_g && !iter_k = !iter_g)
 
-let suite = suite @ [ QCheck_alcotest.to_alcotest prop_conn_table_order ]
+let suite =
+  suite
+  @ [
+      QCheck_alcotest.to_alcotest prop_conn_table_order;
+      Alcotest.test_case "snoop claims service traffic only (3.1)" `Quick
+        test_snoop_claims_service_traffic_only;
+    ]

@@ -9,6 +9,10 @@ module Ipaddr = Tcpfo_packet.Ipaddr
 module Ipv4_packet = Tcpfo_packet.Ipv4_packet
 module Obs = Tcpfo_obs.Obs
 module Registry = Tcpfo_obs.Registry
+module Clock = Tcpfo_sim.Clock
+module Cpu = Tcpfo_sim.Cpu
+module Eth_iface = Tcpfo_ip.Eth_iface
+module Ip_layer = Tcpfo_ip.Ip_layer
 
 let mk_frame ~src ~dst n =
   Eth_frame.make ~src:(Macaddr.of_int src) ~dst:(Macaddr.of_int dst)
@@ -172,6 +176,83 @@ let test_nic_promiscuous () =
   Engine.run e;
   Testutil.check_int "snooped" 1 !promisc
 
+(* A snooping host on a segment with traffic between two other stations:
+   [snoop] names the address its interface snoops for (None: promiscuous
+   mode off), and the sender puts two frames for IP [dst] on the wire to
+   a third MAC.  The host's IP layer costs 45 us per frame plus 7 us of
+   jitter. *)
+type snoop_run = {
+  processed : int; (* engine events, whole run *)
+  nic_rx : int;
+  hooked : int; (* datagrams the rx hook saw *)
+  draws : int; (* jitter draws *)
+  arrivals : Time.t list; (* when each frame reached the segment's ports *)
+  cpu : Cpu.t;
+}
+
+let snoop_run ~snoop ~dst =
+  let e, m, obs = setup () in
+  let clock = Clock.of_engine e in
+  let sender = Nic.create e ~mac:(Macaddr.of_int 0x111) m in
+  let nic = Nic.create e ~mac:(Macaddr.of_int 0x333) ~obs m in
+  let eth =
+    Eth_iface.create clock ~nic ~addr:(Ipaddr.of_string "10.0.0.3")
+      ~prefix:24 ()
+  in
+  let draws = ref 0 in
+  let ip =
+    Ip_layer.create clock ~name:"snooper" ~rx_cost:(Time.us 45)
+      ~jitter:(fun () -> incr draws; Time.us 7) ()
+  in
+  ignore (Ip_layer.add_eth_iface ip eth);
+  let hooked = ref 0 in
+  Ip_layer.set_rx_hook ip
+    (Some (fun pkt ~link_addressed:_ -> incr hooked; Ip_layer.Rx_pass pkt));
+  Eth_iface.set_promiscuous eth snoop;
+  let arrivals = ref [] in
+  ignore (Medium.attach m ~deliver:(fun _ -> arrivals := Engine.now e :: !arrivals));
+  for _ = 1 to 2 do
+    Nic.send sender ~dst:(Macaddr.of_int 0x222)
+      (Eth_frame.Ip
+         (Ipv4_packet.make ~src:(Ipaddr.of_string "10.0.0.9") ~dst
+            (Ipv4_packet.Raw { proto = 200; data = String.make 10 'x' })))
+  done;
+  Engine.run e;
+  { processed = Engine.processed e;
+    nic_rx = Registry.counter_value (Obs.metrics obs) "nic.rx";
+    hooked = !hooked; draws = !draws; arrivals = List.rev !arrivals;
+    cpu = Ip_layer.cpu ip }
+
+let test_snooped_foreign_frame_charges_cpu_only () =
+  let service = Ipaddr.of_string "10.0.0.1"
+  and third = Ipaddr.of_string "10.0.0.2" in
+  let off = snoop_run ~snoop:None ~dst:third in
+  Testutil.check_int "not captured when not promiscuous" 0 off.nic_rx;
+  Testutil.check_int "idle cpu" 0 (Cpu.total_busy off.cpu);
+  (* snooping the service address: frames for a third host are captured
+     and cost receive time, queued FIFO as any other work, but schedule
+     no event and reach no hook *)
+  let foreign = snoop_run ~snoop:(Some service) ~dst:third in
+  Testutil.check_int "nic counts both frames" 2 foreign.nic_rx;
+  Testutil.check_int "one jitter draw per frame" 2 foreign.draws;
+  Testutil.check_int "no hook sees them" 0 foreign.hooked;
+  Testutil.check_int "no events beyond the medium's" off.processed
+    foreign.processed;
+  Testutil.check_int "total busy" (Time.us 104) (Cpu.total_busy foreign.cpu);
+  let first = List.hd foreign.arrivals in
+  Testutil.check_bool "second frame queues behind the first" true
+    (List.nth foreign.arrivals 1 < first + Time.us 52);
+  Testutil.check_int "busy until" (first + Time.us 104)
+    (Cpu.busy_until foreign.cpu);
+  (* the same frames addressed to the snooped address are processed: one
+     event each, and the hook sees them *)
+  let snooped = snoop_run ~snoop:(Some service) ~dst:service in
+  Testutil.check_int "hook sees both" 2 snooped.hooked;
+  Testutil.check_int "one event per frame" (off.processed + 2)
+    snooped.processed;
+  Testutil.check_int "same cpu charge" (Cpu.busy_until foreign.cpu)
+    (Cpu.busy_until snooped.cpu)
+
 let suite =
   [
     Alcotest.test_case "hub broadcast semantics" `Quick
@@ -189,4 +270,6 @@ let suite =
       test_detach_stops_delivery;
     Alcotest.test_case "random loss" `Quick test_random_loss;
     Alcotest.test_case "nic promiscuous mode" `Quick test_nic_promiscuous;
+    Alcotest.test_case "snooped frame for a third host: cpu, no event"
+      `Quick test_snooped_foreign_frame_charges_cpu_only;
   ]

@@ -32,6 +32,44 @@ let test_rng_bool_extremes () =
   Testutil.check_bool "p=0 never" false (Rng.bool r 0.0);
   Testutil.check_bool "p=1 always" true (Rng.bool r 1.0)
 
+(* The SplitMix64 stream is part of every seeded result: these are the
+   first draws for seed 2003, so a change to the generator's state
+   handling that alters the stream fails here before it shifts a
+   benchmark. *)
+let test_rng_stream_pinned () =
+  let r = Rng.create ~seed:2003 in
+  let i64 = Alcotest.int64 and exact = Alcotest.float 0.0 in
+  Alcotest.check i64 "int64 #1" 333383092983190037L (Rng.int64 r);
+  Alcotest.check i64 "int64 #2" 7734571167853026315L (Rng.int64 r);
+  Testutil.check_int "int 1000" 773 (Rng.int r 1000);
+  Testutil.check_int "int max_int" 186547074193751801 (Rng.int r max_int);
+  Alcotest.(check (list bool)) "bool 0.5 x4" [ true; true; true; false ]
+    (List.init 4 (fun _ -> Rng.bool r 0.5));
+  Alcotest.check exact "float 1.0" 0x1.9f04ea42ada8p-3 (Rng.float r 1.0);
+  Alcotest.check exact "float 3.5" 0x1.bd6e0c25beefbp+1 (Rng.float r 3.5);
+  Testutil.check_int "bits32 #1" 2704843717 (Rng.bits32 r);
+  Testutil.check_int "bits32 #2" 2890559448 (Rng.bits32 r);
+  let c = Rng.split r in
+  Alcotest.check i64 "split child" 410135766781812858L (Rng.int64 c);
+  Alcotest.check i64 "split parent" (-474530929604205583L) (Rng.int64 r)
+
+(* Host CPU jitter draws an [int] and a [bool] for every frame. *)
+let test_rng_draws_allocate_nothing () =
+  let r = Rng.create ~seed:5 in
+  let acc = ref 0 in
+  let draw () =
+    for _ = 1 to 10_000 do
+      acc := !acc + Rng.int r 100 + if Rng.bool r 0.01 then 1 else 0
+    done
+  in
+  draw ();
+  let w0 = Gc.minor_words () in
+  draw ();
+  let w1 = Gc.minor_words () in
+  Alcotest.(check (float 0.0)) "minor words over 10k int+bool draws" 0.0
+    (w1 -. w0);
+  Testutil.check_bool "drew" true (!acc > 0)
+
 let test_median_odd_even () =
   Alcotest.(check (float 1e-9)) "odd" 2.0 (Stats.median [ 3.0; 1.0; 2.0 ]);
   (* nearest-rank median of even-sized sample picks the lower middle *)
@@ -71,6 +109,10 @@ let suite =
     Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
     Alcotest.test_case "float bounds" `Quick test_rng_float_bounds;
     Alcotest.test_case "bool extremes" `Quick test_rng_bool_extremes;
+    Alcotest.test_case "stream pinned for one seed" `Quick
+      test_rng_stream_pinned;
+    Alcotest.test_case "int and bool draws allocate nothing" `Quick
+      test_rng_draws_allocate_nothing;
     Alcotest.test_case "median" `Quick test_median_odd_even;
     Alcotest.test_case "percentile nearest-rank" `Quick test_percentile;
     Alcotest.test_case "summary" `Quick test_summary;
