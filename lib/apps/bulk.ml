@@ -119,12 +119,3 @@ let download stack ~remote ~on_complete () =
       Tcb.close tcb;
       on_complete ~bytes_received:!count ~ok:!ok);
   tcb
-
-let request_reply stack ~remote ~expect ~on_reply () =
-  let tcb = Stack.connect stack ~remote () in
-  let count = ref 0 in
-  Tcb.set_on_established tcb (fun () -> ignore (Tcb.send tcb "PING"));
-  Tcb.set_on_data tcb (fun d ->
-      count := !count + String.length d;
-      if !count >= expect then on_reply ());
-  tcb

@@ -73,13 +73,3 @@ val download :
   Tcpfo_tcp.Tcb.t
 (** Connect to a {!Source} and consume until EOF; [ok] reports byte-exact
     content. *)
-
-val request_reply :
-  Tcpfo_tcp.Stack.t ->
-  remote:Tcpfo_packet.Ipaddr.t * int ->
-  expect:int ->
-  on_reply:(unit -> unit) ->
-  unit ->
-  Tcpfo_tcp.Tcb.t
-(** Send the 4-byte request; [on_reply] fires when [expect] reply bytes
-    have arrived (paper Figure 4 measurement). *)

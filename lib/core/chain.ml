@@ -1,8 +1,6 @@
 module Host = Tcpfo_host.Host
 module Tcb = Tcpfo_tcp.Tcb
 module Ipaddr = Tcpfo_packet.Ipaddr
-module Obs = Tcpfo_obs.Obs
-module Registry = Tcpfo_obs.Registry
 module Transfer = Tcpfo_statex.Transfer
 
 type event =
@@ -53,11 +51,10 @@ type t = {
   config : Failover_config.t;
   service : Ipaddr.t;
   (* listener and §7.2 setup hooks, plus the offer scheduler *)
-  hot : (replica:int -> Tcb.t -> unit) Hot_transfer.t;
+  hot : Hot_transfer.t;
   (* (watching node, watched node, detector) for every live pair *)
   mutable watchers : (int * int * Heartbeat.t) list;
   mutable on_event : event -> unit;
-  c_deaths : Registry.counter;
 }
 
 let service_addr t = t.service
@@ -66,19 +63,24 @@ let set_on_event t fn = t.on_event <- fn
 let node_of t i = List.find (fun n -> n.index = i) t.nodes
 let alive t = t.order
 let head t = match t.order with i :: _ -> i | [] -> -1
+let host t i = (node_of t i).host
+let bridge t i = (node_of t i).bridge
 let pending_transfers t = Hot_transfer.pending t.hot
+let transfer_failures t = Hot_transfer.failures t.hot
+
+(* the statex counters are world-absolute: any endpoint reads them all *)
+let transfer_stats t = Transfer.stats (List.hd t.nodes).xfer
 
 (* ---------------------------------------------------------------- *)
 (* Role reconfiguration after a death.                               *)
 
-let upstream_addr t j =
+(* the live node directly above replica [i], if [i] is not the head *)
+let upstream t i =
   let rec find prev = function
     | [] -> None
-    | i :: rest -> if i = j then prev else find (Some i) rest
+    | j :: rest -> if j = i then prev else find (Some j) rest
   in
-  match find None t.order with
-  | None -> None
-  | Some i -> Some (Host.addr (node_of t i).host)
+  Option.map (node_of t) (find None t.order)
 
 let promote_node t node =
   if not node.is_head then begin
@@ -101,19 +103,10 @@ let reconfigure t =
         (* 1. headship *)
         if i = head_idx then promote_node t node;
         (* 2. diversion targets follow the live chain *)
-        (match (upstream_addr t i, node.bridge) with
+        (match (upstream t i, node.bridge) with
         | Some up, Tail b ->
-          Secondary_bridge.retarget b up;
-          t.on_event
-            (Retargeted
-               ( i,
-                 (let j = ref (-1) in
-                  List.iter
-                    (fun nd ->
-                      if Ipaddr.equal (Host.addr nd.host) up then
-                        j := nd.index)
-                    t.nodes;
-                  !j) ))
+          Secondary_bridge.retarget b (Host.addr up.host);
+          t.on_event (Retargeted (i, up.index))
         | Some _, Merger _ | None, _ -> ());
         (* 3. the node at the end of the live chain has nothing below it
            any more: degrade per §6 if it was merging *)
@@ -138,7 +131,6 @@ let handle_death t dead =
           if not keep then Heartbeat.stop hb;
           keep)
         t.watchers;
-    Registry.Counter.incr t.c_deaths;
     t.on_event (Death_detected dead);
     reconfigure t
   end
@@ -159,8 +151,7 @@ let pair_up t ~up ~down =
   watch up down `Primary;
   watch down up `Secondary
 
-let as_replica i hook tcb = hook ~replica:i tcb
-let replica_of node = (node.host, as_replica node.index)
+let replica_of node = (node.host, node.index)
 let live_replicas t = List.map (fun i -> replica_of (node_of t i)) t.order
 
 (* ---------------------------------------------------------------- *)
@@ -204,10 +195,9 @@ let create ~replicas ~config () =
           host;
           bridge;
           is_head = i = 0;
-          xfer = Hot_transfer.attach hot (host, as_replica i);
+          xfer = Hot_transfer.attach hot (host, i);
         })
   in
-  let obs = Obs.scope (Obs.root (Host.obs (List.hd replicas))) "chain" in
   let t =
     {
       nodes;
@@ -219,7 +209,6 @@ let create ~replicas ~config () =
       hot;
       watchers = [];
       on_event = (fun _ -> ());
-      c_deaths = Obs.counter obs "deaths";
     }
   in
   List.iteri
@@ -267,11 +256,9 @@ let rejoin t host =
          the merging bridge a middle (or head) node runs *)
       Secondary_bridge.uninstall sb;
       let output =
-        if prev.is_head then Primary_bridge.Direct
-        else
-          match upstream_addr t prev.index with
-          | Some up -> Primary_bridge.Divert_to up
-          | None -> Primary_bridge.Direct
+        match upstream t prev.index with
+        | Some up -> Primary_bridge.Divert_to (Host.addr up.host)
+        | None -> Primary_bridge.Direct
       in
       (* a middle node claims back the promiscuous snoop and the
          service address that uninstall dropped *)
@@ -283,16 +270,20 @@ let rejoin t host =
       prev.bridge <- Merger b;
       b
   in
-  (* 2. the newcomer joins as the new tail of the live chain *)
+  (* 2. the newcomer joins as the new tail of the live chain.  Under a
+     head it diverts to the service address, which the head owns once
+     any takeover is over; deeper down, to the node above's own
+     address *)
   let idx = t.next_index in
   t.next_index <- idx + 1;
+  let divert_to = if prev.is_head then t.service else Host.addr prev.host in
   let sb =
     Secondary_bridge.install host ~registry:t.registry ~service_addr:t.service
-      ~divert_to:(Host.addr prev.host) ~only_new_connections:true ()
+      ~divert_to ~only_new_connections:true ()
   in
   let node =
     { index = idx; host; bridge = Tail sb; is_head = false;
-      xfer = Hot_transfer.attach t.hot (host, as_replica idx) }
+      xfer = Hot_transfer.attach t.hot (host, idx) }
   in
   let live = List.map (node_of t) t.order in
   t.nodes <- t.nodes @ [ node ];

@@ -35,7 +35,12 @@
     end of chain becomes a merging level over the newcomer and every
     live service connection is re-replicated onto it by hot state
     transfer, so the chain survives repeated kill/repair cycles on any
-    tier byte-exactly. *)
+    tier byte-exactly.
+
+    A {!Replicated} pool's active pair is a two-replica chain: pools
+    add only their cold standbys on top, so this module is the one
+    owner of failure detection, §5 takeover, §6 degrade and re-pairing
+    for both front ends. *)
 
 type t
 
@@ -79,6 +84,16 @@ val alive : t -> int list
 val head : t -> int
 (** Index of the current head. *)
 
+val host : t -> int -> Tcpfo_host.Host.t
+(** The host of replica [i], live or dead. *)
+
+type bridge = Merger of Primary_bridge.t | Tail of Secondary_bridge.t
+
+val bridge : t -> int -> bridge
+(** Replica [i]'s bridge: a merging one on the head and middle
+    replicas, the secondary bridge on the original tail and on every
+    rejoined tail. *)
+
 val kill : t -> int -> unit
 (** Crash replica [i] (fail-stop); detectors react. *)
 
@@ -88,11 +103,12 @@ val rejoin : t -> Tcpfo_host.Host.t -> int
     reused).  The previous end of chain becomes a merging level over the
     newcomer — a degraded merger is reinstated; an original tail swaps
     its secondary bridge for the merging bridge (keeping its diversion
-    target, or [Direct] output if it had become head) — the registered
-    services start on the newcomer, every live replica pairs its
-    detector with it, and every live service connection is quiesced,
-    snapshotted into wire sequence space and shipped onto it
-    ({!Transfers_complete});
+    target, or [Direct] output if it had become head).  The newcomer
+    diverts to the service address if the previous end of chain is the
+    head, else to that replica's own address.  The registered services
+    start on the newcomer, every live replica pairs its detector with
+    it, and every live service connection is quiesced, snapshotted into
+    wire sequence space and shipped onto it ({!Transfers_complete});
     connections that cannot travel are pinned solo ({!Isolated}).
     Raises [Invalid_argument] for a dead host, a host already in the
     live chain, or while a §5 takeover is still in flight. *)
@@ -127,3 +143,11 @@ val set_on_event : t -> (event -> unit) -> unit
 val pending_transfers : t -> int
 (** Hot-state-transfer offers of the latest {!rejoin} still awaiting a
     verdict (0 once it has settled). *)
+
+val transfer_failures : t -> int
+(** Transfers that ended in Reject or retry-budget exhaustion since the
+    chain was created; nonzero under a merely lossy channel is an
+    invariant violation. *)
+
+val transfer_stats : t -> Tcpfo_statex.Transfer.stats
+(** Aggregate control-channel counters ([statex.*] scope). *)

@@ -8,14 +8,16 @@ module Registry = Tcpfo_obs.Registry
 module Transfer = Tcpfo_statex.Transfer
 module Snapshot = Tcpfo_statex.Snapshot
 
-type 'h t = {
+type hook = replica:int -> Tcb.t -> unit
+
+type t = {
   service_addr : Ipaddr.t;
   registry : Failover_config.registry;
-  mutable services : (int * 'h) list;
+  mutable services : (int * hook) list;
   (* §7.2 client-role connections: the setup registered for each backend
      endpoint, re-invoked when a restored snapshot of that connection
      lands on a fresh replica *)
-  mutable backends : ((Ipaddr.t * int) * 'h) list;
+  mutable backends : ((Ipaddr.t * int) * hook) list;
   (* bookkeeping of the latest {!start} *)
   mutable pending : int;
   mutable moved : int;
@@ -66,7 +68,7 @@ let find_backend t (ra, rp) =
       if Ipaddr.equal a ra && p = rp then Some setup else None)
     t.backends
 
-let installer t host ~reattach ~src:_ (sc : Snapshot.conn) =
+let installer t (host, replica) ~src:_ (sc : Snapshot.conn) =
   let snap = sc.Snapshot.tcb in
   if not (transferable_state snap.Tcb.sn_state) then
     Error "connection state not transferable"
@@ -88,31 +90,31 @@ let installer t host ~reattach ~src:_ (sc : Snapshot.conn) =
         | `Server -> List.assoc_opt (snd snap.Tcb.sn_local) t.services
         | `Client -> find_backend t snap.Tcb.sn_remote
       in
-      Option.iter (fun h -> reattach h tcb) app;
+      Option.iter (fun hook -> hook ~replica tcb) app;
       Tcb.resume_restored tcb;
       Ok ()
 
-type 'h replica = Host.t * ('h -> Tcb.t -> unit)
+type replica = Host.t * int
 
-let attach t (host, apply) =
+let attach t ((host, _) as r) =
   let xfer = Transfer.attach host in
-  Transfer.set_installer xfer (installer t host ~reattach:apply);
+  Transfer.set_installer xfer (installer t r);
   xfer
 
 (* retention makes the connection transferable: a later reintegration
    replays the retained input on the new replica to rebuild the
    application layer *)
-let listen_on (host, apply) ~port hook =
+let listen_on (host, replica) ~port (hook : hook) =
   Stack.listen (Host.tcp host) ~port ~on_accept:(fun tcb ->
       Tcb.enable_input_retention tcb;
-      apply hook tcb)
+      hook ~replica tcb)
 
 let listen t ~port hook replicas =
   Failover_config.register_endpoint t.registry ~local_port:port;
   t.services <- (port, hook) :: t.services;
   List.iter (fun r -> listen_on r ~port hook) replicas
 
-let connect_backend t ~remote ?local_port hook replicas =
+let connect_backend t ~remote ?local_port (hook : hook) replicas =
   (match local_port with
   | Some p -> Failover_config.register_endpoint t.registry ~local_port:p
   | None ->
@@ -121,13 +123,13 @@ let connect_backend t ~remote ?local_port hook replicas =
   (* retention makes the client-role connection transferable, exactly as
      [listen] does for server-role connections *)
   List.iter
-    (fun (host, apply) ->
+    (fun (host, replica) ->
       let tcb =
         Stack.connect (Host.tcp host) ~local:t.service_addr ?local_port ~remote
           ()
       in
       Tcb.enable_input_retention tcb;
-      apply hook tcb)
+      hook ~replica tcb)
     replicas
 
 let start_services t r =

@@ -1,14 +1,13 @@
-(** Hot state transfer onto a fresh replica, shared by {!Replicated}
-    pools and {!Chain}s.
+(** Hot state transfer onto a fresh replica, run by {!Chain} for chains
+    and, through their active pair's chain, for {!Replicated} pools.
 
-    A ['h t] holds the replicated application's hooks — listener
-    callbacks per service port and §7.2 setups per backend endpoint, of
-    the caller's hook type ['h] — so a restored connection can be handed
-    back to the application, plus the bookkeeping of the latest
-    {!start}.  It also runs the service lifecycle on each replica host:
-    the transfer endpoint, listening and §7.2 connecting with input
-    retention, and starting every service on a fresh host.  Pools and
-    chains differ only in the hook adapter of a {!replica}.
+    A [t] holds the replicated application's hooks — listener callbacks
+    per service port and §7.2 setups per backend endpoint, each called
+    with the index of the replica it runs on — so a restored connection
+    can be handed back to the application, plus the bookkeeping of the
+    latest {!start}.  It also runs the service lifecycle on each replica
+    host: the transfer endpoint, listening and §7.2 connecting with input
+    retention, and starting every service on a fresh host.
 
     There is one offer scheduler.  At most {!window} connections are
     mid-transfer at once, and successive offers are spaced by the
@@ -23,51 +22,52 @@
     [isolated_conns], [transfer_queue_depth], [paced_offers] and
     [pace_wait_us]. *)
 
-type 'h t
+type t
+
+type hook = replica:int -> Tcpfo_tcp.Tcb.t -> unit
+(** An application hook: a listener callback or a §7.2 setup. *)
 
 val create :
   Tcpfo_obs.Obs.t ->
   service_addr:Tcpfo_packet.Ipaddr.t ->
   registry:Failover_config.registry ->
-  'h t
+  t
 
 val window : int
 (** Offers in flight at once (32). *)
 
-type 'h replica = Tcpfo_host.Host.t * ('h -> Tcpfo_tcp.Tcb.t -> unit)
-(** A replica host with its hook adapter: how a hook is applied to a
-    connection on that host, e.g. [fun hook tcb -> hook ~role:`Primary tcb]
-    for a pool or [fun hook tcb -> hook ~replica:i tcb] for a chain. *)
+type replica = Tcpfo_host.Host.t * int
+(** A replica host with the index its hooks are called with. *)
 
-val attach : 'h t -> 'h replica -> Tcpfo_statex.Transfer.t
+val attach : t -> replica -> Tcpfo_statex.Transfer.t
 (** The replica's control-channel endpoint.  A snapshot landing there is
-    adopted as a restored TCB and handed, through the adapter, to the
-    listener hook (server role) or the backend setup (client role) it
-    belongs to, then resumed; the retained-input replay rebuilds the
-    application's per-connection state. *)
+    adopted as a restored TCB and handed to the listener hook (server
+    role) or the backend setup (client role) it belongs to, then
+    resumed; the retained-input replay rebuilds the application's
+    per-connection state. *)
 
-val listen : 'h t -> port:int -> 'h -> 'h replica list -> unit
+val listen : t -> port:int -> hook -> replica list -> unit
 (** Register a failover service port and its listener hook, then listen
     on every given replica, in order, with input retention enabled on
     each accepted connection so it can later travel by {!start}. *)
 
 val connect_backend :
-  'h t ->
+  t ->
   remote:Tcpfo_packet.Ipaddr.t * int ->
   ?local_port:int ->
-  'h ->
-  'h replica list ->
+  hook ->
+  replica list ->
   unit
 (** §7.2: register the backend endpoint ([local_port] if given, else the
     remote port) and its setup hook, then open the connection from the
     service address on every given replica, in order, with input
     retention enabled. *)
 
-val start_services : 'h t -> 'h replica -> unit
+val start_services : t -> replica -> unit
 (** Listen on a fresh replica for every registered service port. *)
 
 val start :
-  'h t ->
+  t ->
   survivor:Tcpfo_host.Host.t ->
   bridge:Primary_bridge.t ->
   xfer:Tcpfo_statex.Transfer.t ->
@@ -90,8 +90,8 @@ val start :
     with the number of connections re-replicated, when the last offer
     has settled (immediately if there was nothing to ship). *)
 
-val pending : 'h t -> int
+val pending : t -> int
 (** Offers of the latest {!start} still awaiting a verdict. *)
 
-val failures : 'h t -> int
+val failures : t -> int
 (** Offers that ended in Reject or retry-budget exhaustion. *)

@@ -1,7 +1,6 @@
 module Host = Tcpfo_host.Host
 module Tcb = Tcpfo_tcp.Tcb
 module Ipaddr = Tcpfo_packet.Ipaddr
-module Transfer = Tcpfo_statex.Transfer
 
 type event =
   | Secondary_failure_detected
@@ -33,28 +32,25 @@ let event_to_string = function
       "connection :%d <-> %s:%d demoted to solo in %s (not transferred)"
       local_port (Ipaddr.to_string ra) rp (Tcb.state_to_string state)
 
+(* The active pair is a two-replica {!Chain}: it owns detection, the
+   §5 takeover, the §6 degrade and re-pairing (including hot state
+   transfer).  A pool adds only what a chain has no notion of — cold
+   standbys, its one-failure-at-a-time status, and its own listeners —
+   and speaks its own events by translating the chain's. *)
 type t = {
-  mutable primary : Host.t;
-  mutable secondary : Host.t;
-  service_addr : Ipaddr.t;
-      (* fixed for the lifetime of the pool: after a primary failure and
-         promotion the surviving replica keeps serving it, so it can
-         no longer be derived from [Host.addr t.primary] *)
+  chain : Chain.t;
   config : Failover_config.t;
-  registry : Failover_config.registry;
-  mutable pbridge : Primary_bridge.t;
-  mutable sbridge : Secondary_bridge.t;
-  mutable xfer_p : Transfer.t;  (* control-channel endpoint on primary *)
-  mutable xfer_s : Transfer.t;  (* ... and on secondary *)
-  mutable hb_on_primary : Heartbeat.t option;
-  mutable hb_on_secondary : Heartbeat.t option;
+  (* chain indices of the active pair; a dead member stays until its
+     replacement is promoted *)
+  mutable primary : int;
+  mutable secondary : int;
   (* standbys in promotion order; only the active pair replicates
      connection state — a standby is cold until it is promoted and hot
-     state transfer re-replicates the live connections onto it *)
+     state transfer re-replicates the live connections onto it.  A host
+     that rejoins while a §5 takeover is in flight waits here too,
+     unwatched, until the takeover's completion promotes it. *)
   mutable standbys : Host.t list;
   mutable standby_watch : (Host.t * Heartbeat.t * Heartbeat.t) list;
-  (* listener and §7.2 setup hooks, plus the offer scheduler *)
-  hot : (role:[ `Primary | `Secondary ] -> Tcb.t -> unit) Hot_transfer.t;
   mutable status : [ `Normal | `Primary_failed | `Secondary_failed ];
   mutable on_event : event -> unit;
   (* additional listeners ({!add_on_event}) fired after [on_event]: the
@@ -66,6 +62,8 @@ type t = {
 let emit t e =
   t.on_event e;
   List.iter (fun f -> f e) t.listeners
+
+let primary_host t = Chain.host t.chain t.primary
 
 (* --- standby liveness ------------------------------------------------ *)
 
@@ -88,8 +86,9 @@ let disarm_standby t host =
       t.standby_watch
 
 let watch_standby t standby =
+  let primary = primary_host t in
   let hb_p =
-    Heartbeat.start t.primary ~peer:(Host.addr standby) ~role:`Primary
+    Heartbeat.start primary ~peer:(Host.addr standby) ~role:`Primary
       ~config:t.config ~on_peer_failure:(fun () ->
         if List.memq standby t.standbys then begin
           t.standbys <- List.filter (fun h -> h != standby) t.standbys;
@@ -98,7 +97,7 @@ let watch_standby t standby =
         end)
   in
   let hb_s =
-    Heartbeat.start standby ~peer:(Host.addr t.primary) ~role:`Secondary
+    Heartbeat.start standby ~peer:(Host.addr primary) ~role:`Secondary
       ~config:t.config
       ~on_peer_failure:(fun () -> ())
   in
@@ -114,48 +113,45 @@ let arm_standbys t =
     t.standby_watch;
   t.standby_watch <- List.map (fun s -> watch_standby t s) t.standbys
 
-(* --- hot state transfer -------------------------------------------- *)
+(* --- the active pair ------------------------------------------------- *)
 
-let as_role role hook tcb = hook ~role tcb
+(* a pool's primary always runs the merging bridge and its secondary the
+   secondary bridge: a fresh host always rejoins as the tail *)
+let primary_bridge t =
+  match Chain.bridge t.chain t.primary with
+  | Chain.Merger b -> b
+  | Chain.Tail _ -> invalid_arg "Replicated.primary_bridge: no merging bridge"
 
-(* A control-channel endpoint on [host]; snapshots only ever land on a
-   fresh replica, so they re-attach as the secondary-role copy. *)
-let attach_transfer hot host =
-  Hot_transfer.attach hot (host, as_role `Secondary)
+let secondary_bridge t =
+  match Chain.bridge t.chain t.secondary with
+  | Chain.Tail b -> b
+  | Chain.Merger _ ->
+    invalid_arg "Replicated.secondary_bridge: no secondary bridge"
 
-(* --- failure handling, promotion, reintegration ---------------------- *)
+let takeover_in_flight t =
+  t.status = `Primary_failed
+  && not (Secondary_bridge.taken_over (secondary_bridge t))
 
-(* watch the secondary from the primary; on failure run §6, then promote
-   the next standby (if any) into the vacated secondary role *)
-let rec watch_secondary t =
-  Heartbeat.start t.primary ~peer:(Host.addr t.secondary) ~role:`Primary
-    ~config:t.config ~on_peer_failure:(fun () ->
-      if t.status = `Normal then begin
-        t.status <- `Secondary_failed;
-        Primary_bridge.secondary_failed t.pbridge;
-        emit t Secondary_failure_detected;
-        promote_next t
-      end)
-
-(* watch the primary from the secondary; on failure run the §5 takeover,
-   then promote the next standby under the promoted survivor *)
-and watch_primary t =
-  Heartbeat.start t.secondary ~peer:(Host.addr t.primary) ~role:`Secondary
-    ~config:t.config ~on_peer_failure:(fun () ->
-      if t.status = `Normal then begin
-        t.status <- `Primary_failed;
-        emit t Primary_failure_detected;
-        Secondary_bridge.begin_takeover t.sbridge ~on_complete:(fun () ->
-            emit t Takeover_complete;
-            promote_next t)
-      end)
+(* Role-agnostic reintegration is the chain's rejoin at the tail of the
+   pair's survivor: after a *secondary* failure the surviving primary's
+   degraded bridge is reinstated; after a *primary* failure the
+   survivor, promoted by the §5 takeover, keeps serving under the
+   service address and swaps its secondary bridge for a merging one.
+   The chain then starts the services on the fresh host, pairs the
+   detectors and re-replicates every live connection; {!on_chain_event}
+   finishes the pool's half when it reports [Rejoined]. *)
+let reintegrate t ~secondary:fresh =
+  if t.status = `Normal then
+    invalid_arg "Replicated.reintegrate: no failed replica to replace";
+  if takeover_in_flight t then
+    invalid_arg "Replicated.reintegrate: takeover still in progress";
+  ignore (Chain.rejoin t.chain fresh)
 
 (* Cascading failover: the head of the standby list joins the active pair
-   through the same path a repaired host does — bridges reinstall, the
-   registered services start, and hot state transfer re-replicates every
-   live connection.  Standbys the detectors already know to be dead are
-   skipped (their [Standby_lost] may still be in flight). *)
-and promote_next t =
+   through the same path a repaired host does.  Standbys the detectors
+   already know to be dead are skipped (their [Standby_lost] may still be
+   in flight). *)
+let rec promote_next t =
   match t.standbys with
   | [] -> ()
   | s :: rest ->
@@ -167,67 +163,30 @@ and promote_next t =
     end
     else promote_next t
 
-(* Role-agnostic reintegration.  Two shapes:
-
-   - the *secondary* failed: the surviving primary keeps its role; the
-     fresh host becomes the new secondary.  Live connections are shipped
-     shifted by −Δseq into wire space.
-
-   - the *primary* failed: the surviving secondary was promoted by the
-     §5 takeover and keeps serving under the service address; the fresh
-     host becomes the new secondary of the *promoted* pair.  The
-     survivor's TCBs already count in wire space (Δ = 0), so snapshots
-     ship unshifted; the survivor swaps its (taken-over) secondary
-     bridge for a primary bridge. *)
-and reintegrate t ~secondary:fresh =
-  (match t.status with
-  | `Normal ->
-    invalid_arg "Replicated.reintegrate: no failed replica to replace"
-  | `Secondary_failed ->
-    Option.iter Heartbeat.stop t.hb_on_primary;
+(* The chain reports a secondary death twice, as [Death_detected] and
+   then as the primary's §6 [Degraded]; the pool speaks once, after the
+   flush.  A primary death is reported before its §5 takeover begins. *)
+let on_chain_event t = function
+  | Chain.Death_detected i when i = t.primary ->
+    t.status <- `Primary_failed;
+    emit t Primary_failure_detected
+  | Chain.Degraded _ ->
+    t.status <- `Secondary_failed;
+    emit t Secondary_failure_detected;
+    promote_next t
+  | Chain.Promoted _ ->
+    emit t Takeover_complete;
+    promote_next t
+  | Chain.Rejoined fresh ->
+    t.primary <- Chain.head t.chain;
     t.secondary <- fresh;
-    t.sbridge <-
-      Secondary_bridge.install fresh ~registry:t.registry
-        ~service_addr:t.service_addr ~only_new_connections:true ();
-    t.xfer_s <- attach_transfer t.hot fresh;
-    Primary_bridge.reinstate t.pbridge ~secondary_addr:(Host.addr fresh)
-  | `Primary_failed ->
-    if not (Secondary_bridge.taken_over t.sbridge) then
-      invalid_arg "Replicated.reintegrate: takeover still in progress";
-    Option.iter Heartbeat.stop t.hb_on_secondary;
-    let survivor = t.secondary in
-    Secondary_bridge.uninstall t.sbridge;
-    t.primary <- survivor;
-    t.secondary <- fresh;
-    t.pbridge <-
-      Primary_bridge.install survivor ~registry:t.registry
-        ~service_addr:t.service_addr ~secondary_addr:(Host.addr fresh) ();
-    t.sbridge <-
-      Secondary_bridge.install fresh ~registry:t.registry
-        ~service_addr:t.service_addr ~only_new_connections:true ();
-    t.xfer_p <- t.xfer_s;
-    t.xfer_s <- attach_transfer t.hot fresh);
-  (* start the registered services on the new replica *)
-  Hot_transfer.start_services t.hot (fresh, as_role `Secondary);
-  (* restart mutual fault detection, and re-point the remaining standby
-     watchers at the (possibly new) primary *)
-  t.status <- `Normal;
-  t.hb_on_primary <- Some (watch_secondary t);
-  t.hb_on_secondary <- Some (watch_primary t);
-  arm_standbys t;
-  emit t Reintegrated;
-  (* re-replicate live connections onto the fresh replica.  Every service
-     connection on the survivor is either shipped or pinned solo —
-     nothing is left in a state where it could half-merge with the fresh
-     replica's different sequence numbers.  A failure while offers are
-     still queued ends the run: the status leaves [`Normal] and the
-     remainder is pinned solo. *)
-  Hot_transfer.start t.hot ~survivor:t.primary ~bridge:t.pbridge ~xfer:t.xfer_p
-    ~dst:(Host.addr fresh)
-    ~live:(fun () -> t.status = `Normal)
-    ~on_isolated:(fun ~local_port ~remote ~state ->
-      emit t (Isolated { local_port; remote; state }))
-    ~on_complete:(fun moved -> emit t (Transfers_complete moved))
+    t.status <- `Normal;
+    arm_standbys t;
+    emit t Reintegrated
+  | Chain.Transfers_complete moved -> emit t (Transfers_complete moved)
+  | Chain.Isolated { local_port; remote; state } ->
+    emit t (Isolated { local_port; remote; state })
+  | Chain.Death_detected _ | Chain.Retargeted _ -> ()
 
 (* A repaired host rejoins at the back of the pool.  If the pool is
    degraded (a failure happened and no standby was left to promote), the
@@ -238,27 +197,30 @@ let rejoin t host =
   if not (Host.alive host) then
     invalid_arg "Replicated.rejoin: host is not alive";
   if
-    host == t.primary || host == t.secondary
+    host == primary_host t
+    || host == Chain.host t.chain t.secondary
     || List.exists (fun h -> h == host) t.standbys
   then invalid_arg "Replicated.rejoin: host is already in the pool";
-  match t.status with
-  | `Normal ->
+  if t.status = `Normal then begin
     t.standbys <- t.standbys @ [ host ];
     t.standby_watch <- t.standby_watch @ [ watch_standby t host ];
     emit t (Rejoined (Host.name host))
-  | `Primary_failed when not (Secondary_bridge.taken_over t.sbridge) ->
+  end
+  else if takeover_in_flight t then begin
     t.standbys <- t.standbys @ [ host ];
     emit t (Rejoined (Host.name host))
-  | `Primary_failed | `Secondary_failed ->
+  end
+  else begin
     emit t (Rejoined (Host.name host));
     reintegrate t ~secondary:host
+  end
 
 (* --- construction --------------------------------------------------- *)
 
 let create_pool ~replicas ~config () =
-  let primary, secondary, standbys =
+  let pair, standbys =
     match replicas with
-    | p :: s :: rest -> (p, s, rest)
+    | p :: s :: rest -> ([ p; s ], rest)
     | _ -> invalid_arg "Replicated.create_pool: need at least two replicas"
   in
   let rec distinct = function
@@ -273,37 +235,20 @@ let create_pool ~replicas ~config () =
         invalid_arg
           ("Replicated.create_pool: replica " ^ Host.name h ^ " is not alive"))
     replicas;
-  let service_addr = Host.addr primary in
-  let secondary_addr = Host.addr secondary in
-  let registry = Failover_config.create_registry config in
-  let pbridge =
-    Primary_bridge.install primary ~registry ~service_addr ~secondary_addr ()
-  in
-  let sbridge = Secondary_bridge.install secondary ~registry ~service_addr () in
-  let hot = Hot_transfer.create (Host.obs primary) ~service_addr ~registry in
   let t =
     {
-      primary;
-      secondary;
-      service_addr;
+      chain = Chain.create ~replicas:pair ~config ();
       config;
-      registry;
-      pbridge;
-      sbridge;
-      xfer_p = attach_transfer hot primary;
-      xfer_s = attach_transfer hot secondary;
-      hb_on_primary = None;
-      hb_on_secondary = None;
+      primary = 0;
+      secondary = 1;
       standbys;
       standby_watch = [];
-      hot;
       status = `Normal;
       on_event = (fun _ -> ());
       listeners = [];
     }
   in
-  t.hb_on_primary <- Some (watch_secondary t);
-  t.hb_on_secondary <- Some (watch_primary t);
+  Chain.set_on_event t.chain (on_chain_event t);
   arm_standbys t;
   t
 
@@ -311,27 +256,28 @@ let create_pool ~replicas ~config () =
 let create ~primary ~secondary ~config () =
   create_pool ~replicas:[ primary; secondary ] ~config ()
 
-let service_addr t = t.service_addr
-let registry t = t.registry
-let primary_bridge t = t.pbridge
-let secondary_bridge t = t.sbridge
+let service_addr t = Chain.service_addr t.chain
+let registry t = Chain.registry t.chain
 let set_on_event t fn = t.on_event <- fn
 let add_on_event t fn = t.listeners <- t.listeners @ [ fn ]
 let status t = t.status
 let standbys t = t.standbys
-let replicas t = t.primary :: t.secondary :: t.standbys
-let pending_transfers t = Hot_transfer.pending t.hot
-let transfer_failures t = Hot_transfer.failures t.hot
-let transfer_stats t = Transfer.stats t.xfer_p
+let replicas t = primary_host t :: Chain.host t.chain t.secondary :: t.standbys
+let pending_transfers t = Chain.pending_transfers t.chain
+let transfer_failures t = Chain.transfer_failures t.chain
+let transfer_stats t = Chain.transfer_stats t.chain
 
-let active_pair t =
-  [ (t.primary, as_role `Primary); (t.secondary, as_role `Secondary) ]
+(* the first replica keeps the [`Primary] role in its hooks for good;
+   every other one — the original secondary and each fresh host — runs
+   them as [`Secondary] *)
+let as_role hook ~replica tcb =
+  hook ~role:(if replica = 0 then `Primary else `Secondary) tcb
 
 let listen t ~port ~on_accept =
-  Hot_transfer.listen t.hot ~port on_accept (active_pair t)
+  Chain.listen t.chain ~port ~on_accept:(as_role on_accept)
 
 let connect_backend t ~remote ?local_port ~setup () =
-  Hot_transfer.connect_backend t.hot ~remote ?local_port setup (active_pair t)
+  Chain.connect_backend t.chain ~remote ?local_port ~setup:(as_role setup) ()
 
-let kill_primary t = Host.kill t.primary
-let kill_secondary t = Host.kill t.secondary
+let kill_primary t = Chain.kill t.chain t.primary
+let kill_secondary t = Chain.kill t.chain t.secondary

@@ -916,7 +916,11 @@ let chain_rig ctx =
           ]
         | _, Repair_then_rekill ->
           [ expect (!deaths >= 2) "second kill was never detected" ]);
-    checks = (fun () -> []);
+    checks =
+      (fun () ->
+        if sc.repair <> No_repair then
+          [ transfer_failures_item (Chain.transfer_failures chain) ]
+        else []);
   }
 
 (* ------------------------------------------------------------------ *)

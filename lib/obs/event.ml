@@ -55,23 +55,16 @@ let is_segment = function
 
 module Bus = struct
   type event = t
-  type sub = { id : int; handler : at:Time.t -> event -> unit }
+  type sub = { handler : at:Time.t -> event -> unit }
+  type t = { mutable subs : sub list (* subscription order *) }
 
-  type t = {
-    mutable subs : sub list; (* subscription order *)
-    mutable next_id : int;
-  }
-
-  let create () = { subs = []; next_id = 0 }
+  let create () = { subs = [] }
   let active t = t.subs <> []
 
   let subscribe t handler =
-    let s = { id = t.next_id; handler } in
-    t.next_id <- t.next_id + 1;
+    let s = { handler } in
     t.subs <- t.subs @ [ s ];
     s
-
-  let unsubscribe t s = t.subs <- List.filter (fun s' -> s'.id <> s.id) t.subs
 
   let emit t ~at ev =
     match t.subs with

@@ -63,7 +63,6 @@ module Bus : sig
       tracing free when nobody listens. *)
 
   val subscribe : t -> (at:Tcpfo_sim.Time.t -> event -> unit) -> sub
-  val unsubscribe : t -> sub -> unit
 
   val emit : t -> at:Tcpfo_sim.Time.t -> event -> unit
   (** Deliver to all subscribers in subscription order.  Cheap no-op when

@@ -16,45 +16,11 @@ let partial ?(accum = 0) b =
   if !i < n then sum := !sum + (Char.code (Bytes.unsafe_get b !i) lsl 8);
   fold !sum
 
-
-(* Parity-carrying variant for summing a message in arbitrary chunks.
-   [partial ?accum] silently assumes every chunk but the last is
-   even-length: an odd chunk's trailing byte is padded into the HIGH half
-   of a word, so the next chunk's first byte — which belongs in the LOW
-   half of that same word — lands in the wrong lane and the total differs
-   from summing the concatenation.  Here the state records whether a word
-   is still half-filled, and the next chunk's first byte completes it. *)
-let partial_parity ?(state = (0, false)) b =
-  let accum, odd = state in
-  let n = Bytes.length b in
-  let sum = ref accum in
-  let i = ref 0 in
-  if odd && n > 0 then begin
-    (* low half of the word the previous chunk's trailing byte opened *)
-    sum := !sum + Char.code (Bytes.unsafe_get b 0);
-    i := 1
-  end;
-  let odd' = if n = 0 then odd else (n - !i) land 1 = 1 in
-  while !i + 1 < n do
-    sum := !sum + (Char.code (Bytes.unsafe_get b !i) lsl 8)
-           + Char.code (Bytes.unsafe_get b (!i + 1));
-    i := !i + 2
-  done;
-  if !i < n then sum := !sum + (Char.code (Bytes.unsafe_get b !i) lsl 8);
-  (fold !sum, odd')
-
 let finish sum = lnot (fold sum) land 0xFFFF
 
 let of_bytes ?accum b = finish (partial ?accum b)
 
 (* RFC 1624: HC' = ~(~HC + ~m + m').  We work with folded 16-bit sums. *)
-let adjust ck ~old_bytes ~new_bytes =
-  let hc = lnot ck land 0xFFFF in
-  let m = partial old_bytes in
-  let m' = partial new_bytes in
-  let sum = fold (hc + (lnot m land 0xFFFF) + m') in
-  lnot sum land 0xFFFF
-
 let adjust16 ck ~old16 ~new16 =
   let hc = lnot ck land 0xFFFF in
   let sum = fold (hc + (lnot old16 land 0xFFFF) + (new16 land 0xFFFF)) in

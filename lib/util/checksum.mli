@@ -16,26 +16,15 @@ val partial : ?accum:int -> bytes -> int
 (** Uncomplemented running 16-bit ones-complement sum of [b], foldable.
     Chaining via [accum] is only correct when every chunk but the last
     has even length — an odd chunk's trailing byte is padded as if it
-    ended the message.  Use {!partial_parity} to sum across arbitrary
-    split points. *)
-
-val partial_parity : ?state:int * bool -> bytes -> int * bool
-(** Parity-carrying chunked sum.  The state is [(sum, odd)]: [odd] means
-    the previous chunk ended mid-word, and the next chunk's first byte
-    fills the low half of that word.  Feed each chunk the previous
-    result; [fst] of the final state equals [partial] of the
-    concatenation (then {!finish} it).  Initial state [(0, false)]. *)
+    ended the message. *)
 
 val finish : int -> t
 (** Fold and complement a partial sum into a final checksum. *)
 
-val adjust : t -> old_bytes:bytes -> new_bytes:bytes -> t
-(** [adjust ck ~old_bytes ~new_bytes] is the checksum of a message whose
-    checksum was [ck] after the 16-bit-aligned region [old_bytes] is
-    replaced by [new_bytes] (same length, RFC 1624 eqn. 3). *)
-
 val adjust16 : t -> old16:int -> new16:int -> t
-(** Single 16-bit word replacement. *)
+(** [adjust16 ck ~old16 ~new16] is the checksum of a message whose
+    checksum was [ck] after one 16-bit word [old16] is replaced by
+    [new16] (RFC 1624 eqn. 3). *)
 
 val adjust32 : t -> old32:int -> new32:int -> t
 (** Single 32-bit (two-word) replacement, e.g. an IPv4 address. *)

@@ -53,7 +53,3 @@ let map ?(jobs = 1) n f =
         | Some (Raised (e, bt)) -> Printexc.raise_with_backtrace e bt
         | None -> assert false (* every index was claimed and joined *))
   end
-
-let run_all ?jobs tasks =
-  let arr = Array.of_list tasks in
-  map ?jobs (Array.length arr) (fun i -> arr.(i) ())

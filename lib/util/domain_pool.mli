@@ -18,7 +18,3 @@ val map : ?jobs:int -> int -> (int -> 'a) -> 'a list
 
     [f] must not touch mutable state shared with other tasks; the bench
     trial functions satisfy this by building one world per call. *)
-
-val run_all : ?jobs:int -> (unit -> 'a) list -> 'a list
-(** [run_all ~jobs tasks] runs heterogeneous thunks through {!map},
-    returning their results in list order. *)

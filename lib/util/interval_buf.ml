@@ -162,12 +162,6 @@ let total_buffered t = List.fold_left (fun acc i -> acc + i.size) 0 t.islands
 
 let is_empty t = match t.islands with [] -> true | _ :: _ -> false
 
-let has_byte t s =
-  Seq32.ge s t.base
-  && List.exists
-       (fun i -> Seq32.ge s i.start && Seq32.lt s (island_end i))
-       t.islands
-
 let spans t = List.map (fun i -> (i.start, i.size)) t.islands
 let islands t = List.map (fun i -> (i.start, read i i.size)) t.islands
 

@@ -49,10 +49,6 @@ val total_buffered : t -> int
 val is_empty : t -> bool
 (** No bytes at all are buffered. *)
 
-val has_byte : t -> Seq32.t -> bool
-(** Whether the byte at the given sequence position is buffered (or already
-    below base, in which case [false]). *)
-
 val spans : t -> (Seq32.t * int) list
 (** Sorted list of (start, length) islands, for diagnostics and tests. *)
 

@@ -3,8 +3,10 @@
 # revision REV?
 #
 # A refactor that claims "no behaviour change" must leave every seeded,
-# simulated observable unchanged.  This script builds REV in a temporary
-# git worktree and the working tree in place, then on both:
+# simulated observable unchanged.  This script exports REV with
+# `git archive` into a temporary directory (under $TMPDIR, default
+# /tmp, removed on exit) and builds it there, builds the working tree
+# in place, then on both:
 #
 #   1. runs every experiment at quick size and diffs the two metrics
 #      directories file by file (sorted JSON registry snapshots), naming
@@ -12,13 +14,18 @@
 #   2. runs the E10 soak over seeds 1..SEEDS and compares the
 #      [soak-fingerprint] lines (MD5 over every scenario's description,
 #      violations and metrics snapshot minus the engine.* counters, in
-#      seed order).
+#      seed order);
+#   3. runs each benchmark workload once (bench/suite/suite.exe
+#      --workload W --seed 1 --trace 1 --seconds 0) and diffs its
+#      simulated per-layer metrics and connection counts, naming the
+#      keys that differ.  Keys that read the host clock or the GC
+#      (wall.*, gc.*, host.*_s, obs.snapshot_ms, apps.callback_s,
+#      sim.events_per_wall_s, statex.*_us_per_conn,
+#      packet.*_ns_per_frame, trace.overhead) are left out.
 #
-# Both runs use --jobs 2; the outputs are identical at any job count.
-# Failing soak seeds are not an error here: only a difference is.  REV
-# is exported with `git archive` into a temporary directory (under
-# $TMPDIR, default /tmp), removed on exit; the repository itself is not
-# touched.
+# Steps 1 and 2 use --jobs 2; the outputs are identical at any job
+# count.  Failing soak seeds are not an error here: only a difference
+# is.  The repository itself is not touched.
 #
 # Usage: scripts/identity.sh REV [SEEDS]      (SEEDS defaults to 3000)
 # Exit status: 0 identical, 1 any difference, 2 usage or build error.
@@ -48,7 +55,8 @@ run_tree() {
   local name=$1 root=$2 out=$scratch/$1 exe
   mkdir -p "$out/metrics"
   echo "identity: building $name ($root)" >&2
-  dune build --root "$root" bench/main.exe 2>&1 || return 2
+  dune build --root "$root" bench/main.exe bench/suite/suite.exe 2>&1 \
+    || return 2
   exe=$root/_build/default/bench/main.exe
   echo "identity: $name: --exp all --quick" >&2
   "$exe" --exp all --quick --jobs 2 --metrics-dir "$out/metrics" \
@@ -59,6 +67,24 @@ run_tree() {
     echo "identity: $name printed no [soak-fingerprint] line" >&2
     return 2
   }
+  for w in $workloads; do
+    echo "identity: $name: workload $w" >&2
+    "$root/_build/default/bench/suite/suite.exe" --workload "$w" --seed 1 \
+      --trace 1 --seconds 0 >"$out/$w.log" 2>&1
+    workload_keys "$out/$w.log" >"$out/$w.keys"
+  done
+}
+
+workloads="rr-10k bulk-failover upload-reintegrate fleet-churn"
+
+# workload_keys LOG: one "key value" line per simulated figure in a
+# workload's JSON result (its last line): the connection counts and
+# every per-layer metric but those read from the host clock or the GC.
+workload_keys() {
+  tail -n 1 "$1" \
+    | grep -o '"[^"]*": \({"value": \)\?[^,{}]*' \
+    | sed 's/^"\([^"]*\)": \({"value": \)\?/\1 /' \
+    | grep -Ev '^(metrics |unit |wall\.|gc\.|host\.[^ ]*_s |obs\.snapshot_ms |apps\.callback_s |sim\.events_per_wall_s |statex\.[^ ]*_us_per_conn |packet\.[^ ]*_ns_per_frame |trace\.overhead )'
 }
 
 # flat FILE: one "key value" line per number in a registry snapshot,
@@ -112,4 +138,17 @@ else
   echo "  work: $(cat "$scratch/work/fingerprint")" >&2
   status=1
 fi
+for w in $workloads; do
+  a=$scratch/rev/$w.keys b=$scratch/work/$w.keys
+  if [ ! -s "$a" ] || [ ! -s "$b" ]; then
+    echo "identity: workload $w printed no result" >&2
+    status=1
+  elif cmp -s "$a" "$b"; then
+    echo "identity: workload $w identical ($(wc -l <"$b") keys)"
+  else
+    echo "identity: workload $w DIFFERS: $(diff "$a" "$b" \
+      | sed -n 's/^[<>] \([^ ]*\) .*/\1/p' | sort -u | paste -sd ' ')" >&2
+    status=1
+  fi
+done
 exit $status

@@ -106,16 +106,14 @@ let test_bulk_upload_download () =
 let test_rr_reply_size () =
   let lan = make_simple_lan () in
   Bulk.Rr.serve (Host.tcp lan.server) ~port:5003 ~reply_size:12_345;
-  let replied = ref false in
-  let _c =
-    Bulk.request_reply (Host.tcp lan.client)
-      ~remote:(Host.addr lan.server, 5003)
-      ~expect:12_345
-      ~on_reply:(fun () -> replied := true)
-      ()
+  let received = ref 0 in
+  let c =
+    Stack.connect (Host.tcp lan.client) ~remote:(Host.addr lan.server, 5003) ()
   in
+  Tcb.set_on_established c (fun () -> ignore (Tcb.send c "PING"));
+  Tcb.set_on_data c (fun d -> received := !received + String.length d);
   World.run lan.world ~for_:(Time.sec 10.0);
-  check_bool "reply of configured size" true !replied
+  check_int "reply of configured size" 12_345 !received
 
 (* ---------------- FTP ---------------- *)
 

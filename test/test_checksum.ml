@@ -48,46 +48,6 @@ let prop_adjust_equals_recompute =
       let ck_new = Checksum.of_bytes (mk new32) in
       Checksum.adjust32 ck_old ~old32 ~new32 = ck_new)
 
-let prop_adjust_bytes =
-  QCheck.Test.make ~name:"adjust over byte region = recompute" ~count:300
-    QCheck.(triple arb_payload (string_of_size (Gen.return 8))
-              (string_of_size (Gen.return 8)))
-    (fun (tail, olds, news) ->
-      let full s = Bytes.of_string (s ^ tail) in
-      let ck_old = Checksum.of_bytes (full olds) in
-      let ck_new = Checksum.of_bytes (full news) in
-      Checksum.adjust ck_old ~old_bytes:(Bytes.of_string olds)
-        ~new_bytes:(Bytes.of_string news)
-      = ck_new)
-
-let test_parity_chain_after_odd_chunk () =
-  (* "\x01\x02\x03" ++ "\x04\x05" sums as 0102 + 0304 + 0500; chaining
-     plain [partial] would mis-lane the 04 as 0400 *)
-  let a = Bytes.of_string "\x01\x02\x03" and b = Bytes.of_string "\x04\x05" in
-  let st = Checksum.partial_parity a in
-  let sum, odd = Checksum.partial_parity ~state:st b in
-  Testutil.check_bool "odd parity out" true odd;
-  Testutil.check_int "chained sum" 0x0906 sum;
-  Testutil.check_bool "plain partial chaining disagrees" true
-    (Checksum.partial ~accum:(Checksum.partial a) b <> sum)
-
-let prop_parity_chain_equals_whole =
-  QCheck.Test.make
-    ~name:"parity-chained chunks = whole-buffer checksum" ~count:500
-    QCheck.(pair arb_payload (pair small_nat small_nat))
-    (fun (payload, (cut1, cut2)) ->
-      let b = Bytes.of_string payload in
-      let n = Bytes.length b in
-      (* split at two random points into three chunks (possibly empty) *)
-      let i = if n = 0 then 0 else cut1 mod (n + 1) in
-      let j = if n = 0 then 0 else cut2 mod (n + 1) in
-      let i, j = (min i j, max i j) in
-      let chunk lo hi = Bytes.sub b lo (hi - lo) in
-      let st = Checksum.partial_parity (chunk 0 i) in
-      let st = Checksum.partial_parity ~state:st (chunk i j) in
-      let sum, _ = Checksum.partial_parity ~state:st (chunk j n) in
-      Checksum.finish sum = Checksum.of_bytes b)
-
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -97,9 +57,5 @@ let suite =
       test_valid_with_embedded_checksum;
     Alcotest.test_case "adjust16 matches recompute" `Quick
       test_incremental_16;
-    Alcotest.test_case "parity chain across odd chunk" `Quick
-      test_parity_chain_after_odd_chunk;
     q prop_adjust_equals_recompute;
-    q prop_adjust_bytes;
-    q prop_parity_chain_equals_whole;
   ]

@@ -37,13 +37,6 @@ let test_drop () =
   Interval_buf.drop b ~len:4;
   Testutil.check_string "rest" "ef" (Interval_buf.pop b ~max_len:100)
 
-let test_has_byte () =
-  let b = base100 () in
-  Interval_buf.insert b ~seq:(Seq32.of_int 105) "xy";
-  Testutil.check_bool "at 105" true (Interval_buf.has_byte b (Seq32.of_int 105));
-  Testutil.check_bool "at 107" false (Interval_buf.has_byte b (Seq32.of_int 107));
-  Testutil.check_bool "below base" false (Interval_buf.has_byte b (Seq32.of_int 99))
-
 let test_wraparound () =
   let near_top = Seq32.of_int 0xFFFF_FFFD in
   let b = Interval_buf.create ~base:near_top in
@@ -152,7 +145,6 @@ let prop_model =
             map (fun n -> `Pop n)
               (frequency [ (5, int_range 0 80); (1, return max_int) ]) );
           (1, map (fun n -> `Peek n) (int_range 0 80));
-          (1, map (fun p -> `Has_byte p) (int_range (-5) 250));
         ])
   in
   let origin = Seq32.of_int 0xFFFF_FF00 (* crosses the wrap *) in
@@ -224,9 +216,6 @@ let prop_model =
               advance (String.length want);
               Interval_buf.pop b ~max_len:n = want
             | `Peek n -> Interval_buf.peek b ~max_len:n = take n
-            | `Has_byte p ->
-              Interval_buf.has_byte b (at (!base + p))
-              = (p >= 0 && Hashtbl.mem model (!base + p))
           in
           ok && check_all ())
         ops)
@@ -241,7 +230,6 @@ let suite =
     Alcotest.test_case "bytes below base are clipped" `Quick
       test_clip_below_base;
     Alcotest.test_case "drop advances base" `Quick test_drop;
-    Alcotest.test_case "has_byte island query" `Quick test_has_byte;
     Alcotest.test_case "sequence wraparound" `Quick test_wraparound;
     Alcotest.test_case "whole inserts pop without a copy" `Quick
       test_zero_copy_pop;

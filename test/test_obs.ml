@@ -101,7 +101,7 @@ let test_bus_subscribe_and_guard () =
   let obs = Obs.create () in
   check_bool "inactive without subscribers" false (Obs.tracing obs);
   let seen = ref [] in
-  let sub =
+  let _sub =
     Event.Bus.subscribe (Obs.bus obs) (fun ~at ev -> seen := (at, ev) :: !seen)
   in
   check_bool "active with a subscriber" true (Obs.tracing obs);
@@ -111,12 +111,7 @@ let test_bus_subscribe_and_guard () =
   (match !seen with
   | [ (at, Event.Failover { host = "p"; phase = Event.Degraded }) ] ->
     check_int "timestamped" (Time.us 7) at
-  | _ -> Alcotest.fail "unexpected event");
-  Event.Bus.unsubscribe (Obs.bus obs) sub;
-  check_bool "inactive again" false (Obs.tracing obs);
-  Obs.emit obs ~at:(Time.us 9)
-    (Event.Arp_takeover { host = "s"; ip = Tcpfo_packet.Ipaddr.of_int 1 });
-  check_int "not delivered after unsubscribe" 1 (List.length !seen)
+  | _ -> Alcotest.fail "unexpected event")
 
 let test_is_segment_classifier () =
   let seg = Tcpfo_packet.Tcp_segment.make ~src_port:1 ~dst_port:2
@@ -275,7 +270,7 @@ let suite =
     Alcotest.test_case "scope composition" `Quick test_scope_composition;
     Alcotest.test_case "silent handles are private" `Quick
       test_silent_is_private;
-    Alcotest.test_case "bus subscribe/emit/unsubscribe" `Quick
+    Alcotest.test_case "bus subscribe/emit" `Quick
       test_bus_subscribe_and_guard;
     Alcotest.test_case "segment classifier" `Quick test_is_segment_classifier;
     Alcotest.test_case "snapshot determinism" `Quick

@@ -40,11 +40,6 @@ let test_exception_propagates () =
   check_bool "jobs=1 raises smallest" true (attempt 1 = Some "3");
   check_bool "jobs=4 raises smallest" true (attempt 4 = Some "3")
 
-let test_run_all () =
-  let tasks = List.init 9 (fun i () -> 100 + i) in
-  check_bool "run_all order" true
-    (Domain_pool.run_all ~jobs:3 tasks = List.init 9 (fun i -> 100 + i))
-
 let test_default_jobs () =
   check_bool "default_jobs >= 1" true (Domain_pool.default_jobs () >= 1)
 
@@ -98,7 +93,6 @@ let suite =
     Alcotest.test_case "map preserves index order" `Quick test_map_order;
     Alcotest.test_case "smallest-index exception wins" `Quick
       test_exception_propagates;
-    Alcotest.test_case "run_all keeps task order" `Quick test_run_all;
     Alcotest.test_case "default_jobs sane" `Quick test_default_jobs;
     Alcotest.test_case "worlds byte-identical across domains" `Quick
       test_world_determinism;

@@ -9,7 +9,10 @@ module Topo = Tcpfo_host.Topo
 module Stack = Tcpfo_tcp.Stack
 module Tcb = Tcpfo_tcp.Tcb
 module Replicated = Tcpfo_core.Replicated
+module Chain = Tcpfo_core.Chain
+module Secondary_bridge = Tcpfo_core.Secondary_bridge
 module Failover_config = Tcpfo_core.Failover_config
+module Seq32 = Tcpfo_util.Seq32
 open Testutil
 
 let port = 5000
@@ -147,6 +150,127 @@ let test_rejoin_into_degraded_pair () =
        (function Replicated.Rejoined "fresh" -> true | _ -> false)
        !events)
 
+let reply_service tcb =
+  Tcb.set_on_data tcb (fun d -> ignore (Tcb.send tcb ("R:" ^ d)));
+  Tcb.set_on_eof tcb (fun () -> Tcb.close tcb)
+
+(* A host that rejoins while the §5 takeover is still in flight waits on
+   the standby list; the takeover's completion promotes it, and the
+   one live connection is re-replicated onto it. *)
+let test_rejoin_during_takeover () =
+  let world, topo, repl, events = make_pool ~n:2 () in
+  Replicated.listen repl ~port ~on_accept:(fun ~role:_ -> reply_service);
+  let lan = Topo.segment_of topo "lan" in
+  let fresh = World.add_host world lan ~name:"fresh" ~addr:"10.0.0.9" () in
+  World.warm_arp (fresh :: Topo.hosts topo);
+  let client = Topo.host_of topo "client" in
+  let sink = make_sink () in
+  let c =
+    Stack.connect (Host.tcp client)
+      ~remote:(Replicated.service_addr repl, port)
+      ()
+  in
+  wire_sink sink c;
+  Tcb.set_on_established c (fun () -> ignore (Tcb.send c "req"));
+  let queued = ref false in
+  (* rejoin halfway through the takeover's processing time *)
+  Replicated.add_on_event repl (function
+    | Replicated.Primary_failure_detected ->
+      ignore
+        ((Host.clock fresh).schedule
+           (Failover_config.default.takeover_processing / 2)
+           (fun () ->
+             check_bool "takeover in flight" false
+               (Secondary_bridge.taken_over (Replicated.secondary_bridge repl));
+             Replicated.rejoin repl fresh;
+             queued :=
+               Replicated.status repl = `Primary_failed
+               && standby_names repl = [ "fresh" ]))
+    | _ -> ());
+  World.run world ~for_:(Time.ms 100);
+  Replicated.kill_primary repl;
+  World.run world ~for_:(Time.sec 2.0);
+  check_bool "queued on the standby list" true !queued;
+  ignore (Tcb.send c "mid");
+  World.run world ~for_:(Time.sec 1.0);
+  Tcb.close c;
+  World.run world ~for_:(Time.sec 2.0);
+  let after_rejoin =
+    List.filter_map
+      (function
+        | Replicated.Takeover_complete -> Some "takeover"
+        | Replicated.Promoted n -> Some ("promoted " ^ n)
+        | Replicated.Reintegrated -> Some "reintegrated"
+        | Replicated.Transfers_complete n -> Some (Printf.sprintf "moved %d" n)
+        | _ -> None)
+      (List.rev !events)
+  in
+  Alcotest.(check (list string))
+    "completion promotes the queued host"
+    [ "takeover"; "promoted fresh"; "reintegrated"; "moved 1" ]
+    after_rejoin;
+  check_string "stream byte-exact" "R:reqR:mid" (sink_contents sink);
+  check_int "no resets" 0 sink.resets;
+  check_bool "pair whole again" true (Replicated.status repl = `Normal);
+  check_bool "standby list empty" true (Replicated.standbys repl = [])
+
+(* The client-side segment trace — arrival time, sequence number and
+   payload of every segment from the service address — of one world
+   run through a primary kill and a rejoin, behind either front end. *)
+let failover_trace ~chain =
+  let world = World.create ~seed:5 () in
+  let lan = World.make_lan world () in
+  let add name addr = World.add_host world lan ~name ~addr () in
+  let client = add "client" "10.0.0.10" in
+  let primary = add "primary" "10.0.0.1" in
+  let secondary = add "secondary" "10.0.0.2" in
+  let fresh = add "fresh" "10.0.0.3" in
+  World.warm_arp [ client; primary; secondary; fresh ];
+  let config = Failover_config.default in
+  let kill_primary, rejoin =
+    if chain then begin
+      let c = Chain.create ~replicas:[ primary; secondary ] ~config () in
+      Chain.listen c ~port ~on_accept:(fun ~replica:_ -> reply_service);
+      ((fun () -> Chain.kill c 0), fun h -> ignore (Chain.rejoin c h))
+    end
+    else begin
+      let r = Replicated.create ~primary ~secondary ~config () in
+      Replicated.listen r ~port ~on_accept:(fun ~role:_ -> reply_service);
+      ((fun () -> Replicated.kill_primary r), Replicated.rejoin r)
+    end
+  in
+  let rx = tcp_rx_from world client ~src:(Host.addr primary) in
+  let c = Stack.connect (Host.tcp client) ~remote:(Host.addr primary, port) () in
+  (* a request every 100 ms, before, during and after the failover and
+     the rejoin's hot state transfer *)
+  for i = 0 to 39 do
+    ignore
+      ((Host.clock client).schedule
+         (Time.ms (50 + (100 * i)))
+         (fun () -> ignore (Tcb.send c (Printf.sprintf "k%02d" i))))
+  done;
+  World.run world ~for_:(Time.ms 1000);
+  kill_primary ();
+  World.run world ~for_:(Time.ms 1000);
+  rejoin fresh;
+  World.run world ~for_:(Time.ms 2100);
+  Tcb.close c;
+  World.run world ~for_:(Time.sec 2.0);
+  List.map
+    (fun (at, (seg : Tcpfo_packet.Tcp_segment.t)) ->
+      (at, Seq32.to_int seg.seq, seg.payload))
+    (rx ())
+
+(* A pair and a two-replica chain are one orchestrator: the client sees
+   the same segments at the same instants through a kill and a rejoin. *)
+let test_pair_is_two_replica_chain () =
+  let pair = failover_trace ~chain:false in
+  check_string "every reply once"
+    (String.concat "" (List.init 40 (Printf.sprintf "R:k%02d")))
+    (String.concat "" (List.map (fun (_, _, payload) -> payload) pair));
+  Alcotest.(check (list (triple int int string)))
+    "same client-side segment trace" pair (failover_trace ~chain:true)
+
 let test_create_pool_rejects () =
   let world = World.create () in
   let lan = World.make_lan world () in
@@ -173,6 +297,10 @@ let suite =
       test_rejoin_ordering_and_errors;
     Alcotest.test_case "rejoin into degraded pair" `Quick
       test_rejoin_into_degraded_pair;
+    Alcotest.test_case "rejoin during an in-flight takeover" `Quick
+      test_rejoin_during_takeover;
+    Alcotest.test_case "pair and two-replica chain trace alike" `Quick
+      test_pair_is_two_replica_chain;
     Alcotest.test_case "create_pool rejects bad pools" `Quick
       test_create_pool_rejects;
   ]
