@@ -265,6 +265,9 @@ let run_exp ~pools ~conns ~cycles ~trials =
   List.iteri
     (fun i o -> Printf.printf "  trial %d wall-clock: %.2fs\n" i o.wall_s)
     outcomes;
+  (* the process's peak: with --exp all it covers the experiments before
+     E15 too *)
+  Printf.printf "[fleet-timing] {\"peak_rss_kb\":%d}\n" (peak_rss_kb ());
   let o = List.hd outcomes in
   let total_events = List.fold_left (fun a o -> a + o.events) 0 outcomes in
   Printf.printf

@@ -220,28 +220,6 @@ let one_trial ~conns ~seed =
 let events_per_sec o =
   if o.wall_s <= 0.0 then infinity else float_of_int o.events /. o.wall_s
 
-(* Peak RSS of this process (VmHWM).  Each connection count runs in its
-   own process, so the reading belongs to that size alone. *)
-let peak_rss_kb () =
-  try
-    let ic = open_in "/proc/self/status" in
-    let rec scan () =
-      match input_line ic with
-      | line ->
-        if String.length line > 6 && String.sub line 0 6 = "VmHWM:" then begin
-          close_in ic;
-          int_of_string
-            (String.trim
-               (String.sub line 6 (String.length line - 6 - 3)))
-        end
-        else scan ()
-      | exception End_of_file ->
-        close_in ic;
-        0
-    in
-    scan ()
-  with Sys_error _ -> 0
-
 (* [f ()] computed in a forked child and marshalled back, paired with
    [true]; or computed in this process, paired with [false], when fork
    is unavailable (OCaml refuses to fork once a process has spawned

@@ -67,6 +67,29 @@ let jobs = ref 1
 let events_line ~exp total =
   Printf.printf "[events-total:%s] {\"events\":%d}\n%!" exp total
 
+(* Peak RSS of this process so far (VmHWM, in kB; 0 where
+   /proc/self/status is unreadable).  Wall-clock-class: printed on
+   timing lines only, never in a deterministic summary. *)
+let peak_rss_kb () =
+  try
+    let ic = open_in "/proc/self/status" in
+    let rec scan () =
+      match input_line ic with
+      | line ->
+        if String.length line > 6 && String.sub line 0 6 = "VmHWM:" then begin
+          close_in ic;
+          int_of_string
+            (String.trim
+               (String.sub line 6 (String.length line - 6 - 3)))
+        end
+        else scan ()
+      | exception End_of_file ->
+        close_in ic;
+        0
+    in
+    scan ()
+  with Sys_error _ -> 0
+
 let dls_last_world : World.t option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 

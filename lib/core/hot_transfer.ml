@@ -171,7 +171,7 @@ let start t ~survivor ~bridge:pb ~xfer ~dst ~live ~on_isolated ~on_complete =
   t.pending <- List.length to_transfer;
   t.moved <- 0;
   let finish () =
-    Registry.Histogram.observe t.latency (Time.to_us (clock.now () - t0));
+    Registry.Histogram.observe_us t.latency (clock.now () - t0);
     on_complete t.moved
   in
   if t.pending = 0 then finish ()

@@ -321,7 +321,7 @@ let pump t conn =
          for their twin before the merged segment could go out *)
       (match conn.wait_since with
       | Some t0 ->
-        Registry.Histogram.observe t.h_merge_latency (Time.to_us (now t - t0))
+        Registry.Histogram.observe_us t.h_merge_latency (now t - t0)
       | None -> ());
       conn.wait_since <-
         (if

@@ -33,6 +33,16 @@ type iface_entry =
 (* Per-host state of services layered above the host, found by key. *)
 type binding = Binding : 'a Type.Id.t * 'a -> binding
 
+(* Liveness and pause state, shared by the host and its clock's guard.
+   Events that came due while paused wait on [parked] in firing order,
+   each keyed by its own event id, so a cancel that arrives while the
+   body is parked still takes effect. *)
+type gate = {
+  mutable alive : bool;
+  mutable paused : bool;
+  parked : Engine.event_id Queue.t;
+}
+
 type t = {
   engine : Engine.t;
   name : string;
@@ -42,13 +52,19 @@ type t = {
   ip : Ip_layer.t;
   tcp : Stack.t;
   mutable ifaces : iface_entry list;
-  mutable alive : bool;
-  mutable paused : bool;
-  (* timers and packet deliveries that came due while paused, in firing
-     order; each carries its logical cancellation ref *)
-  deferred : (Engine.event_id * (unit -> unit)) Queue.t;
+  gate : gate;
   mutable locals : binding list;
 }
+
+(* The guard of every event scheduled through a host's clock: a dead
+   host's events are inert, and a paused host's bodies are parked. *)
+let admit gate id =
+  if not gate.alive then false
+  else if gate.paused then begin
+    Queue.push id gate.parked;
+    false
+  end
+  else true
 
 let create engine ~name ~rng ?(profile = default_profile)
     ?(tcp_config = Tcp_config.default) ?obs () =
@@ -57,61 +73,38 @@ let create engine ~name ~rng ?(profile = default_profile)
       (Obs.scope (match obs with Some o -> o | None -> Obs.silent ()) "host")
       name
   in
-  let rec t =
-    lazy
-      ((* Liveness- and pause-aware clock: a dead host's events are
-          inert, and when an event comes due on a paused host its body is
-          parked on [deferred] instead of running, keyed by the event's
-          own id so a cancel that arrives while the body is parked still
-          takes effect (the engine keeps cancelled-after-fire observable
-          for exactly this purpose). *)
-       let clock =
-         let schedule delay fn =
-           let id_cell = ref None in
-           let id =
-             Engine.schedule engine ~delay (fun () ->
-                 let host = Lazy.force t in
-                 if host.alive then
-                   if host.paused then
-                     Queue.push (Option.get !id_cell, fn) host.deferred
-                   else fn ())
-           in
-           id_cell := Some id;
-           id
-         in
-         { Clock.now = (fun () -> Engine.now engine);
-           schedule;
-           cancel = (fun id -> Engine.cancel engine id) }
-       in
-       let jitter =
-         if profile.jitter_frac > 0.0 || profile.hiccup_prob > 0.0 then begin
-           let base = (profile.tx_cost + profile.rx_cost) / 2 in
-           Some
-             (fun () ->
-               let extra =
-                 if profile.jitter_frac > 0.0 then
-                   Rng.int rng
-                     (Int.max 1
-                        (int_of_float
-                           (float_of_int base *. profile.jitter_frac)))
-                 else 0
-               in
-               if
-                 profile.hiccup_prob > 0.0 && Rng.bool rng profile.hiccup_prob
-               then extra + (3 * base)
-               else extra)
-         end
-         else None
-       in
-       let ip =
-         Ip_layer.create clock ~name ~tx_cost:profile.tx_cost
-           ~rx_cost:profile.rx_cost ?jitter ~obs ()
-       in
-       let tcp = Stack.create clock ~ip ~config:tcp_config ~rng in
-       { engine; name; rng; clock; obs; ip; tcp; ifaces = []; alive = true;
-         paused = false; deferred = Queue.create (); locals = [] })
+  let gate = { alive = true; paused = false; parked = Queue.create () } in
+  let clock =
+    let guard = admit gate in
+    { Clock.now = (fun () -> Engine.now engine);
+      schedule =
+        (fun delay fn -> Engine.schedule_guarded engine ~guard ~delay fn);
+      cancel = (fun id -> Engine.cancel engine id) }
   in
-  Lazy.force t
+  let jitter =
+    if profile.jitter_frac > 0.0 || profile.hiccup_prob > 0.0 then begin
+      let base = (profile.tx_cost + profile.rx_cost) / 2 in
+      Some
+        (fun () ->
+          let extra =
+            if profile.jitter_frac > 0.0 then
+              Rng.int rng
+                (Int.max 1
+                   (int_of_float (float_of_int base *. profile.jitter_frac)))
+            else 0
+          in
+          if profile.hiccup_prob > 0.0 && Rng.bool rng profile.hiccup_prob
+          then extra + (3 * base)
+          else extra)
+    end
+    else None
+  in
+  let ip =
+    Ip_layer.create clock ~name ~tx_cost:profile.tx_cost
+      ~rx_cost:profile.rx_cost ?jitter ~obs ()
+  in
+  let tcp = Stack.create clock ~ip ~config:tcp_config ~rng in
+  { engine; name; rng; clock; obs; ip; tcp; ifaces = []; gate; locals = [] }
 
 let name t = t.name
 let engine t = t.engine
@@ -121,7 +114,7 @@ let obs t = t.obs
 let ip t = t.ip
 let cpu t = Ip_layer.cpu t.ip
 let tcp t = t.tcp
-let alive t = t.alive
+let alive t = t.gate.alive
 
 type 'a key = 'a Type.Id.t
 
@@ -196,9 +189,9 @@ let addr t =
   | [] -> invalid_arg (t.name ^ ": no interface")
 
 let kill t =
-  if t.alive then begin
-    t.alive <- false;
-    Queue.clear t.deferred;
+  if t.gate.alive then begin
+    t.gate.alive <- false;
+    Queue.clear t.gate.parked;
     List.iter
       (function
         | Lan (e, _) -> Eth_iface.shutdown e
@@ -206,21 +199,19 @@ let kill t =
       t.ifaces
   end
 
-let paused t = t.paused
-let pause t = if t.alive then t.paused <- true
+let paused t = t.gate.paused
+let pause t = if t.gate.alive then t.gate.paused <- true
 
 let resume t =
-  if t.alive && t.paused then begin
-    t.paused <- false;
+  let g = t.gate in
+  if g.alive && g.paused then begin
+    g.paused <- false;
     (* Everything that came due during the freeze fires now, in original
        order, all at the resume instant — SIGCONT semantics.  A handler
        may re-pause (or kill) the host, in which case the rest stays
-       deferred (resp. is discarded). *)
-    let continue = ref true in
-    while !continue && not (Queue.is_empty t.deferred) do
-      let id, fn = Queue.pop t.deferred in
-      if not (Engine.is_cancelled id) then fn ();
-      if t.paused || not t.alive then continue := false
+       parked (resp. is discarded). *)
+    while g.alive && (not g.paused) && not (Queue.is_empty g.parked) do
+      Engine.run_parked (Queue.pop g.parked)
     done
   end
 

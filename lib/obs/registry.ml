@@ -123,7 +123,7 @@ module Histogram = struct
     h.counts <- counts;
     h.base <- base
 
-  let observe h v =
+  let[@inline] observe h v =
     let n = h.n + 1 in
     h.n <- n;
     let m = h.m in
@@ -140,6 +140,9 @@ module Histogram = struct
       else add_widened h b
     end
     else h.nonpos <- h.nonpos + 1
+
+  (* [observe] is inlined here, so the converted value is never boxed *)
+  let observe_us h ns = observe h (float_of_int ns /. 1e3)
 
   let count h = h.n
 

@@ -47,6 +47,12 @@ end
     range, not on the number of observations. *)
 module Histogram : sig
   val observe : histogram -> float -> unit
+
+  val observe_us : histogram -> Tcpfo_sim.Time.t -> unit
+  (** [observe_us h d] observes the duration [d] in microseconds; unlike
+      [observe h (Time.to_us d)] it boxes no float, so a warm call
+      allocates nothing. *)
+
   val count : histogram -> int
 
   val summary : histogram -> Tcpfo_util.Stats.summary option

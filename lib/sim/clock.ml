@@ -4,9 +4,3 @@ type t = {
   cancel : Engine.event_id -> unit;
 }
 
-let of_engine engine =
-  {
-    now = (fun () -> Engine.now engine);
-    schedule = (fun delay fn -> Engine.schedule engine ~delay fn);
-    cancel = (fun id -> Engine.cancel engine id);
-  }

@@ -1,9 +1,10 @@
 (** A scheduling capability handed to protocol components.
 
-    Wrapping the engine behind a [Clock.t] lets a host interpose a
-    liveness guard: when the host is killed (crash-fault injection), every
-    timer it ever armed becomes inert, exactly as if the kernel stopped
-    executing. *)
+    A host builds the only clocks: its [schedule] passes the host's guard
+    to {!Engine.schedule_guarded}, so when the host is killed
+    (crash-fault injection) every timer it ever armed becomes inert,
+    exactly as if the kernel stopped executing, and while it is paused
+    the bodies wait for it to resume. *)
 
 type t = {
   now : unit -> Time.t;
@@ -12,5 +13,3 @@ type t = {
   cancel : Engine.event_id -> unit;
 }
 
-val of_engine : Engine.t -> t
-(** Direct, unguarded clock. *)

@@ -1,11 +1,14 @@
 (* [cancelled] and [consumed] are tracked separately so that an id can be
    cancelled *after* its event fired and the distinction still observed:
-   a pause-aware host clock defers fired events and must honour a cancel
-   that arrives while the body is parked (see Tcpfo_host.Host).
+   a guarded event whose body was parked at firing time (a paused host,
+   see Tcpfo_host.Host) must honour a cancel that arrives while the body
+   is parked.  Cancelling drops the body at once ([fn <- ignore]), so a
+   tombstone waiting in a bucket pins nothing it captured.
 
    The record doubles as the queue node: [at]/[seq] order it, [fn] is the
    body, [next] threads it through a timer-wheel bucket, and [home] tells
-   {!cancel} which structure currently holds it.  One allocation per
+   {!cancel} which structure currently holds it.  [guard] is consulted at
+   firing time and decides whether the body runs now.  One allocation per
    scheduled event, reused end to end — scheduling never builds a
    separate heap entry or closure wrapper. *)
 type event_id = {
@@ -16,6 +19,7 @@ type event_id = {
   mutable fn : unit -> unit;
   mutable next : event_id; (* intrusive bucket link; == nil when last *)
   mutable home : int; (* which structure holds the event, see home_* *)
+  guard : event_id -> bool; (* [true]: run the body now *)
 }
 
 (* home values *)
@@ -24,9 +28,11 @@ let home_cur = 1 (* the open-slot heap *)
 let home_overflow = 2 (* the far-future heap *)
 let home_done = 3 (* popped (fired or discarded) *)
 
+let unguarded (_ : event_id) = true
+
 let rec nil =
   { cancelled = true; consumed = true; at = max_int; seq = -1; fn = ignore;
-    next = nil; home = home_done }
+    next = nil; home = home_done; guard = unguarded }
 
 (* ------------------------------------------------------------------ *)
 (* Flat binary min-heap over event_ids ordered by (at, seq), backing the
@@ -117,10 +123,7 @@ module Evheap = struct
         h.arr.(!kept) <- ev;
         incr kept
       end
-      else begin
-        ev.home <- home_done;
-        ev.fn <- ignore
-      end
+      else ev.home <- home_done
     done;
     for i = !kept to h.size - 1 do
       h.arr.(i) <- nil
@@ -199,7 +202,6 @@ let set_stat_hooks t ~cancelled_skip ~wheel_cascade =
 
 let discard t ev =
   ev.home <- home_done;
-  ev.fn <- ignore;
   t.cancelled_skips <- t.cancelled_skips + 1;
   t.on_cancelled_skip ()
 
@@ -223,24 +225,25 @@ let unmark t ~level ~slot =
 
 (* The first occupied bucket of [level] at or circularly after [from],
    or -1 when the level is empty. *)
-let next_occupied t ~level ~from =
+let rec next_occupied t ~level ~from =
   let base = level * words in
   let w0 = from / word_bits in
   let low = from land (word_bits - 1) in
   let first = t.occupied.(base + w0) land (-1 lsl low) in
   if first <> 0 then (w0 * word_bits) + ctz32 first
+  else scan_words t ~base ~w0 ~low 1
+
+(* The other words after [w0], then [w0] again for the bits below [low].
+   Top-level, like {!place} and {!advance_from}, so that finding the next
+   event allocates no closure. *)
+and scan_words t ~base ~w0 ~low i =
+  if i > words then -1
   else begin
-    (* the other words, then [w0] again for the bits below [from] *)
-    let rec scan i =
-      if i > words then -1
-      else begin
-        let wi = (w0 + i) land (words - 1) in
-        let x = t.occupied.(base + wi) in
-        let x = if i = words then x land ((1 lsl low) - 1) else x in
-        if x <> 0 then (wi * word_bits) + ctz32 x else scan (i + 1)
-      end
-    in
-    scan 1
+    let wi = (w0 + i) land (words - 1) in
+    let x = t.occupied.(base + wi) in
+    let x = if i = words then x land ((1 lsl low) - 1) else x in
+    if x <> 0 then (wi * word_bits) + ctz32 x
+    else scan_words t ~base ~w0 ~low (i + 1)
   end
 
 (* -------------------------- wheel internals ----------------------- *)
@@ -254,6 +257,22 @@ let bucket_append t ~level ~slot ev =
   else t.tails.(level).(slot).next <- ev;
   t.tails.(level).(slot) <- ev
 
+(* The first level whose span covers [delta] nanoseconds past the open
+   slot, or the overflow heap beyond the top level.  Top-level rather
+   than local to {!wheel_insert}, so that inserting allocates no
+   closure. *)
+let rec place t ev ~delta level =
+  if level >= levels then begin
+    ev.home <- home_overflow;
+    Evheap.push t.overflow ev
+  end
+  else if delta < 1 lsl (slot_bits + (wheel_bits * (level + 1))) then begin
+    let slot = (ev.at lsr (slot_bits + (wheel_bits * level))) land slot_mask in
+    ev.home <- home_bucket;
+    bucket_append t ~level ~slot ev
+  end
+  else place t ev ~delta (level + 1)
+
 (* Place [ev] relative to the wheel position (the open slot), not the
    clock: after an overflow pop or an idle [run ~until] the clock can
    drift from [opened], and classifying against the position is what
@@ -261,29 +280,11 @@ let bucket_append t ~level ~slot ev =
    cascades before its events come due.  Events for the open slot (or
    earlier) join [cur] directly. *)
 let wheel_insert t ev =
-  let slot_abs = ev.at lsr slot_bits in
-  if slot_abs <= t.opened then begin
+  if ev.at lsr slot_bits <= t.opened then begin
     ev.home <- home_cur;
     Evheap.push t.cur ev
   end
-  else begin
-    let delta = ev.at - (t.opened lsl slot_bits) in
-    let rec place level =
-      if level >= levels then begin
-        ev.home <- home_overflow;
-        Evheap.push t.overflow ev
-      end
-      else if delta < 1 lsl (slot_bits + (wheel_bits * (level + 1))) then begin
-        let slot =
-          (ev.at lsr (slot_bits + (wheel_bits * level))) land slot_mask
-        in
-        ev.home <- home_bucket;
-        bucket_append t ~level ~slot ev
-      end
-      else place (level + 1)
-    in
-    place 0
-  end
+  else place t ev ~delta:(ev.at - (t.opened lsl slot_bits)) 0
 
 let bucket_take t ~level ~slot =
   let head = t.heads.(level).(slot) in
@@ -296,8 +297,8 @@ let bucket_take t ~level ~slot =
 
 (* Tombstone compaction for bucketed events happens here: cancelled
    entries are dropped instead of re-inserted, so a cancel costs O(1) at
-   cancel time and the corpse is reclaimed the next time its bucket
-   moves. *)
+   cancel time and the record (its body already dropped by {!cancel}) is
+   reclaimed the next time its bucket moves. *)
 let cascade t ~level ~slot =
   let head = bucket_take t ~level ~slot in
   if head != nil then begin
@@ -356,24 +357,20 @@ let drain_tombstones t h =
    in turn. *)
 let rec advance t =
   drain_tombstones t t.cur;
-  if Evheap.is_empty t.cur then begin
-    let rec from_level level =
-      if level < levels then begin
-        let shift = wheel_bits * level in
-        let idx = t.opened lsr shift in
-        let next =
-          next_occupied t ~level ~from:((idx + 1) land slot_mask)
-        in
-        if next < 0 then from_level (level + 1)
-        else begin
-          let target = (idx + 1 + ((next - idx - 1) land slot_mask)) lsl shift in
-          let boundary = ((idx lsr wheel_bits) + 1) lsl (shift + wheel_bits) in
-          enter t (Int.min target boundary);
-          advance t
-        end
-      end
-    in
-    from_level 0
+  if Evheap.is_empty t.cur then advance_from t 0
+
+and advance_from t level =
+  if level < levels then begin
+    let shift = wheel_bits * level in
+    let idx = t.opened lsr shift in
+    let next = next_occupied t ~level ~from:((idx + 1) land slot_mask) in
+    if next < 0 then advance_from t (level + 1)
+    else begin
+      let target = (idx + 1 + ((next - idx - 1) land slot_mask)) lsl shift in
+      let boundary = ((idx lsr wheel_bits) + 1) lsl (shift + wheel_bits) in
+      enter t (Int.min target boundary);
+      advance t
+    end
   end
 
 (* The next live event, without removing it: the wheel candidate (after
@@ -391,22 +388,29 @@ let peek_next t =
 
 (* ------------------------------ API ------------------------------- *)
 
-let schedule_at t ~at fn =
+let insert t ~guard ~at fn =
   let at = Int.max at t.clock in
   t.seq <- t.seq + 1;
   let ev =
     { cancelled = false; consumed = false; at; seq = t.seq; fn; next = nil;
-      home = home_done }
+      home = home_done; guard }
   in
   wheel_insert t ev;
   t.live <- t.live + 1;
   ev
 
-let schedule t ~delay fn = schedule_at t ~at:(t.clock + Int.max 0 delay) fn
+let schedule_at t ~at fn = insert t ~guard:unguarded ~at fn
+
+let schedule t ~delay fn =
+  insert t ~guard:unguarded ~at:(t.clock + Int.max 0 delay) fn
+
+let schedule_guarded t ~guard ~delay fn =
+  insert t ~guard ~at:(t.clock + Int.max 0 delay) fn
 
 let cancel t id =
   if not id.cancelled then begin
     id.cancelled <- true;
+    id.fn <- ignore;
     (* a consumed event already left the live count at firing time *)
     if not id.consumed then begin
       t.live <- t.live - 1;
@@ -418,7 +422,10 @@ let cancel t id =
 
 let pending t = t.live
 
-let is_cancelled id = id.cancelled
+let run_parked id =
+  let fn = id.fn in
+  id.fn <- ignore;
+  fn ()
 
 (* Remove and run [ev], the event {!peek_next} just returned: it is the
    top of the heap its [home] names. *)
@@ -429,9 +436,11 @@ let fire t ev =
   t.processed <- t.processed + 1;
   ev.consumed <- true;
   ev.home <- home_done;
-  let fn = ev.fn in
-  ev.fn <- ignore;
-  fn ()
+  if ev.guard ev then begin
+    let fn = ev.fn in
+    ev.fn <- ignore;
+    fn ()
+  end
 
 let step t =
   let ev = peek_next t in

@@ -27,14 +27,27 @@ val schedule : t -> delay:Time.t -> (unit -> unit) -> event_id
 val schedule_at : t -> at:Time.t -> (unit -> unit) -> event_id
 (** Absolute-time variant.  Times in the past are clipped to [now]. *)
 
-val cancel : t -> event_id -> unit
-(** Cancelling an already-cancelled event is a no-op.  Cancelling an event
-    that already fired is also safe and marks the id cancelled without
-    touching the live count — a clock wrapper that parked the event's body
-    (pause-aware host) can then observe the cancellation via
-    {!is_cancelled} and skip the parked body. *)
+val schedule_guarded :
+  t -> guard:(event_id -> bool) -> delay:Time.t -> (unit -> unit) -> event_id
+(** Like {!schedule}, but when the event comes due the engine first asks
+    [guard] about it, and runs the body only if the answer is [true].
+    On [false] the event still counts as processed and the body stays
+    on the record: the guard may keep the id and run the body later with
+    {!run_parked}, or drop it.  A host's clock passes one guard for all
+    its events: it drops them once the host is dead and parks them while
+    it is paused. *)
 
-val is_cancelled : event_id -> bool
+val run_parked : event_id -> unit
+(** Run the body of an event whose guard declined it at firing time.
+    A body runs at most once, and a cancelled event's body is [ignore],
+    so a cancel that arrived while the body was parked still holds. *)
+
+val cancel : t -> event_id -> unit
+(** Cancelling drops the event's body at once, so nothing it captured
+    stays reachable through the queue.  Cancelling an already-cancelled
+    event is a no-op.  Cancelling an event that already fired is also
+    safe: it leaves the live count alone and only drops a body still
+    parked by the event's guard. *)
 
 val pending : t -> int
 (** Number of live (non-cancelled) events still queued. *)

@@ -840,6 +840,12 @@ let process_ack t (seg : Seg.t) =
     else restart_rtx t;
     (* our FIN acknowledged? *)
     if t.fin_sent && Seq32.ge t.snd_una (Seq32.succ (fin_seq t)) then begin
+      (* every byte is acked and no send follows a FIN: give the ring's
+         storage back, keeping the offsets (FIN_WAIT_2 and TIME_WAIT can
+         outlive the transfer by seconds) *)
+      t.sndbuf <-
+        Bytebuf.of_string ~capacity:send_buf_size
+          ~start_offset:(Bytebuf.end_offset t.sndbuf) "";
       match t.state with
       | Fin_wait_1 -> t.state <- Fin_wait_2
       | Closing -> enter_time_wait t

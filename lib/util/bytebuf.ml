@@ -12,7 +12,8 @@
    the larger of what is needed and twice its size, never past
    [capacity].  A connection that never sends holds no ring at all, and
    one that sends 16 B requests holds a few dozen bytes — not a send
-   buffer's worth.  The ring never shrinks. *)
+   buffer's worth.  The ring itself never shrinks; a TCB drops it for an
+   empty buffer at the same offsets once its FIN is acknowledged. *)
 
 type t = {
   capacity : int;

@@ -321,6 +321,26 @@ let test_wheel_counters () =
   Testutil.check_bool "cascaded at least once" true (!cascades >= 1);
   Testutil.check_bool "skipped the corpse" true (!skips >= 1)
 
+(* Cancelling drops the body at once: a value reachable only from a
+   cancelled event's closure is collectable while the tombstone still
+   waits in a coarse wheel bucket that has not cascaded. *)
+let[@inline never] schedule_capturing e finalised =
+  let v = Bytes.create 64 in
+  Gc.finalise (fun _ -> finalised := true) v;
+  Engine.schedule e ~delay:(Time.sec 5.0) (fun () -> ignore (Bytes.length v))
+
+let test_cancel_drops_body () =
+  let e = Engine.create () in
+  let finalised = ref false in
+  Engine.cancel e (schedule_capturing e finalised);
+  Gc.full_major ();
+  Testutil.check_bool "captured value finalised" true !finalised;
+  Testutil.check_int "tombstone not yet swept" 0 (Engine.cancelled_skips e);
+  Engine.run e;
+  Testutil.check_int "swept when its bucket cascades" 1
+    (Engine.cancelled_skips e);
+  Testutil.check_int "nothing ran" 0 (Engine.processed e)
+
 let suite =
   [
     Alcotest.test_case "time ordering" `Quick test_fires_in_time_order;
@@ -340,5 +360,6 @@ let suite =
     Alcotest.test_case "wheel: sparse program" `Quick test_wheel_sparse;
     Alcotest.test_case "wheel: counters and stat hooks" `Quick
       test_wheel_counters;
+    Alcotest.test_case "cancel drops the body" `Quick test_cancel_drops_body;
     QCheck_alcotest.to_alcotest prop_wheel_matches_reference;
   ]

@@ -2,6 +2,7 @@
    deterministic frame drops, host pause/resume semantics, and the
    reversible partition. *)
 
+module Engine = Tcpfo_sim.Engine
 module Time = Tcpfo_sim.Time
 module World = Tcpfo_host.World
 module Host = Tcpfo_host.Host
@@ -145,6 +146,45 @@ let test_pause_defers_timers () =
   | Some t -> check_int "released at the resume instant" (Time.ms 20) t
   | None -> Alcotest.fail "timer never released"
 
+(* The host's liveness and pause check rides in the engine's event
+   record, so a timer armed through a host's clock costs one record of
+   9 words and nothing else. *)
+let test_host_timer_allocates_one_record () =
+  let engine = Engine.create () in
+  let clock = Testutil.host_clock engine in
+  let n = 10_000 in
+  let w0 = Gc.minor_words () in
+  for i = 1 to n do
+    ignore (clock.schedule (Time.ms 1 + i) ignore)
+  done;
+  let w1 = Gc.minor_words () in
+  check_bool "at most 9.5 words per event" true
+    ((w1 -. w0) /. float_of_int n <= 9.5);
+  Engine.run engine;
+  check_int "all fired" n (Engine.processed engine)
+
+(* A timer cancelled while its body is parked on a paused host does not
+   run at resume; the other parked bodies run in order at the resume
+   instant. *)
+let test_cancel_while_parked () =
+  let engine = Engine.create () in
+  let h = Host.create engine ~name:"h" ~rng:(Tcpfo_util.Rng.create ~seed:1) () in
+  let clock = Host.clock h in
+  let log = ref [] in
+  let arm tag ms =
+    clock.schedule (Time.ms ms) (fun () ->
+        log := (tag, Engine.now engine) :: !log)
+  in
+  ignore (Engine.schedule engine ~delay:(Time.us 500) (fun () -> Host.pause h));
+  let _a = arm "a" 1 and b = arm "b" 2 and _c = arm "c" 3 in
+  Engine.run_for engine (Time.ms 5);
+  check_bool "all parked" true (!log = []);
+  clock.cancel b;
+  ignore (Engine.schedule engine ~delay:(Time.ms 5) (fun () -> Host.resume h));
+  Engine.run engine;
+  check_bool "a then c, at the resume instant" true
+    (List.rev !log = [ ("a", Time.ms 10); ("c", Time.ms 10) ])
+
 (* A short partition must heal invisibly (the gap stays under the
    detection bound and beats resume), while one long enough to starve
    the detector must trigger it even though the partitioned host never
@@ -176,6 +216,10 @@ let suite =
       test_unknown_names_rejected_at_install;
     Alcotest.test_case "pause defers timers to resume" `Quick
       test_pause_defers_timers;
+    Alcotest.test_case "host timer allocates one record" `Quick
+      test_host_timer_allocates_one_record;
+    Alcotest.test_case "cancel while parked skips at resume" `Quick
+      test_cancel_while_parked;
     Alcotest.test_case "partition reversible but detectable" `Quick
       test_partition_is_reversible_but_detectable;
   ]

@@ -9,7 +9,6 @@ module Ipaddr = Tcpfo_packet.Ipaddr
 module Ipv4_packet = Tcpfo_packet.Ipv4_packet
 module Obs = Tcpfo_obs.Obs
 module Registry = Tcpfo_obs.Registry
-module Clock = Tcpfo_sim.Clock
 module Cpu = Tcpfo_sim.Cpu
 module Eth_iface = Tcpfo_ip.Eth_iface
 module Ip_layer = Tcpfo_ip.Ip_layer
@@ -192,7 +191,7 @@ type snoop_run = {
 
 let snoop_run ~snoop ~dst =
   let e, m, obs = setup () in
-  let clock = Clock.of_engine e in
+  let clock = Testutil.host_clock e in
   let sender = Nic.create e ~mac:(Macaddr.of_int 0x111) m in
   let nic = Nic.create e ~mac:(Macaddr.of_int 0x333) ~obs m in
   let eth =

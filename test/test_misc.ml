@@ -3,7 +3,6 @@
 
 module Engine = Tcpfo_sim.Engine
 module Time = Tcpfo_sim.Time
-module Clock = Tcpfo_sim.Clock
 module Cpu = Tcpfo_sim.Cpu
 module World = Tcpfo_host.World
 module Host = Tcpfo_host.Host
@@ -95,7 +94,7 @@ let test_stop_silences_detector () =
 
 let test_cpu_serializes () =
   let engine = Engine.create () in
-  let clock = Clock.of_engine engine in
+  let clock = Testutil.host_clock engine in
   let cpu = Cpu.create clock in
   let log = ref [] in
   Cpu.run cpu ~cost:(Time.us 10) (fun () ->
@@ -112,7 +111,7 @@ let test_cpu_serializes () =
 
 let test_cpu_idle_gap () =
   let engine = Engine.create () in
-  let clock = Clock.of_engine engine in
+  let clock = Testutil.host_clock engine in
   let cpu = Cpu.create clock in
   let at = ref 0 in
   Cpu.run cpu ~cost:(Time.us 10) (fun () -> ());

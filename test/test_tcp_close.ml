@@ -137,6 +137,54 @@ let test_send_after_close_rejected () =
   World.run_until_idle lan.world;
   check_bool "done" true (Tcb.state c = Tcb.Closed || Tcb.state c = Tcb.Time_wait)
 
+(* Once every byte and the FIN are acknowledged, a connection gives its
+   send ring's storage back: server connections that each sent 2 KiB and
+   closed first hold less than that apiece through TIME_WAIT (2 MSL =
+   10 s at the default MSL). *)
+let test_time_wait_holds_no_send_ring () =
+  let m = 64 in
+  let lan = make_simple_lan () in
+  let reply = String.make 2048 'r' in
+  let servers = ref [] in
+  Stack.listen (Host.tcp lan.server) ~port:80 ~on_accept:(fun s ->
+      servers := s :: !servers;
+      send_all ~close:true s reply);
+  let live_bytes () =
+    Gc.full_major ();
+    (Gc.stat ()).live_words * (Sys.word_size / 8)
+  in
+  let before = live_bytes () in
+  for _ = 1 to m do
+    let c =
+      Stack.connect (Host.tcp lan.client) ~remote:(Host.addr lan.server, 80) ()
+    in
+    Tcb.set_on_eof c (fun () -> Tcb.close c)
+  done;
+  World.run lan.world ~for_:(Time.sec 1.0);
+  check_int "servers in TIME_WAIT" m
+    (List.length
+       (List.filter (fun s -> Tcb.state s = Tcb.Time_wait) !servers));
+  check_int "clients gone" 0 (Stack.connection_count (Host.tcp lan.client));
+  let grown = live_bytes () - before in
+  check_bool "live heap grew by less than 2 KiB per connection" true
+    (grown < m * 2048);
+  (* the emptied ring keeps its offsets through a snapshot round trip *)
+  let s = List.hd !servers in
+  let snap = Tcb.snapshot s in
+  check_int "ring starts past the reply" (String.length reply)
+    snap.Tcb.sn_sndbuf_start;
+  check_string "no data held" "" snap.Tcb.sn_sndbuf_data;
+  let restored =
+    Tcb.restore (Host.clock lan.server)
+      ~instruments:(Stack.tcb_instruments (Host.tcp lan.server))
+      ~config:(Stack.config (Host.tcp lan.server))
+      { Tcb.emit = ignore; on_delete = ignore } snap
+  in
+  let again = Tcb.snapshot restored in
+  check_int "same start after restore" snap.Tcb.sn_sndbuf_start
+    again.Tcb.sn_sndbuf_start;
+  check_string "still empty" "" again.Tcb.sn_sndbuf_data
+
 let suite =
   [
     Alcotest.test_case "active close, both directions" `Quick
@@ -151,4 +199,6 @@ let suite =
       test_fin_with_data_in_flight;
     Alcotest.test_case "send after close rejected" `Quick
       test_send_after_close_rejected;
+    Alcotest.test_case "TIME_WAIT holds no send ring" `Quick
+      test_time_wait_holds_no_send_ring;
   ]

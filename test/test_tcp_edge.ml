@@ -8,6 +8,8 @@ module Host = Tcpfo_host.Host
 module Stack = Tcpfo_tcp.Stack
 module Tcb = Tcpfo_tcp.Tcb
 module Ip_layer = Tcpfo_ip.Ip_layer
+module Rto = Tcpfo_tcp.Rto
+module Obs = Tcpfo_obs.Obs
 open Testutil
 
 let test_simultaneous_open () =
@@ -132,9 +134,34 @@ let test_connect_bad_source_rejected () =
            ~remote:(Host.addr lan.server, 80)
            ()))
 
+(* Every acked segment with a timing probe feeds the estimator, so after
+   the first sample it updates two unboxed floats in place. *)
+let test_rto_sample_allocates_nothing () =
+  let rto =
+    Rto.create (Rto.instruments (Obs.silent ())) ~init:(Time.sec 1.0)
+      ~min:(Time.ms 200) ~max:(Time.sec 60.0) ()
+  in
+  let samples () =
+    for i = 1 to 10_000 do
+      Rto.sample rto (Time.us (2_000 + (i mod 7 * 300)))
+    done
+  in
+  (* the first pass also widens the rtt histogram over the range *)
+  samples ();
+  let w0 = Gc.minor_words () in
+  samples ();
+  let w1 = Gc.minor_words () in
+  Alcotest.(check (float 0.0)) "minor words over 10k samples" 0.0 (w1 -. w0);
+  check_bool "estimate in range" true
+    (match Rto.srtt rto with
+    | Some s -> s >= Time.ms 2 && s <= Time.ms 4
+    | None -> false)
+
 let suite =
   [
     Alcotest.test_case "simultaneous open" `Quick test_simultaneous_open;
+    Alcotest.test_case "rto sample allocates nothing" `Quick
+      test_rto_sample_allocates_nothing;
     Alcotest.test_case "unlisten stops accepting" `Quick
       test_unlisten_stops_accepting;
     Alcotest.test_case "stray segment answered with RST" `Quick

@@ -7,6 +7,12 @@ module Host = Tcpfo_host.Host
 module Stack = Tcpfo_tcp.Stack
 module Tcb = Tcpfo_tcp.Tcb
 
+(* The clock of a host with no interfaces on [engine]: what a component
+   under test schedules through it is guarded as on any host. *)
+let host_clock engine =
+  Host.clock
+    (Host.create engine ~name:"bare" ~rng:(Tcpfo_util.Rng.create ~seed:1) ())
+
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
