@@ -164,7 +164,8 @@ let run_exp ~trials =
      re-crosses the shared segment once); (2) at depth 4+ the topology\n\
      collapses on THIS testbed because every promiscuous replica burns\n\
      CPU on every frame of every level — snooping cost, not bandwidth,\n\
-     bounds chain depth on a single shared segment; (3) head death costs\n\
-     a takeover + one RTO, middle/tail deaths are far cheaper (re-divert\n\
-     or degrade only).\n%!";
+     bounds chain depth on a single shared segment; (3) every death costs\n\
+     about the detector timeout: a promoted head or a re-diverted tail\n\
+     resends from snd_una at once (DESIGN 7.22), a tail death needs only\n\
+     the survivor's own degrade.\n%!";
   dump_metrics ~exp:"chain"

@@ -1,5 +1,7 @@
 module Host = Tcpfo_host.Host
 module Tcb = Tcpfo_tcp.Tcb
+module Stack = Tcpfo_tcp.Stack
+module Cpu = Tcpfo_sim.Cpu
 module Ipaddr = Tcpfo_packet.Ipaddr
 module Transfer = Tcpfo_statex.Transfer
 
@@ -82,10 +84,37 @@ let upstream t i =
   in
   Option.map (node_of t) (find None t.order)
 
+(* The takeover kick (DESIGN.md 7.22): the path [node]'s service
+   connections leave through has just changed, so none of them waits
+   for its RTO, which is often backed off already.  After each
+   connection the kick acted on, the walk resumes only once the CPU
+   has worked off everything queued so far, its own transmissions
+   included, so the heartbeats and probe replies the host handles
+   meanwhile interleave with it instead of queueing behind every
+   retransmission.  Client-role (§7.2 backend) connections keep their
+   own timers: their path to the backend did not change. *)
+let kick_services t node =
+  let service tcb =
+    let addr, port = Tcb.local_endpoint tcb in
+    Ipaddr.equal addr t.service
+    && Failover_config.is_failover_local_port t.registry port
+  in
+  let cpu = Host.cpu node.host in
+  let rec walk = function
+    | [] -> ()
+    | tcb :: rest ->
+      if Tcb.kick tcb then Cpu.run cpu ~cost:0 (fun () -> walk rest)
+      else walk rest
+  in
+  walk (List.filter service (Stack.connections (Host.tcp node.host)))
+
 let promote_node t node =
   if not node.is_head then begin
     node.is_head <- true;
-    let on_complete () = t.on_event (Promoted node.index) in
+    let on_complete () =
+      kick_services t node;
+      t.on_event (Promoted node.index)
+    in
     match node.bridge with
     | Merger b -> Primary_bridge.promote b ~on_complete
     | Tail b -> Secondary_bridge.begin_takeover b ~on_complete
@@ -105,7 +134,8 @@ let reconfigure t =
         (* 2. diversion targets follow the live chain *)
         (match (upstream t i, node.bridge) with
         | Some up, Tail b ->
-          Secondary_bridge.retarget b (Host.addr up.host);
+          if Secondary_bridge.retarget b (Host.addr up.host) then
+            kick_services t node;
           t.on_event (Retargeted (i, up.index))
         | Some _, Merger _ | None, _ -> ());
         (* 3. the node at the end of the live chain has nothing below it

@@ -219,7 +219,7 @@ let start t ~survivor ~bridge:pb ~xfer ~dst ~live ~on_isolated ~on_complete =
           | Ok () when live () ->
             t.moved <- t.moved + 1;
             Primary_bridge.complete_transfer pb ~remote ~local_port:lp ~tcb
-              ~delta
+              ~snapshot:snap ~delta
           | Ok () | Error _ ->
             if Result.is_error res then t.failures <- t.failures + 1;
             Primary_bridge.abort_transfer pb ~remote ~local_port:lp;

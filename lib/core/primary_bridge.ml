@@ -657,18 +657,27 @@ let begin_transfer t ~remote ~local_port =
    replica, which never saw them (the client will not retransmit bytes
    the survivor already acknowledged).  Duplicates are harmless — TCP
    discards them. *)
-let complete_transfer t ~remote ~local_port ~(tcb : Tcb.t) ~delta =
+let complete_transfer t ~remote ~local_port ~(tcb : Tcb.t)
+    ~(snapshot : Tcb.snapshot) ~delta =
   match find_conn t ~remote ~local_port with
   | None -> ()
   | Some conn ->
     let wire s = Seq32.add s (-delta) in
-    let next_seq = wire (Tcb.snd_max tcb) in
+    (* Merging resumes at the frontier the replica was installed with,
+       not at the live TCB's: whatever the survivor sent during the hold
+       is still parked, and must merge against the copy the replica
+       sends once it resumes.  Started at the live frontier, those bytes
+       would leave as unmerged "retransmissions" that the replica never
+       sent, and it would answer every later client ACK as one for data
+       it never transmitted. *)
+    let next_seq = snapshot.Tcb.sn_snd_max in
+    let fin_sent = snapshot.Tcb.sn_fin_sent in
     let win = Tcb.receive_window tcb in
     let side ~init ~ack =
       new_side ~init:(Some init) ~ack ~mss:(Tcb.effective_mss tcb)
         ~base:next_seq ~win
         ~fin:
-          (if Tcb.fin_sent tcb then
+          (if fin_sent then
              (* snd_max covers the FIN, which sits one below the frontier *)
              Some (Seq32.add next_seq (-1))
            else None)
@@ -681,7 +690,7 @@ let complete_transfer t ~remote ~local_port ~(tcb : Tcb.t) ~delta =
     conn.syn_ack <- false;
     conn.syn_done <- true;
     conn.next_seq <- next_seq;
-    conn.fin_sent <- Tcb.fin_sent tcb;
+    conn.fin_sent <- fin_sent;
     conn.client_fin <- Tcb.rcv_fin tcb;
     conn.client_fin_acked <- Tcb.eof_signalled tcb;
     conn.client_ack <- Some (wire (Tcb.snd_una tcb));

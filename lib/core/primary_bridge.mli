@@ -117,10 +117,14 @@ val complete_transfer :
   remote:Tcpfo_packet.Ipaddr.t * int ->
   local_port:int ->
   tcb:Tcpfo_tcp.Tcb.t ->
+  snapshot:Tcpfo_tcp.Tcb.snapshot ->
   delta:int ->
   unit
 (** Cut over: the repaired replica accepted the snapshot.  [tcb] is the
-    surviving local TCB; [delta] the (re-established) Δseq — 0 for a
+    surviving local TCB; [snapshot] the image the replica was installed
+    from, in wire numbering — merging resumes at its send frontier, so
+    output the survivor produced during the hold merges against the
+    replica's own copy; [delta] the (re-established) Δseq — 0 for a
     promoted survivor, the pre-failure Δseq for a surviving primary. *)
 
 val abort_transfer :

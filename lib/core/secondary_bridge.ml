@@ -172,5 +172,9 @@ let begin_takeover t ~on_complete =
            on_complete ()))
   end
 
-let retarget t addr = t.divert_to <- addr
+let retarget t addr =
+  let moved = not (Ipaddr.equal t.divert_to addr) in
+  t.divert_to <- addr;
+  moved
+
 let taken_over t = t.mode = Taken_over

@@ -45,9 +45,11 @@ val install :
     [Failover Takeover_started/Takeover_complete] events are published
     when the bus is active. *)
 
-val retarget : t -> Tcpfo_packet.Ipaddr.t -> unit
+val retarget : t -> Tcpfo_packet.Ipaddr.t -> bool
 (** Change the diversion target — used when the replica above this one in
-    a chain fails and the stream must flow to its successor. *)
+    a chain fails and the stream must flow to its successor.  [true] if
+    the target moved (the chain then kicks this replica's service
+    connections, DESIGN.md 7.22). *)
 
 val uninstall : t -> unit
 

@@ -72,9 +72,10 @@ let detach t p =
 (* a detached port still queued in [waiters] is skipped at the next
    idle transition *)
 
-(* Serialization time includes 8 bytes preamble + 12 bytes inter-frame gap. *)
-let serialization_time t frame =
-  let bits = (Eth_frame.wire_length frame + 20) * 8 in
+(* Serialization time of a [len]-byte frame includes 8 bytes preamble +
+   12 bytes inter-frame gap. *)
+let serialization_time t ~len =
+  let bits = (len + 20) * 8 in
   bits * 1_000_000_000 / t.config.bandwidth_bps
 
 let slot_time = Time.ns 5_120 (* 512 bit times at 100 Mb/s *)
@@ -87,9 +88,10 @@ let rec start_single t p =
     ignore (Queue.pop p.backlog);
     p.attempts <- 0;
     t.busy <- true;
-    let ser = serialization_time t frame in
+    let len = Eth_frame.wire_length frame in
+    let ser = serialization_time t ~len in
     Registry.Counter.incr t.frames;
-    Registry.Counter.add t.bytes (Eth_frame.wire_length frame);
+    Registry.Counter.add t.bytes len;
     let lost =
       t.config.loss_prob > 0.0 && Rng.bool t.rng t.config.loss_prob
     in

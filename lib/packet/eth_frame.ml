@@ -10,7 +10,7 @@ let wire_length t =
     | Arp _ -> Arp_packet.wire_length
     | Ip p -> Ipv4_packet.wire_length p
   in
-  max 64 (14 + payload_len + 4)
+  Int.max 64 (14 + payload_len + 4)
 
 let pp fmt t =
   match t.payload with

@@ -337,17 +337,19 @@ and on_rtx t =
       Rto.backoff t.rto;
       (match t.state with
       | Syn_sent | Syn_received -> retransmit_one t
-      | _ ->
-        (* go-back-N: rewind to the first unacknowledged byte and let the
-           output engine slow-start through the gap *)
-        t.rtt_probe <- None;
-        t.snd_nxt <- t.snd_una;
-        t.n_retransmits <- t.n_retransmits + 1;
-        Registry.Counter.incr t.ins.retransmits;
-        try_output t);
+      | _ -> go_back_n t);
       arm_rtx t
     end
   end
+
+(* Rewind to the first unacknowledged byte and let the output engine
+   slow-start through the gap. *)
+and go_back_n t =
+  t.rtt_probe <- None;
+  t.snd_nxt <- t.snd_una;
+  t.n_retransmits <- t.n_retransmits + 1;
+  Registry.Counter.incr t.ins.retransmits;
+  try_output t
 
 and arm_persist t =
   if t.persist_timer = None then begin
@@ -792,6 +794,34 @@ let fast_retransmit t =
   t.cwnd <- t.ssthresh;
   retransmit_one t;
   restart_rtx t
+
+(* The path this connection's segments leave through has just changed
+   (DESIGN.md 7.22): whatever was in flight may have died with the old
+   one, and the peer's own timer is backed off.  Act as an RTO would,
+   minus the doubling and with the stack's two-segment initial window
+   (one segment would sit behind the peer's delayed ACK); with nothing
+   in flight, re-announce [rcv_nxt] so a peer whose data we already
+   hold stops retransmitting it.  Half-open connections are left to
+   their SYN timers: hot state transfer cannot carry them, so one that
+   a kick completed on a survivor about to re-pair would be pinned solo
+   and die with it, where a client still in SYN_SENT retries into
+   whichever replica then owns the address.  False when the state makes
+   it a no-op. *)
+let kick t =
+  match t.state with
+  | Syn_sent | Syn_received | Time_wait | Closed -> false
+  | Established | Fin_wait_1 | Fin_wait_2 | Close_wait | Closing | Last_ack ->
+    (if Seq32.lt t.snd_una t.snd_max then begin
+      let mss = effective_mss t in
+      t.ssthresh <- Int.max (flight_size t / 2) (2 * mss);
+      t.cwnd <- Int.min t.cwnd (2 * mss);
+      t.retry_count <- 0;
+      Rto.reset_backoff t.rto;
+      go_back_n t;
+      restart_rtx t
+    end
+    else send_ack_now t);
+    true
 
 let process_ack t (seg : Seg.t) =
   if Seq32.gt seg.ack t.snd_max then

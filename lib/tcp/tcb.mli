@@ -107,6 +107,16 @@ val create_passive :
 
 val segment_arrives : t -> Tcpfo_packet.Tcp_segment.t -> unit
 
+val kick : t -> bool
+(** The path this connection's segments leave through changed under it
+    (a failover survivor now owns the address, or diverts to a new
+    replica).  With data or a FIN in flight: reset the RTO backoff and
+    retry count, halve [ssthresh] as a timeout would, cap the
+    congestion window at two segments, retransmit from [snd_una] and
+    restart the retransmission timer.  With nothing in flight: send one
+    ACK at [rcv_nxt].  A no-op returning [false] in SYN_SENT,
+    SYN_RECEIVED, TIME_WAIT and CLOSED. *)
+
 (** {1 Application interface} *)
 
 val send : t -> string -> int

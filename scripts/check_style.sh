@@ -61,6 +61,9 @@ lib/ip/ip_layer.ml
 lib/net/medium.ml
 lib/net/link.ml
 lib/net/nic.ml
+lib/packet/eth_frame.ml
+lib/packet/ipv4_packet.ml
+lib/packet/tcp_segment.ml
 lib/dispatch/dispatch.ml
 lib/host/host.ml
 lib/statex/codec.ml

@@ -19,6 +19,7 @@ let () =
       ("bridge", Test_bridge_unit.suite);
       ("failover", Test_failover.suite);
       ("failover_prop", Test_failover_prop.suite);
+      ("kick", Test_kick.suite);
       ("apps", Test_apps.suite);
       ("chain", Test_chain.suite);
       ("misc", Test_misc.suite);

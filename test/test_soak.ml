@@ -12,9 +12,15 @@ open Testutil
    in SYN_RCVD at rejoin, and a §7.2 backend connection in SYN_SENT at a
    repair and at a repair + rekill.  6885, 7178 and 9473 are fleet runs
    whose repair undoes the victim shard's weight dip inside one drive
-   slice, so only the bus-fed weight oracle sees it. *)
+   slice, so only the bus-fed weight oracle sees it.  1027 and 4394 are
+   hot state transfers whose survivor sent new data during the hold:
+   merging must resume at the snapshot's frontier, or the restored
+   replica rejects every later client ACK as one for data it never
+   sent (1027 a fleet repair after a kicked takeover, 4394 a promoted
+   standby's ACK war). *)
 let seeds =
-  [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11; 12; 396; 442; 1108; 6885; 7178; 9473 ]
+  [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11; 12; 396; 442; 1027; 1108; 4394; 6885;
+    7178; 9473 ]
 
 (* the CI seed range, which must cover every reachable pair *)
 let ci_seeds = List.init 1000 (fun i -> i + 1)
