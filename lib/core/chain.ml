@@ -137,7 +137,14 @@ let reconfigure t =
           if Secondary_bridge.retarget b (Host.addr up.host) then
             kick_services t node;
           t.on_event (Retargeted (i, up.index))
-        | Some _, Merger _ | None, _ -> ());
+        | Some up, Merger b ->
+          (* in a chain of four or more, a middle level's upstream can
+             die while it stays in the middle *)
+          if Primary_bridge.retarget b (Host.addr up.host) then begin
+            kick_services t node;
+            t.on_event (Retargeted (i, up.index))
+          end
+        | None, _ -> ());
         (* 3. the node at the end of the live chain has nothing below it
            any more: degrade per §6 if it was merging *)
         if i = last then

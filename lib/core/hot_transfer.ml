@@ -135,6 +135,28 @@ let connect_backend t ~remote ?local_port (hook : hook) replicas =
 let start_services t r =
   List.iter (fun (port, hook) -> listen_on r ~port hook) t.services
 
+(* A candidate is a full TCB or, in TIME_WAIT, the stack's compact
+   record of one: both snapshot to the same image. *)
+let state (c : Stack.listed) =
+  match c.conn with
+  | Live tcb -> Tcb.state tcb
+  | Time_wait tw -> Tcb.Tw.state tw
+
+let retains_input (c : Stack.listed) =
+  match c.conn with
+  | Live tcb -> Tcb.input_retention_enabled tcb
+  | Time_wait tw -> Tcb.Tw.input_retention_enabled tw
+
+let snapshot (c : Stack.listed) =
+  match c.conn with
+  | Live tcb -> Tcb.snapshot tcb
+  | Time_wait tw -> Tcb.Tw.snapshot tw ~local:c.local ~remote:c.remote
+
+let frontier (c : Stack.listed) =
+  match c.conn with
+  | Live tcb -> Tcb.frontier tcb
+  | Time_wait tw -> Tcb.Tw.frontier tw
+
 let start t ~survivor ~bridge:pb ~xfer ~dst ~live ~on_isolated ~on_complete =
   let clock = Host.clock survivor in
   let t0 = clock.now () in
@@ -143,29 +165,28 @@ let start t ~survivor ~bridge:pb ~xfer ~dst ~live ~on_isolated ~on_complete =
        local service port, §7.2 client-role connections (registered via
        [register_remote]) on the remote port *)
     List.filter
-      (fun tcb ->
-        let la, lp = Tcb.local_endpoint tcb in
-        let _, rp = Tcb.remote_endpoint tcb in
+      (fun (c : Stack.listed) ->
+        let la, lp = c.local in
+        let _, rp = c.remote in
         Ipaddr.equal la t.service_addr
         && Failover_config.is_failover_conn t.registry ~local_port:lp
              ~remote_port:rp)
-      (Stack.connections (Host.tcp survivor))
+      (Stack.entries (Host.tcp survivor))
   in
   let to_transfer, to_isolate =
     List.partition
-      (fun tcb ->
-        transferable_state (Tcb.state tcb) && Tcb.input_retention_enabled tcb)
+      (fun c -> transferable_state (state c) && retains_input c)
       candidates
   in
-  let isolate tcb ~local_port ~remote =
+  let isolate c ~local_port ~remote =
     Registry.Counter.incr t.isolated;
-    on_isolated ~local_port ~remote ~state:(Tcb.state tcb)
+    on_isolated ~local_port ~remote ~state:(state c)
   in
-  let demote_solo tcb =
-    let _, lp = Tcb.local_endpoint tcb in
-    let remote = Tcb.remote_endpoint tcb in
+  let demote_solo (c : Stack.listed) =
+    let _, lp = c.local in
+    let remote = c.remote in
     Primary_bridge.isolate_conn pb ~remote ~local_port:lp;
-    isolate tcb ~local_port:lp ~remote
+    isolate c ~local_port:lp ~remote
   in
   List.iter demote_solo to_isolate;
   t.pending <- List.length to_transfer;
@@ -177,13 +198,13 @@ let start t ~survivor ~bridge:pb ~xfer ~dst ~live ~on_isolated ~on_complete =
   if t.pending = 0 then finish ()
   else begin
     let queue = Queue.create () in
-    List.iter (fun tcb -> Queue.add tcb queue) to_transfer;
+    List.iter (fun c -> Queue.add c queue) to_transfer;
     Registry.Gauge.set t.queue_depth (Queue.length queue);
     let inflight = ref 0 in
     let pace_armed = ref false in
-    let rec offer_one tcb =
-      let _, lp = Tcb.local_endpoint tcb in
-      let remote = Tcb.remote_endpoint tcb in
+    let rec offer_one (c : Stack.listed) =
+      let _, lp = c.local in
+      let remote = c.remote in
       (* Quiesce FIRST: [begin_transfer] holds the connection's merge
          state before Δ and the TCB image are read, so the capture is
          atomic at the offer instant — a client byte landing between
@@ -192,7 +213,7 @@ let start t ~survivor ~bridge:pb ~xfer ~dst ~live ~on_isolated ~on_complete =
       Primary_bridge.begin_transfer pb ~remote ~local_port:lp;
       let delta_opt = Primary_bridge.conn_delta pb ~remote ~local_port:lp in
       let delta = Option.value delta_opt ~default:0 in
-      let snap = Tcb.snapshot tcb in
+      let snap = snapshot c in
       let snap = if delta <> 0 then Tcb.shift_snapshot snap (-delta) else snap in
       let role =
         if Option.is_some (find_backend t remote) then `Client else `Server
@@ -218,12 +239,12 @@ let start t ~survivor ~bridge:pb ~xfer ~dst ~live ~on_isolated ~on_complete =
           (match res with
           | Ok () when live () ->
             t.moved <- t.moved + 1;
-            Primary_bridge.complete_transfer pb ~remote ~local_port:lp ~tcb
-              ~snapshot:snap ~delta
+            Primary_bridge.complete_transfer pb ~remote ~local_port:lp
+              ~frontier:(frontier c) ~snapshot:snap ~delta
           | Ok () | Error _ ->
             if Result.is_error res then t.failures <- t.failures + 1;
             Primary_bridge.abort_transfer pb ~remote ~local_port:lp;
-            isolate tcb ~local_port:lp ~remote);
+            isolate c ~local_port:lp ~remote);
           t.pending <- t.pending - 1;
           if t.pending = 0 then finish ()
           else if not !pace_armed then pump ())

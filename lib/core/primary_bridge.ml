@@ -657,7 +657,7 @@ let begin_transfer t ~remote ~local_port =
    replica, which never saw them (the client will not retransmit bytes
    the survivor already acknowledged).  Duplicates are harmless — TCP
    discards them. *)
-let complete_transfer t ~remote ~local_port ~(tcb : Tcb.t)
+let complete_transfer t ~remote ~local_port ~(frontier : Tcb.frontier)
     ~(snapshot : Tcb.snapshot) ~delta =
   match find_conn t ~remote ~local_port with
   | None -> ()
@@ -672,9 +672,9 @@ let complete_transfer t ~remote ~local_port ~(tcb : Tcb.t)
        it never transmitted. *)
     let next_seq = snapshot.Tcb.sn_snd_max in
     let fin_sent = snapshot.Tcb.sn_fin_sent in
-    let win = Tcb.receive_window tcb in
+    let win = frontier.fr_window in
     let side ~init ~ack =
-      new_side ~init:(Some init) ~ack ~mss:(Tcb.effective_mss tcb)
+      new_side ~init:(Some init) ~ack ~mss:frontier.fr_mss
         ~base:next_seq ~win
         ~fin:
           (if fin_sent then
@@ -682,8 +682,8 @@ let complete_transfer t ~remote ~local_port ~(tcb : Tcb.t)
              Some (Seq32.add next_seq (-1))
            else None)
     in
-    conn.p <- side ~init:(Tcb.iss tcb) ~ack:(Some (Tcb.rcv_nxt tcb));
-    conn.s <- side ~init:(wire (Tcb.iss tcb)) ~ack:None;
+    conn.p <- side ~init:frontier.fr_iss ~ack:(Some frontier.fr_rcv_nxt);
+    conn.s <- side ~init:(wire frontier.fr_iss) ~ack:None;
     conn.solo <- false;
     conn.mode <- Active;
     conn.delta <- Some delta;
@@ -691,10 +691,10 @@ let complete_transfer t ~remote ~local_port ~(tcb : Tcb.t)
     conn.syn_done <- true;
     conn.next_seq <- next_seq;
     conn.fin_sent <- fin_sent;
-    conn.client_fin <- Tcb.rcv_fin tcb;
-    conn.client_fin_acked <- Tcb.eof_signalled tcb;
-    conn.client_ack <- Some (wire (Tcb.snd_una tcb));
-    conn.last_ack_sent <- Some (Tcb.rcv_nxt tcb);
+    conn.client_fin <- frontier.fr_rcv_fin;
+    conn.client_fin_acked <- frontier.fr_eof_signalled;
+    conn.client_ack <- Some (wire frontier.fr_snd_una);
+    conn.last_ack_sent <- Some frontier.fr_rcv_nxt;
     conn.last_win_sent <- win;
     conn.xfer_hold <- false;
     let held = Queue.create () in
@@ -847,6 +847,15 @@ let install host ~registry ~service_addr ~secondary_addr ?(output = Direct)
   t
 
 let connection_count t = Conns.length t.conns
+
+(* A middle chain level whose upstream died diverts to the next live
+   level above it, as a tail does (Secondary_bridge.retarget). *)
+let retarget t addr =
+  match t.out with
+  | Divert_to up when not (Ipaddr.equal up addr) ->
+    t.out <- Divert_to addr;
+    true
+  | Divert_to _ | Direct -> false
 
 let degraded t = t.degraded
 (* §5 for a middle node.  Its output switches to the client in one step:

@@ -75,6 +75,11 @@ val install :
     is active.  Instruments aggregate across every merging bridge of a
     chain (shared names, shared registry). *)
 
+val retarget : t -> Tcpfo_packet.Ipaddr.t -> bool
+(** Divert to a new upstream address (a middle chain level whose
+    upstream died); [true] if the target moved.  A no-op returning
+    [false] on [Direct] output. *)
+
 val promote : t -> on_complete:(unit -> unit) -> unit
 (** §5 takeover by a diverting (middle) bridge whose head died: switch
     to [Direct] output at once, leave promiscuous mode, and after
@@ -116,13 +121,14 @@ val complete_transfer :
   t ->
   remote:Tcpfo_packet.Ipaddr.t * int ->
   local_port:int ->
-  tcb:Tcpfo_tcp.Tcb.t ->
+  frontier:Tcpfo_tcp.Tcb.frontier ->
   snapshot:Tcpfo_tcp.Tcb.snapshot ->
   delta:int ->
   unit
-(** Cut over: the repaired replica accepted the snapshot.  [tcb] is the
-    surviving local TCB; [snapshot] the image the replica was installed
-    from, in wire numbering — merging resumes at its send frontier, so
+(** Cut over: the repaired replica accepted the snapshot.  [frontier]
+    is the surviving local connection's, read now; [snapshot] the image
+    the replica was installed from, in wire numbering — merging resumes
+    at its send frontier, so
     output the survivor produced during the hold merges against the
     replica's own copy; [delta] the (re-established) Δseq — 0 for a
     promoted survivor, the pre-failure Δseq for a surviving primary. *)

@@ -91,10 +91,9 @@ let rx_hook t (pkt : Ipv4_packet.t) ~link_addressed =
       let known_or_new =
         (not t.only_new)
         || (seg.flags.syn && not seg.flags.ack)
-        || Stack.find (Host.tcp t.host)
+        || Stack.mem (Host.tcp t.host)
              ~local:(pkt.dst, seg.dst_port)
              ~remote:(pkt.src, seg.src_port)
-           <> None
       in
       if known_or_new then begin
         Registry.Counter.incr t.claimed;

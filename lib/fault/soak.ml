@@ -471,8 +471,7 @@ let lost ctx c =
     List.exists
       (fun h ->
         Host.alive h
-        && Stack.find (Host.tcp h) ~local:(p.svc, p.local_port) ~remote:p.remote
-           <> None)
+        && Stack.mem (Host.tcp h) ~local:(p.svc, p.local_port) ~remote:p.remote)
       ctx.hosts
   in
   let retrying =

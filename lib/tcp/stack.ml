@@ -48,6 +48,16 @@ let max_addr_id = 0x7FFF
 let pack ~lid ~lport ~rid ~rport =
   (((lid lsl 16) lor lport) lsl 31) lor ((rid lsl 16) lor rport)
 
+let unpack k =
+  let lhalf = k lsr 31 and rhalf = k land 0x7FFFFFFF in
+  (lhalf lsr 16, lhalf land 0xFFFF, rhalf lsr 16, rhalf land 0xFFFF)
+
+(* A connection in TIME_WAIT is a compact record, not a TCB: the key is
+   the only copy of its endpoints, and [expiry] its 2 MSL timer. *)
+type entry =
+  | Full of Tcb.t
+  | Compact of { tw : Tcb.tw; mutable expiry : Tcpfo_sim.Engine.event_id }
+
 type t = {
   clock : Clock.t;
   ip : Ip_layer.t;
@@ -57,8 +67,9 @@ type t = {
       (* under the host scope narrowed to "tcp", resolved on the first
          connection, so a stack that never opens one registers no
          per-connection names *)
-  conns : Tcb.t Ctbl.t;
+  conns : entry Ctbl.t;
   addr_ids : int Ctbl.t; (* Ipaddr.to_int -> intern id, first-seen order *)
+  addrs : Ipaddr.t Tcpfo_util.Vec.t; (* intern id -> address *)
   mutable next_addr_id : int;
   listeners : (Tcb.t -> unit) Ptbl.t;
   mutable extra_local : Ipaddr.t -> bool;
@@ -85,6 +96,7 @@ let intern t addr =
       invalid_arg "Stack: more than 32768 distinct addresses on one stack";
     t.next_addr_id <- id + 1;
     Ctbl.add t.addr_ids a id;
+    Tcpfo_util.Vec.push t.addrs addr;
     id
 
 let key_of t ~local:(la, lp) ~remote:(ra, rp) =
@@ -96,8 +108,17 @@ let sync_conn_gauge t =
 let local_ok t addr =
   Ip_layer.is_local_address t.ip addr || t.extra_local addr
 
+let endpoints_of_key t key =
+  let lid, lport, rid, rport = unpack key in
+  let addr id = Tcpfo_util.Vec.get t.addrs id in
+  ((addr lid, lport), (addr rid, rport))
+
 let find t ~local ~remote =
-  Ctbl.find_opt t.conns (key_of t ~local ~remote)
+  match Ctbl.find t.conns (key_of t ~local ~remote) with
+  | Full tcb -> Some tcb
+  | Compact _ | (exception Not_found) -> None
+
+let mem t ~local ~remote = Ctbl.mem t.conns (key_of t ~local ~remote)
 
 let fresh_port t =
   let p = t.next_ephemeral in
@@ -124,15 +145,31 @@ let send_rst_for t ~src ~dst (seg : Seg.t) =
     Ip_layer.send_tcp t.ip ~src:dst ~dst:src rst
   end
 
+let remove t key =
+  (match Ctbl.find t.conns key with
+  | Compact e ->
+    Tcb.Tw.close e.tw;
+    t.clock.cancel e.expiry
+  | Full _ | (exception Not_found) -> ());
+  Ctbl.remove t.conns key;
+  sync_conn_gauge t
+
+(* 2 MSL after the last TIME_WAIT (re)start, the record leaves the
+   table (cancelling the timer that fires is a no-op) *)
+let arm_time_wait t key =
+  t.clock.schedule (2 * t.config.msl) (fun () -> remove t key)
+
 let actions_for t key (local, remote) =
   {
     Tcb.emit =
       (fun seg ->
         Ip_layer.send_tcp t.ip ~src:(fst local) ~dst:(fst remote) seg);
     on_delete =
-      (fun () ->
-        Ctbl.remove t.conns key;
-        sync_conn_gauge t);
+      (function
+      | None -> remove t key
+      | Some tw ->
+        let expiry = arm_time_wait t key in
+        Ctbl.replace t.conns key (Compact { tw; expiry }));
   }
 
 let fresh_iss t =
@@ -146,9 +183,24 @@ let handle_segment t ~src ~dst (seg : Seg.t) =
       ~rport:seg.src_port
   in
   match Ctbl.find t.conns key with
-  | tcb ->
+  | Full tcb ->
     Registry.Counter.incr t.demux_hits;
     Tcb.segment_arrives tcb seg
+  | Compact e -> (
+    Registry.Counter.incr t.demux_hits;
+    (* the record answers as the segment's destination *)
+    let reply seg = Ip_layer.send_tcp t.ip ~src:dst ~dst:src seg in
+    match Tcb.Tw.input e.tw seg with
+    | Tcb.Tw.Ignore -> ()
+    | Ack ack -> reply ack
+    | Ack_restart ack ->
+      reply ack;
+      t.clock.cancel e.expiry;
+      e.expiry <- arm_time_wait t key
+    | Reset rst ->
+      Option.iter reply rst;
+      remove t key;
+      Tcb.Tw.raise_reset e.tw)
   | exception Not_found -> (
     Registry.Counter.incr t.demux_misses;
     match Ptbl.find_opt t.listeners seg.dst_port with
@@ -164,7 +216,7 @@ let handle_segment t ~src ~dst (seg : Seg.t) =
         Tcb.create_passive t.clock ~instruments:(tcb_instruments t)
           ~config:t.config ~local ~remote ~iss actions ~syn:seg
       in
-      Ctbl.replace t.conns key tcb;
+      Ctbl.replace t.conns key (Full tcb);
       sync_conn_gauge t;
       on_accept tcb
     | Some _ | None -> send_rst_for t ~src ~dst seg)
@@ -180,6 +232,7 @@ let create clock ~ip ~config ~rng =
       tcb_ins = lazy (Tcb.instruments obs);
       conns = Ctbl.create 64;
       addr_ids = Ctbl.create 16;
+      addrs = Tcpfo_util.Vec.create ();
       next_addr_id = 0;
       listeners = Ptbl.create 8;
       extra_local = (fun _ -> false);
@@ -220,7 +273,7 @@ let connect t ?local ?local_port ~remote () =
     Tcb.create_active t.clock ~instruments:(tcb_instruments t)
       ~config:t.config ~local ~remote ~iss actions
   in
-  Ctbl.replace t.conns key tcb;
+  Ctbl.replace t.conns key (Full tcb);
   sync_conn_gauge t;
   tcb
 
@@ -230,40 +283,64 @@ let adopt t ~local ~remote ~make =
   else begin
     let actions = actions_for t key (local, remote) in
     let tcb = make actions in
-    Ctbl.replace t.conns key tcb;
+    Ctbl.replace t.conns key (Full tcb);
     sync_conn_gauge t;
     Ok tcb
   end
 
+type conn = Live of Tcb.t | Time_wait of Tcb.tw
+
+type listed = {
+  local : Ipaddr.t * int;
+  remote : Ipaddr.t * int;
+  conn : conn;
+}
+
 (* Sorted by the real 4-tuple, not the packed key: intern ids depend on
    first-contact order, and reintegration's transfer order must stay
    byte-identical to the pre-packing implementation. *)
-let connections t =
+let entries t =
   let cmp a b =
-    let (la, lp), (ra, rp) = (Tcb.local_endpoint a, Tcb.remote_endpoint a) in
-    let (la', lp'), (ra', rp') =
-      (Tcb.local_endpoint b, Tcb.remote_endpoint b)
-    in
+    let (la, lp), (ra, rp) = (a.local, a.remote) in
+    let (la', lp'), (ra', rp') = (b.local, b.remote) in
     let c = Ipaddr.compare la la' in
     if c <> 0 then c
     else
-      let c = compare lp lp' in
+      let c = Int.compare lp lp' in
       if c <> 0 then c
       else
         let c = Ipaddr.compare ra ra' in
-        if c <> 0 then c else compare rp rp'
+        if c <> 0 then c else Int.compare rp rp'
   in
-  Ctbl.fold (fun _ tcb acc -> tcb :: acc) t.conns [] |> List.sort cmp
+  Ctbl.fold
+    (fun key e acc ->
+      let l =
+        match e with
+        | Full tcb ->
+          {
+            local = Tcb.local_endpoint tcb;
+            remote = Tcb.remote_endpoint tcb;
+            conn = Live tcb;
+          }
+        | Compact { tw; _ } ->
+          let local, remote = endpoints_of_key t key in
+          { local; remote; conn = Time_wait tw }
+      in
+      l :: acc)
+    t.conns []
+  |> List.sort cmp
+
+let connections t =
+  List.filter_map
+    (function
+      | { conn = Live tcb; _ } -> Some tcb | { conn = Time_wait _; _ } -> None)
+    (entries t)
 
 let clock t = t.clock
 
 module For_testing = struct
   let pack = pack
   let hash = Key.hash
-  let key_of = key_of
-  let intern = intern
 
-  let unpack k =
-    let lhalf = k lsr 31 and rhalf = k land 0x7FFFFFFF in
-    (lhalf lsr 16, lhalf land 0xFFFF, rhalf lsr 16, rhalf land 0xFFFF)
+  let unpack = unpack
 end

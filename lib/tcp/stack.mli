@@ -50,12 +50,23 @@ val set_extra_local : t -> (Tcpfo_packet.Ipaddr.t -> bool) -> unit
     as permissible [~local] in {!connect}. *)
 
 val connection_count : t -> int
+(** Entries in the demux table, TIME_WAIT records included. *)
 
 val find :
   t ->
   local:Tcpfo_packet.Ipaddr.t * int ->
   remote:Tcpfo_packet.Ipaddr.t * int ->
   Tcb.t option
+(** The connection's TCB; [None] for a connection in TIME_WAIT, which
+    is a {!Tcb.Tw} record (see {!mem}). *)
+
+val mem :
+  t ->
+  local:Tcpfo_packet.Ipaddr.t * int ->
+  remote:Tcpfo_packet.Ipaddr.t * int ->
+  bool
+(** The stack holds the connection, in TIME_WAIT or not: a segment for
+    it is answered, not reset. *)
 
 val fresh_port : t -> int
 (** Allocate an ephemeral port. *)
@@ -73,8 +84,22 @@ val adopt :
     is already present. *)
 
 val connections : t -> Tcb.t list
-(** All live connections in a deterministic order (sorted by 4-tuple),
-    so iteration is reproducible across runs and [--jobs] settings. *)
+(** The connections with a TCB, in a deterministic order (sorted by
+    4-tuple), so iteration is reproducible across runs and [--jobs]
+    settings.  Connections in TIME_WAIT are {!Tcb.Tw} records and are
+    left out; {!entries} lists them too. *)
+
+type conn = Live of Tcb.t | Time_wait of Tcb.tw
+
+type listed = {
+  local : Tcpfo_packet.Ipaddr.t * int;
+  remote : Tcpfo_packet.Ipaddr.t * int;
+  conn : conn;
+}
+
+val entries : t -> listed list
+(** Every connection the stack holds, TIME_WAIT records included, in the
+    order of {!connections}. *)
 
 val clock : t -> Tcpfo_sim.Clock.t
 
@@ -83,27 +108,21 @@ val tcb_instruments : t -> Tcb.instruments
     every TCB the stack creates reports through this one bundle, and
     so should any TCB restored onto it ({!adopt} with [Tcb.restore]). *)
 
-(** Internals of the packed demux key, exposed for regression tests.
+(** The packed demux key, exposed for its regression tests.
 
     Segments demux through a single 62-bit immediate int —
     [lid:15|lport:16|rid:15|rport:16] with addresses interned to
     per-stack 15-bit ids — hashed by a dedicated integer mix, so the
     per-segment lookup allocates nothing and never enters caml
-    structural hashing. *)
+    structural hashing.  The key is also the only copy of a TIME_WAIT
+    record's endpoints ({!entries} unpacks it), so [pack]/[unpack] must
+    be exact inverses at every field edge; the edges include intern id
+    0x7FFF, which the public path reaches only after 32768 distinct
+    peers, so the tests call the packing directly. *)
 module For_testing : sig
   val pack : lid:int -> lport:int -> rid:int -> rport:int -> int
   val unpack : int -> int * int * int * int
   (** Inverse of {!pack}: [(lid, lport, rid, rport)]. *)
 
   val hash : int -> int
-
-  val key_of :
-    t ->
-    local:Tcpfo_packet.Ipaddr.t * int ->
-    remote:Tcpfo_packet.Ipaddr.t * int ->
-    int
-  (** The key a segment with these endpoints demuxes under (interns the
-      addresses as a side effect, exactly like the hot path). *)
-
-  val intern : t -> Tcpfo_packet.Ipaddr.t -> int
 end

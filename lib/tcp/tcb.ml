@@ -32,7 +32,42 @@ let state_to_string = function
   | Time_wait -> "TIME_WAIT"
   | Closed -> "CLOSED"
 
-type actions = { emit : Seg.t -> unit; on_delete : unit -> unit }
+(* A connection in TIME_WAIT hands its demux-table slot to this record
+   and drops its full TCB (FreeBSD's [tcptw], DESIGN.md 7.17).  It
+   keeps what RFC 793 TIME_WAIT answers with and what a snapshot needs;
+   everything else follows from the state: the peer's FIN is the last
+   byte received, everything we sent (our FIN included) is acknowledged,
+   so the send ring is empty at [tw_snd_nxt] and reassembly is empty.
+   It never points at the TCB, so an application that drops its handle
+   frees the TCB at once. *)
+type rtt = {
+  rtt_srtt : float; (* nan before the first sample *)
+  rtt_var : float;
+}
+
+type tw = {
+  tw_iss : Seq32.t;
+  tw_irs : Seq32.t;
+  tw_snd_nxt : Seq32.t; (* = snd_una = snd_max, one past our FIN *)
+  tw_rcv_nxt : Seq32.t; (* one past the peer's FIN *)
+  mutable tw_wnd : int; (* the window we advertise *)
+  mutable tw_snd_wnd : int;
+  mutable tw_snd_wl1 : Seq32.t;
+  mutable tw_snd_wl2 : Seq32.t;
+  tw_peer_mss : int;
+  tw_mss : int; (* our configured MSS *)
+  tw_rtt : rtt;
+  tw_rto_base : int;
+  tw_rto_shift : int;
+  tw_cwnd : int;
+  tw_ssthresh : int;
+  mutable tw_retained : string list option; (* as [retained] *)
+  mutable tw_replay_base : int;
+  mutable tw_on_reset : unit -> unit;
+  mutable tw_closed : bool; (* left the table: the handle reads CLOSED *)
+}
+
+type actions = { emit : Seg.t -> unit; on_delete : tw option -> unit }
 
 (* The per-connection instruments, resolved by name once per stack (see
    [instruments]) rather than once per connection. *)
@@ -108,7 +143,9 @@ type t = {
   rto : Rto.t;
   mutable rtx_timer : Tcpfo_sim.Engine.event_id option;
   mutable delack_timer : Tcpfo_sim.Engine.event_id option;
-  mutable timewait_timer : Tcpfo_sim.Engine.event_id option;
+  mutable tw : tw option;
+      (* the record that holds this connection's demux slot since it
+         entered TIME_WAIT *)
   mutable persist_timer : Tcpfo_sim.Engine.event_id option;
   mutable persist_shift : int;
   mutable retry_count : int;
@@ -167,9 +204,16 @@ let set_on_data t f = t.on_data <- f
 let set_on_eof t f = t.on_eof <- f
 let set_on_drain t f = t.on_drain <- f
 let set_on_close t f = t.on_close <- f
-let set_on_reset t f = t.on_reset <- f
 
-let state t = t.state
+let set_on_reset t f =
+  t.on_reset <- f;
+  match t.tw with Some tw -> tw.tw_on_reset <- f | None -> ()
+
+(* once in TIME_WAIT, the record says when the connection is gone *)
+let state t =
+  match t.tw with
+  | Some { tw_closed = true; _ } -> Closed
+  | Some _ | None -> t.state
 let local_endpoint t = t.local
 let remote_endpoint t = t.remote
 let effective_mss t = Int.min t.config.mss t.peer_mss
@@ -216,14 +260,13 @@ let cancel_timer t slot =
 let cancel_all_timers t =
   t.rtx_timer <- cancel_timer t t.rtx_timer;
   t.delack_timer <- cancel_timer t t.delack_timer;
-  t.timewait_timer <- cancel_timer t t.timewait_timer;
   t.persist_timer <- cancel_timer t t.persist_timer
 
 let delete t =
-  if t.state <> Closed then begin
+  if state t <> Closed then begin
     t.state <- Closed;
     cancel_all_timers t;
-    t.actions.on_delete ()
+    t.actions.on_delete None
   end
 
 (* ------------------------------------------------------------------ *)
@@ -480,7 +523,7 @@ let make clock ~instruments:ins ~config ~local ~remote ~iss actions state =
       Rto.create ins.rto_ins ~init:rto_init ~min:rto_min ~max:rto_max ();
     rtx_timer = None;
     delack_timer = None;
-    timewait_timer = None;
+    tw = None;
     persist_timer = None;
     persist_shift = 0;
     retry_count = 0;
@@ -567,8 +610,9 @@ let resume_reading t =
       Buffer.clear t.recv_pending;
       t.on_data data
     end;
+    (match t.tw with Some tw -> tw.tw_wnd <- rcv_wnd t | None -> ());
     (* the window may have been closed: advertise that it reopened *)
-    if closed && t.state <> Closed then send_ack_now t
+    if closed && state t <> Closed then send_ack_now t
   end
 
 let recv_queue_length t = Buffer.length t.recv_pending
@@ -626,7 +670,7 @@ let close t =
     end
 
 let abort t =
-  if t.state <> Closed then begin
+  if state t <> Closed then begin
     (match t.state with
     | Syn_sent -> ()
     | _ -> send_rst t ~seq:t.snd_nxt);
@@ -636,35 +680,67 @@ let abort t =
 (* ------------------------------------------------------------------ *)
 (* TIME_WAIT                                                          *)
 
+let time_wait_record t =
+  let rto = Rto.export t.rto in
+  {
+    tw_iss = t.iss;
+    tw_irs = t.irs;
+    tw_snd_nxt = t.snd_max;
+    tw_rcv_nxt = t.rcv_nxt;
+    tw_wnd = rcv_wnd t;
+    tw_snd_wnd = t.snd_wnd;
+    tw_snd_wl1 = t.snd_wl1;
+    tw_snd_wl2 = t.snd_wl2;
+    tw_peer_mss = t.peer_mss;
+    tw_mss = t.config.mss;
+    tw_rtt =
+      {
+        rtt_srtt = Option.value rto.Rto.s_srtt ~default:Float.nan;
+        rtt_var = rto.Rto.s_rttvar;
+      };
+    tw_rto_base = rto.Rto.s_base;
+    tw_rto_shift = rto.Rto.s_shift;
+    tw_cwnd = t.cwnd;
+    tw_ssthresh = t.ssthresh;
+    tw_retained = t.retained;
+    tw_replay_base = t.checkpoint_base;
+    tw_on_reset = t.on_reset;
+    tw_closed = false;
+  }
+
+(* The stack swaps the TCB for its TIME_WAIT record, which answers from
+   now on and expires 2 MSL later. *)
 let enter_time_wait t =
   let first_entry = t.state <> Time_wait in
   t.state <- Time_wait;
   t.rtx_timer <- cancel_timer t t.rtx_timer;
   t.persist_timer <- cancel_timer t t.persist_timer;
-  t.timewait_timer <- cancel_timer t t.timewait_timer;
-  t.timewait_timer <-
-    Some (t.clock.schedule (2 * t.config.msl) (fun () -> delete t));
+  let tw = time_wait_record t in
+  t.tw <- Some tw;
+  t.actions.on_delete (Some tw);
   if first_entry then t.on_close ()
 
 (* ------------------------------------------------------------------ *)
 (* Input processing                                                   *)
 
-let acceptable_segment t (seg : Seg.t) =
-  let wnd = rcv_wnd t in
+let acceptable ~rcv_nxt ~wnd (seg : Seg.t) =
   let seg_len = Seg.seq_length seg in
   if seg_len = 0 then
-    if wnd = 0 then Seq32.equal seg.seq t.rcv_nxt
-    else Seq32.between ~low:t.rcv_nxt ~high:(Seq32.add t.rcv_nxt wnd) seg.seq
+    if wnd = 0 then Seq32.equal seg.seq rcv_nxt
+    else Seq32.between ~low:rcv_nxt ~high:(Seq32.add rcv_nxt wnd) seg.seq
   else
     (* A segment that starts exactly at rcv_nxt is always acceptable, even
        with a zero window: when reordering parks a full buffer of
        out-of-order data, the advertised window collapses and the
        hole-filling retransmission would otherwise be rejected forever —
        a deadlock a real stack avoids the same way. *)
-    Seq32.equal seg.seq t.rcv_nxt
+    Seq32.equal seg.seq rcv_nxt
     || (wnd > 0
-       && Seq32.lt seg.seq (Seq32.add t.rcv_nxt wnd)
-       && Seq32.gt (Seg.seq_end seg) t.rcv_nxt)
+       && Seq32.lt seg.seq (Seq32.add rcv_nxt wnd)
+       && Seq32.gt (Seg.seq_end seg) rcv_nxt)
+
+let acceptable_segment t seg =
+  acceptable ~rcv_nxt:t.rcv_nxt ~wnd:(rcv_wnd t) seg
 
 let schedule_ack t ~immediate =
   if immediate then send_ack_now t
@@ -751,9 +827,17 @@ let deliver_payload t (seg : Seg.t) =
     end;
     process_fin_if_reached t;
     (* Out-of-order segments and gap fills are acknowledged immediately so
-       the sender can fast-retransmit; in-order data uses delayed ACKs. *)
-    if t.state <> Closed then
-      schedule_ack t ~immediate:(not in_order || String.length delivered = 0)
+       the sender can fast-retransmit; in-order data uses delayed ACKs.
+       A FIN that took us to TIME_WAIT was acknowledged at once, data and
+       all, so no delayed ACK follows it: the record answers from now
+       on. *)
+    let immediate = (not in_order) || String.length delivered = 0 in
+    match t.state with
+    | Closed -> ()
+    | Time_wait -> if immediate then send_ack_now t
+    | Syn_sent | Syn_received | Established | Fin_wait_1 | Fin_wait_2
+    | Close_wait | Closing | Last_ack ->
+      schedule_ack t ~immediate
   end
 
 let note_fin t (seg : Seg.t) =
@@ -984,6 +1068,15 @@ type snapshot = {
   sn_replay_base : int;
 }
 
+(* A handle in TIME_WAIT passes retention changes on to its record,
+   which is what a snapshot reads. *)
+let sync_retention t =
+  match t.tw with
+  | Some tw ->
+    tw.tw_retained <- t.retained;
+    tw.tw_replay_base <- t.checkpoint_base
+  | None -> ()
+
 (* Application checkpoint: the service declares it no longer needs the
    input prefix to rebuild its per-connection state, so the retained
    history is truncated at the current delivery boundary.  After a
@@ -992,7 +1085,7 @@ type snapshot = {
    the current input position.  A no-op on connections that never
    retained. *)
 let checkpoint t =
-  match t.retained with
+  (match t.retained with
   | Some _ ->
     let dropped = t.retained_bytes in
     if dropped > 0 then begin
@@ -1008,56 +1101,183 @@ let checkpoint t =
       t.retained <- Some [];
       t.retained_bytes <- 0;
       Registry.Counter.incr t.ins.checkpoints
-    end
+    end);
+  sync_retention t
 
 let enable_input_retention t =
   (* never after an overflow: the replay prefix is gone for good, and a
      partial history would silently corrupt a restored replica (only an
      application {!checkpoint} may resurrect retention — it declares the
      prefix unnecessary) *)
-  if t.retained = None && not t.retention_overflowed then
-    t.retained <- Some []
+  if t.retained = None && not t.retention_overflowed then begin
+    t.retained <- Some [];
+    sync_retention t
+  end
 
 let input_retention_enabled t = t.retained <> None
 let input_retention_overflowed t = t.retention_overflowed
 let replay_base t = t.checkpoint_base
 let retained_input_bytes t = t.retained_bytes
 
-let snapshot t =
-  let rto = Rto.export t.rto in
+(* What a bridge re-arms its merge state around after hot state
+   transfer, read when the transfer completes. *)
+type frontier = {
+  fr_iss : Seq32.t;
+  fr_snd_una : Seq32.t;
+  fr_rcv_nxt : Seq32.t;
+  fr_rcv_fin : Seq32.t option;
+  fr_eof_signalled : bool;
+  fr_window : int;
+  fr_mss : int;
+}
+
+module Tw = struct
+  type t = tw
+
+  type verdict =
+    | Ignore
+    | Ack of Seg.t
+    | Ack_restart of Seg.t
+    | Reset of Seg.t option
+
+  let state tw = if tw.tw_closed then Closed else Time_wait
+  let close tw = tw.tw_closed <- true
+  let raise_reset tw = tw.tw_on_reset ()
+  let input_retention_enabled tw = tw.tw_retained <> None
+
+  let ack tw (seg : Seg.t) =
+    Seg.make ~flags:ack_flags ~ack:tw.tw_rcv_nxt ~window:tw.tw_wnd
+      ~src_port:seg.dst_port ~dst_port:seg.src_port ~seq:tw.tw_snd_nxt ()
+
+  (* [segment_arrives] as it treats a TCB in TIME_WAIT, where nothing is
+     outstanding: an unacceptable segment is re-acked (a retransmitted
+     FIN also restarts 2 MSL), an RST or a SYN inside the window ends the
+     connection, an ACK for data never sent is re-acked, and any other
+     ACK may update the send window.  Segment text is ignored (RFC 793:
+     the peer's FIN came first). *)
+  let input tw (seg : Seg.t) =
+    if not (acceptable ~rcv_nxt:tw.tw_rcv_nxt ~wnd:tw.tw_wnd seg) then
+      if seg.flags.rst then Ignore
+      else if seg.flags.fin then Ack_restart (ack tw seg)
+      else Ack (ack tw seg)
+    else if seg.flags.rst then Reset None
+    else if seg.flags.syn && Seq32.gt seg.seq tw.tw_rcv_nxt then
+      Reset
+        (Some
+           (Seg.make
+              ~flags:{ Seg.no_flags with rst = true; ack = true }
+              ~ack:tw.tw_rcv_nxt ~window:0 ~src_port:seg.dst_port
+              ~dst_port:seg.src_port ~seq:tw.tw_snd_nxt ()))
+    else if not seg.flags.ack then Ignore
+    else if Seq32.gt seg.ack tw.tw_snd_nxt then Ack (ack tw seg)
+    else begin
+      if
+        Seq32.lt tw.tw_snd_wl1 seg.seq
+        || (Seq32.equal tw.tw_snd_wl1 seg.seq && Seq32.le tw.tw_snd_wl2 seg.ack)
+      then begin
+        tw.tw_snd_wnd <- seg.window;
+        tw.tw_snd_wl1 <- seg.seq;
+        tw.tw_snd_wl2 <- seg.ack
+      end;
+      Ignore
+    end
+
+  let snapshot tw ~local ~remote =
+    {
+      sn_state = state tw;
+      sn_local = local;
+      sn_remote = remote;
+      sn_iss = tw.tw_iss;
+      (* the ring was emptied when our FIN was acked, at the FIN's offset *)
+      sn_sndbuf_start = Seq32.diff tw.tw_snd_nxt tw.tw_iss - 2;
+      sn_sndbuf_data = "";
+      sn_snd_una = tw.tw_snd_nxt;
+      sn_snd_max = tw.tw_snd_nxt;
+      sn_snd_wnd = tw.tw_snd_wnd;
+      sn_snd_wl1 = tw.tw_snd_wl1;
+      sn_snd_wl2 = tw.tw_snd_wl2;
+      sn_peer_mss = tw.tw_peer_mss;
+      sn_fin_queued = true;
+      sn_fin_sent = true;
+      sn_irs = tw.tw_irs;
+      sn_rcv_nxt = tw.tw_rcv_nxt;
+      sn_reasm = [];
+      sn_rcv_fin = Some (Seq32.add tw.tw_rcv_nxt (-1));
+      sn_eof_signalled = true;
+      sn_srtt =
+        (if Float.is_nan tw.tw_rtt.rtt_srtt then None
+         else Some tw.tw_rtt.rtt_srtt);
+      sn_rttvar = tw.tw_rtt.rtt_var;
+      sn_rto_base = tw.tw_rto_base;
+      sn_rto_shift = tw.tw_rto_shift;
+      sn_cwnd = tw.tw_cwnd;
+      sn_ssthresh = tw.tw_ssthresh;
+      sn_retained_input =
+        (match tw.tw_retained with Some chunks -> List.rev chunks | None -> []);
+      sn_replay_base = tw.tw_replay_base;
+    }
+
+  let frontier tw =
+    {
+      fr_iss = tw.tw_iss;
+      fr_snd_una = tw.tw_snd_nxt;
+      fr_rcv_nxt = tw.tw_rcv_nxt;
+      fr_rcv_fin = Some (Seq32.add tw.tw_rcv_nxt (-1));
+      fr_eof_signalled = true;
+      fr_window = tw.tw_wnd;
+      fr_mss = Int.min tw.tw_mss tw.tw_peer_mss;
+    }
+end
+
+let frontier t =
   {
-    sn_state = t.state;
-    sn_local = t.local;
-    sn_remote = t.remote;
-    sn_iss = t.iss;
-    sn_sndbuf_start = Bytebuf.start_offset t.sndbuf;
-    sn_sndbuf_data =
-      Bytebuf.read t.sndbuf
-        ~pos:(Bytebuf.start_offset t.sndbuf)
-        ~len:(Bytebuf.length t.sndbuf);
-    sn_snd_una = t.snd_una;
-    sn_snd_max = t.snd_max;
-    sn_snd_wnd = t.snd_wnd;
-    sn_snd_wl1 = t.snd_wl1;
-    sn_snd_wl2 = t.snd_wl2;
-    sn_peer_mss = t.peer_mss;
-    sn_fin_queued = t.fin_queued;
-    sn_fin_sent = t.fin_sent;
-    sn_irs = t.irs;
-    sn_rcv_nxt = t.rcv_nxt;
-    sn_reasm = Interval_buf.islands t.reasm;
-    sn_rcv_fin = t.rcv_fin;
-    sn_eof_signalled = t.eof_signalled;
-    sn_srtt = rto.Rto.s_srtt;
-    sn_rttvar = rto.Rto.s_rttvar;
-    sn_rto_base = rto.Rto.s_base;
-    sn_rto_shift = rto.Rto.s_shift;
-    sn_cwnd = t.cwnd;
-    sn_ssthresh = t.ssthresh;
-    sn_retained_input =
-      (match t.retained with Some chunks -> List.rev chunks | None -> []);
-    sn_replay_base = t.checkpoint_base;
+    fr_iss = t.iss;
+    fr_snd_una = t.snd_una;
+    fr_rcv_nxt = t.rcv_nxt;
+    fr_rcv_fin = t.rcv_fin;
+    fr_eof_signalled = t.eof_signalled;
+    fr_window = rcv_wnd t;
+    fr_mss = effective_mss t;
   }
+
+let snapshot t =
+  match t.tw with
+  | Some tw -> Tw.snapshot tw ~local:t.local ~remote:t.remote
+  | None ->
+    let rto = Rto.export t.rto in
+    {
+      sn_state = t.state;
+      sn_local = t.local;
+      sn_remote = t.remote;
+      sn_iss = t.iss;
+      sn_sndbuf_start = Bytebuf.start_offset t.sndbuf;
+      sn_sndbuf_data =
+        Bytebuf.read t.sndbuf
+          ~pos:(Bytebuf.start_offset t.sndbuf)
+          ~len:(Bytebuf.length t.sndbuf);
+      sn_snd_una = t.snd_una;
+      sn_snd_max = t.snd_max;
+      sn_snd_wnd = t.snd_wnd;
+      sn_snd_wl1 = t.snd_wl1;
+      sn_snd_wl2 = t.snd_wl2;
+      sn_peer_mss = t.peer_mss;
+      sn_fin_queued = t.fin_queued;
+      sn_fin_sent = t.fin_sent;
+      sn_irs = t.irs;
+      sn_rcv_nxt = t.rcv_nxt;
+      sn_reasm = Interval_buf.islands t.reasm;
+      sn_rcv_fin = t.rcv_fin;
+      sn_eof_signalled = t.eof_signalled;
+      sn_srtt = rto.Rto.s_srtt;
+      sn_rttvar = rto.Rto.s_rttvar;
+      sn_rto_base = rto.Rto.s_base;
+      sn_rto_shift = rto.Rto.s_shift;
+      sn_cwnd = t.cwnd;
+      sn_ssthresh = t.ssthresh;
+      sn_retained_input =
+        (match t.retained with Some chunks -> List.rev chunks | None -> []);
+      sn_replay_base = t.checkpoint_base;
+    }
 
 (* Translate the send-side sequence space by [n] (receive side and
    [snd_wl1], which carries a peer sequence number, are untouched).  Used
@@ -1144,33 +1364,27 @@ let resume_restored t =
      only swallow genuinely new data: cancel it. *)
   t.resync_skip <- 0;
   (* a restored TIME_WAIT connection must still answer retransmitted
-     FINs, and still eventually evaporate: restart the 2MSL timer *)
+     FINs, and still eventually evaporate: its record takes over, for
+     2 MSL from now *)
   if t.state = Time_wait then enter_time_wait t;
   if Seq32.lt t.snd_una t.snd_max then arm_rtx t;
   try_output t
 
 let snd_max t = t.snd_max
 let fin_sent t = t.fin_sent
-let rcv_fin t = t.rcv_fin
-let eof_signalled t = t.eof_signalled
 let replaying t = t.replaying
-let receive_window t = rcv_wnd t
 
 let segment_arrives t (seg : Seg.t) =
-  if t.state = Closed then ()
+  (* once swapped out, the TIME_WAIT record answers for the connection *)
+  if t.state = Closed || Option.is_some t.tw then ()
   else
     match t.state with
     | Syn_sent -> segment_in_syn_sent t seg
     | Closed -> ()
     | _ ->
       if not (acceptable_segment t seg) then begin
-        (* old duplicate or out-of-window: re-ack unless it is an RST.
-           In TIME_WAIT a retransmitted FIN also restarts the 2MSL
-           timer. *)
-        if not seg.flags.rst then begin
-          send_ack_now t;
-          if t.state = Time_wait && seg.flags.fin then enter_time_wait t
-        end
+        (* old duplicate or out-of-window: re-ack unless it is an RST *)
+        if not seg.flags.rst then send_ack_now t
       end
       else if seg.flags.rst then handle_reset t
       else if seg.flags.syn && Seq32.gt seg.seq t.rcv_nxt then begin

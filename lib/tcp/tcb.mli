@@ -74,10 +74,16 @@ val instruments : Tcpfo_obs.Obs.t -> instruments
     stack does this once, on its first connection, and passes the
     bundle to every TCB it creates. *)
 
+type tw
+(** The compact record a connection leaves in the demux table when it
+    enters TIME_WAIT (see {!Tw}). *)
+
 type actions = {
   emit : Tcpfo_packet.Tcp_segment.t -> unit;
       (** transmit a segment to the peer *)
-  on_delete : unit -> unit;  (** remove me from the demux table *)
+  on_delete : tw option -> unit;
+      (** remove me from the demux table; with [Some tw] (on entering
+          TIME_WAIT) the record takes my place there *)
 }
 
 val create_active :
@@ -134,6 +140,9 @@ val abort : t -> unit
 (** Send RST and drop the connection. *)
 
 val state : t -> state
+(** In TIME_WAIT the connection's record decides: [Time_wait] until it
+    leaves the demux table (2 MSL, an RST, an abort), [Closed] after. *)
+
 val local_endpoint : t -> Tcpfo_packet.Ipaddr.t * int
 val remote_endpoint : t -> Tcpfo_packet.Ipaddr.t * int
 val effective_mss : t -> int
@@ -151,11 +160,6 @@ val snd_max : t -> Tcpfo_util.Seq32.t
 (** Highest sequence number ever transmitted. *)
 
 val fin_sent : t -> bool
-val rcv_fin : t -> Tcpfo_util.Seq32.t option
-val eof_signalled : t -> bool
-
-val receive_window : t -> int
-(** Current receive window in bytes, at most 65535. *)
 
 (** {1 Hot state transfer}
 
@@ -247,7 +251,65 @@ val retained_input_bytes : t -> int
 val snapshot : t -> snapshot
 (** Freeze the current connection state.  The caller is responsible for
     quiescing output around the capture (the bridge's per-connection
-    hold does this). *)
+    hold does this).  In TIME_WAIT the image comes from the record. *)
+
+type frontier = {
+  fr_iss : Tcpfo_util.Seq32.t;
+  fr_snd_una : Tcpfo_util.Seq32.t;
+  fr_rcv_nxt : Tcpfo_util.Seq32.t;
+  fr_rcv_fin : Tcpfo_util.Seq32.t option;
+  fr_eof_signalled : bool;
+  fr_window : int;  (** the receive window we advertise *)
+  fr_mss : int;  (** {!effective_mss} *)
+}
+(** The sequence positions a bridge re-arms its merge state around once
+    a hot state transfer completes. *)
+
+val frontier : t -> frontier
+
+(** The TIME_WAIT record (FreeBSD's [tcptw]).  On entering TIME_WAIT a
+    connection hands its demux-table slot to this record and drops its
+    full TCB.  The record keeps only what TIME_WAIT answers with and
+    what a {!snapshot} needs, and never points back at the TCB, so an
+    application that no longer holds the handle frees it at once; one
+    that does still reads its state through the record.  The stack owns
+    the record's 2 MSL timer. *)
+module Tw : sig
+  type t = tw
+
+  type verdict =
+    | Ignore
+    | Ack of Tcpfo_packet.Tcp_segment.t  (** send this ACK *)
+    | Ack_restart of Tcpfo_packet.Tcp_segment.t
+        (** send this ACK and restart 2 MSL (a retransmitted FIN) *)
+    | Reset of Tcpfo_packet.Tcp_segment.t option
+        (** send the RST if any, drop the record ({!close}) and then
+            {!raise_reset} *)
+
+  val input : t -> Tcpfo_packet.Tcp_segment.t -> verdict
+  (** A segment for the connection, answered as {!segment_arrives}
+      answers it in TIME_WAIT.  Segment text is ignored. *)
+
+  val state : t -> state
+  (** [Time_wait], or [Closed] once {!close}d. *)
+
+  val close : t -> unit
+  (** The record left the demux table. *)
+
+  val raise_reset : t -> unit
+  (** Run the application's reset callback. *)
+
+  val input_retention_enabled : t -> bool
+
+  val snapshot :
+    t ->
+    local:Tcpfo_packet.Ipaddr.t * int ->
+    remote:Tcpfo_packet.Ipaddr.t * int ->
+    snapshot
+  (** The image {!val-snapshot} took of the full TCB, bit for bit. *)
+
+  val frontier : t -> frontier
+end
 
 val shift_snapshot : snapshot -> int -> snapshot
 (** [shift_snapshot s n] translates the send-side sequence space by [n]

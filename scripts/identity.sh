@@ -32,6 +32,7 @@
 set -uo pipefail
 
 cd "$(dirname "$0")/.."
+. scripts/identity_lib.sh
 
 rev=${1:?usage: identity.sh REV [SEEDS]}
 seeds=${2:-3000}
@@ -76,31 +77,6 @@ run_tree() {
 }
 
 workloads="rr-10k bulk-failover upload-reintegrate fleet-churn"
-
-# workload_keys LOG: one "key value" line per simulated figure in a
-# workload's JSON result (its last line): the connection counts and
-# every per-layer metric but those read from the host clock or the GC.
-workload_keys() {
-  tail -n 1 "$1" \
-    | grep -o '"[^"]*": \({"value": \)\?[^,{}]*' \
-    | sed 's/^"\([^"]*\)": \({"value": \)\?/\1 /' \
-    | grep -Ev '^(metrics |unit |wall\.|gc\.|host\.[^ ]*_s |obs\.snapshot_ms |apps\.callback_s |sim\.events_per_wall_s |statex\.[^ ]*_us_per_conn |packet\.[^ ]*_ns_per_frame |trace\.overhead )'
-}
-
-# flat FILE: one "key value" line per number in a registry snapshot,
-# keyed by instrument name (the counters/gauges/histograms group
-# dropped; a histogram's fields are suffixed, e.g. "x.rtt_us.p50").
-flat() {
-  sed 's/{/{\n/g; s/,/\n/g; s/}/\n}\n/g' "$1" | awk -F'":' '
-    /^"/ && /{$/ { path[++n] = substr($1, 2); next }
-    /^"/ {
-      p = ""
-      for (i = 2; i <= n; i++) p = p path[i] "."
-      print p substr($1, 2), $2
-      next
-    }
-    /^}/ { n-- }'
-}
 
 # differing_keys A B: the keys whose values differ between two snapshots
 # (or that only one of them has), one per line.

@@ -190,6 +190,25 @@ let test_four_replica_chain () =
   check_int "four replicas accepted" 4 (Hashtbl.length sinks);
   check_int "replica 1 promoted" 1 (Chain.head c.chain)
 
+(* A 4-chain loses one replica 10 ms into a 200 KB download.  Killing
+   replica 1 leaves replica 2 merging in the middle with a dead upstream:
+   it must divert to replica 0 instead. *)
+let test_four_chain_any_single_death () =
+  List.iter
+    (fun victim ->
+      let c, reply, csink, _, _ =
+        download ~n:4 ~kills:[ (Time.ms 10, victim) ] ()
+      in
+      let label what = Printf.sprintf "replica %d killed: %s" victim what in
+      check_int (label "bytes") (String.length reply)
+        (String.length (sink_contents csink));
+      check_string (label "stream exact") reply (sink_contents csink);
+      check_bool (label "eof") true csink.eof;
+      check_int (label "no reset") 0 csink.resets;
+      check_bool (label "victim out of the chain") false
+        (List.mem victim (Chain.alive c.chain)))
+    [ 1; 0; 2; 3 ]
+
 let prop_chain_any_single_failure =
   QCheck.Test.make ~name:"3-chain stream exact for any victim and time"
     ~count:9
@@ -220,6 +239,8 @@ let suite =
     Alcotest.test_case "upload reaches every replica" `Quick
       test_upload_replicated_to_all;
     Alcotest.test_case "four-replica chain" `Quick test_four_replica_chain;
+    Alcotest.test_case "4-chain: any single death, middle re-diverts" `Quick
+      test_four_chain_any_single_death;
     QCheck_alcotest.to_alcotest prop_chain_any_single_failure;
   ]
 

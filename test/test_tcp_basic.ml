@@ -198,24 +198,35 @@ let prop_key_injective =
       K.unpack k = (lid, lport, rid, rport) && K.hash k >= 0)
 
 let test_key_of_matches_demux () =
-  (* the key derived from endpoints is the one live traffic demuxes
-     under, interning is stable, and the hit/miss counters move *)
+  (* live traffic demuxes under the key the endpoints pack to, and once
+     the connection is a TIME_WAIT record the key is all that is left of
+     its endpoints: unpacked, they are the connection's own *)
   let lan = make_simple_lan () in
-  Stack.listen (Host.tcp lan.server) ~port:80 ~on_accept:(fun _ -> ());
+  Stack.listen (Host.tcp lan.server) ~port:80 ~on_accept:(fun s ->
+      Tcb.set_on_eof s (fun () -> Tcb.close s));
   let stack = Host.tcp lan.client in
   let c =
     Stack.connect stack ~remote:(Host.addr lan.server, 80) ()
   in
-  World.run_until_idle lan.world;
+  World.run lan.world ~for_:(Time.ms 10);
   let local = Tcb.local_endpoint c and remote = Tcb.remote_endpoint c in
   (match Stack.find stack ~local ~remote with
   | Some tcb -> check_bool "find returns the connection" true (tcb == c)
   | None -> Alcotest.fail "packed-key find missed");
-  let k1 = K.key_of stack ~local ~remote in
-  let k2 = K.key_of stack ~local ~remote in
-  check_int "key stable across interning" k1 k2;
-  check_int "intern stable" (K.intern stack (fst local))
-    (K.intern stack (fst local));
+  check_bool "mem sees it" true (Stack.mem stack ~local ~remote);
+  check_bool "mirrored tuple is another key" false
+    (Stack.mem stack ~local:remote ~remote:local);
+  (* the client closes first, so it is the side left in TIME_WAIT *)
+  Tcb.close c;
+  World.run lan.world ~for_:(Time.ms 100);
+  check_bool "client in TIME_WAIT" true (Tcb.state c = Tcb.Time_wait);
+  check_bool "no TCB for find" true (Stack.find stack ~local ~remote = None);
+  check_bool "mem still sees it" true (Stack.mem stack ~local ~remote);
+  check_int "no TCB listed" 0 (List.length (Stack.connections stack));
+  (match Stack.entries stack with
+  | [ { Stack.local = l; remote = r; conn = Stack.Time_wait _ } ] ->
+    check_bool "endpoints unpacked from the key" true (l = local && r = remote)
+  | _ -> Alcotest.fail "expected one TIME_WAIT entry");
   let m = World.metrics lan.world in
   check_bool "demux hits counted" true
     (Tcpfo_obs.Registry.counter_value m "host.client.tcp.demux_hits" > 0);

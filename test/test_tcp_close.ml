@@ -5,6 +5,9 @@ module Host = Tcpfo_host.Host
 module Stack = Tcpfo_tcp.Stack
 module Tcb = Tcpfo_tcp.Tcb
 module Tcp_config = Tcpfo_tcp.Tcp_config
+module Seg = Tcpfo_packet.Tcp_segment
+module Seq32 = Tcpfo_util.Seq32
+module Ipaddr = Tcpfo_packet.Ipaddr
 open Testutil
 
 (* Short MSL so TIME_WAIT drains within tests. *)
@@ -185,6 +188,152 @@ let test_time_wait_holds_no_send_ring () =
     again.Tcb.sn_sndbuf_start;
   check_string "still empty" "" again.Tcb.sn_sndbuf_data
 
+(* The server answers every connection with 2 KiB and closes first; the
+   client closes on EOF.  With [pinned], every ISS is 1000, so the
+   client's FIN sits at 1001 and the server's TIME_WAIT ACK of it reads
+   seq 3050, ack 1002. *)
+let pinned =
+  { Tcp_config.default with msl = Time.sec 1.0; iss_override = Some 1000 }
+
+let serve_reply_then_close ?(on_accept = fun (_ : Tcb.t) -> ()) lan =
+  let reply = String.make 2048 'r' in
+  Stack.listen (Host.tcp lan.server) ~port:80 ~on_accept:(fun s ->
+      on_accept s;
+      send_all ~close:true s reply)
+
+let client_closing_on_eof lan =
+  let c =
+    Stack.connect (Host.tcp lan.client) ~remote:(Host.addr lan.server, 80) ()
+  in
+  Tcb.set_on_eof c (fun () -> Tcb.close c);
+  c
+
+(* Bytes reachable from the world: unlike the process's live heap, this
+   leaves out whatever the test runner allocates or frees meanwhile. *)
+let world_bytes world =
+  Obj.reachable_words (Obj.repr world) * (Sys.word_size / 8)
+
+(* A connection in TIME_WAIT is a compact record, not a TCB (DESIGN.md
+   7.17): server connections that each sent 2 KiB and closed first, with
+   no handle kept by the application, hold at most 400 B apiece through
+   TIME_WAIT, where a full TCB held about 1 KiB. *)
+let test_time_wait_is_compact () =
+  let m = 64 in
+  let lan = make_simple_lan () in
+  serve_reply_then_close lan;
+  let open_clients () =
+    for _ = 1 to m do
+      ignore (client_closing_on_eof lan)
+    done
+  in
+  let server = Host.tcp lan.server in
+  (* a first round, run until its records expire, leaves behind what
+     every later round shares (instruments, intern tables, the engine's
+     timer storage), so the second round's growth is its own *)
+  open_clients ();
+  World.run lan.world ~for_:(Time.sec 12.0);
+  check_int "first round expired" 0 (Stack.connection_count server);
+  let before = world_bytes lan.world in
+  open_clients ();
+  World.run lan.world ~for_:(Time.sec 1.0);
+  check_int "servers in TIME_WAIT" m (Stack.connection_count server);
+  check_int "clients gone" 0 (Stack.connection_count (Host.tcp lan.client));
+  let per_conn = (world_bytes lan.world - before) / m in
+  check_bool
+    (Printf.sprintf "%d B per TIME_WAIT connection, <= 400" per_conn)
+    true (per_conn <= 400)
+
+let pure_ack (seg : Seg.t) =
+  seg.flags.ack && (not seg.flags.syn) && (not seg.flags.fin)
+  && (not seg.flags.rst) && seg.payload = ""
+
+(* The server's final ACK is lost: the client, in LAST_ACK, retransmits
+   its FIN, and the server's TIME_WAIT answers it with the same ACK and
+   restarts 2 MSL from then. *)
+let test_time_wait_reacks_retransmitted_fin () =
+  let lan = make_simple_lan ~tcp_config:pinned () in
+  serve_reply_then_close lan;
+  let c = client_closing_on_eof lan in
+  let client_addr = Host.addr lan.client in
+  let fins_in = ref [] and acks_out = ref [] and rsts_out = ref 0 in
+  let _ =
+    drop_rx lan.server ~pred:(fun pkt ->
+        (match pkt.Ipv4_packet.payload with
+        | Tcp seg when seg.flags.fin && Ipaddr.equal pkt.src client_addr ->
+          fins_in := World.now lan.world :: !fins_in
+        | _ -> ());
+        false)
+  in
+  tap_tx lan.server ~f:(fun pkt ->
+      match pkt.Ipv4_packet.payload with
+      | Tcp seg when seg.flags.rst -> incr rsts_out
+      | Tcp seg when pure_ack seg && Seq32.to_int seg.ack = 1002 ->
+        acks_out := (World.now lan.world, seg) :: !acks_out
+      | _ -> ());
+  let lose_next = ref true in
+  let dropped =
+    drop_rx lan.client ~pred:(fun pkt ->
+        match pkt.Ipv4_packet.payload with
+        | Tcp seg when !lose_next && pure_ack seg && Seq32.to_int seg.ack = 1002
+          ->
+          lose_next := false;
+          true
+        | Tcp _ | Raw _ -> false)
+  in
+  World.run lan.world ~for_:(Time.ms 1500);
+  check_int "first final ACK dropped" 1 !dropped;
+  check_bool "client closed on the second" true (Tcb.state c = Tcb.Closed);
+  let t1 =
+    match List.rev !fins_in with
+    | [ _; t1 ] -> t1
+    | l ->
+      Alcotest.failf "expected the FIN and one retransmission, got %d"
+        (List.length l)
+  in
+  (match List.rev !acks_out with
+  | [ (_, a0); (at1, a1) ] ->
+    List.iter
+      (fun (a : Seg.t) ->
+        check_int "ACK seq" 3050 (Seq32.to_int a.seq);
+        check_int "ACK ack" 1002 (Seq32.to_int a.ack);
+        check_int "ACK window" 65535 a.window)
+      [ a0; a1 ];
+    check_int "re-ACK at the retransmission" t1 at1
+  | l -> Alcotest.failf "expected two ACKs of the FIN, got %d" (List.length l));
+  check_int "no RST" 0 !rsts_out;
+  let server = Host.tcp lan.server in
+  let two_msl = 2 * pinned.msl in
+  World.run lan.world ~for_:(t1 + two_msl - 1 - World.now lan.world);
+  check_int "still in TIME_WAIT 2 MSL after the first FIN" 1
+    (Stack.connection_count server);
+  World.run lan.world ~for_:1;
+  check_int "gone 2 MSL after the retransmitted one" 0
+    (Stack.connection_count server)
+
+(* An application that keeps its handle reads TIME_WAIT, then CLOSED 2 MSL
+   after the entry, and hears of the close once, at the entry. *)
+let test_time_wait_handle_reads_through () =
+  let lan = make_simple_lan ~tcp_config:pinned () in
+  let held = ref None and closes = ref [] in
+  serve_reply_then_close lan ~on_accept:(fun s ->
+      held := Some s;
+      Tcb.set_on_close s (fun () -> closes := World.now lan.world :: !closes));
+  ignore (client_closing_on_eof lan);
+  World.run lan.world ~for_:(Time.ms 100);
+  let s = match !held with Some s -> s | None -> Alcotest.fail "no server" in
+  check_bool "TIME_WAIT" true (Tcb.state s = Tcb.Time_wait);
+  let entered =
+    match !closes with [ t ] -> t | _ -> Alcotest.fail "on_close not once"
+  in
+  check_int "entered TIME_WAIT at" 673_200 entered;
+  World.run lan.world
+    ~for_:(entered + (2 * pinned.msl) - 1 - World.now lan.world);
+  check_bool "TIME_WAIT until 2 MSL" true (Tcb.state s = Tcb.Time_wait);
+  World.run lan.world ~for_:1;
+  check_bool "CLOSED at 2 MSL" true (Tcb.state s = Tcb.Closed);
+  check_int "on_close fired once" 1 (List.length !closes);
+  check_int "table empty" 0 (Stack.connection_count (Host.tcp lan.server))
+
 let suite =
   [
     Alcotest.test_case "active close, both directions" `Quick
@@ -201,4 +350,10 @@ let suite =
       test_send_after_close_rejected;
     Alcotest.test_case "TIME_WAIT holds no send ring" `Quick
       test_time_wait_holds_no_send_ring;
+    Alcotest.test_case "TIME_WAIT is a compact record" `Quick
+      test_time_wait_is_compact;
+    Alcotest.test_case "TIME_WAIT re-acks a retransmitted FIN" `Quick
+      test_time_wait_reacks_retransmitted_fin;
+    Alcotest.test_case "TIME_WAIT handle reads through to CLOSED" `Quick
+      test_time_wait_handle_reads_through;
   ]

@@ -947,6 +947,85 @@ let test_soak_draws_lossy_transfers () =
           s.Soak.seed)
     scenarios
 
+(* A connection the service closed first sits in TIME_WAIT on the
+   primary when the secondary is repaired.  Hot state transfer still
+   ships it, in the bytes pinned below, and after the primary dies the
+   restored replica answers a late retransmission of the client's FIN
+   with an ACK, not an RST. *)
+let test_time_wait_conn_ships () =
+  let cfg = { Tcp_config.default with iss_override = Some 1000 } in
+  let r =
+    make_repl_lan ~client_tcp_config:cfg ~primary_tcp_config:cfg
+      ~secondary_tcp_config:cfg ()
+  in
+  Replicated.listen r.repl ~port:80 ~on_accept:(fun ~role:_ tcb ->
+      Tcb.set_on_data tcb (fun _ ->
+          send_all ~close:true tcb (pattern ~tag:31 2048)));
+  let svc = Replicated.service_addr r.repl in
+  let c = Stack.connect (Host.tcp r.rclient) ~remote:(svc, 80) () in
+  Tcb.set_on_established c (fun () -> ignore (Tcb.send c "get"));
+  Tcb.set_on_eof c (fun () -> Tcb.close c);
+  run_repl ~for_sec:1.0 r;
+  check_bool "client closed" true (Tcb.state c = Tcb.Closed);
+  check_int "primary holds it in TIME_WAIT" 1
+    (Stack.connection_count (Host.tcp r.primary));
+  Replicated.kill_secondary r.repl;
+  run_repl ~for_sec:2.0 r;
+  let fresh =
+    World.add_host r.rworld r.rlan ~name:"repaired" ~addr:"10.0.0.3"
+      ~tcp_config:cfg ()
+  in
+  World.warm_arp [ r.rclient; r.primary; r.secondary; fresh ];
+  let cap =
+    Capture.start (World.engine r.rworld) r.rlan
+      ~filter:(fun f ->
+        match f.Eth_frame.payload with
+        | Eth_frame.Ip
+            { Ipv4_packet.payload = Ipv4_packet.Raw { proto; _ }; _ } ->
+          proto = Transfer.proto
+        | _ -> false)
+      ()
+  in
+  Replicated.reintegrate r.repl ~secondary:fresh;
+  run_repl ~for_sec:2.0 r;
+  check_int "transfers settled" 0 (Replicated.pending_transfers r.repl);
+  check_int "no transfer failures" 0 (Replicated.transfer_failures r.repl);
+  check_int "restored on the repaired replica" 1
+    (Stack.connection_count (Host.tcp fresh));
+  let shipped =
+    String.concat ""
+      (List.filter_map
+         (fun { Capture.frame; _ } ->
+           match frame.Eth_frame.payload with
+           | Eth_frame.Ip
+               { Ipv4_packet.payload = Ipv4_packet.Raw { data; _ }; _ } ->
+             Some data
+           | _ -> None)
+         (Capture.records cap))
+  in
+  check_string "statex bytes as pinned" "bba38950fd7f86917bcf54a7a5928996"
+    (Digest.to_hex (Digest.string shipped));
+  Replicated.kill_primary r.repl;
+  run_repl ~for_sec:2.0 r;
+  let answers = tcp_rx_from r.rworld r.rclient ~src:svc in
+  let late_fin =
+    Seg.make
+      ~flags:{ Seg.no_flags with fin = true; ack = true }
+      ~seq:(Seq32.add (Tcb.snd_max c) (-1))
+      ~ack:(Tcb.rcv_nxt c) ~window:65535
+      ~src_port:(snd (Tcb.local_endpoint c))
+      ~dst_port:80 ()
+  in
+  Ip_layer.send_tcp (Host.ip r.rclient) ~src:(Host.addr r.rclient) ~dst:svc
+    late_fin;
+  run_repl ~for_sec:0.1 r;
+  match answers () with
+  | [ (_, (a : Seg.t)) ] ->
+    check_bool "answered with an ACK" true (a.flags.ack && not a.flags.rst);
+    check_int "acking the FIN" (Seq32.to_int (Tcb.snd_max c))
+      (Seq32.to_int a.ack)
+  | l -> Alcotest.failf "expected one answer, got %d" (List.length l)
+
 let suite =
   [
     Alcotest.test_case "chunked transfer stays within the MSS" `Quick
@@ -985,4 +1064,6 @@ let suite =
       test_warm_arp_skips_dead_hosts;
     Alcotest.test_case "soak seeds draw the lossy-transfer axis" `Quick
       test_soak_draws_lossy_transfers;
+    Alcotest.test_case "TIME_WAIT connection ships and answers a late FIN"
+      `Quick test_time_wait_conn_ships;
   ]
