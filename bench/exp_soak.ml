@@ -54,48 +54,13 @@ let pairs_line outcomes =
           (fun p -> Printf.sprintf "%S" (Soak.pair_to_string p))
           c.uncovered))
 
-(* [json] without its ["engine.*":N] counters.  They count the event
-   queue's own work (DESIGN 7.11), so a change that schedules fewer
-   events for the same simulation moves only them. *)
-let without_engine_counters json =
-  let key = "\"engine." and n = String.length json in
-  let k = String.length key in
-  let b = Buffer.create n in
-  let i = ref 0 in
-  while !i < n do
-    if !i + k <= n && String.sub json !i k = key then begin
-      while !i < n && json.[!i] <> ',' && json.[!i] <> '}' do incr i done;
-      if !i < n && json.[!i] = ',' then incr i
-    end
-    else begin
-      Buffer.add_char b json.[!i];
-      incr i
-    end
-  done;
-  Buffer.contents b
-
-(* Machine-readable digest of the whole sweep: MD5 over every outcome's
-   description, violations and metrics snapshot minus the engine.*
-   counters, in seed order.  Two trees that simulate identically print
-   the same line at any --jobs; scripts/identity.sh compares it across
-   revisions. *)
+(* Machine-readable digest of the whole sweep, in seed order.  Two trees
+   that simulate identically print the same line at any --jobs;
+   scripts/identity.sh compares it across revisions. *)
 let fingerprint_line ~first_seed outcomes =
-  let b = Buffer.create 4096 in
-  List.iter
-    (fun (o : Soak.outcome) ->
-      Buffer.add_string b (Soak.describe o.scenario);
-      Buffer.add_char b '\n';
-      List.iter
-        (fun v ->
-          Buffer.add_string b v;
-          Buffer.add_char b '\n')
-        o.violations;
-      Buffer.add_string b (without_engine_counters o.metrics);
-      Buffer.add_char b '\n')
-    outcomes;
   Printf.printf "[soak-fingerprint] {\"first\":%d,\"seeds\":%d,\"md5\":%S}\n%!"
     first_seed (List.length outcomes)
-    (Digest.to_hex (Digest.string (Buffer.contents b)))
+    (Soak.fingerprint outcomes)
 
 let write_report path failures =
   let oc = open_out path in
@@ -104,8 +69,8 @@ let write_report path failures =
     (fun (o : Soak.outcome) ->
       Printf.fprintf oc "%s\n" (Soak.describe o.scenario);
       List.iter (Printf.fprintf oc "  violation: %s\n") o.violations;
-      Printf.fprintf oc "  replay: bench/main.exe --exp soak --seeds 1 \
-                         --first-seed %d\n"
+      Printf.fprintf oc
+        "  replay: dune exec bin/tcpfo_cli.exe -- run --seed %d --trace\n"
         o.scenario.Soak.seed)
     failures;
   close_out oc;

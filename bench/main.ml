@@ -159,7 +159,7 @@ let seeds_arg =
 let first_seed_arg =
   Arg.(value & opt int 1 & info [ "first-seed" ] ~docv:"SEED"
          ~doc:"First soak seed; replay a single failing scenario with \
-               --seeds 1 --first-seed SEED.")
+               `tcpfo_cli run --seed SEED --trace'.")
 
 let soak_report_arg =
   Arg.(value & opt (some string) None & info [ "soak-report" ] ~docv:"FILE"

@@ -64,7 +64,9 @@ type outcome = {
    above it) is false consumes no randomness and takes [off]; once every
    row is drawn, each row's [force] (over the scenario forced so far)
    may override its draw with [off].  Appending a row leaves every
-   existing seed's draws untouched. *)
+   existing seed's draws untouched.  A force also covers its row's gate
+   where the gate reads a row that {!override} may set (a row a gate
+   skipped already holds [off], so no seed notices). *)
 
 type row =
   | Row : {
@@ -83,6 +85,7 @@ let row ?(gate = fun _ -> true) ?(force = fun _ -> false) name ~off ~get ~set
   Row { name; values; off; gate; force; get; set }
 
 let killed s = s.victim <> Nobody
+let unkilled s = not (killed s)
 
 let rows =
   [
@@ -91,7 +94,7 @@ let rows =
       ~set:(fun s victim -> { s with victim })
       [ (Nobody, 3, "nobody"); (Primary, 5, "primary");
         (Secondary, 2, "secondary") ];
-    row "phase" ~gate:killed ~off:Idle
+    row "phase" ~gate:killed ~force:unkilled ~off:Idle
       ~get:(fun s -> s.phase)
       ~set:(fun s phase -> { s with phase })
       [ (Handshake, 1, "handshake"); (Transfer, 3, "transfer"); (Fin, 1, "fin");
@@ -109,19 +112,21 @@ let rows =
         (400_000, 1, "400000") ];
     (* a pool's repair IS the automatic promotion of its standby *)
     row "repair" ~gate:killed ~off:No_repair
-      ~force:(fun s -> s.pool <> Pair)
+      ~force:(fun s -> unkilled s || s.pool <> Pair)
       ~get:(fun s -> s.repair)
       ~set:(fun s repair -> { s with repair })
       [ (No_repair, 2, "none"); (Repair, 1, "repair");
         (Repair_then_rekill, 1, "repair+rekill") ];
     (* gated on the drawn repair: in a pool the burst covers the
-       promotion's transfers instead *)
+       promotion's transfers instead; forced off where no transfer
+       follows *)
     row "xloss" ~off:0.0
       ~gate:(fun s -> s.repair <> No_repair)
+      ~force:(fun s -> unkilled s || (s.repair = No_repair && s.pool = Pair))
       ~get:(fun s -> s.xfer_loss)
       ~set:(fun s xfer_loss -> { s with xfer_loss })
       [ (0.0, 2, "0.00"); (0.2, 1, "0.20"); (0.35, 1, "0.35") ];
-    row "pool" ~gate:killed ~off:Pair
+    row "pool" ~gate:killed ~force:unkilled ~off:Pair
       ~get:(fun s -> s.pool)
       ~set:(fun s pool -> { s with pool })
       [ (Pair, 2, "pair"); (Pool3 { rejoin_first = false }, 1, "pool3");
@@ -130,7 +135,7 @@ let rows =
        only *)
     row "role" ~off:Server
       ~force:(fun s ->
-        s.victim = Nobody || s.pool <> Pair || s.chaos = Cross_traffic)
+        unkilled s || s.pool <> Pair || s.chaos = Cross_traffic)
       ~get:(fun s -> s.role)
       ~set:(fun s role -> { s with role })
       [ (Server, 3, "server"); (Backend_client, 1, "backend");
@@ -178,9 +183,11 @@ let apply_forces s =
 
 (* The scenario is drawn from the seed alone, so a seed printed in a
    failure report reconstructs the exact run. *)
-let scenario_of_seed seed =
+let draws seed =
   let rng = Rng.create ~seed:((seed * 0x9E3779B9) + 1) in
-  apply_forces (List.fold_left (draw rng) (all_off seed) rows)
+  List.fold_left (draw rng) (all_off seed) rows
+
+let scenario_of_seed seed = apply_forces (draws seed)
 
 let label (Row r) s =
   match List.find_opt (fun (v, _, _) -> v = r.get s) r.values with
@@ -201,6 +208,37 @@ let describe s =
       (Printf.sprintf "seed=%d kill=%s/%s" s.seed victim phase
       :: List.map (fun (n, l) -> n ^ "=" ^ l) rest)
   | _ -> assert false
+
+(* A seed's raw draws with some axes replaced by label, then forced as
+   a drawn seed is.  A setting the forces rewrite is refused, not run as
+   something else. *)
+let override seed sets =
+  let rec set s = function
+    | [] -> Ok s
+    | (axis, want) :: rest -> (
+      match List.find_opt (fun (Row r) -> r.name = axis) rows with
+      | None ->
+        Error
+          (Printf.sprintf "unknown axis %S (axes: %s)" axis
+             (String.concat ", " (List.map fst axes)))
+      | Some (Row r) -> (
+        match List.find_opt (fun (_, _, l) -> l = want) r.values with
+        | Some (v, _, _) -> set (r.set s v) rest
+        | None ->
+          Error
+            (Printf.sprintf "row %s has no label %S (labels: %s)" axis want
+               (String.concat ", " (List.assoc axis axes)))))
+  in
+  Result.bind (set (draws seed) sets) (fun s ->
+      let s = apply_forces s in
+      let got = labels s in
+      match List.find_opt (fun (axis, want) -> List.assoc axis got <> want) sets
+      with
+      | None -> Ok s
+      | Some (axis, want) ->
+        Error
+          (Printf.sprintf "row %s: the table rewrites %s=%s to %s=%s in %s"
+             axis axis want axis (List.assoc axis got) (describe s)))
 
 (* ---- pairwise coverage ------------------------------------------- *)
 
@@ -1262,3 +1300,39 @@ let run ?on_world sc =
           items;
     metrics = Registry.to_json (World.metrics world);
   }
+
+(* [json] without its ["engine.*":N] counters.  They count the event
+   queue's own work (DESIGN 7.11), so a change that schedules fewer
+   events for the same simulation moves only them. *)
+let without_engine_counters json =
+  let key = "\"engine." and n = String.length json in
+  let k = String.length key in
+  let b = Buffer.create n in
+  let i = ref 0 in
+  while !i < n do
+    if !i + k <= n && String.sub json !i k = key then begin
+      while !i < n && json.[!i] <> ',' && json.[!i] <> '}' do incr i done;
+      if !i < n && json.[!i] = ',' then incr i
+    end
+    else begin
+      Buffer.add_char b json.[!i];
+      incr i
+    end
+  done;
+  Buffer.contents b
+
+let fingerprint outcomes =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun o ->
+      Buffer.add_string b (describe o.scenario);
+      Buffer.add_char b '\n';
+      List.iter
+        (fun v ->
+          Buffer.add_string b v;
+          Buffer.add_char b '\n')
+        o.violations;
+      Buffer.add_string b (without_engine_counters o.metrics);
+      Buffer.add_char b '\n')
+    outcomes;
+  Digest.to_hex (Digest.string (Buffer.contents b))

@@ -133,6 +133,16 @@ val axes : (string * string list) list
 val labels : scenario -> (string * string) list
 (** [(axis, label)] for every axis, in table order. *)
 
+val override : int -> (string * string) list -> (scenario, string) result
+(** [override seed [(axis, label); ...]] is the seed's raw draws with
+    each named axis set to the value of that label, then forced exactly
+    as in {!scenario_of_seed}: [override seed []] is
+    [scenario_of_seed seed], and naming an axis by the label the seed
+    already shows changes nothing.  Axes not named keep the seed's draws
+    unless a force rewrites them.  [Error] names the row for an unknown
+    axis, an unknown label, or a setting that a force rewrites (e.g.
+    [role=chain] with [pool=pool3], or [phase=fin] with [kill=nobody]). *)
+
 type pair = (string * string) * (string * string)
 (** Two [(axis, label)] settings of distinct axes, in table order. *)
 
@@ -149,3 +159,9 @@ val pair_to_string : pair -> string
 val run : ?on_world:(Tcpfo_host.World.t -> unit) -> scenario -> outcome
 (** [on_world] is called with the freshly created world before anything
     is built on it (for harness bookkeeping). *)
+
+val fingerprint : outcome list -> string
+(** Hex MD5 over every outcome's description, violations and metrics
+    snapshot minus its [engine.*] counters (which count the event
+    queue's own work, DESIGN 7.11), in list order.  Two trees that
+    simulate the same outcomes give the same digest. *)

@@ -757,6 +757,7 @@ let schedule_ack t ~immediate =
                if t.state <> Closed then
                  emit t (mk_seg t ~flags:ack_flags ~seq:t.snd_nxt ())))
 
+(* true iff this call consumed the FIN (and so acknowledged it) *)
 let process_fin_if_reached t =
   match t.rcv_fin with
   | Some fpos when Seq32.equal t.rcv_nxt fpos ->
@@ -778,8 +779,9 @@ let process_fin_if_reached t =
     if not t.eof_signalled then begin
       t.eof_signalled <- true;
       t.on_eof ()
-    end
-  | Some _ | None -> ()
+    end;
+    true
+  | Some _ | None -> false
 
 let deliver_payload t (seg : Seg.t) =
   if String.length seg.payload > 0 then begin
@@ -825,19 +827,18 @@ let deliver_payload t (seg : Seg.t) =
       | Time_wait | Closed ->
         ())
     end;
-    process_fin_if_reached t;
-    (* Out-of-order segments and gap fills are acknowledged immediately so
-       the sender can fast-retransmit; in-order data uses delayed ACKs.
-       A FIN that took us to TIME_WAIT was acknowledged at once, data and
-       all, so no delayed ACK follows it: the record answers from now
-       on. *)
-    let immediate = (not in_order) || String.length delivered = 0 in
-    match t.state with
-    | Closed -> ()
-    | Time_wait -> if immediate then send_ack_now t
-    | Syn_sent | Syn_received | Established | Fin_wait_1 | Fin_wait_2
-    | Close_wait | Closing | Last_ack ->
-      schedule_ack t ~immediate
+    (* A FIN this data reached was acknowledged at once, data and all,
+       so no other ACK follows it.  Otherwise out-of-order segments and
+       gap fills are acknowledged immediately so the sender can
+       fast-retransmit; in-order data uses delayed ACKs. *)
+    if not (process_fin_if_reached t) then
+      let immediate = (not in_order) || String.length delivered = 0 in
+      match t.state with
+      | Closed -> ()
+      | Time_wait -> if immediate then send_ack_now t
+      | Syn_sent | Syn_received | Established | Fin_wait_1 | Fin_wait_2
+      | Close_wait | Closing | Last_ack ->
+        schedule_ack t ~immediate
   end
 
 let note_fin t (seg : Seg.t) =
@@ -847,7 +848,7 @@ let note_fin t (seg : Seg.t) =
     (match t.rcv_fin with
     | None -> t.rcv_fin <- Some fpos
     | Some _ -> ());
-    process_fin_if_reached t
+    ignore (process_fin_if_reached t)
   end
 
 let update_send_window t (seg : Seg.t) =

@@ -17,7 +17,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-EXPECTED=330
+EXPECTED=338
 
 if [ $# -ge 1 ]; then
   log=$(cat "$1")

@@ -26,6 +26,7 @@ let () =
       ("heartbeat", Test_heartbeat.suite);
       ("fault", Test_fault.suite);
       ("soak", Test_soak.suite);
+      ("cli", Test_cli.suite);
       ("statex", Test_statex.suite);
       ("transfer", Test_transfer.suite);
       ("topo", Test_topo.suite);

@@ -129,6 +129,79 @@ let test_checkpoint_axis_covered () =
     ci_seeds;
   first_runs_clean (fun s -> s.Soak.checkpointed)
 
+(* Pure: no override, and an override naming an axis by the label the
+   seed already has, both give the seed's own scenario. *)
+let test_override_identity () =
+  List.iter
+    (fun seed ->
+      let sc = Soak.scenario_of_seed seed in
+      List.iter
+        (fun sets ->
+          check_bool
+            (Printf.sprintf "seed %d with %s" seed
+               (String.concat "," (List.map (fun (a, l) -> a ^ "=" ^ l) sets)))
+            true
+            (Soak.override seed sets = Ok sc))
+        ([] :: List.map (fun set -> [ set ]) (Soak.labels sc)))
+    ci_seeds
+
+let pairs_of s =
+  let rec go = function
+    | [] -> []
+    | a :: rest -> List.map (fun b -> (a, b)) rest @ go rest
+  in
+  go (Soak.labels s)
+
+(* Pure: every single-axis override that is accepted keeps the other
+   axes the table lets it keep and is a scenario some seed can draw;
+   the three refusals name the row. *)
+let test_override_reachable_and_refusals () =
+  let reachable = (Soak.coverage []).Soak.reachable in
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun (axis, labels) ->
+          List.iter
+            (fun label ->
+              match Soak.override seed [ (axis, label) ] with
+              | Error _ -> ()
+              | Ok s ->
+                check_string "the override holds" label
+                  (List.assoc axis (Soak.labels s));
+                List.iter
+                  (fun p ->
+                    check_bool
+                      (Printf.sprintf "seed %d %s=%s reaches %s" seed axis
+                         label (Soak.pair_to_string p))
+                      true (List.mem p reachable))
+                  (pairs_of s))
+            labels)
+        Soak.axes)
+    (List.init 50 (fun i -> i + 1));
+  (* seed 2 draws a chain; only the size moves *)
+  (match Soak.override 2 [ ("size", "2000") ] with
+  | Ok s ->
+    Alcotest.(check (list (pair string string)))
+      "seed 2, size=2000"
+      (List.map
+         (fun (a, l) -> if a = "size" then (a, "2000") else (a, l))
+         (Soak.labels (Soak.scenario_of_seed 2)))
+      (Soak.labels s)
+  | Error m -> Alcotest.fail m);
+  List.iter
+    (fun (seed, sets, names) ->
+      match Soak.override seed sets with
+      | Ok s -> Alcotest.failf "accepted: %s" (Soak.describe s)
+      | Error m ->
+        check_bool (Printf.sprintf "%S names %S" m names) true
+          (contains m names))
+    [
+      (1, [ ("victim", "primary") ], "unknown axis \"victim\"");
+      (1, [ ("pool", "pool9") ], "row pool");
+      (5, [ ("role", "chain") ], "row role");
+      (1, [ ("kill", "nobody"); ("phase", "fin") ], "row phase");
+    ]
+
 let test_replay_is_byte_identical () =
   let sc = Soak.scenario_of_seed 5 in
   let a = Soak.run sc in
@@ -156,4 +229,8 @@ let suite =
       test_checkpoint_axis_covered;
     Alcotest.test_case "seed replay byte-identical" `Quick
       test_replay_is_byte_identical;
+    Alcotest.test_case "override without change is the seed" `Quick
+      test_override_identity;
+    Alcotest.test_case "override reachable, refusals name the row" `Quick
+      test_override_reachable_and_refusals;
   ]

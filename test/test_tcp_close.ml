@@ -140,6 +140,12 @@ let test_send_after_close_rejected () =
   World.run_until_idle lan.world;
   check_bool "done" true (Tcb.state c = Tcb.Closed || Tcb.state c = Tcb.Time_wait)
 
+(* Bytes reachable from the world and from the handles an application
+   [held]: unlike the process's live heap, this leaves out whatever the
+   test runner allocates or frees meanwhile. *)
+let world_bytes ?(held = []) world =
+  Obj.reachable_words (Obj.repr (world, held)) * (Sys.word_size / 8)
+
 (* Once every byte and the FIN are acknowledged, a connection gives its
    send ring's storage back: server connections that each sent 2 KiB and
    closed first hold less than that apiece through TIME_WAIT (2 MSL =
@@ -152,11 +158,7 @@ let test_time_wait_holds_no_send_ring () =
   Stack.listen (Host.tcp lan.server) ~port:80 ~on_accept:(fun s ->
       servers := s :: !servers;
       send_all ~close:true s reply);
-  let live_bytes () =
-    Gc.full_major ();
-    (Gc.stat ()).live_words * (Sys.word_size / 8)
-  in
-  let before = live_bytes () in
+  let before = world_bytes lan.world in
   for _ = 1 to m do
     let c =
       Stack.connect (Host.tcp lan.client) ~remote:(Host.addr lan.server, 80) ()
@@ -168,9 +170,10 @@ let test_time_wait_holds_no_send_ring () =
     (List.length
        (List.filter (fun s -> Tcb.state s = Tcb.Time_wait) !servers));
   check_int "clients gone" 0 (Stack.connection_count (Host.tcp lan.client));
-  let grown = live_bytes () - before in
-  check_bool "live heap grew by less than 2 KiB per connection" true
-    (grown < m * 2048);
+  let grown = world_bytes ~held:!servers lan.world - before in
+  check_bool
+    (Printf.sprintf "%d B held per connection, < 2 KiB" (grown / m))
+    true (grown < m * 2048);
   (* the emptied ring keeps its offsets through a snapshot round trip *)
   let s = List.hd !servers in
   let snap = Tcb.snapshot s in
@@ -207,11 +210,6 @@ let client_closing_on_eof lan =
   in
   Tcb.set_on_eof c (fun () -> Tcb.close c);
   c
-
-(* Bytes reachable from the world: unlike the process's live heap, this
-   leaves out whatever the test runner allocates or frees meanwhile. *)
-let world_bytes world =
-  Obj.reachable_words (Obj.repr world) * (Sys.word_size / 8)
 
 (* A connection in TIME_WAIT is a compact record, not a TCB (DESIGN.md
    7.17): server connections that each sent 2 KiB and closed first, with
@@ -310,6 +308,54 @@ let test_time_wait_reacks_retransmitted_fin () =
   check_int "gone 2 MSL after the retransmitted one" 0
     (Stack.connection_count server)
 
+(* The client's last data and its FIN arrive in one segment, ahead of a
+   lost segment, while the server stays in CLOSE_WAIT.  When the
+   retransmission fills the gap, the server acknowledges the data and
+   the FIN with one ACK, at once, and no delayed ACK repeats it.  10 kB
+   outrun the initial window, so the FIN rides the last data segment. *)
+let test_fin_with_data_acked_once () =
+  let n = 10_000 in
+  let lan = make_simple_lan ~tcp_config:pinned () in
+  let server = ref None in
+  Stack.listen (Host.tcp lan.server) ~port:80 ~on_accept:(fun s ->
+      server := Some s);
+  let c =
+    Stack.connect (Host.tcp lan.client) ~remote:(Host.addr lan.server, 80) ()
+  in
+  Tcb.set_on_established c (fun () ->
+      send_all ~close:true c (String.make n 'u'));
+  let client_addr = Host.addr lan.client in
+  (* ISS 1000: the data is 1001 to 1000 + n and the FIN 1001 + n *)
+  let fin_ack = 1002 + n in
+  let data_fins = ref 0 and acks = ref 0 and lost = ref false in
+  let dropped =
+    drop_rx lan.server ~pred:(fun pkt ->
+        match pkt.Ipv4_packet.payload with
+        | Tcp seg when Ipaddr.equal pkt.src client_addr && seg.payload <> "" ->
+          if seg.flags.fin then incr data_fins;
+          (* the first segment ending in the last 2000 bytes, once *)
+          let ends = Seq32.to_int seg.seq + String.length seg.payload in
+          let drop =
+            (not !lost) && (not seg.flags.fin) && ends > fin_ack - 2000
+          in
+          if drop then lost := true;
+          drop
+        | Tcp _ | Raw _ -> false)
+  in
+  tap_tx lan.server ~f:(fun pkt ->
+      match pkt.Ipv4_packet.payload with
+      | Tcp seg when pure_ack seg && Seq32.to_int seg.ack = fin_ack ->
+        incr acks
+      | _ -> ());
+  World.run lan.world ~for_:(Time.ms 500);
+  check_int "one segment lost" 1 !dropped;
+  check_int "data and FIN in one segment" 1 !data_fins;
+  (match !server with
+  | Some s ->
+    check_bool "server in CLOSE_WAIT" true (Tcb.state s = Tcb.Close_wait)
+  | None -> Alcotest.fail "no server connection");
+  check_int "ACKs of the data and FIN" 1 !acks
+
 (* An application that keeps its handle reads TIME_WAIT, then CLOSED 2 MSL
    after the entry, and hears of the close once, at the entry. *)
 let test_time_wait_handle_reads_through () =
@@ -354,6 +400,8 @@ let suite =
       test_time_wait_is_compact;
     Alcotest.test_case "TIME_WAIT re-acks a retransmitted FIN" `Quick
       test_time_wait_reacks_retransmitted_fin;
+    Alcotest.test_case "FIN with data is ACKed once" `Quick
+      test_fin_with_data_acked_once;
     Alcotest.test_case "TIME_WAIT handle reads through to CLOSED" `Quick
       test_time_wait_handle_reads_through;
   ]

@@ -74,14 +74,9 @@ let expect_error_naming what needle spec =
   match Topo.validate spec with
   | Ok () -> Alcotest.fail (what ^ ": expected a validation error")
   | Error msg ->
-    let contains needle =
-      let nl = String.length needle and hl = String.length msg in
-      let rec go i = i + nl <= hl && (String.sub msg i nl = needle || go (i + 1)) in
-      go 0
-    in
     check_bool
       (Printf.sprintf "%s: error %S names %S" what msg needle)
-      true (contains needle)
+      true (contains msg needle)
 
 let fleet_spec =
   [
@@ -292,15 +287,8 @@ let test_accessors_and_table () =
     (Host.name (List.hd (Topo.group_of topo "pair")));
   expect_invalid "unknown host accessor" (fun () -> Topo.host_of topo "ghost");
   let table = Topo.to_table topo in
-  let contains needle =
-    let nl = String.length needle and hl = String.length table in
-    let rec go i =
-      i + nl <= hl && (String.sub table i nl = needle || go (i + 1))
-    in
-    go 0
-  in
   check_bool "table mentions every host" true
-    (List.for_all contains [ "client"; "server"; "10.0.0.10" ])
+    (List.for_all (contains table) [ "client"; "server"; "10.0.0.10" ])
 
 let suite =
   [

@@ -17,6 +17,12 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 
+(* [contains hay needle]: [needle] occurs somewhere in [hay] *)
+let contains hay needle =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
 (* Deterministic pseudo-random payload of a given length: byte i of stream
    [tag] is a simple hash, so any corruption or reordering is detected by
    equality on the final string. *)
