@@ -73,6 +73,7 @@ type outcome = {
   transferred : int;
   xfer_bytes : int;  (** sealed snapshot bytes over the control channel *)
   retransmits : int;  (** statex chunk retransmissions *)
+  datagrams : int;  (** statex datagrams sent, both directions *)
   checkpoints : int;  (** application checkpoints taken (delta rows) *)
   paced : int;  (** offers issued by the paced scheduler *)
   latency_us : float;  (** reintegrate -> Transfers_complete, sim time *)
@@ -245,6 +246,7 @@ let one_trial ~conns ~loss ~mode ~seed =
     transferred = !transferred;
     xfer_bytes = stats.Tcpfo_statex.Transfer.transfer_bytes;
     retransmits = stats.Tcpfo_statex.Transfer.chunk_retransmits;
+    datagrams = stats.Tcpfo_statex.Transfer.datagrams_sent;
     checkpoints = counter "statex.checkpoints";
     paced = counter "statex.paced_offers";
     latency_us = !latency_us;
@@ -269,6 +271,7 @@ type row = {
   r_moved : float;
   r_bytes : float;
   r_rtx : float;
+  r_dgrams : float;
   r_ckpt : float;
   r_lat : float;
   r_resets : float;
@@ -276,11 +279,11 @@ type row = {
 }
 
 let print_row r =
-  Printf.printf "%-6.2f %-8d %-6s %8.0f %12.0f %12.1f %6.0f %6.0f %4.0f \
-                 %14.1f %6s\n"
+  Printf.printf "%-6.2f %-8d %-6s %8.0f %12.0f %12.1f %6.0f %7.0f %6.0f \
+                 %4.0f %14.1f %6s\n"
     r.r_loss r.r_conns (mode_name r.r_mode) r.r_moved r.r_bytes
     (r.r_bytes /. float_of_int r.r_conns)
-    r.r_rtx r.r_ckpt r.r_resets r.r_lat
+    r.r_rtx r.r_dgrams r.r_ckpt r.r_resets r.r_lat
     (if r.r_ok then "yes" else "NO")
 
 let row_of_point ~loss ~conns ~mode ~trials =
@@ -296,6 +299,7 @@ let row_of_point ~loss ~conns ~mode ~trials =
     r_moved = med (fun o -> float_of_int o.transferred);
     r_bytes = med (fun o -> float_of_int o.xfer_bytes);
     r_rtx = med (fun o -> float_of_int o.retransmits);
+    r_dgrams = med (fun o -> float_of_int o.datagrams);
     r_ckpt = med (fun o -> float_of_int o.checkpoints);
     r_lat = med (fun o -> o.latency_us);
     r_resets = med (fun o -> float_of_int o.resets);
@@ -306,10 +310,10 @@ let row_json r =
   Printf.sprintf
     "{\"loss\":%.2f,\"conns\":%d,\"mode\":%S,\
      \"transferred\":%.0f,\"transfer_bytes\":%.0f,\"retransmits\":%.0f,\
-     \"checkpoints\":%.0f,\"resets\":%.0f,\"latency_us\":%.1f,\
-     \"ok\":%b}"
+     \"datagrams\":%.0f,\"checkpoints\":%.0f,\"resets\":%.0f,\
+     \"latency_us\":%.1f,\"ok\":%b}"
     r.r_loss r.r_conns (mode_name r.r_mode) r.r_moved r.r_bytes r.r_rtx
-    r.r_ckpt r.r_resets r.r_lat r.r_ok
+    r.r_dgrams r.r_ckpt r.r_resets r.r_lat r.r_ok
 
 let modes = [ Full; Delta ]
 
@@ -323,9 +327,9 @@ let run_exp ~conn_counts ~loss_rates ~big ~trials =
        (if trials = 1 then "" else "s")
        !jobs
        (if !jobs = 1 then "" else "s"));
-  Printf.printf "%-6s %-8s %-6s %8s %12s %12s %6s %6s %4s %14s %6s\n" "loss"
-    "conns" "mode" "moved" "bytes" "bytes/conn" "rtx" "ckpt" "rst"
-    "latency[us]" "ok";
+  Printf.printf "%-6s %-8s %-6s %8s %12s %12s %6s %7s %6s %4s %14s %6s\n"
+    "loss" "conns" "mode" "moved" "bytes" "bytes/conn" "rtx" "dgrams" "ckpt"
+    "rst" "latency[us]" "ok";
   let points =
     List.concat_map
       (fun loss ->

@@ -4,6 +4,7 @@ module Stack = Tcpfo_tcp.Stack
 module Tcb = Tcpfo_tcp.Tcb
 module Ipaddr = Tcpfo_packet.Ipaddr
 module Obs = Tcpfo_obs.Obs
+module Event = Tcpfo_obs.Event
 module Registry = Tcpfo_obs.Registry
 module Transfer = Tcpfo_statex.Transfer
 module Snapshot = Tcpfo_statex.Snapshot
@@ -11,6 +12,7 @@ module Snapshot = Tcpfo_statex.Snapshot
 type hook = replica:int -> Tcb.t -> unit
 
 type t = {
+  obs : Obs.t;
   service_addr : Ipaddr.t;
   registry : Failover_config.registry;
   mutable services : (int * hook) list;
@@ -32,6 +34,7 @@ type t = {
 let create obs ~service_addr ~registry =
   let statex = Obs.scope (Obs.root obs) "statex" in
   {
+    obs;
     service_addr;
     registry;
     services = [];
@@ -157,6 +160,19 @@ let frontier (c : Stack.listed) =
   | Live tcb -> Tcb.frontier tcb
   | Time_wait tw -> Tcb.Tw.frontier tw
 
+(* The transfer unit for [c] with its TCB image [snap].  Δ shifts
+   fixed-width fields only, so the image encodes to the same length for
+   any [delta] and [solo]. *)
+let image t (c : Stack.listed) snap ~delta ~solo =
+  {
+    Snapshot.tcb = snap;
+    role = (if Option.is_some (find_backend t c.remote) then `Client else `Server);
+    delta;
+    next_wire_seq = snap.Tcb.sn_snd_max;
+    held_segments = 0;
+    solo;
+  }
+
 let start t ~survivor ~bridge:pb ~xfer ~dst ~live ~on_isolated ~on_complete =
   let clock = Host.clock survivor in
   let t0 = clock.now () in
@@ -178,7 +194,9 @@ let start t ~survivor ~bridge:pb ~xfer ~dst ~live ~on_isolated ~on_complete =
       (fun c -> transferable_state (state c) && retains_input c)
       candidates
   in
+  let isolated = ref 0 in
   let isolate c ~local_port ~remote =
+    incr isolated;
     Registry.Counter.incr t.isolated;
     on_isolated ~local_port ~remote ~state:(state c)
   in
@@ -191,8 +209,15 @@ let start t ~survivor ~bridge:pb ~xfer ~dst ~live ~on_isolated ~on_complete =
   List.iter demote_solo to_isolate;
   t.pending <- List.length to_transfer;
   t.moved <- 0;
+  let publish phase =
+    if Obs.tracing t.obs then
+      Obs.emit t.obs ~at:(clock.now ())
+        (Event.Hot_transfer { host = Host.name survivor; dst; phase })
+  in
+  publish (Started { offers = t.pending; isolated = !isolated });
   let finish () =
     Registry.Histogram.observe_us t.latency (clock.now () - t0);
+    publish (Settled { moved = t.moved; isolated = !isolated });
     on_complete t.moved
   in
   if t.pending = 0 then finish ()
@@ -215,19 +240,7 @@ let start t ~survivor ~bridge:pb ~xfer ~dst ~live ~on_isolated ~on_complete =
       let delta = Option.value delta_opt ~default:0 in
       let snap = snapshot c in
       let snap = if delta <> 0 then Tcb.shift_snapshot snap (-delta) else snap in
-      let role =
-        if Option.is_some (find_backend t remote) then `Client else `Server
-      in
-      let sc =
-        {
-          Snapshot.tcb = snap;
-          role;
-          delta;
-          next_wire_seq = snap.Tcb.sn_snd_max;
-          held_segments = 0;
-          solo = delta_opt <> None;
-        }
-      in
+      let sc = image t c snap ~delta ~solo:(delta_opt <> None) in
       let wait = clock.now () - t0 in
       if wait > 0 then begin
         Registry.Counter.incr t.paced_offers;
@@ -260,7 +273,21 @@ let start t ~survivor ~bridge:pb ~xfer ~dst ~live ~on_isolated ~on_complete =
         if t.pending = 0 then finish ()
       end
       else if !inflight < window && not (Queue.is_empty queue) then begin
-        offer_one (Queue.pop queue);
+        (* one tick fills one datagram: after the first, offer queued
+           connections while each one's first installment still joins
+           the datagram being filled *)
+        let joins c =
+          Transfer.fits xfer ~dst (image t c (snapshot c) ~delta:0 ~solo:false)
+        in
+        Transfer.batch xfer (fun () ->
+            offer_one (Queue.pop queue);
+            while
+              !inflight < window
+              && (not (Queue.is_empty queue))
+              && joins (Queue.peek queue)
+            do
+              offer_one (Queue.pop queue)
+            done);
         Registry.Gauge.set t.queue_depth (Queue.length queue);
         if not (Queue.is_empty queue) then begin
           pace_armed := true;

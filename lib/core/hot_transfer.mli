@@ -10,17 +10,21 @@
     retention, and starting every service on a fresh host.
 
     There is one offer scheduler.  At most {!window} connections are
-    mid-transfer at once, and successive offers are spaced by the
+    mid-transfer at once, and successive pace ticks are spaced by the
     channel's {!Tcpfo_statex.Transfer.suggested_pace}, so re-replicating
     thousands of connections trickles out at the channel's rate instead
-    of landing in one simulation instant.  Each offer quiesces the
+    of landing in one simulation instant.  A tick fills one datagram: it
+    offers queued connections while each one's first installment still
+    fits in it ({!Tcpfo_statex.Transfer.fits}).  Each offer quiesces the
     connection, then reads Δseq, then snapshots the TCB, so a client
     byte arriving while offers are queued is captured exactly once.
 
     Registers under the world-absolute [statex.*] scope:
     [reintegration_us] (start to the last verdict, sim time),
     [isolated_conns], [transfer_queue_depth], [paced_offers] and
-    [pace_wait_us]. *)
+    [pace_wait_us].  While the event bus has subscribers, each {!start}
+    publishes a [Hot_transfer] event when it starts and when it
+    settles. *)
 
 type t
 

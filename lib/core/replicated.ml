@@ -1,6 +1,8 @@
 module Host = Tcpfo_host.Host
 module Tcb = Tcpfo_tcp.Tcb
 module Ipaddr = Tcpfo_packet.Ipaddr
+module Obs = Tcpfo_obs.Obs
+module Event = Tcpfo_obs.Event
 
 type event =
   | Secondary_failure_detected
@@ -158,6 +160,10 @@ let rec promote_next t =
     t.standbys <- rest;
     disarm_standby t s;
     if Host.alive s then begin
+      let obs = Host.obs s in
+      if Obs.tracing obs then
+        Obs.emit obs ~at:((Host.clock s).now ())
+          (Event.Promoted { host = Host.name s });
       emit t (Promoted (Host.name s));
       reintegrate t ~secondary:s
     end

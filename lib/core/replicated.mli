@@ -37,7 +37,9 @@ type event =
           connections successfully re-replicated onto the fresh host *)
   | Promoted of string
       (** the named standby left the pool for the active pair (cascading
-          failover); followed by [Reintegrated]/[Transfers_complete] *)
+          failover); followed by [Reintegrated]/[Transfers_complete].
+          Also published on the event bus, while it has subscribers, as
+          {!Tcpfo_obs.Event.Promoted} *)
   | Standby_lost of string
       (** a standby's liveness watcher declared it dead; it was dropped
           from the pool *)

@@ -64,6 +64,7 @@ type t = {
   n_tx : Registry.counter;
   n_rx : Registry.counter;
   n_forwarded : Registry.counter;
+  snoop_busy : Registry.counter;
   mutable wire_roundtrip : bool;
 }
 
@@ -93,6 +94,7 @@ let create clock ~name ?(tx_cost = 0) ?(rx_cost = 0) ?jitter ?cpu ?obs () =
     n_tx = Obs.counter ip_obs "tx";
     n_rx = Obs.counter ip_obs "rx";
     n_forwarded = Obs.counter ip_obs "forwarded";
+    snoop_busy = Obs.counter ip_obs "snoop_busy_ns";
     wire_roundtrip = false;
   }
 
@@ -250,8 +252,8 @@ let apply_jitter t base =
 
 (* A promiscuously captured datagram addressed to neither one of our
    addresses nor the one the interface snoops for is received and then
-   dropped: no rx hook acts on it (DESIGN.md 7.1), so it costs CPU time
-   but no event. *)
+   dropped: no rx hook acts on it (DESIGN.md 7.1), so it costs CPU time,
+   counted in [ip.snoop_busy_ns], but no event. *)
 let rx_entry t ~snooped (pkt : Ipv4_packet.t) ~link_addressed =
   if
     link_addressed
@@ -262,8 +264,11 @@ let rx_entry t ~snooped (pkt : Ipv4_packet.t) ~link_addressed =
       Cpu.run t.cpu ~cost:(apply_jitter t t.rx_cost) (fun () ->
           process_rx t pkt ~link_addressed)
     else process_rx t pkt ~link_addressed
-  else if t.rx_cost > 0 then
-    Cpu.charge t.cpu ~cost:(apply_jitter t t.rx_cost)
+  else if t.rx_cost > 0 then begin
+    let cost = apply_jitter t t.rx_cost in
+    Registry.Counter.add t.snoop_busy cost;
+    Cpu.charge t.cpu ~cost
+  end
 
 let add_iface t kind =
   let i = { id = t.next_iface; kind } in

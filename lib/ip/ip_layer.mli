@@ -56,7 +56,9 @@ val create :
     a host's packet throughput is bounded by 1/cost.
 
     [obs] is the host-level observability scope: counters [ip.tx],
-    [ip.rx] and [ip.forwarded] are registered one level below it, and —
+    [ip.rx], [ip.forwarded] and [ip.snoop_busy_ns] (CPU time spent
+    receiving promiscuously captured datagrams that nothing keeps) are
+    registered one level below it, and —
     when the event bus has subscribers — every TCP segment handed to the
     wire or delivered upward is published as a [Segment_tx]/[Segment_rx]
     event. *)

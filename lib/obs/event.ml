@@ -9,6 +9,10 @@ type failover_phase =
   | Degraded
   | Reintegrated
 
+type transfer_phase =
+  | Started of { offers : int; isolated : int }
+  | Settled of { moved : int; isolated : int }
+
 type t =
   | Segment_tx of { host : string; dst : Ipaddr.t; seg : Tcp_segment.t }
   | Segment_rx of { host : string; src : Ipaddr.t; seg : Tcp_segment.t }
@@ -18,6 +22,8 @@ type t =
   | Hold of { host : string; bytes : int }
   | Failover of { host : string; phase : failover_phase }
   | Arp_takeover of { host : string; ip : Ipaddr.t }
+  | Promoted of { host : string }
+  | Hot_transfer of { host : string; dst : Ipaddr.t; phase : transfer_phase }
   | Weight_shift of { shard : string; weight : int; reason : string }
 
 let phase_to_string = function
@@ -44,13 +50,20 @@ let pp fmt = function
     Format.fprintf fmt "%s failover %s" host (phase_to_string phase)
   | Arp_takeover { host; ip } ->
     Format.fprintf fmt "%s arp-takeover %a" host Ipaddr.pp ip
+  | Promoted { host } -> Format.fprintf fmt "%s promoted from standby" host
+  | Hot_transfer { host; dst; phase = Started { offers; isolated } } ->
+    Format.fprintf fmt "%s hot-transfer -> %a started offers=%d isolated=%d"
+      host Ipaddr.pp dst offers isolated
+  | Hot_transfer { host; dst; phase = Settled { moved; isolated } } ->
+    Format.fprintf fmt "%s hot-transfer -> %a settled moved=%d isolated=%d"
+      host Ipaddr.pp dst moved isolated
   | Weight_shift { shard; weight; reason } ->
     Format.fprintf fmt "dispatch shard=%s weight=%d (%s)" shard weight reason
 
 let is_segment = function
   | Segment_tx _ | Segment_rx _ -> true
   | Segment_drop _ | Divert _ | Merge _ | Hold _ | Failover _
-  | Arp_takeover _ | Weight_shift _ ->
+  | Arp_takeover _ | Promoted _ | Hot_transfer _ | Weight_shift _ ->
     false
 
 module Bus = struct

@@ -16,6 +16,14 @@ type failover_phase =
   | Degraded  (** primary continues without a backup (paper §6) *)
   | Reintegrated  (** a fresh backup has been merged back in *)
 
+type transfer_phase =
+  | Started of { offers : int; isolated : int }
+      (** [offers] connections queued to travel; [isolated] pinned solo
+          at once, untransferable *)
+  | Settled of { moved : int; isolated : int }
+      (** every offer answered: [moved] re-replicated, [isolated] pinned
+          solo in all (the untransferable ones included) *)
+
 type t =
   | Segment_tx of { host : string; dst : Tcpfo_packet.Ipaddr.t; seg : Tcpfo_packet.Tcp_segment.t }
       (** A host's IP layer handed a TCP segment to the wire. *)
@@ -34,6 +42,11 @@ type t =
   | Failover of { host : string; phase : failover_phase }
   | Arp_takeover of { host : string; ip : Tcpfo_packet.Ipaddr.t }
       (** Gratuitous ARP rebinding a service IP to a new MAC (paper §5). *)
+  | Promoted of { host : string }
+      (** A cold standby joined a pool's active pair, replacing a dead
+          member (it then receives a hot state transfer). *)
+  | Hot_transfer of { host : string; dst : Tcpfo_packet.Ipaddr.t; phase : transfer_phase }
+      (** Hot state transfer from [host] onto the fresh replica [dst]. *)
   | Weight_shift of { shard : string; weight : int; reason : string }
       (** The dispatcher tier moved a shard's routing weight — hera-style
           gradual shifting on degradation ([reason = "decay"]), probe

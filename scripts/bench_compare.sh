@@ -75,16 +75,18 @@ case "$exp" in
   reintegration)
     require_flag all_ok
     probe=$(smoke_num probe_conns)
-    # rows are fixed-order JSON objects; pull the loss-0 probe-size row
-    # for each snapshot size
-    row_bytes() { # row_bytes <mode>
-      grep -o "\"loss\":0.00,\"conns\":$probe,\"mode\":\"$1\",\"transferred\":[0-9]*,\"transfer_bytes\":[0-9]*" "$sum" \
-        | head -1 | sed 's/.*"transfer_bytes"://'
+    # rows are fixed-order JSON objects; pull a field of the loss-0
+    # probe-size row for each snapshot size
+    row_field() { # row_field <mode> <field>
+      grep -o "{\"loss\":0.00,\"conns\":$probe,\"mode\":\"$1\",[^}]*" "$sum" \
+        | head -1 | grep -o "\"$2\":[0-9]*" | cut -d: -f2
     }
-    fullb=$(row_bytes full)
-    deltab=$(row_bytes delta)
+    fullb=$(row_field full transfer_bytes)
+    deltab=$(row_field delta transfer_bytes)
     check_eq "full snapshot bytes @${probe} conns" "$fullb" "$(smoke_num full_transfer_bytes)"
     check_eq "delta snapshot bytes @${probe} conns" "$deltab" "$(smoke_num delta_transfer_bytes)"
+    check_eq "full statex datagrams @${probe} conns" "$(row_field full datagrams)" "$(smoke_num full_datagrams)"
+    check_eq "delta statex datagrams @${probe} conns" "$(row_field delta datagrams)" "$(smoke_num delta_datagrams)"
     floor=$(smoke_num min_delta_reduction)
     if [ -n "$fullb" ] && [ -n "$deltab" ] && [ -n "$floor" ]; then
       awk -v f="$fullb" -v d="$deltab" -v m="$floor" \

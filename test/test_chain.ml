@@ -416,7 +416,10 @@ let test_chain_write_during_paced_rejoin () =
   let c = make_chain () in
   Chain.listen c.chain ~port:80 ~on_accept:(fun ~replica:_ tcb ->
       Tcb.set_on_data tcb (fun d -> ignore (Tcb.send tcb ("R:" ^ d))));
-  let n = 4 in
+  (* one datagram carries the first installments of several small
+     offers, so a handful of connections would all leave in the first
+     pace tick: forty keep offers queued while the writes land *)
+  let n = 40 in
   let sinks = Array.init n (fun _ -> make_sink ()) in
   let conns =
     Array.init n (fun i ->

@@ -90,6 +90,21 @@ let test_trace_changes_nothing () =
   check_bool "events on stderr" true (contains r.err " divert ");
   check_bool "no events on stdout" false (contains r.out " divert ")
 
+(* seed 5: a three-replica pool loses its primary mid-transfer; the
+   standby's promotion and the hot state transfer onto it reach the
+   trace, with their counts, and the [run] line stays the untraced one *)
+let test_trace_shows_promotion_and_transfer () =
+  let r =
+    check_replay ~code:0 5 (Soak.scenario_of_seed 5) ~args:[ "--trace" ]
+  in
+  List.iter
+    (fun ev -> check_bool ("traces " ^ ev) true (contains r.err ev))
+    [
+      "standby promoted from standby";
+      "secondary hot-transfer -> 10.0.0.4 started offers=2 isolated=0";
+      "secondary hot-transfer -> 10.0.0.4 settled moved=2 isolated=0";
+    ]
+
 let test_bad_overrides_exit_2 () =
   List.iter
     (fun (set, names) ->
@@ -115,6 +130,8 @@ let suite =
       test_set_overrides;
     Alcotest.test_case "run --trace leaves the [run] line" `Quick
       test_trace_changes_nothing;
+    Alcotest.test_case "run --trace shows promotion and transfer" `Quick
+      test_trace_shows_promotion_and_transfer;
     Alcotest.test_case "bad axis, label or forced setting exit 2" `Quick
       test_bad_overrides_exit_2;
   ]

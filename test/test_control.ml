@@ -105,8 +105,8 @@ let run_with_order order =
   send_raw d ~dst:a ~proto:Heartbeat.proto "junk";
   (* a one-chunk transfer whose image does not decode: b rejects it *)
   send_raw d ~dst:b ~proto:Transfer.proto
-    (Transfer.encode_msg
-       (Chunk { xfer_id = 1; seq = 0; total = 1; data = "garbage" }));
+    (Transfer.encode
+       [ Chunk { xfer_id = 1; seq = 0; total = 1; data = "garbage" } ]);
   World.run world ~for_:(Time.ms 50);
   Host.kill b;
   World.run world ~for_:(Time.ms 200);
