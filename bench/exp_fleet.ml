@@ -22,6 +22,7 @@ open Harness
 module Engine = Tcpfo_sim.Engine
 module Medium = Tcpfo_net.Medium
 module Dispatch = Tcpfo_dispatch.Dispatch
+module Registry = Tcpfo_obs.Registry
 
 let n_clients = 8
 let service_port = 7
@@ -49,6 +50,8 @@ type outcome = {
   resets : int; (* RSTs seen by any client *)
   counters : Dispatch.counters;
   events : int;
+  snoop_ns : int; (* receive time snooping shard replicas spent on
+                     captured frames they then dropped *)
   sim_ns : int;
   wall_s : float;
 }
@@ -224,6 +227,14 @@ let one_trial ~pools:n_pools ~conns ~cycles ~seed =
     resets = !resets;
     counters = Dispatch.counters disp;
     events = Engine.processed engine;
+    snoop_ns =
+      (let m = World.metrics world in
+       List.fold_left
+         (fun acc k ->
+           if String.ends_with ~suffix:".ip.snoop_busy_ns" k then
+             acc + Registry.counter_value m k
+           else acc)
+         0 (Registry.names m));
     sim_ns = World.now world;
     wall_s;
   }
@@ -276,13 +287,14 @@ let run_exp ~pools ~conns ~cycles ~trials =
      \"cycles_ramped\":%d,\"routed\":%d,\"drained\":%d,\"refused\":%d,\
      \"unmatched\":%d,\"isolation_drops\":%d,\"probes_sent\":%d,\
      \"probe_replies\":%d,\"shift_transitions\":%d,\"events\":%d,\
-     \"sim_ms\":%.1f,\"all_ok\":%b}\n%!"
+     \"snoop_ms\":%.3f,\"sim_ms\":%.1f,\"all_ok\":%b}\n%!"
     o.pools o.conns o.cycles trials !jobs o.completed o.ok o.resets
     o.cycles_ramped o.counters.Dispatch.routed o.counters.Dispatch.drained
     o.counters.Dispatch.refused o.counters.Dispatch.unmatched
     o.counters.Dispatch.isolation_drops o.counters.Dispatch.probes_sent
     o.counters.Dispatch.probe_replies o.counters.Dispatch.shift_transitions
     o.events
+    (float_of_int o.snoop_ns /. 1e6)
     (float_of_int o.sim_ns /. 1e6)
     !all_ok;
   events_line ~exp:"fleet" total_events;

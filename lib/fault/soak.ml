@@ -745,6 +745,21 @@ let pool_rig ctx =
   let full_apps () =
     List.length (List.filter (fun b -> Buffer.contents b = ctx.reply) !app_bufs)
   in
+  (* whether the §7.2 backend connection had finished its close on every
+     live replica when the repair's transfer began: such a connection
+     holds nothing a repair could restore (DESIGN.md 7.16) *)
+  let backend_closed_at_repair = ref false in
+  let backend_held () =
+    List.exists
+      (fun h ->
+        Host.alive h
+        && List.exists
+             (fun (e : Stack.listed) ->
+               Ipaddr.equal (fst e.remote) (Host.addr client)
+               && snd e.remote = backend_port)
+             (Stack.entries (Host.tcp h)))
+      ctx.hosts
+  in
   {
     chaos_hosts =
       [ ("client", client); ("primary", primary); ("secondary", secondary) ];
@@ -765,7 +780,11 @@ let pool_rig ctx =
         World.warm_arp
           (client :: primary :: secondary :: h :: Option.to_list cross_host);
         h);
-    reintegrate = (fun h -> Replicated.reintegrate repl ~secondary:h);
+    reintegrate =
+      (fun h ->
+        backend_closed_at_repair :=
+          sc.role = Backend_client && not (backend_held ());
+        Replicated.reintegrate repl ~secondary:h);
     (* in a pool the second kill hits the promoted pair; with
        [rejoin_first] a repaired host rejoins the back of the pool just
        before it, so the second failover also cascades *)
@@ -812,13 +831,18 @@ let pool_rig ctx =
             ])
         (* §7.2: the surviving replicas' application must hold the
            backend's complete reply — after a repair, on the restored
-           connection too *)
+           connection too, unless the connection had already closed
+           when the repair began *)
         @ (if sc.role <> Backend_client || lost ctx main_conn then []
            else
              expect (full_apps () >= 1)
                "no replica application assembled the backend reply"
              ::
-             (if sc.repair = Repair && not (pinned_early ctx main_conn) then
+             (if
+                sc.repair = Repair
+                && (not (pinned_early ctx main_conn))
+                && not !backend_closed_at_repair
+              then
                 [
                   expect (full_apps () >= 2)
                     "restored replica never assembled the backend reply";

@@ -28,7 +28,8 @@ type t = {
   prefix : int;
   arp : Arp_cache.t;
   pending : pending Ipaddr.Tbl.t;
-  mutable snoop : Ipaddr.t option; (* promiscuous mode, for this address *)
+  mutable snoop : Ipaddr.t option;
+      (* promiscuous mode, for this address: see [captured_wanted] *)
   mutable rx : Ipv4_packet.t -> link_addressed:bool -> unit;
   mutable on_addr_change : unit -> unit;
       (* lets the IP layer invalidate its local-address cache when a
@@ -57,8 +58,23 @@ let rec create clock ?obs ?(host = "host") ~nic ~addr ~prefix () =
   Nic.set_rx nic (fun frame ~addressed_to_me ->
       match frame.Eth_frame.payload with
       | Eth_frame.Arp a -> handle_arp t a
-      | Eth_frame.Ip p -> t.rx p ~link_addressed:addressed_to_me);
+      | Eth_frame.Ip p ->
+        if addressed_to_me || captured_wanted t p then
+          t.rx p ~link_addressed:addressed_to_me);
   t
+
+(* The receive filter of a snooping interface, tcpdump's [host a]: a
+   captured datagram reaches the host only when it is to or from the
+   snooped address, or to one of the interface's own.  Any other frame
+   on the segment (another service's traffic, a datagram between two
+   other hosts) is dropped here, before it costs the host anything
+   (DESIGN.md 7.1). *)
+and captured_wanted t (p : Ipv4_packet.t) =
+  match t.snoop with
+  | None -> true
+  | Some a ->
+    Ipaddr.equal a p.src || Ipaddr.equal a p.dst
+    || Tcpfo_util.Vec.exists (Ipaddr.equal p.dst) t.addrs
 
 and handle_arp t (a : Arp_packet.t) =
   (* Learn the sender binding from every ARP packet, including gratuitous

@@ -52,9 +52,14 @@ val set_promiscuous : t -> Tcpfo_packet.Ipaddr.t option -> unit
 (** [set_promiscuous t (Some a)] puts the NIC into promiscuous mode to
     snoop the datagrams addressed to [a] (the service address a bridge
     replicates); [None] turns promiscuous mode off.  The NIC still
-    captures every frame on the segment; the IP layer charges the
-    receive cost of one addressed to neither [a] nor a local address and
-    drops it before any hook sees it (DESIGN.md 7.1). *)
+    captures (and counts in [nic.rx]) every frame on the segment, but
+    the interface filters them as tcpdump's [host a] does: a captured
+    IPv4 datagram reaches the IP layer only when its source or
+    destination is [a] or its destination is one of the interface's
+    addresses.  Every other one is dropped at no cost.  Of those that
+    pass, the IP layer charges the receive cost of one addressed to
+    neither [a] nor a local address (the service's own outbound
+    traffic) and drops it before any hook sees it (DESIGN.md 7.1). *)
 
 val snooped : t -> Tcpfo_packet.Ipaddr.t option
 (** The address named by the last {!set_promiscuous}. *)

@@ -175,9 +175,21 @@ let route_for t dst =
 
 let set_wire_roundtrip t v = t.wire_roundtrip <- v
 
-(* Validation mode: serialize the TCP segment to real octets and parse it
-   back; transmit the parsed copy. *)
+(* Validation mode: serialize the datagram to real octets and parse it
+   back; transmit the parsed copy.  The IPv4 header must read back the
+   addresses, protocol and total length it was built from. *)
 let roundtrip_pkt (pkt : Ipv4_packet.t) =
+  let total = Ipv4_packet.wire_length pkt in
+  let src, dst, proto, total' =
+    Tcpfo_packet.Wire.decode_ipv4_header
+      (Tcpfo_packet.Wire.encode_ipv4_header pkt ~payload_len:(total - 20))
+  in
+  if
+    not
+      (Ipaddr.equal src pkt.src && Ipaddr.equal dst pkt.dst
+      && proto = Ipv4_packet.protocol_number pkt.payload
+      && total' = total)
+  then raise (Tcpfo_packet.Wire.Malformed "IPv4 header does not round-trip");
   match pkt.payload with
   | Tcp seg ->
     let b = Tcpfo_packet.Wire.encode_tcp ~src_ip:pkt.src ~dst_ip:pkt.dst seg in
@@ -251,9 +263,11 @@ let apply_jitter t base =
   match t.jitter with None -> base | Some j -> base + j ()
 
 (* A promiscuously captured datagram addressed to neither one of our
-   addresses nor the one the interface snoops for is received and then
-   dropped: no rx hook acts on it (DESIGN.md 7.1), so it costs CPU time,
-   counted in [ip.snoop_busy_ns], but no event. *)
+   addresses nor the one the interface snoops for (the service's own
+   outbound traffic: the interface's filter has already dropped every
+   other) is received and then dropped: no rx hook acts on it
+   (DESIGN.md 7.1), so it costs CPU time, counted in
+   [ip.snoop_busy_ns], but no event. *)
 let rx_entry t ~snooped (pkt : Ipv4_packet.t) ~link_addressed =
   if
     link_addressed

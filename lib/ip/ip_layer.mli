@@ -126,12 +126,19 @@ val rx_hook :
     packet taps) can wrap rather than replace a bridge's hooks. *)
 
 val set_wire_roundtrip : t -> bool -> unit
-(** Debug/validation mode: every outgoing TCP segment is encoded to RFC
-    793 octets (checksum over the IPv4 pseudo-header included) and parsed
-    back before transmission.  Proves that nothing in the system —
-    including the bridge's rewritten and merged segments — depends on
-    structure sharing, and that every emitted segment is wire-legal.
-    Raises {!Tcpfo_packet.Wire.Malformed} on any discrepancy. *)
+(** Debug/validation mode: every outgoing datagram's IPv4 header is
+    encoded to RFC 791 octets and must read back its addresses, protocol
+    and total length, and every TCP segment is encoded to RFC 793 octets
+    (checksum over the IPv4 pseudo-header included) and parsed back
+    before transmission.  Proves that nothing in the system — including
+    the bridge's rewritten and merged segments — depends on structure
+    sharing, and that every emitted datagram is wire-legal.  Raises
+    {!Tcpfo_packet.Wire.Malformed} on any discrepancy.
+
+    Only the test suite turns it on: it costs an encode and a decode per
+    datagram and changes no simulated outcome, so no experiment needs
+    it, but it is the one check that the simulator's structured packets
+    stand for real octets. *)
 
 val send : t -> Tcpfo_packet.Ipv4_packet.t -> unit
 (** Normal transmission path: tx hook, then routing. *)

@@ -17,7 +17,9 @@ val decode_tcp :
 (** Raises {!Malformed} on short input, bad offsets or checksum mismatch. *)
 
 val encode_ipv4_header : Ipv4_packet.t -> payload_len:int -> bytes
-(** The 20-byte header with a valid header checksum. *)
+(** The 20-byte header with a valid header checksum.  The simulator
+    moves structured datagrams, so only [Ip_layer]'s wire round-trip
+    validation mode encodes headers. *)
 
 val decode_ipv4_header : bytes -> Ipaddr.t * Ipaddr.t * int * int
 (** [decode_ipv4_header b] returns (src, dst, protocol, total_len).

@@ -242,6 +242,52 @@ let test_snoop_claims_service_traffic_only () =
   check_int "the rest were captured and dropped" (foreign + !at_client)
     (counter "host.secondary.nic.rx" - !hooked)
 
+(* Two pools on one segment, A serving a download and B idle: each
+   secondary's interface passes only its own service's frames, so B's
+   secondary pays nothing for A's traffic, while A's still pays a
+   receive for each frame its primary sends (DESIGN.md 7.1). *)
+let test_snoop_pays_only_own_service () =
+  let world = World.create () in
+  let lan = World.make_lan world () in
+  let add name addr = World.add_host world lan ~name ~addr () in
+  let client = add "client" "10.0.0.10" in
+  let a_primary = add "a-primary" "10.0.0.1"
+  and a_secondary = add "a-secondary" "10.0.0.2" in
+  let b_primary = add "b-primary" "10.0.0.3"
+  and b_secondary = add "b-secondary" "10.0.0.4" in
+  World.warm_arp [ client; a_primary; a_secondary; b_primary; b_secondary ];
+  let a = Replicated.create ~primary:a_primary ~secondary:a_secondary
+      ~config:Failover_config.default () in
+  let _b : Replicated.t =
+    Replicated.create ~primary:b_primary ~secondary:b_secondary
+      ~config:Failover_config.default ()
+  in
+  let reply = pattern ~tag:7 100_000 in
+  let r =
+    { rworld = world; rlan = lan; rclient = client; primary = a_primary;
+      secondary = a_secondary; repl = a }
+  in
+  echo_service ~request_size:3 ~reply_of:(fun _ -> reply) ~close_after:true
+    a ~port:80 ~sinks:(ref []) ();
+  let csink = make_sink () in
+  let c =
+    Stack.connect (Host.tcp client) ~remote:(Replicated.service_addr a, 80) ()
+  in
+  wire_sink csink c;
+  Tcb.set_on_established c (fun () -> ignore (Tcb.send c "get"));
+  run_repl r;
+  let counter name key =
+    Tcpfo_obs.Registry.counter_value (World.metrics world)
+      (Printf.sprintf "host.%s.%s" name key)
+  in
+  check_string "download intact" reply (sink_contents csink);
+  check_bool "B's secondary captured A's frames" true
+    (counter "b-secondary" "nic.rx" > 1000);
+  check_int "B's secondary paid nothing for them" 0
+    (counter "b-secondary" "ip.snoop_busy_ns");
+  check_bool "A's secondary pays for its primary's output" true
+    (counter "a-secondary" "ip.snoop_busy_ns" > 0)
+
 let test_retransmission_forwarded_immediately () =
   (* drop one merged data segment at the client: both replicas retransmit;
      the bridge forwards the retransmissions instead of queueing (§4) *)
@@ -839,4 +885,6 @@ let suite =
       QCheck_alcotest.to_alcotest prop_conn_table_order;
       Alcotest.test_case "snoop claims service traffic only (3.1)" `Quick
         test_snoop_claims_service_traffic_only;
+      Alcotest.test_case "two pools on one segment: snoop pays own service"
+        `Quick test_snoop_pays_only_own_service;
     ]
