@@ -153,9 +153,6 @@ val snd_una : t -> Tcpfo_util.Seq32.t
 val snd_nxt : t -> Tcpfo_util.Seq32.t
 val rcv_nxt : t -> Tcpfo_util.Seq32.t
 
-val srtt : t -> Tcpfo_sim.Time.t option
-(** Smoothed round-trip estimate, once at least one sample exists. *)
-
 val snd_max : t -> Tcpfo_util.Seq32.t
 (** Highest sequence number ever transmitted. *)
 
