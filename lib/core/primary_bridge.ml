@@ -231,7 +231,10 @@ let maybe_empty_ack t conn =
    re-emit it, or the connection deadlocks once a merged ACK is lost and
    no data flows to carry a fresh one.  (An engineering completion of
    §3.4's empty-segment rule; bounded to one emission per replica
-   duplicate ACK.) *)
+   duplicate ACK.)  A replica sends no ACK after a reply that already
+   carried it (DESIGN.md 7.19), so a request its service answers from
+   [on_data] does not land here; until that rule, each one re-emitted
+   two merged duplicates, one per replica's delayed ACK. *)
 let reemit_merged_ack t conn =
   if conn.syn_done && conn.mode = Active then
     match joint_ack t conn ~solo:false with

@@ -879,6 +879,111 @@ let prop_conn_table_order =
       Hashtbl.iter (fun k _ -> iter_g := k :: !iter_g) generic;
       order_k = order_g && !iter_k = !iter_g)
 
+(* A service that answers each [size]-byte request from [on_data] with
+   "re:" and the request, on both replicas, and closes after the
+   client's FIN. *)
+let reply_per_request r ~size =
+  Replicated.listen r.repl ~port:80 ~on_accept:(fun ~role:_ tcb ->
+      let got = Buffer.create 64 in
+      Tcb.set_on_data tcb (fun data ->
+          Buffer.add_string got data;
+          while Buffer.length got >= size do
+            let req = Buffer.sub got 0 size in
+            let rest = Buffer.sub got size (Buffer.length got - size) in
+            Buffer.clear got;
+            Buffer.add_string got rest;
+            ignore (Tcb.send tcb ("re:" ^ req))
+          done);
+      Tcb.set_on_eof tcb (fun () -> Tcb.close tcb))
+
+let test_exchange_reemits_no_duplicate_ack () =
+  (* requests 150 ms apart, so a delayed ACK would fire between them;
+     each replica's reply carries its ACK, so neither sends the pure ACK
+     a merged duplicate would be re-emitted for, and the only empty
+     segment the bridge builds is the 3.4 advance when both replicas ack
+     the client's FIN *)
+  let r = make_repl_lan () in
+  reply_per_request r ~size:4;
+  let from_service =
+    tcp_rx_from r.rworld r.rclient ~src:(Replicated.service_addr r.repl)
+  in
+  let c =
+    Stack.connect (Host.tcp r.rclient)
+      ~remote:(Replicated.service_addr r.repl, 80)
+      ()
+  in
+  let requests = 50 and answered = ref 0 and got = Buffer.create 512 in
+  let request i = ignore (Tcb.send c (Printf.sprintf "q%03d" i)) in
+  Tcb.set_on_established c (fun () -> request 0);
+  Tcb.set_on_data c (fun data ->
+      Buffer.add_string got data;
+      incr answered;
+      if !answered < requests then
+        ignore
+          ((Host.clock r.rclient).schedule (Time.ms 150) (fun () ->
+               request !answered))
+      else Tcb.close c);
+  run_repl ~for_sec:10.0 r;
+  check_int "every request answered" requests !answered;
+  check_string "replies in order"
+    (String.concat "" (List.init requests (Printf.sprintf "re:q%03d")))
+    (Buffer.contents got);
+  check_int "one empty ACK: the FIN's joint-ACK advance" 1
+    (Tcpfo_obs.Registry.counter_value (World.metrics r.rworld)
+       "bridge.primary.empty_acks");
+  check_int "one pure ACK reached the client" 1
+    (List.length (List.filter (fun (_, seg) -> pure_ack seg)
+                    (from_service ())))
+
+let test_client_retransmission_reacked () =
+  (* the merged reply is lost, so the client retransmits its request:
+     both replicas answer the duplicate with a pure ACK, and the bridge
+     re-emits the merged ACK at once, before either replica's own
+     retransmission timer fires *)
+  let r = make_repl_lan () in
+  reply_per_request r ~size:4;
+  let service = Replicated.service_addr r.repl in
+  let c = Stack.connect (Host.tcp r.rclient) ~remote:(service, 80) () in
+  let client_sent = ref [] in
+  tap_tx r.rclient ~f:(fun pkt ->
+      match pkt.Ipv4_packet.payload with
+      | Tcp seg when String.length seg.payload > 0 ->
+        client_sent := World.now r.rworld :: !client_sent
+      | _ -> ());
+  let dropped = ref false in
+  let _ =
+    drop_rx r.rclient ~pred:(fun pkt ->
+        match pkt.Ipv4_packet.payload with
+        | Tcp seg when String.length seg.payload > 0 && not !dropped ->
+          dropped := true;
+          true
+        | _ -> false)
+  in
+  let from_service = tcp_rx_from r.rworld r.rclient ~src:service in
+  Tcb.set_on_established c (fun () -> ignore (Tcb.send c "ping"));
+  let csink = make_sink () in
+  Tcb.set_on_data c (fun data -> Buffer.add_string csink.buf data);
+  run_repl ~for_sec:5.0 r;
+  check_string "reply recovered" "re:ping" (sink_contents csink);
+  let resent_at =
+    match !client_sent with
+    | [ at; _ ] -> at
+    | _ -> Alcotest.fail "expected one retransmission of the request"
+  in
+  match
+    List.filter (fun (at, _) -> at > resent_at) (from_service ())
+  with
+  | (at, seg) :: _ ->
+    check_bool "first answer is a pure ACK" true (pure_ack seg);
+    check_bool "acks the request" true
+      (Seq32.equal seg.ack (Tcb.snd_nxt c));
+    check_bool "within a millisecond" true (at - resent_at < Time.ms 1);
+    check_bool "counted as an empty ACK" true
+      (Tcpfo_obs.Registry.counter_value (World.metrics r.rworld)
+         "bridge.primary.empty_acks"
+      >= 1)
+  | [] -> Alcotest.fail "the retransmission went unanswered"
+
 let suite =
   suite
   @ [
@@ -887,4 +992,8 @@ let suite =
         test_snoop_claims_service_traffic_only;
       Alcotest.test_case "two pools on one segment: snoop pays own service"
         `Quick test_snoop_pays_only_own_service;
+      Alcotest.test_case "50 requests re-emit no duplicate ACK (3.4)" `Quick
+        test_exchange_reemits_no_duplicate_ack;
+      Alcotest.test_case "client retransmission gets a merged re-ACK" `Quick
+        test_client_retransmission_reacked;
     ]

@@ -233,6 +233,94 @@ let test_key_of_matches_demux () =
   check_bool "server demux missed once (the SYN)" true
     (Tcpfo_obs.Registry.counter_value m "host.server.tcp.demux_misses" > 0)
 
+(* Delayed ACKs (RFC 1122 4.2.3.2, as FreeBSD's [TF_DELACK] does it). *)
+
+(* A server on [lan] whose [on_data] runs [f] on the connection; the
+   segments the client receives from it, with their arrival instants. *)
+let serve lan f =
+  let server = ref None in
+  Stack.listen (Host.tcp lan.server) ~port:80 ~on_accept:(fun s ->
+      server := Some s;
+      Tcb.set_on_data s (f s));
+  let from_server =
+    tcp_rx_from lan.world lan.client ~src:(Host.addr lan.server)
+  in
+  let c =
+    Stack.connect (Host.tcp lan.client) ~remote:(Host.addr lan.server, 80) ()
+  in
+  World.run lan.world ~for_:(Time.ms 10);
+  match !server with
+  | Some s -> (c, s, from_server)
+  | None -> Alcotest.fail "no accept"
+
+let test_reply_carries_the_ack () =
+  (* each request is answered from on_data; the reply carries the ACK,
+     so it is the only segment the server sends for that request *)
+  let lan = make_simple_lan () in
+  let c, s, from_server =
+    serve lan (fun s data -> ignore (Tcb.send s ("re:" ^ data)))
+  in
+  let requests = 5 in
+  let sent = ref 1 in
+  Tcb.set_on_data c (fun _ ->
+      if !sent < requests then begin
+        incr sent;
+        ignore (Tcb.send c "req")
+      end);
+  let out = Tcb.segments_out s in
+  ignore (Tcb.send c "req");
+  World.run lan.world ~for_:(Time.ms 250);
+  check_int "one segment per request" requests (Tcb.segments_out s - out);
+  match List.rev (from_server ()) with
+  | (last_reply, _) :: _ as segs ->
+    check_int "the SYN-ACK and the replies, no pure ACK" (requests + 1)
+      (List.length segs);
+    check_bool "nothing in the 200 ms after the last reply" true
+      (last_reply <= World.now lan.world - Time.ms 200)
+  | [] -> Alcotest.fail "nothing from the server"
+
+let test_silent_service_delays_its_ack () =
+  (* a service that does not answer is acked 100 ms after the data *)
+  let lan = make_simple_lan () in
+  let c, s, from_server = serve lan (fun _ _ -> ()) in
+  let to_server = tcp_rx_from lan.world lan.server ~src:(Host.addr lan.client) in
+  let out = Tcb.segments_out s in
+  ignore (Tcb.send c "hello");
+  World.run lan.world ~for_:(Time.ms 300);
+  check_int "one ACK" 1 (Tcb.segments_out s - out);
+  let data_at =
+    match List.filter (fun (_, seg) -> not (pure_ack seg)) (to_server ()) with
+    | [ (at, _) ] -> at
+    | _ -> Alcotest.fail "expected one data segment"
+  in
+  match List.rev (from_server ()) with
+  | (ack_at, seg) :: _ when pure_ack seg ->
+    let delay = ack_at - data_at in
+    check_bool "acked 100 ms later" true
+      (delay >= Time.ms 100 && delay < Time.ms 101)
+  | _ -> Alcotest.fail "no pure ACK from the server"
+
+let test_second_segment_acked_at_once () =
+  let lan = make_simple_lan () in
+  let c, s, from_server = serve lan (fun _ _ -> ()) in
+  let to_server = tcp_rx_from lan.world lan.server ~src:(Host.addr lan.client) in
+  let out = Tcb.segments_out s in
+  ignore (Tcb.send c "one");
+  ignore (Tcb.send c "two");
+  World.run lan.world ~for_:(Time.ms 300);
+  check_int "one ACK for both segments" 1 (Tcb.segments_out s - out);
+  let second_at =
+    match List.filter (fun (_, seg) -> not (pure_ack seg)) (to_server ()) with
+    | [ _; (at, _) ] -> at
+    | _ -> Alcotest.fail "expected two data segments"
+  in
+  match List.rev (from_server ()) with
+  | (ack_at, seg) :: _ when pure_ack seg ->
+    check_bool "acked at once" true (ack_at - second_at < Time.ms 1);
+    check_bool "acks both" true
+      (Tcpfo_util.Seq32.equal seg.ack (Tcb.snd_nxt c))
+  | _ -> Alcotest.fail "no pure ACK from the server"
+
 let suite =
   [
     Alcotest.test_case "three-way handshake" `Quick test_handshake;
@@ -255,4 +343,10 @@ let suite =
     Alcotest.test_case "packed key matches live demux" `Quick
       test_key_of_matches_demux;
     QCheck_alcotest.to_alcotest prop_key_injective;
+    Alcotest.test_case "a reply from on_data is the request's only segment"
+      `Quick test_reply_carries_the_ack;
+    Alcotest.test_case "a silent service acks 100 ms after the data" `Quick
+      test_silent_service_delays_its_ack;
+    Alcotest.test_case "the second in-order segment is acked at once" `Quick
+      test_second_segment_acked_at_once;
   ]

@@ -160,6 +160,11 @@ let drop_rx host ~pred =
            | Some hook -> hook pkt ~link_addressed));
   dropped
 
+(* An ACK that carries nothing else: no data, SYN, FIN or RST. *)
+let pure_ack (seg : Tcpfo_packet.Tcp_segment.t) =
+  seg.flags.ack && (not seg.flags.syn) && (not seg.flags.fin)
+  && (not seg.flags.rst) && seg.payload = ""
+
 (* Every TCP segment [host] receives from [src], with its arrival
    instant, in arrival order. *)
 let tcp_rx_from world host ~src =
