@@ -201,3 +201,151 @@ let suite =
       Alcotest.test_case "duty-cycled reader keeps stream exact" `Quick
         test_pause_resume_cycles;
     ]
+
+(* ---------------- Sender silly-window avoidance ---------------- *)
+
+module Seq32 = Tcpfo_util.Seq32
+module Seg = Tcpfo_packet.Tcp_segment
+
+(* A server TCB with no network under it: [out] collects what it emits,
+   newest first, and the test plays the peer by hand.  The peer's SYN
+   announces a 1,460 B MSS and [window]; our ISN is 1000, the peer's
+   100.  No timer fires until the test runs [engine]. *)
+type driven = {
+  engine : Engine.t;
+  tcb : Tcb.t;
+  out : Seg.t list ref;
+}
+
+let peer_port = 5000
+
+let peer_seg ?(flags = { Seg.no_flags with ack = true }) ?(options = [])
+    ~ack ~window () =
+  Seg.make ~flags ~ack:(Seq32.of_int ack) ~window ~options
+    ~src_port:peer_port ~dst_port:80 ~seq:(Seq32.of_int 101) ()
+
+(* The peer acknowledges everything up to sequence [upto]. *)
+let peer_ack d ~upto ~window =
+  Tcb.segment_arrives d.tcb (peer_seg ~ack:upto ~window ())
+
+let driven ~window =
+  let engine = Engine.create () in
+  let out = ref [] in
+  let d =
+    {
+      engine;
+      tcb =
+        Tcb.create_passive (host_clock engine)
+          ~instruments:(Tcb.instruments (Tcpfo_obs.Obs.silent ()))
+          ~config:Tcpfo_tcp.Tcp_config.default
+          ~local:(Tcpfo_packet.Ipaddr.of_string "10.0.0.1", 80)
+          ~remote:(Tcpfo_packet.Ipaddr.of_string "10.0.0.10", peer_port)
+          ~iss:(Seq32.of_int 1000)
+          { Tcb.emit = (fun s -> out := s :: !out); on_delete = ignore }
+          ~syn:
+            (Seg.make
+               ~flags:{ Seg.no_flags with syn = true }
+               ~window ~options:[ Seg.Mss 1460 ] ~src_port:peer_port
+               ~dst_port:80 ~seq:(Seq32.of_int 100) ());
+      out;
+    }
+  in
+  peer_ack d ~upto:1001 ~window;
+  out := [];
+  d
+
+(* Payload lengths emitted since the last call, oldest first. *)
+let take_lengths d =
+  let l = List.rev_map (fun (s : Seg.t) -> String.length s.payload) !(d.out) in
+  d.out := [];
+  List.filter (fun n -> n > 0) l
+
+let check_lengths = Alcotest.(check (list int))
+
+(* Five segments in flight, three duplicate ACKs: fast retransmit sets
+   cwnd = ssthresh = 3,650 B (2.5 MSS).  The ACK for all five grows it
+   by MSS^2/cwnd to 4,234 B, room for two full segments and a 1,314 B
+   remainder; with the first two in flight the remainder waits, and
+   every ACK after that still releases only full segments. *)
+let test_odd_cwnd_full_segments () =
+  let d = driven ~window:65535 in
+  ignore (Tcb.send d.tcb (String.make 60_000 'x'));
+  (* slow start (the ACK of our SYN already grew cwnd to 3 MSS): 3
+     segments, then 4 more, then 5 in flight *)
+  peer_ack d ~upto:(1001 + (3 * 1460)) ~window:65535;
+  peer_ack d ~upto:(1001 + (7 * 1460)) ~window:65535;
+  check_lengths "slow start sends full segments" (List.init 12 (fun _ -> 1460))
+    (take_lengths d);
+  let una = 1001 + (7 * 1460) in
+  for _ = 1 to 3 do
+    peer_ack d ~upto:una ~window:65535
+  done;
+  check_lengths "fast retransmit resends one segment" [ 1460 ]
+    (take_lengths d);
+  peer_ack d ~upto:(una + (5 * 1460)) ~window:65535;
+  check_lengths "a 2.9 MSS window sends two full segments" [ 1460; 1460 ]
+    (take_lengths d);
+  let una = una + (5 * 1460) in
+  for k = 1 to 20 do
+    peer_ack d ~upto:(una + (k * 1460)) ~window:65535;
+    List.iter
+      (fun n -> check_int "only full segments while data is in flight" 1460 n)
+      (take_lengths d)
+  done
+
+(* A reply smaller than two segments leaves whole, at once: the 588 B
+   tail carries all the queued data, so it does not wait for the ACK of
+   the first 1,460 (no Nagle). *)
+let test_reply_tail_not_held () =
+  let d = driven ~window:65535 in
+  ignore (Tcb.send d.tcb (String.make 2048 'r'));
+  check_lengths "1,460 + 588 without an ACK" [ 1460; 588 ] (take_lengths d)
+
+(* A 2,000 B peer window: after the first full segment only 540 B of
+   window remain, under half of it, so the sender waits for the ACK
+   rather than splitting the window; every exchange still moves a full
+   segment and the transfer completes.  Closed to zero, the window is
+   probed one byte at a time. *)
+let test_small_window_drains () =
+  let d = driven ~window:2000 in
+  let total = 10_000 in
+  ignore (Tcb.send d.tcb (String.make total 'w'));
+  let sent = ref 0 in
+  let rounds = ref 0 in
+  while !sent < total && !rounds < 20 do
+    incr rounds;
+    let lens = take_lengths d in
+    List.iter (fun n -> check_bool "within the window" true (n <= 2000)) lens;
+    sent := !sent + List.fold_left ( + ) 0 lens;
+    peer_ack d ~upto:(1001 + !sent) ~window:2000
+  done;
+  check_int "every byte sent" total !sent;
+  check_int "one segment per round trip" 7 !rounds;
+  ignore (Tcb.send d.tcb (String.make 100 'z'));
+  ignore (take_lengths d);
+  peer_ack d ~upto:(1001 + total + 100) ~window:0;
+  ignore (Tcb.send d.tcb "more");
+  check_lengths "nothing sent into a zero window" [] (take_lengths d);
+  Engine.run_for d.engine (Time.sec 2.0);
+  check_bool "a one-byte window probe" true (List.mem 1 (take_lengths d))
+
+(* With nothing in flight no ACK is coming to release a short segment,
+   so a window smaller than the MSS is filled at once. *)
+let test_idle_runt_sent () =
+  let d = driven ~window:1000 in
+  ignore (Tcb.send d.tcb (String.make 5000 's'));
+  check_lengths "a 1,000 B segment into a 1,000 B window" [ 1000 ]
+    (take_lengths d)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "odd cwnd sends only full segments" `Quick
+        test_odd_cwnd_full_segments;
+      Alcotest.test_case "a 2,048 B reply leaves at once" `Quick
+        test_reply_tail_not_held;
+      Alcotest.test_case "a sub-2-MSS window drains" `Quick
+        test_small_window_drains;
+      Alcotest.test_case "an idle sender fills a small window" `Quick
+        test_idle_runt_sent;
+    ]
