@@ -150,4 +150,11 @@ val conn_delta :
 
 val connection_count : t -> int
 
+module For_testing : sig
+  val held_bytes : t -> int
+  (** Reply bytes the bridge holds across its connections.  Only the
+      secondary's unmatched output counts: the primary's is read from its
+      own send buffer when it merges. *)
+end
+
 val degraded : t -> bool
