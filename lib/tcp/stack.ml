@@ -199,8 +199,7 @@ let handle_segment t ~src ~dst (seg : Seg.t) =
       e.expiry <- arm_time_wait t key
     | Reset rst ->
       Option.iter reply rst;
-      remove t key;
-      Tcb.Tw.raise_reset e.tw)
+      remove t key)
   | exception Not_found -> (
     Registry.Counter.incr t.demux_misses;
     match Ptbl.find_opt t.listeners seg.dst_port with

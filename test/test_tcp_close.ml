@@ -407,6 +407,31 @@ let test_time_wait_handle_reads_through () =
   check_int "on_close fired once" 1 (List.length !closes);
   check_int "table empty" 0 (Stack.connection_count (Host.tcp lan.server))
 
+(* A peer's RST ends the client's TIME_WAIT early, but the application
+   closed that connection itself and heard [on_close] when TIME_WAIT
+   began: the reset must not reach it as an abort (RFC 1337). *)
+let test_time_wait_reset_not_reported () =
+  let lan, c, csink, _server_conn, _ssink =
+    setup ~on_server_eof:Tcb.close ()
+  in
+  let closed = ref 0 in
+  Tcb.set_on_close c (fun () -> incr closed);
+  Tcb.set_on_established c (fun () -> Tcb.close c);
+  World.run lan.world ~for_:(Time.ms 30);
+  check_bool "client in TIME_WAIT" true (Tcb.state c = Tcb.Time_wait);
+  Tcpfo_ip.Ip_layer.send_tcp (Host.ip lan.server) ~src:(Host.addr lan.server)
+    ~dst:(Host.addr lan.client)
+    (Seg.make
+       ~flags:{ Seg.no_flags with rst = true }
+       ~src_port:80
+       ~dst_port:(snd (Tcb.local_endpoint c))
+       ~seq:(Tcb.rcv_nxt c) ());
+  World.run lan.world ~for_:(Time.ms 5);
+  check_bool "the RST ended TIME_WAIT" true (Tcb.state c = Tcb.Closed);
+  check_int "table empty" 0 (Stack.connection_count (Host.tcp lan.client));
+  check_int "closed once" 1 !closed;
+  check_int "no reset reported" 0 csink.resets
+
 let suite =
   [
     Alcotest.test_case "active close, both directions" `Quick
@@ -433,4 +458,6 @@ let suite =
       test_time_wait_handle_reads_through;
     Alcotest.test_case "a kept TIME_WAIT handle releases its state" `Quick
       test_kept_time_wait_handle_releases;
+    Alcotest.test_case "an RST in TIME_WAIT is not an abort" `Quick
+      test_time_wait_reset_not_reported;
   ]
