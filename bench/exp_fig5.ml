@@ -95,6 +95,16 @@ let run_exp ~size =
     (s_fo /. s_std) "7833.70/5835.80";
   Printf.printf "%-14s %14.2f %14.2f %8.2f %18s\n" "receive rate" r_std r_fo
     (r_fo /. r_std) "8707.88/3510.03";
+  (* Standard TCP moves bulk data at the wire's rate either way: a send
+     rate well below the receive rate is a sender stalling (runt
+     segments, DESIGN.md 7.24), not the path. *)
+  let symmetric_ok = Float.abs (s_std -. r_std) <= 0.05 *. r_std in
+  Printf.printf
+    "[fig5-summary] {\"size_mb\":%d,\"jobs\":%d,\"send_std_kbps\":%.2f,\
+     \"send_fo_kbps\":%.2f,\"recv_std_kbps\":%.2f,\"recv_fo_kbps\":%.2f,\
+     \"send_ratio\":%.2f,\"recv_ratio\":%.2f,\"symmetric_ok\":%b}\n"
+    (size / (1 lsl 20)) !jobs s_std s_fo r_std r_fo (s_fo /. s_std)
+    (r_fo /. r_std) symmetric_ok;
   Printf.printf
     "shape check: the receive-rate penalty (~0.40 in the paper) is much\n\
      larger than the send-rate penalty (~0.75) because every\n\
