@@ -49,11 +49,6 @@ let experiments : (string * (opts -> int)) list =
       plain (fun o -> Exp_ablation.run_exp ~trials:(q o ~quick:3 ~full:7)) );
     ( "chain",
       plain (fun o -> Exp_chain.run_exp ~trials:(q o ~quick:3 ~full:5)) );
-    ( "scale",
-      plain (fun o ->
-          Exp_scale.run_exp ~conns:(q o ~quick:64 ~full:256)
-            ~reply_size:(q o ~quick:4096 ~full:65536)
-            ~trials:(q o ~quick:2 ~full:4)) );
     ("micro", plain (fun _ -> Micro.run_exp ()));
     ( "reintegration",
       plain (fun o ->

@@ -2,21 +2,18 @@
 
      dune exec bin/tcpfo_cli.exe -- run --seed 5 --stats
      dune exec bin/tcpfo_cli.exe -- run --seed 1 --set role=chain --trace
-     dune exec bin/tcpfo_cli.exe -- topo mynet.topo --validate
 
    [run] replays one soak scenario (lib/fault/soak.ml): the seed draws
    every axis of the scenario table, [--set] overrides single axes by
    label, and the run is checked against the paper's §2 invariants
    exactly as the soak sweep checks it.  The CLI builds no world of its
-   own, so what it shows is what the soak tested.  [topo] parses,
-   validates and elaborates a declarative topology file. *)
+   own, so what it shows is what the soak tested. *)
 
 module Engine = Tcpfo_sim.Engine
 module Obs = Tcpfo_obs.Obs
 module Event = Tcpfo_obs.Event
 module Registry = Tcpfo_obs.Registry
 module World = Tcpfo_host.World
-module Topo = Tcpfo_host.Topo
 module Soak = Tcpfo_fault.Soak
 open Cmdliner
 
@@ -91,57 +88,10 @@ let run_cmd =
              --set.")
     Term.(const run $ seed_arg $ set_arg $ trace_arg $ stats_arg)
 
-(* Parse and validate a topology file, then print the elaborated
-   host/segment table — a dry run of exactly what Topo.build would
-   construct (same MAC assignment, same declaration order). *)
-let run_topo file validate_only =
-  let text =
-    if file = "-" then In_channel.input_all stdin
-    else
-      try In_channel.with_open_bin file In_channel.input_all
-      with Sys_error m ->
-        prerr_endline ("tcpfo: " ^ m);
-        exit 2
-  in
-  match Topo.parse text with
-  | Error m ->
-    prerr_endline ("tcpfo: parse error: " ^ m);
-    2
-  | Ok spec -> (
-    match Topo.validate spec with
-    | Error m ->
-      prerr_endline ("tcpfo: invalid topology: " ^ m);
-      1
-    | Ok () ->
-      if validate_only then print_endline "topology OK"
-      else print_string (Topo.to_table (Topo.build (World.create ()) spec));
-      0)
-
-let topo_cmd =
-  let file_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE"
-           ~doc:"Topology spec file ('-' for stdin): lines of 'lan NAME', \
-                 'link NAME bw=.. delay=..', 'host NAME ADDR SEGMENT \
-                 [gw=ADDR]', 'router NAME SEGMENT LAN_ADDR LINK WAN_ADDR', \
-                 'wanhost NAME ADDR LINK', 'group NAME MEMBER MEMBER...', \
-                 'service NAME ADDR SEGMENT', 'dispatch NAME SHARD... \
-                 service=NAME back=ADDR'; '#' comments.")
-  in
-  let validate_arg =
-    Arg.(value & flag & info [ "validate" ]
-           ~doc:"Only parse and validate; print nothing but the verdict.")
-  in
-  Cmd.v
-    (Cmd.info "topo"
-       ~doc:"Parse, validate and elaborate a declarative topology spec.  \
-             Exits 0 when the spec is well formed, 1 when it parses but \
-             fails validation, 2 on a parse error.")
-    Term.(const run_topo $ file_arg $ validate_arg)
-
 let () =
   exit
     (Cmd.eval'
        (Cmd.group
           (Cmd.info "tcpfo"
              ~doc:"Transparent TCP connection failover simulator (DSN 2003)")
-          [ run_cmd; topo_cmd ]))
+          [ run_cmd ]))

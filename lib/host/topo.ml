@@ -1,6 +1,5 @@
 module Time = Tcpfo_sim.Time
 module Ipaddr = Tcpfo_packet.Ipaddr
-module Macaddr = Tcpfo_packet.Macaddr
 module Medium = Tcpfo_net.Medium
 module Link = Tcpfo_net.Link
 module Nic = Tcpfo_net.Nic
@@ -376,7 +375,6 @@ let validate (spec : spec) : (unit, string) result =
 
 type built_host = {
   bh_name : string;
-  bh_kind : string;
   bh_where : string; (* segment or link name *)
   bh_host : Host.t;
 }
@@ -403,6 +401,21 @@ type built = {
   (* LAN membership per segment (hosts + routers), for warm_arp *)
   b_members : (string * Host.t list) list;
 }
+
+(* A dispatcher's back interface is invisible to World.warm_arp, which
+   only looks at a host's first interface, so bind it to back-segment
+   hosts by hand: each host learns the dispatcher's back address, and
+   the dispatcher learns theirs.  Dead hosts are skipped. *)
+let bind_back bd hosts =
+  let back_mac = Nic.mac (Eth_iface.nic bd.bd_back_iface) in
+  List.iter
+    (fun h ->
+      match (Host.eth h, Host.addr h) with
+      | eth, addr ->
+        Host.learn_arp h bd.bd_info.di_back back_mac;
+        Host.learn_arp bd.bd_info.di_host addr (Nic.mac (Eth_iface.nic eth))
+      | exception Invalid_argument _ -> ())
+    hosts
 
 let build world (spec : spec) : built =
   (match validate spec with
@@ -438,8 +451,7 @@ let build world (spec : spec) : built =
           Host.set_default_via_lan host ~gateway:(Ipaddr.of_string g)
         | None -> ());
         hosts :=
-          { bh_name = h.h_name; bh_kind = "host"; bh_where = h.h_segment;
-            bh_host = host }
+          { bh_name = h.h_name; bh_where = h.h_segment; bh_host = host }
           :: !hosts;
         let ms = Hashtbl.find members h.h_segment in
         ms := host :: !ms
@@ -451,8 +463,7 @@ let build world (spec : spec) : built =
             ~wan_addr:r.r_wan_addr ()
         in
         hosts :=
-          { bh_name = r.r_name; bh_kind = "router"; bh_where = r.r_segment;
-            bh_host = host }
+          { bh_name = r.r_name; bh_where = r.r_segment; bh_host = host }
           :: !hosts;
         let ms = Hashtbl.find members r.r_segment in
         ms := host :: !ms
@@ -463,8 +474,7 @@ let build world (spec : spec) : built =
             ?profile:w.w_profile ?tcp_config:w.w_tcp ()
         in
         hosts :=
-          { bh_name = w.w_name; bh_kind = "wan"; bh_where = w.w_link;
-            bh_host = host }
+          { bh_name = w.w_name; bh_where = w.w_link; bh_host = host }
           :: !hosts
       | Group (name, ms) -> groups := (name, ms) :: !groups
       | Service s -> services := (s.sv_name, s) :: !services
@@ -488,8 +498,7 @@ let build world (spec : spec) : built =
         in
         Host.set_forwarding host true;
         hosts :=
-          { bh_name = d.d_name; bh_kind = "dispatch";
-            bh_where = s.sv_segment; bh_host = host }
+          { bh_name = d.d_name; bh_where = s.sv_segment; bh_host = host }
           :: !hosts;
         let ms = Hashtbl.find members s.sv_segment in
         ms := host :: !ms;
@@ -517,28 +526,11 @@ let build world (spec : spec) : built =
      hosts are behind the router, and cross-segment bindings would be
      wrong anyway *)
   List.iter (fun (_, hs) -> World.warm_arp hs) b_members;
-  (* A dispatcher's *front* interface was warmed with its segment above;
-     its back interface is invisible to warm_arp (which only looks at a
-     host's first interface), so bind it to the back wire by hand: every
-     back-segment station learns the gateway, and the dispatcher learns
-     them. *)
+  (* a dispatcher's front interface was warmed with its segment above *)
   List.iter
     (fun (_, bd) ->
-      let back_mac = Nic.mac (Eth_iface.nic bd.bd_back_iface) in
-      let back_hosts =
-        match List.assoc_opt bd.bd_back_seg b_members with
-        | Some hs -> hs
-        | None -> []
-      in
-      List.iter
-        (fun h ->
-          match (Host.eth h, Host.addr h) with
-          | eth, addr ->
-            Host.learn_arp h bd.bd_info.di_back back_mac;
-            Host.learn_arp bd.bd_info.di_host addr
-              (Nic.mac (Eth_iface.nic eth))
-          | exception Invalid_argument _ -> ())
-        back_hosts)
+      bind_back bd
+        (Option.value ~default:[] (List.assoc_opt bd.bd_back_seg b_members)))
     !dispatches;
   {
     b_segments = List.rev !segments;
@@ -573,264 +565,7 @@ let dispatch_of b name =
   | Some bd -> bd.bd_info
   | None -> invalid_arg (Printf.sprintf "Topo.dispatch_of: no dispatch %S" name)
 
-
 let warm_dispatch_arp b name extra =
   match List.assoc_opt name b.b_dispatches with
   | None -> invalid_arg (Printf.sprintf "Topo.warm_dispatch_arp: no dispatch %S" name)
-  | Some bd ->
-    let back_mac = Nic.mac (Eth_iface.nic bd.bd_back_iface) in
-    List.iter
-      (fun h ->
-        match (Host.eth h, Host.addr h) with
-        | eth, addr ->
-          Host.learn_arp h bd.bd_info.di_back back_mac;
-          Host.learn_arp bd.bd_info.di_host addr (Nic.mac (Eth_iface.nic eth))
-        | exception Invalid_argument _ -> ())
-      extra
-
-(* ------------------------------------------------------------------ *)
-(* concrete syntax                                                     *)
-
-let parse_duration s =
-  let num, unit_ =
-    let n = String.length s in
-    let rec split i =
-      if i >= n then (s, "")
-      else
-        match s.[i] with
-        | '0' .. '9' | '.' | '-' -> split (i + 1)
-        | _ -> (String.sub s 0 i, String.sub s i (n - i))
-    in
-    split 0
-  in
-  match (float_of_string_opt num, unit_) with
-  | Some f, ("ms" | "") -> Some (Time.us (int_of_float (f *. 1_000.)))
-  | Some f, "us" -> Some (Time.us (int_of_float f))
-  | Some f, "s" -> Some (Time.us (int_of_float (f *. 1_000_000.)))
-  | _ -> None
-
-let parse (text : string) : (spec, string) result =
-  let decls = ref [] in
-  let error = ref None in
-  let fail lineno fmt =
-    Printf.ksprintf
-      (fun m ->
-        if !error = None then error := Some (Printf.sprintf "line %d: %s" lineno m))
-      fmt
-  in
-  let kv_args lineno what args =
-    (* split positional words from k=v options *)
-    let pos, opts =
-      List.partition (fun a -> not (String.contains a '=')) args
-    in
-    let opts =
-      List.filter_map
-        (fun o ->
-          match String.index_opt o '=' with
-          | Some i ->
-            Some
-              ( String.sub o 0 i,
-                String.sub o (i + 1) (String.length o - i - 1) )
-          | None -> None)
-        opts
-    in
-    List.iter
-      (fun (k, _) ->
-        if not (List.mem k what) then
-          fail lineno "unknown option %S (expected one of: %s)" k
-            (String.concat ", " what))
-      opts;
-    (pos, opts)
-  in
-  let float_opt lineno opts k default =
-    match List.assoc_opt k opts with
-    | None -> default
-    | Some v -> (
-      match float_of_string_opt v with
-      | Some f -> f
-      | None ->
-        fail lineno "option %s: bad number %S" k v;
-        default)
-  in
-  let int_opt lineno opts k default =
-    match List.assoc_opt k opts with
-    | None -> default
-    | Some v -> (
-      match int_of_string_opt v with
-      | Some i -> i
-      | None ->
-        fail lineno "option %s: bad integer %S" k v;
-        default)
-  in
-  let dur_opt lineno opts k default =
-    match List.assoc_opt k opts with
-    | None -> default
-    | Some v -> (
-      match parse_duration v with
-      | Some d -> d
-      | None ->
-        fail lineno "option %s: bad duration %S (use e.g. 15ms, 200us, 1.5s)" k v;
-        default)
-  in
-  let lines = String.split_on_char '\n' text in
-  List.iteri
-    (fun i line ->
-      let lineno = i + 1 in
-      let line =
-        match String.index_opt line '#' with
-        | Some j -> String.sub line 0 j
-        | None -> line
-      in
-      let words =
-        String.split_on_char ' ' (String.trim line)
-        |> List.concat_map (String.split_on_char '\t')
-        |> List.filter (fun w -> w <> "")
-      in
-      match words with
-      | [] -> ()
-      | "lan" :: name :: args ->
-        let _, opts = kv_args lineno [ "bw"; "loss" ] args in
-        let config =
-          if opts = [] then None
-          else
-            Some
-              {
-                Medium.default_config with
-                bandwidth_bps =
-                  int_opt lineno opts "bw"
-                    Medium.default_config.bandwidth_bps;
-                loss_prob =
-                  float_opt lineno opts "loss"
-                    Medium.default_config.loss_prob;
-              }
-        in
-        decls := Segment (name, config) :: !decls
-      | "link" :: name :: args ->
-        let _, opts =
-          kv_args lineno
-            [ "bw"; "delay"; "jitter"; "loss"; "dup"; "reorder"; "queue" ]
-            args
-        in
-        let d = Link.default_config in
-        let config =
-          {
-            Link.bandwidth_bps = int_opt lineno opts "bw" d.bandwidth_bps;
-            delay = dur_opt lineno opts "delay" d.delay;
-            jitter = dur_opt lineno opts "jitter" d.jitter;
-            loss_prob = float_opt lineno opts "loss" d.loss_prob;
-            dup_prob = float_opt lineno opts "dup" d.dup_prob;
-            reorder_prob = float_opt lineno opts "reorder" d.reorder_prob;
-            queue_capacity = int_opt lineno opts "queue" d.queue_capacity;
-          }
-        in
-        decls := Link (name, config) :: !decls
-      | "host" :: name :: addr :: seg :: args ->
-        let _, opts = kv_args lineno [ "gw" ] args in
-        decls :=
-          Host
-            {
-              h_name = name;
-              h_addr = addr;
-              h_segment = seg;
-              h_gateway = List.assoc_opt "gw" opts;
-              h_profile = None;
-              h_tcp = None;
-            }
-          :: !decls
-      | [ "router"; name; seg; lan_addr; link; wan_addr ] ->
-        decls :=
-          Router
-            {
-              r_name = name;
-              r_segment = seg;
-              r_lan_addr = lan_addr;
-              r_link = link;
-              r_wan_addr = wan_addr;
-            }
-          :: !decls
-      | [ "wanhost"; name; addr; link ] ->
-        decls :=
-          Wan_host
-            {
-              w_name = name;
-              w_addr = addr;
-              w_link = link;
-              w_profile = None;
-              w_tcp = None;
-            }
-          :: !decls
-      | "group" :: name :: (_ :: _ as members) ->
-        decls := Group (name, members) :: !decls
-      | [ "service"; name; addr; seg ] ->
-        decls :=
-          Service { sv_name = name; sv_segment = seg; sv_addr = addr }
-          :: !decls
-      | "dispatch" :: name :: rest -> (
-        let shards, opts = kv_args lineno [ "service"; "back" ] rest in
-        match
-          (shards, List.assoc_opt "service" opts, List.assoc_opt "back" opts)
-        with
-        | [], _, _ ->
-          fail lineno "dispatch %S needs at least one shard group" name
-        | _, None, _ ->
-          fail lineno "dispatch %S: missing service= option" name
-        | _, _, None -> fail lineno "dispatch %S: missing back= option" name
-        | shards, Some sv, Some back ->
-          decls :=
-            Dispatch
-              {
-                d_name = name;
-                d_service = sv;
-                d_back = back;
-                d_shards = shards;
-                d_profile = None;
-              }
-            :: !decls)
-      | kw :: _ ->
-        fail lineno
-          "cannot parse %S (expected: lan, link, host, router, wanhost, \
-           group, service, dispatch)"
-          kw)
-    lines;
-  match !error with Some e -> Error e | None -> Ok (List.rev !decls)
-
-(* ------------------------------------------------------------------ *)
-(* table                                                               *)
-
-let to_table (b : built) : string =
-  let buf = Buffer.create 256 in
-  let mac bh =
-    match Host.eth bh.bh_host with
-    | eth -> Macaddr.to_string (Nic.mac (Eth_iface.nic eth))
-    | exception Invalid_argument _ -> "-"
-  in
-  Buffer.add_string buf
-    (Printf.sprintf "%-12s %-7s %-15s %-18s %s\n" "HOST" "KIND" "ADDR" "MAC"
-       "WHERE");
-  List.iter
-    (fun bh ->
-      Buffer.add_string buf
-        (Printf.sprintf "%-12s %-7s %-15s %-18s %s\n" bh.bh_name bh.bh_kind
-           (Ipaddr.to_string (Host.addr bh.bh_host))
-           (mac bh) bh.bh_where))
-    b.b_hosts;
-  if b.b_groups <> [] then begin
-    Buffer.add_char buf '\n';
-    List.iter
-      (fun (name, members) ->
-        Buffer.add_string buf
-          (Printf.sprintf "group %-8s %s\n" name (String.concat " > " members)))
-      b.b_groups
-  end;
-  if b.b_dispatches <> [] then begin
-    Buffer.add_char buf '\n';
-    List.iter
-      (fun (name, bd) ->
-        Buffer.add_string buf
-          (Printf.sprintf "dispatch %-8s service=%s back=%s shards: %s\n" name
-             (Ipaddr.to_string bd.bd_info.di_service)
-             (Ipaddr.to_string bd.bd_info.di_back)
-             (String.concat " " bd.bd_info.di_shards)))
-      b.b_dispatches
-  end;
-  Buffer.contents buf
+  | Some bd -> bind_back bd extra

@@ -14,20 +14,20 @@
     declarations mirror a hand-wired setup produces a byte-identical
     world — same MACs, same per-host RNG streams, same metrics.
 
-    A tiny line-oriented concrete syntax ({!parse}) backs the CLI
-    [topo] subcommand, so topologies can live in files:
+    A three-replica pool behind a WAN, in the constructors below:
 
-    {v
-    # three-replica pool behind a WAN
-    lan net
-    link wan bw=2000000 delay=15ms loss=0.002
-    router gw net 10.0.0.254 wan 192.168.0.1
-    wanhost client 192.168.0.2 wan
-    host primary 10.0.0.1 net gw=10.0.0.254
-    host secondary 10.0.0.2 net gw=10.0.0.254
-    host standby 10.0.0.4 net gw=10.0.0.254
-    group pool primary secondary standby
-    v} *)
+    {[
+      let gw = "10.0.0.254" in
+      [ Topo.segment "net";
+        Topo.link "wan";
+        Topo.router ~seg:"net" ~lan_addr:gw ~link:"wan"
+          ~wan_addr:"192.168.0.1" "gw";
+        Topo.wan_host ~addr:"192.168.0.2" ~link:"wan" "client";
+        Topo.host ~gateway:gw ~addr:"10.0.0.1" ~seg:"net" "primary";
+        Topo.host ~gateway:gw ~addr:"10.0.0.2" ~seg:"net" "secondary";
+        Topo.host ~gateway:gw ~addr:"10.0.0.4" ~seg:"net" "standby";
+        Topo.group ~members:[ "primary"; "secondary"; "standby" ] "pool" ]
+    ]} *)
 
 (** {1 Spec} *)
 
@@ -192,29 +192,3 @@ val warm_dispatch_arp : built -> string -> Host.t list -> unit
 (** Bind late-added back-segment hosts (e.g. repaired replicas) to the
     named dispatcher: each learns the dispatcher's back address/MAC and
     the dispatcher learns theirs.  Dead hosts are skipped. *)
-
-(** {1 Concrete syntax} *)
-
-val parse : string -> (spec, string) result
-(** Parse the line-oriented syntax.  One declaration per line; [#] starts
-    a comment; blank lines are skipped.
-
-    {v
-    lan NAME [bw=BPS] [loss=P]
-    link NAME [bw=BPS] [delay=DUR] [jitter=DUR] [loss=P] [dup=P]
-              [reorder=P] [queue=N]
-    host NAME ADDR SEGMENT [gw=ADDR]
-    router NAME SEGMENT LAN_ADDR LINK WAN_ADDR
-    wanhost NAME ADDR LINK
-    group NAME MEMBER MEMBER [MEMBER...]
-    service NAME ADDR SEGMENT
-    dispatch NAME SHARD [SHARD...] service=NAME back=ADDR
-    v}
-
-    Durations accept [ms]/[us]/[s] suffixes (e.g. [delay=15ms]).  The
-    result is unvalidated — run {!validate} (or {!build}) next. *)
-
-val to_table : built -> string
-(** Human-readable table of the elaborated topology: one row per host
-    (name, kind, address, MAC, segment/link), then the declared groups
-    and dispatchers. *)

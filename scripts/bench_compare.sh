@@ -16,7 +16,7 @@
 # gives the same verdict on any machine.  Nonzero exit fails the job.
 #
 # Usage: scripts/bench_compare.sh <exp> <summary-file> [baseline-file]
-#   exp ∈ scale | reintegration | highconn | fleet
+#   exp ∈ reintegration | highconn | fleet
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -63,15 +63,6 @@ check_eq() { # check_eq <what> <got> <want>
 }
 
 case "$exp" in
-  scale)
-    require_flag all_completed
-    # conns and reply_size are the experiment's own inputs; the event
-    # and byte totals are what the simulation did with them
-    for key in conns reply_size events bytes; do
-      check_eq "smoke $key" "$(sum_num $key)" "$(smoke_num $key)"
-    done
-    ;;
-
   reintegration)
     require_flag all_ok
     probe=$(smoke_num probe_conns)

@@ -1,7 +1,7 @@
-(* Tests for the Topo DSL: spec validation, the line parser, World-level
-   duplicate-binding rejection, and the determinism contract — a
-   Topo-built world must be byte-identical (metrics and all) to the
-   equivalent hand-wired World calls. *)
+(* Tests for the Topo DSL: spec validation, World-level duplicate-binding
+   rejection, and the determinism contract — a Topo-built world must be
+   byte-identical (metrics and all) to the equivalent hand-wired World
+   calls. *)
 
 module Time = Tcpfo_sim.Time
 module World = Tcpfo_host.World
@@ -35,7 +35,18 @@ let test_validate_ok () =
         Topo.group ~members:[ "server"; "spare" ] "pool";
       ]
   in
-  check_bool "grouped spec valid" true (Topo.validate with_group = Ok ())
+  check_bool "grouped spec valid" true (Topo.validate with_group = Ok ());
+  let wan =
+    [
+      Topo.segment "net";
+      Topo.link "wan";
+      Topo.host ~gateway:"10.0.0.254" ~addr:"10.0.0.1" ~seg:"net" "server";
+      Topo.router ~seg:"net" ~lan_addr:"10.0.0.254" ~link:"wan"
+        ~wan_addr:"192.168.0.1" "rt";
+      Topo.wan_host ~addr:"192.168.0.2" ~link:"wan" "client";
+    ]
+  in
+  check_bool "WAN spec valid" true (Topo.validate wan = Ok ())
 
 let test_validate_rejects () =
   let bad what spec =
@@ -106,6 +117,10 @@ let test_validate_service_dispatch () =
     (fleet_spec @ [ svc; Topo.service ~seg:"front" ~addr:"10.1.0.2" "fleet" ]);
   expect_error_naming "service on unknown segment" "\"lost\""
     (fleet_spec @ [ Topo.service ~seg:"ghost" ~addr:"10.1.0.1" "lost" ]);
+  expect_error_naming "dispatch without shards" "\"disp\""
+    (fleet_spec
+    @ [ svc;
+        Topo.dispatch ~service:"fleet" ~back:"10.0.0.254" ~shards:[] "disp" ]);
   expect_error_naming "dispatch without service" "\"disp\""
     (fleet_spec
     @ [ Topo.dispatch ~service:"ghost" ~back:"10.0.0.254"
@@ -143,30 +158,6 @@ let test_group_duplicate_member_rejected () =
   expect_error_naming "group listing a member twice" "\"server\""
     (lan_pair_spec @ [ Topo.group ~members:[ "server"; "server" ] "pool" ])
 
-let test_parse_service_dispatch () =
-  let text =
-    "lan front\n\
-     lan back\n\
-     host client 10.1.0.10 front\n\
-     host s0a 10.0.0.1 back gw=10.0.0.254\n\
-     host s0b 10.0.0.2 back gw=10.0.0.254\n\
-     group shard0 s0a s0b\n\
-     service fleet 10.1.0.1 front\n\
-     dispatch disp shard0 service=fleet back=10.0.0.254\n"
-  in
-  (match Topo.parse text with
-  | Error e -> Alcotest.fail ("parse failed: " ^ e)
-  | Ok spec ->
-    check_bool "parsed fleet spec valid" true (Topo.validate spec = Ok ()));
-  check_bool "dispatch without service= rejected" true
-    (is_error (Topo.parse "dispatch disp shard0 back=10.0.0.254\n"));
-  check_bool "dispatch without back= rejected" true
-    (is_error (Topo.parse "dispatch disp shard0 service=fleet\n"));
-  check_bool "dispatch without shards rejected" true
-    (is_error (Topo.parse "dispatch disp service=fleet back=10.0.0.254\n"));
-  check_bool "truncated service line rejected" true
-    (is_error (Topo.parse "service fleet 10.1.0.1\n"))
-
 let test_build_raises_on_invalid () =
   expect_invalid "duplicate IP" (fun () ->
       let world = World.create () in
@@ -185,36 +176,6 @@ let test_world_rejects_duplicate_bindings () =
   let other = World.make_lan world () in
   let _c = World.add_host world other ~name:"c" ~addr:"10.0.0.1" () in
   ()
-
-let test_parse_ok () =
-  let text =
-    "# LAN testbed\n\
-     lan net\n\
-     host client 10.0.0.10 net\n\
-     host primary 10.0.0.1 net\n\
-     host secondary 10.0.0.2 net\n\
-     group pool primary secondary\n"
-  in
-  match Topo.parse text with
-  | Error e -> Alcotest.fail ("parse failed: " ^ e)
-  | Ok spec -> check_bool "parsed spec valid" true (Topo.validate spec = Ok ())
-
-let test_parse_wan_ok () =
-  let text =
-    "lan net\n\
-     link wan bw=2000000 delay=15ms jitter=3ms loss=0.002\n\
-     host server 10.0.0.1 net gw=10.0.0.254\n\
-     router rt net 10.0.0.254 wan 192.168.0.1\n\
-     wanhost client 192.168.0.2 wan\n"
-  in
-  match Topo.parse text with
-  | Error e -> Alcotest.fail ("parse failed: " ^ e)
-  | Ok spec -> check_bool "parsed WAN spec valid" true (Topo.validate spec = Ok ())
-
-let test_parse_rejects_garbage () =
-  check_bool "unknown keyword rejected" true (is_error (Topo.parse "frob x y\n"));
-  check_bool "truncated host line rejected" true
-    (is_error (Topo.parse "lan net\nhost a\n"))
 
 (* An identical echo workload driven over a Topo-built world and over the
    equivalent hand-wired World calls: the streams AND the full metrics
@@ -274,7 +235,7 @@ let test_group_promotion_order () =
     [ "beta"; "gamma"; "alpha" ]
     (List.map Host.name (Topo.group_of topo "pool"))
 
-let test_accessors_and_table () =
+let test_accessors () =
   let world = World.create () in
   let spec =
     lan_pair_spec @ [ Topo.group ~members:[ "client"; "server" ] "pair" ]
@@ -285,10 +246,7 @@ let test_accessors_and_table () =
     (List.length (Topo.group_of topo "pair"));
   check_string "group head is first member" "client"
     (Host.name (List.hd (Topo.group_of topo "pair")));
-  expect_invalid "unknown host accessor" (fun () -> Topo.host_of topo "ghost");
-  let table = Topo.to_table topo in
-  check_bool "table mentions every host" true
-    (List.for_all (contains table) [ "client"; "server"; "10.0.0.10" ])
+  expect_invalid "unknown host accessor" (fun () -> Topo.host_of topo "ghost")
 
 let suite =
   [
@@ -298,18 +256,13 @@ let suite =
       test_validate_service_dispatch;
     Alcotest.test_case "group duplicate member rejected" `Quick
       test_group_duplicate_member_rejected;
-    Alcotest.test_case "parse service/dispatch lines" `Quick
-      test_parse_service_dispatch;
     Alcotest.test_case "group_of preserves promotion order" `Quick
       test_group_promotion_order;
     Alcotest.test_case "build raises on invalid spec" `Quick
       test_build_raises_on_invalid;
     Alcotest.test_case "world rejects duplicate bindings" `Quick
       test_world_rejects_duplicate_bindings;
-    Alcotest.test_case "parse accepts LAN text" `Quick test_parse_ok;
-    Alcotest.test_case "parse accepts WAN text" `Quick test_parse_wan_ok;
-    Alcotest.test_case "parse rejects garbage" `Quick test_parse_rejects_garbage;
     Alcotest.test_case "build matches hand-wired world byte-for-byte" `Quick
       test_build_matches_hand_wired;
-    Alcotest.test_case "accessors and table" `Quick test_accessors_and_table;
+    Alcotest.test_case "accessors" `Quick test_accessors;
   ]
