@@ -758,11 +758,9 @@ let flush_case ~service ~pred ~client_sends ~expect =
   check_bool "eof" true csink.eof;
   check_int "never reset" 0 csink.resets;
   let p_ack = Tcb.rcv_nxt (Option.get !server) in
-  (* the flush, without the primary's TCP retransmissions that may
-     follow it through the solo pass-through *)
   let detected_at = Option.get !detected_at in
   (* the flush, without the primary's TCP retransmissions that may
-     follow it through the solo pass-through *)
+     follow it through the solo merge path *)
   let flushed =
     List.filteri (fun i _ -> i >= before) (rx ())
     |> List.filter (fun (_, (seg : Seg.t)) -> seg.payload <> "" || seg.flags.fin)
@@ -1070,4 +1068,103 @@ let suite =
         test_primary_ahead_held_once;
       Alcotest.test_case "6 flush reads the primary's send buffer" `Quick
         test_flush_reads_send_buffer;
+    ]
+
+(* §8 for every entry: a connection closes, with the server's FIN or
+   the client's first, and [kill] decides whether its secondary dies
+   mid-transfer (the connection then finishes solo, §6).  The bridge
+   tears the entry down as the close completes, so it is lingering, not
+   stale, by then; it answers stray FINs for 10 s and is gone after. *)
+let teardown_case ~kill ~server_first =
+  let r = make_repl_lan () in
+  let reply = pattern ~tag:35 200_000 in
+  Replicated.listen r.repl ~port:80 ~on_accept:(fun ~role:_ tcb ->
+      Tcb.set_on_data tcb (fun _ -> send_all ~close:server_first tcb reply);
+      Tcb.set_on_eof tcb (fun () -> if not server_first then Tcb.close tcb));
+  let csink = make_sink () in
+  let c =
+    Stack.connect (Host.tcp r.rclient)
+      ~remote:(Replicated.service_addr r.repl, 80)
+      ()
+  in
+  wire_sink csink c;
+  Tcb.set_on_established c (fun () -> ignore (Tcb.send c "get"));
+  let killed = ref false in
+  Tcb.set_on_data c (fun d ->
+      Buffer.add_string csink.buf d;
+      if kill && (not !killed) && Buffer.length csink.buf >= 50_000 then begin
+        killed := true;
+        Replicated.kill_secondary r.repl
+      end;
+      if (not server_first) && Buffer.length csink.buf = String.length reply
+      then Tcb.close c);
+  Tcb.set_on_eof c (fun () ->
+      csink.eof <- true;
+      if server_first then Tcb.close c);
+  let pb = Replicated.primary_bridge r.repl in
+  let closed () =
+    match Tcb.state c with Tcb.Closed | Tcb.Time_wait -> true | _ -> false
+  in
+  let budget = ref 5_000 in
+  while (not (closed ())) && !budget > 0 do
+    World.run r.rworld ~for_:(Time.ms 1);
+    decr budget
+  done;
+  check_bool "client closed" true (closed ());
+  check_bool "secondary killed as asked" kill !killed;
+  check_bool "solo exactly when killed" kill (Primary_bridge.degraded pb);
+  check_string "stream byte-exact" reply (sink_contents csink);
+  check_int "never reset" 0 csink.resets;
+  World.run r.rworld ~for_:(Time.ms 500);
+  check_int "no stale entry after the close" 0 (Primary_bridge.stale_count pb);
+  World.run r.rworld ~for_:(Time.ms 9_000);
+  check_int "the entry lingers" 1 (Primary_bridge.connection_count pb);
+  World.run r.rworld ~for_:(Time.ms 1_000);
+  check_int "gone 10 s after teardown" 0 (Primary_bridge.connection_count pb)
+
+let test_solo_server_fin_first () = teardown_case ~kill:true ~server_first:true
+let test_solo_client_fin_first () = teardown_case ~kill:true ~server_first:false
+let test_merged_server_fin_first () =
+  teardown_case ~kill:false ~server_first:true
+
+let test_solo_rst_drops_entry () =
+  (* The secondary is dead; then the primary's application aborts.  Its
+     RST leaves through the solo merge path, which forgets the entry at
+     once instead of keeping it until the client's next segment. *)
+  let r = make_repl_lan () in
+  let server = ref None in
+  Replicated.listen r.repl ~port:80 ~on_accept:(fun ~role tcb ->
+      if role = `Primary then server := Some tcb;
+      Tcb.set_on_data tcb (fun d -> ignore (Tcb.send tcb ("R:" ^ d))));
+  let csink = make_sink () in
+  let c =
+    Stack.connect (Host.tcp r.rclient)
+      ~remote:(Replicated.service_addr r.repl, 80)
+      ()
+  in
+  wire_sink csink c;
+  Tcb.set_on_established c (fun () -> ignore (Tcb.send c "one"));
+  run_repl ~for_sec:0.5 r;
+  Replicated.kill_secondary r.repl;
+  run_repl ~for_sec:0.5 r;
+  let pb = Replicated.primary_bridge r.repl in
+  check_bool "degraded" true (Primary_bridge.degraded pb);
+  check_string "served" "R:one" (sink_contents csink);
+  check_int "one solo entry" 1 (Primary_bridge.connection_count pb);
+  Tcb.abort (Option.get !server);
+  run_repl ~for_sec:0.1 r;
+  check_int "the client was reset" 1 csink.resets;
+  check_int "the entry is gone" 0 (Primary_bridge.connection_count pb)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "solo close, server FIN first: reclaimed (6, 8)"
+        `Quick test_solo_server_fin_first;
+      Alcotest.test_case "solo close, client FIN first: reclaimed (6, 8)"
+        `Quick test_solo_client_fin_first;
+      Alcotest.test_case "merged close, server FIN first: reclaimed (8)"
+        `Quick test_merged_server_fin_first;
+      Alcotest.test_case "RST from a solo primary drops the entry (6)" `Quick
+        test_solo_rst_drops_entry;
     ]

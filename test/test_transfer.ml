@@ -967,7 +967,7 @@ let test_abort_releases_held_output () =
   (* The secondary dies, a repaired host rejoins, and the newcomer dies
      too while its offer is in flight.  The server writes during the
      hold; when the offer fails, the surviving primary's bridge releases
-     the held segments through the solo pass-through, shifted by -Δseq
+     the held segments through the solo merge path, shifted by -Δseq
      into wire space. *)
   let r = make_repl_lan () in
   let server = ref None in
