@@ -23,6 +23,7 @@ module Engine = Tcpfo_sim.Engine
 module Medium = Tcpfo_net.Medium
 module Dispatch = Tcpfo_dispatch.Dispatch
 module Registry = Tcpfo_obs.Registry
+module Primary_bridge = Tcpfo_core.Primary_bridge
 
 let n_clients = 8
 let service_port = 7
@@ -52,6 +53,8 @@ type outcome = {
   events : int;
   snoop_ns : int; (* receive time snooping shard replicas spent on
                      captured frames they then dropped *)
+  stale : int; (* primary-bridge entries still Active for a connection
+                  their host holds no live TCB for (§8 never reached) *)
   sim_ns : int;
   wall_s : float;
 }
@@ -235,6 +238,11 @@ let one_trial ~pools:n_pools ~conns ~cycles ~seed =
              acc + Registry.counter_value m k
            else acc)
          0 (Registry.names m));
+    stale =
+      List.fold_left
+        (fun acc (_, pool) ->
+          acc + Primary_bridge.stale_count (Replicated.primary_bridge pool))
+        0 shard_pools;
     sim_ns = World.now world;
     wall_s;
   }
@@ -287,7 +295,7 @@ let run_exp ~pools ~conns ~cycles ~trials =
      \"cycles_ramped\":%d,\"routed\":%d,\"drained\":%d,\"refused\":%d,\
      \"unmatched\":%d,\"isolation_drops\":%d,\"probes_sent\":%d,\
      \"probe_replies\":%d,\"shift_transitions\":%d,\"events\":%d,\
-     \"snoop_ms\":%.3f,\"sim_ms\":%.1f,\"all_ok\":%b}\n%!"
+     \"snoop_ms\":%.3f,\"stale_entries\":%d,\"sim_ms\":%.1f,\"all_ok\":%b}\n%!"
     o.pools o.conns o.cycles trials !jobs o.completed o.ok o.resets
     o.cycles_ramped o.counters.Dispatch.routed o.counters.Dispatch.drained
     o.counters.Dispatch.refused o.counters.Dispatch.unmatched
@@ -295,6 +303,7 @@ let run_exp ~pools ~conns ~cycles ~trials =
     o.counters.Dispatch.probe_replies o.counters.Dispatch.shift_transitions
     o.events
     (float_of_int o.snoop_ns /. 1e6)
+    o.stale
     (float_of_int o.sim_ns /. 1e6)
     !all_ok;
   events_line ~exp:"fleet" total_events;

@@ -106,7 +106,7 @@ case "$exp" in
   fleet)
     require_flag all_ok
     for key in completed resets refused unmatched isolation_drops events \
-               snoop_ms; do
+               snoop_ms stale_entries; do
       check_eq "smoke $key" "$(sum_num $key)" "$(smoke_num $key)"
     done
     ;;
