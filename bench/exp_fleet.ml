@@ -20,7 +20,6 @@
 
 open Harness
 module Engine = Tcpfo_sim.Engine
-module Medium = Tcpfo_net.Medium
 module Dispatch = Tcpfo_dispatch.Dispatch
 module Registry = Tcpfo_obs.Registry
 module Primary_bridge = Tcpfo_core.Primary_bridge
@@ -30,16 +29,6 @@ let service_port = 7
 let request = "get\n"
 let reply_size = 2048
 let open_gap = Time.us 500
-
-(* Server-class shard hosts (cf. E13): the paper's testbed CPU would
-   saturate under a whole fleet's worth of connection setups. *)
-let fleet_profile =
-  { Host.tx_cost = Time.us 5; rx_cost = Time.us 7; jitter_frac = 0.25;
-    hiccup_prob = 0.015 }
-
-(* One shared back wire for every shard needs more than the paper's
-   100 Mb/s segment; collisions stay on. *)
-let lan_config = { Medium.default_config with bandwidth_bps = 1_000_000_000 }
 
 type outcome = {
   pools : int;
@@ -64,22 +53,25 @@ let one_trial ~pools:n_pools ~conns ~cycles ~seed =
   note_world world;
   let gw = "10.0.0.254" in
   let shard_name i = Printf.sprintf "shard%d" i in
+  (* server-class hosts on gigabit wires: the paper's testbed CPU would
+     saturate under a whole fleet's worth of connection setups, and one
+     back wire carries every shard *)
   let spec =
-    [ Topo.segment ~config:lan_config "front";
-      Topo.segment ~config:lan_config "back" ]
+    [ Topo.segment ~config:gigabit_lan "front";
+      Topo.segment ~config:gigabit_lan "back" ]
     @ List.init n_clients (fun i ->
-          Topo.host ~profile:fleet_profile
+          Topo.host ~profile:server_profile
             ~addr:(Printf.sprintf "10.1.0.%d" (10 + i))
             ~seg:"front"
             (Printf.sprintf "client%d" i))
     @ List.concat
         (List.init n_pools (fun i ->
              [
-               Topo.host ~profile:fleet_profile ~gateway:gw
+               Topo.host ~profile:server_profile ~gateway:gw
                  ~addr:(Printf.sprintf "10.0.0.%d" (1 + (2 * i)))
                  ~seg:"back"
                  (Printf.sprintf "s%da" i);
-               Topo.host ~profile:fleet_profile ~gateway:gw
+               Topo.host ~profile:server_profile ~gateway:gw
                  ~addr:(Printf.sprintf "10.0.0.%d" (2 + (2 * i)))
                  ~seg:"back"
                  (Printf.sprintf "s%db" i);
@@ -186,7 +178,7 @@ let one_trial ~pools:n_pools ~conns ~cycles ~seed =
               World.add_host world back
                 ~name:(Printf.sprintf "fix%d" !cycle)
                 ~addr:(Printf.sprintf "10.0.0.%d" (100 + !cycle))
-                ~profile:fleet_profile ()
+                ~profile:server_profile ()
             in
             Host.set_default_via_lan h ~gateway:gw_addr;
             World.warm_arp (h :: Replicated.replicas pool);

@@ -3,12 +3,13 @@
    (full vs delta), the connection count, and control-channel loss.
 
    Topology: [n_clients] clients, a replicated pair and one spare host
-   on a shared gigabit LAN (server-class host profile, as E13 — the
-   paper-profile CPU saturates below what thousands of bulk connections
-   generate).  Each connection uploads one 4 KiB block; the service
-   replies with a 18-byte receipt per block.  Uploads are what the pool
-   retains for replay, so by kill time every connection carries a fat
-   retained-input history — the worst case for full snapshots.
+   on a shared gigabit LAN (Harness.server_profile: the paper-profile
+   CPU saturates below what thousands of bulk connections generate, and
+   10k of them would drown its 100 Mb/s wire).  Each connection uploads
+   one 4 KiB block; the service replies with a 18-byte receipt per
+   block.  Uploads are what the pool retains for replay, so by kill
+   time every connection carries a fat retained-input history — the
+   worst case for full snapshots.
 
    The [mode] axis picks the snapshot form indirectly, exactly as a real
    deployment would: [Delta] rows model a checkpointing application that
@@ -36,7 +37,6 @@ module World = Tcpfo_host.World
 module Host = Tcpfo_host.Host
 module Stack = Tcpfo_tcp.Stack
 module Tcb = Tcpfo_tcp.Tcb
-module Medium = Tcpfo_net.Medium
 module Replicated = Tcpfo_core.Replicated
 module Failover_config = Tcpfo_core.Failover_config
 module Registry = Tcpfo_obs.Registry
@@ -47,14 +47,6 @@ module Injector = Tcpfo_fault.Injector
 let service_ports = [ 7000; 7001; 7002; 7003 ]
 let n_clients = 4
 let block_size = 4096
-
-(* Server-class hosts and a gigabit segment, as E13: 10k bulk
-   connections would drown the paper's testbed CPU and 100 Mb/s wire. *)
-let profile =
-  { Host.tx_cost = Time.us 5; rx_cost = Time.us 7; jitter_frac = 0.25;
-    hiccup_prob = 0.015 }
-
-let lan_config = { Medium.default_config with bandwidth_bps = 1_000_000_000 }
 
 type mode = Full | Delta
 
@@ -85,15 +77,17 @@ let one_trial ~conns ~loss ~mode ~seed =
   let world = World.create ~seed () in
   note_world world;
   let spec =
-    (Topo.segment ~config:lan_config "lan"
+    (Topo.segment ~config:gigabit_lan "lan"
     :: List.init n_clients (fun i ->
-           Topo.host ~profile
+           Topo.host ~profile:server_profile
              ~addr:(Printf.sprintf "10.0.0.%d" (10 + i))
              ~seg:"lan"
              (Printf.sprintf "client%d" i)))
     @ [
-        Topo.host ~profile ~addr:"10.0.0.1" ~seg:"lan" "primary";
-        Topo.host ~profile ~addr:"10.0.0.2" ~seg:"lan" "secondary";
+        Topo.host ~profile:server_profile ~addr:"10.0.0.1" ~seg:"lan"
+          "primary";
+        Topo.host ~profile:server_profile ~addr:"10.0.0.2" ~seg:"lan"
+          "secondary";
         Topo.group ~members:[ "primary"; "secondary" ] "pool";
       ]
   in
@@ -140,7 +134,7 @@ let one_trial ~conns ~loss ~mode ~seed =
   for i = 0 to conns - 1 do
     let client = List.nth clients (i mod n_clients) in
     let port = List.nth service_ports (i mod n_ports) in
-    (* 150 us stagger keeps the open storm under host capacity (E13) *)
+    (* 150 us stagger keeps the open storm under host capacity *)
     ignore
       (Engine.schedule engine ~delay:(i * Time.us 150) (fun () ->
            let c =
@@ -174,7 +168,8 @@ let one_trial ~conns ~loss ~mode ~seed =
   World.run world ~for_:(Time.sec 2.0);
   (* repair: fresh host joins, live connections re-replicate onto it *)
   let fresh =
-    World.add_host world lan ~name:"repaired" ~addr:"10.0.0.3" ~profile ()
+    World.add_host world lan ~name:"repaired" ~addr:"10.0.0.3"
+      ~profile:server_profile ()
   in
   (* warm_arp itself skips the dead secondary *)
   World.warm_arp (fresh :: Topo.hosts topo);

@@ -67,11 +67,6 @@ let experiments : (string * (opts -> int)) list =
           Exp_threetier.run_exp
             ~cycle_counts:(q o ~quick:[ 3 ] ~full:[ 3; 6 ])
             ~trials:(q o ~quick:2 ~full:3)) );
-    ( "highconn",
-      plain (fun o ->
-          Exp_highconn.run_exp
-            ~conn_counts:(q o ~quick:[ 100; 400 ] ~full:[ 1000; 4000; 10000 ])
-            ~trials:(q o ~quick:1 ~full:2)) );
     ( "fleet",
       plain (fun o ->
           Exp_fleet.run_exp ~pools:(q o ~quick:4 ~full:16)
@@ -112,10 +107,9 @@ let run which quick metrics_dir jobs seeds first_seed soak_report loss_rates =
   in
   Harness.jobs := jobs;
   let opts = { quick; seeds; first_seed; soak_report; loss_rates } in
-  (* CPU time of this process and of the children E13 forks *)
   let cpu () =
     let t = Unix.times () in
-    t.tms_utime +. t.tms_stime +. t.tms_cutime +. t.tms_cstime
+    t.tms_utime +. t.tms_stime
   in
   let t0 = cpu () in
   let failures =
