@@ -41,7 +41,6 @@ module Replicated = Tcpfo_core.Replicated
 module Failover_config = Tcpfo_core.Failover_config
 module Registry = Tcpfo_obs.Registry
 module Stats = Tcpfo_util.Stats
-module Fault = Tcpfo_fault.Fault
 module Injector = Tcpfo_fault.Injector
 
 let service_ports = [ 7000; 7001; 7002; 7003 ]
@@ -175,17 +174,12 @@ let one_trial ~conns ~loss ~mode ~seed =
   World.warm_arp (fresh :: Topo.hosts topo);
   (* the --loss axis: a loss burst on the LAN covering the transfers,
      which the streaming control channel must retransmit through *)
-  if loss > 0.0 then
+  if loss > 0.0 then begin
+    let inj = Injector.create engine ~rng:(World.fresh_rng world) in
     ignore
-      (Injector.install
-         {
-           Injector.engine;
-           rng = World.fresh_rng world;
-           hosts = [];
-           nets = [ ("lan", Injector.Medium_net lan) ];
-         }
-         (Fault.parse_exn
-            (Printf.sprintf "after 0us loss lan %.2f for 8ms" loss)));
+      (Engine.schedule engine ~delay:0 (fun () ->
+           Injector.loss_burst inj lan ~p:loss ~for_:(Time.ms 8)))
+  end;
   let transferred = ref 0 in
   let latency_us = ref nan in
   let t_reint = World.now world in

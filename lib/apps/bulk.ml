@@ -1,6 +1,5 @@
 module Stack = Tcpfo_tcp.Stack
 module Tcb = Tcpfo_tcp.Tcb
-module Replicated = Tcpfo_core.Replicated
 
 (* Deterministic stream content so receivers can verify integrity. *)
 let stream_byte i = Char.chr ((i * 31 + (i lsr 8) * 17 + 5) land 0xFF)
@@ -52,19 +51,9 @@ module Sink = struct
 
   let serve stack ~port ?on_complete () =
     Stack.listen stack ~port ~on_accept:(fun tcb -> handle ?on_complete tcb)
-
-  let serve_replicated repl ~port ?on_complete () =
-    Replicated.listen repl ~port ~on_accept:(fun ~role tcb ->
-        let on_complete =
-          Option.map (fun f -> fun ~bytes_received -> f ~role ~bytes_received)
-            on_complete
-        in
-        handle ?on_complete tcb)
 end
 
 module Source = struct
-  let payload n = stream_chunk ~pos:0 n
-
   let handle ~size tcb =
     Tcb.set_on_established tcb (fun () ->
         pump ~size ~on_buffered:(fun () -> ()) ~then_close:true tcb);
@@ -72,10 +61,6 @@ module Source = struct
 
   let serve stack ~port ~size =
     Stack.listen stack ~port ~on_accept:(handle ~size)
-
-  let serve_replicated repl ~port ~size =
-    Replicated.listen repl ~port ~on_accept:(fun ~role:_ tcb ->
-        handle ~size tcb)
 end
 
 module Rr = struct
@@ -92,10 +77,6 @@ module Rr = struct
 
   let serve stack ~port ~reply_size =
     Stack.listen stack ~port ~on_accept:(handle ~reply_size)
-
-  let serve_replicated repl ~port ~reply_size =
-    Replicated.listen repl ~port ~on_accept:(fun ~role:_ tcb ->
-        handle ~reply_size tcb)
 end
 
 let upload stack ~remote ~size ?chunk ~on_buffered ~on_complete () =

@@ -13,13 +13,6 @@ module Sink : sig
     unit
   (** Accept connections, discard payload, fire [on_complete] when the
       peer half-closes.  The sink closes its side in response. *)
-
-  val serve_replicated :
-    Tcpfo_core.Replicated.t ->
-    port:int ->
-    ?on_complete:(role:[ `Primary | `Secondary ] -> bytes_received:int -> unit) ->
-    unit ->
-    unit
 end
 
 module Source : sig
@@ -27,12 +20,6 @@ module Source : sig
       closes. *)
 
   val serve : Tcpfo_tcp.Stack.t -> port:int -> size:int -> unit
-  val serve_replicated :
-    Tcpfo_core.Replicated.t -> port:int -> size:int -> unit
-
-  val payload : int -> string
-  (** The deterministic stream prefix of the given length (for
-      verification). *)
 end
 
 module Rr : sig
@@ -40,8 +27,6 @@ module Rr : sig
       with [reply_size] bytes (paper Figure 4). *)
 
   val serve : Tcpfo_tcp.Stack.t -> port:int -> reply_size:int -> unit
-  val serve_replicated :
-    Tcpfo_core.Replicated.t -> port:int -> reply_size:int -> unit
 end
 
 val send_and_close : Tcpfo_tcp.Tcb.t -> string -> unit

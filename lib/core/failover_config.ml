@@ -2,7 +2,6 @@ module Time = Tcpfo_sim.Time
 
 type t = {
   service_ports : int list;
-  remote_service_ports : int list;
   heartbeat_period : Time.t;
   detector_timeout : Time.t;
   bridge_cost : Time.t;
@@ -14,7 +13,6 @@ type t = {
 let default =
   {
     service_ports = [];
-    remote_service_ports = [];
     heartbeat_period = Time.ms 10;
     detector_timeout = Time.ms 30;
     bridge_cost = Time.us 8;
@@ -23,14 +21,14 @@ let default =
     use_min_window = true;
   }
 
-let make ?(service_ports = []) ?(remote_service_ports = [])
+let make ?(service_ports = [])
     ?(heartbeat_period = default.heartbeat_period)
     ?(detector_timeout = default.detector_timeout)
     ?(bridge_cost = default.bridge_cost)
     ?(takeover_processing = default.takeover_processing)
     ?(use_min_ack = default.use_min_ack)
     ?(use_min_window = default.use_min_window) () =
-  { service_ports; remote_service_ports; heartbeat_period; detector_timeout;
+  { service_ports; heartbeat_period; detector_timeout;
     bridge_cost; takeover_processing; use_min_ack; use_min_window }
 
 type registry = {
@@ -57,8 +55,7 @@ let register_remote r ~remote_port =
 let is_failover_local_port r p =
   mem p r.config.service_ports || mem p r.extra_local
 
-let is_failover_remote_port r p =
-  mem p r.config.remote_service_ports || mem p r.extra_remote
+let is_failover_remote_port r p = mem p r.extra_remote
 
 let is_failover_conn r ~local_port ~remote_port =
   is_failover_local_port r local_port

@@ -2,18 +2,14 @@
 
     The paper implements two selection methods (§7): a per-socket option
     and a per-port configuration.  Both are supported: {!field-service_ports}
-    / {!field-remote_service_ports} are the port method (the same set must
-    be configured on the primary and the secondary); {!register_endpoint} /
-    {!register_remote} implement the socket-option method for individual
-    endpoints. *)
+    is the port method (the same set must be configured on the primary and
+    the secondary); {!register_endpoint} / {!register_remote} implement the
+    socket-option method for individual endpoints. *)
 
 type t = {
   service_ports : int list;
       (** local ports of the replicated service (e.g. 21 and 20 for FTP);
           connections from or to these local ports fail over *)
-  remote_service_ports : int list;
-      (** remote ports of unreplicated back ends the replicated application
-          connects to (§7.2 server-initiated connections) *)
   heartbeat_period : Tcpfo_sim.Time.t;
   detector_timeout : Tcpfo_sim.Time.t;
       (** peer declared dead after this much heartbeat silence *)
@@ -37,7 +33,6 @@ val default : t
 
 val make :
   ?service_ports:int list ->
-  ?remote_service_ports:int list ->
   ?heartbeat_period:Tcpfo_sim.Time.t ->
   ?detector_timeout:Tcpfo_sim.Time.t ->
   ?bridge_cost:Tcpfo_sim.Time.t ->
@@ -59,11 +54,14 @@ val register_endpoint : registry -> local_port:int -> unit
     analogue of setting the socket option on a listening socket. *)
 
 val register_remote : registry -> remote_port:int -> unit
+(** Mark a remote port as a failover back end: a §7.2 connection has an
+    ephemeral local port, so only its remote port marks it
+    ([Replicated.connect_backend] registers it). *)
 
 val is_failover_local_port : registry -> int -> bool
 val is_failover_remote_port : registry -> int -> bool
 
 val is_failover_conn : registry -> local_port:int -> remote_port:int -> bool
 (** A connection is a failover connection if its local port is a (static or
-    registered) service port, or its remote port is a declared remote
-    service port. *)
+    registered) service port, or its remote port is a registered remote
+    port. *)

@@ -2,24 +2,11 @@ module Engine = Tcpfo_sim.Engine
 module Time = Tcpfo_sim.Time
 module Rng = Tcpfo_util.Rng
 module Medium = Tcpfo_net.Medium
-module Link = Tcpfo_net.Link
 module Fault_hook = Tcpfo_net.Fault_hook
-module Host = Tcpfo_host.Host
 
-type net = Medium_net of Medium.t | Link_net of Link.t
-
-type env = {
-  engine : Engine.t;
-  rng : Rng.t;
-  hosts : (string * Host.t) list;
-  nets : (string * net) list;
-}
-
-(* Shared per-net fault state, consulted by the single hook the injector
-   installs on each referenced medium/link.  Count-based drops take
-   precedence over an active loss burst so a plan's drop budget is spent
-   on the frames it was aimed at. *)
-type net_state = {
+(* Fault state of one medium, consulted by the hook installed on it. *)
+type medium_state = {
+  medium : Medium.t;
   mutable drop_remaining : int;
   mutable corrupt_remaining : int;
   mutable burst_until : Time.t;
@@ -28,19 +15,12 @@ type net_state = {
 }
 
 type t = {
-  env : env;
-  states : (string, net_state) Hashtbl.t;
+  engine : Engine.t;
+  rng : Rng.t;
+  mutable media : medium_state list;
 }
 
-let host t name =
-  match List.assoc_opt name t.env.hosts with
-  | Some h -> h
-  | None -> invalid_arg ("fault plan: unknown host " ^ name)
-
-let net t name =
-  match List.assoc_opt name t.env.nets with
-  | Some n -> n
-  | None -> invalid_arg ("fault plan: unknown medium/link " ^ name)
+let create engine ~rng = { engine; rng; media = [] }
 
 let verdict engine st =
   if st.drop_remaining > 0 then begin
@@ -58,84 +38,29 @@ let verdict engine st =
   then Fault_hook.Drop
   else Fault_hook.Pass
 
-(* The hook (and its state) is installed at most once per net, the first
-   time a plan statement references it. *)
-let state t name =
-  match Hashtbl.find_opt t.states name with
+(* The hook, its state and its rng come into being the first time a call
+   touches the medium. *)
+let state t medium =
+  match List.find_opt (fun st -> st.medium == medium) t.media with
   | Some st -> st
   | None ->
     let st =
-      { drop_remaining = 0; corrupt_remaining = 0; burst_until = 0;
-        burst_prob = 0.0; burst_rng = Rng.split t.env.rng }
+      { medium; drop_remaining = 0; corrupt_remaining = 0; burst_until = 0;
+        burst_prob = 0.0; burst_rng = Rng.split t.rng }
     in
-    Hashtbl.add t.states name st;
-    (match net t name with
-    | Medium_net m ->
-      Medium.set_fault_hook m (Some (fun _ -> verdict t.env.engine st))
-    | Link_net l ->
-      Link.set_fault_hook l (Some (fun _ -> verdict t.env.engine st)));
+    t.media <- st :: t.media;
+    Medium.set_fault_hook medium (Some (fun _ -> verdict t.engine st));
     st
 
-let apply t = function
-  | Fault.Kill h -> Host.kill (host t h)
-  | Fault.Pause_host h -> Host.pause (host t h)
-  | Fault.Resume_host h -> Host.resume (host t h)
-  | Fault.Partition (h, dur) ->
-    let hh = host t h in
-    Host.set_partitioned hh true;
-    ignore
-      (Engine.schedule t.env.engine ~delay:dur (fun () ->
-           Host.set_partitioned hh false))
-  | Fault.Drop_frames (n, name) ->
-    let st = state t name in
-    st.drop_remaining <- st.drop_remaining + n
-  | Fault.Corrupt (n, name) ->
-    let st = state t name in
-    st.corrupt_remaining <- st.corrupt_remaining + n
-  | Fault.Loss_burst (name, p, dur) ->
-    let st = state t name in
-    st.burst_until <- Engine.now t.env.engine + dur;
-    st.burst_prob <- p
+let drop t medium n =
+  let st = state t medium in
+  st.drop_remaining <- st.drop_remaining + n
 
-let validate t stmt =
-  match stmt.Fault.action with
-  | Fault.Kill h | Fault.Pause_host h | Fault.Resume_host h
-  | Fault.Partition (h, _) ->
-    ignore (host t h)
-  | Fault.Drop_frames (_, n) | Fault.Corrupt (_, n)
-  | Fault.Loss_burst (n, _, _) ->
-    ignore (net t n)
+let corrupt t medium n =
+  let st = state t medium in
+  st.corrupt_remaining <- st.corrupt_remaining + n
 
-let schedule_stmt t stmt =
-  let env = t.env in
-  let fire () =
-    let go =
-      match stmt.Fault.prob with
-      | None -> true
-      | Some p -> Rng.bool env.rng p
-    in
-    if go then apply t stmt.Fault.action
-  in
-  match stmt.Fault.trigger with
-  | Fault.At at -> ignore (Engine.schedule_at env.engine ~at fire)
-  | Fault.After d -> ignore (Engine.schedule env.engine ~delay:d fire)
-  | Fault.Every (period, count) ->
-    let rec tick k () =
-      (* k is the ordinal of this firing, 1-based *)
-      let continue = match count with Some n -> k <= n | None -> true in
-      if continue then begin
-        fire ();
-        ignore (Engine.schedule env.engine ~delay:period (tick (k + 1)))
-      end
-    in
-    ignore (Engine.schedule env.engine ~delay:period (tick 1))
-
-let add t plan =
-  (* surface unknown names at install time, not at first firing *)
-  List.iter (validate t) plan;
-  List.iter (schedule_stmt t) plan
-
-let install env plan =
-  let t = { env; states = Hashtbl.create 4 } in
-  add t plan;
-  t
+let loss_burst t medium ~p ~for_ =
+  let st = state t medium in
+  st.burst_until <- Engine.now t.engine + for_;
+  st.burst_prob <- p

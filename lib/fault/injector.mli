@@ -1,36 +1,32 @@
-(** Installs a parsed {!Fault.plan} into a running simulation.
+(** Frame faults on a shared medium, each taking effect when called.
 
-    The environment names the hosts and media/links a plan may target.
-    Installing a plan schedules one engine event per trigger; count-based
-    drop/corrupt budgets and loss bursts are applied through a single
-    fault hook per referenced medium or link ({!Tcpfo_net.Medium.set_fault_hook}
-    / {!Tcpfo_net.Link.set_fault_hook}) — the injector owns those hooks,
-    so do not install competing ones on the same nets.
+    The injector installs one fault hook per medium
+    ({!Tcpfo_net.Medium.set_fault_hook}) the first time a call touches
+    that medium, and splits the medium's loss-burst rng from [rng] at
+    that moment, so a fault schedule replays byte-identically under a
+    fixed world seed.  The injector owns those hooks: do not install
+    competing ones on the same media.
 
-    All randomness (probability gates, loss bursts) draws from rngs
-    derived from [env.rng], so a plan replays byte-identically under a
-    fixed world seed. *)
-
-type net = Medium_net of Tcpfo_net.Medium.t | Link_net of Tcpfo_net.Link.t
-
-type env = {
-  engine : Tcpfo_sim.Engine.t;
-  rng : Tcpfo_util.Rng.t;
-  hosts : (string * Tcpfo_host.Host.t) list;
-  nets : (string * net) list;
-}
+    Each frame on a faulted medium first spends the drop budget, then
+    the corruption budget, and only then faces an open loss burst, so
+    a budget is spent on the frames it was aimed at.  Host faults need
+    no injector: schedule {!Tcpfo_host.Host.pause},
+    {!Tcpfo_host.Host.resume} or {!Tcpfo_host.Host.set_partitioned}
+    directly. *)
 
 type t
 
-val install : env -> Fault.plan -> t
-(** Validates every name in the plan against [env] (raising
-    [Invalid_argument] on an unknown host or net), then schedules the
-    plan's triggers.  [At] is absolute simulated time; [After] and the
-    first [Every] firing are relative to the install instant. *)
+val create : Tcpfo_sim.Engine.t -> rng:Tcpfo_util.Rng.t -> t
 
-val add : t -> Fault.plan -> unit
-(** Schedule additional statements onto an installed injector — same
-    validation and trigger semantics as {!install}, with [After]/first
-    [Every] relative to the add instant.  Statements share the per-net
-    fault state (and the single hook) with the original plan, so this is
-    the way to stack faults onto already-faulted nets mid-run. *)
+val drop : t -> Tcpfo_net.Medium.t -> int -> unit
+(** Lose the medium's next [n] frames in flight (added to any drop budget
+    left); counted as [medium.fault_dropped]. *)
+
+val corrupt : t -> Tcpfo_net.Medium.t -> int -> unit
+(** Damage the medium's next [n] frames after the drop budget is spent;
+    the receivers' checksums reject them.  Counted as [medium.corrupted]. *)
+
+val loss_burst :
+  t -> Tcpfo_net.Medium.t -> p:float -> for_:Tcpfo_sim.Time.t -> unit
+(** Lose each frame with probability [p] from now until [for_] later;
+    replaces any burst already set on the medium. *)

@@ -354,19 +354,28 @@ let install_wire_check client ~svc ~seg_match ~expected violations =
          | None -> Ip_layer.Rx_pass pkt
          | Some hook -> hook pkt ~link_addressed))
 
-(* chaos plans, expressed in the DSL so every soak run also exercises the
-   parser and injector end to end; bursts are kept well under the
-   heartbeat detector's silence budget so chaos never masquerades as a
-   crash, and only the client is paused/partitioned (freezing a replica
-   IS a failure as far as the detector can know) *)
-let chaos_plan chaos =
+(* Chaos, scheduled at absolute instants when the run starts.  Bursts
+   are kept well under the heartbeat detector's silence budget so chaos
+   never masquerades as a crash, and only the client is
+   paused/partitioned (freezing a replica IS a failure as far as the
+   detector can know). *)
+let schedule_chaos engine inj ~client ~lan chaos =
+  let at ms f = ignore (Engine.schedule_at engine ~at:(Time.ms ms) f) in
   match chaos with
-  | Calm | Cross_traffic -> []
-  | Burst -> Fault.parse_exn "at 2ms loss lan 0.35 for 6ms"
-  | Drops -> Fault.parse_exn "at 2ms drop 3 lan"
-  | Corruption -> Fault.parse_exn "at 2ms corrupt 2 lan"
-  | Pause_client -> Fault.parse_exn "at 2ms pause client; at 8ms resume client"
-  | Partition_client -> Fault.parse_exn "at 2ms partition client for 6ms"
+  | Calm | Cross_traffic -> ()
+  | Burst ->
+    at 2 (fun () -> Injector.loss_burst inj lan ~p:0.35 ~for_:(Time.ms 6))
+  | Drops -> at 2 (fun () -> Injector.drop inj lan 3)
+  | Corruption -> at 2 (fun () -> Injector.corrupt inj lan 2)
+  | Pause_client ->
+    at 2 (fun () -> Host.pause client);
+    at 8 (fun () -> Host.resume client)
+  | Partition_client ->
+    at 2 (fun () ->
+        Host.set_partitioned client true;
+        ignore
+          (Engine.schedule engine ~delay:(Time.ms 6) (fun () ->
+               Host.set_partitioned client false)))
 
 (* rough wire time of the reply, for placing mid-transfer kills *)
 let transfer_estimate size = Time.ms 1 + (size * 100)
@@ -446,9 +455,9 @@ type peer = {
 type conn = { name : string; peer : peer; expected : string; is : pin -> bool }
 
 type rig = {
-  chaos_hosts : (string * Host.t) list;
-  nets : (string * Injector.net) list;
-  xfer : string * Medium.t;  (** the segment hot state transfers ride *)
+  client : Host.t;  (** the one host chaos pauses or partitions *)
+  lan : Medium.t;  (** the client's segment, where chaos drops frames *)
+  xfer : Medium.t;  (** the segment hot state transfers ride *)
   kill : unit -> unit;
   fresh_host : unit -> Host.t;  (** a repaired host, up and ARP-warm *)
   reintegrate : Host.t -> unit;
@@ -761,10 +770,9 @@ let pool_rig ctx =
       ctx.hosts
   in
   {
-    chaos_hosts =
-      [ ("client", client); ("primary", primary); ("secondary", secondary) ];
-    nets = [ ("lan", Injector.Medium_net lan) ];
-    xfer = ("lan", lan);
+    client;
+    lan;
+    xfer = lan;
     kill =
       (fun () ->
         match sc.victim with
@@ -904,12 +912,11 @@ let chain_rig ctx =
   in
   ctx.hosts <- Topo.hosts topo;
   let lan = Topo.segment_of topo "lan" in
-  let named = List.map (fun n -> (n, Topo.host_of topo n)) in
   let client = Topo.host_of topo "client" in
   let config = Failover_config.make ~service_ports:[ service_port ] () in
   let chain =
     Chain.create
-      ~replicas:(List.map snd (named [ "head"; "middle"; "tail" ]))
+      ~replicas:(List.map (Topo.host_of topo) [ "head"; "middle"; "tail" ])
       ~config ()
   in
   let svc = Chain.service_addr chain in
@@ -926,9 +933,9 @@ let chain_rig ctx =
   in
   let deaths = ref 0 in
   {
-    chaos_hosts = named [ "client"; "head"; "middle"; "tail" ];
-    nets = [ ("lan", Injector.Medium_net lan) ];
-    xfer = ("lan", lan);
+    client;
+    lan;
+    xfer = lan;
     kill = (fun () -> if victim_idx >= 0 then Chain.kill chain victim_idx);
     fresh_host =
       (fun () ->
@@ -1067,9 +1074,9 @@ let fleet_rig ctx =
     { name; peer; expected = ctx.reply; is }
   in
   {
-    chaos_hosts = [ ("client", client) ];
-    nets = [ ("lan", Medium_net front); ("back", Medium_net back) ];
-    xfer = ("back", back);
+    client;
+    lan = front;
+    xfer = back;
     kill =
       (fun () ->
         let name =
@@ -1208,27 +1215,19 @@ let run ?on_world sc =
       | Server | Backend_client -> pool_rig ctx
   in
   ctx.kill <- rig.kill;
-  let inj =
-    Injector.install
-      {
-        Injector.engine = World.engine world;
-        rng = World.fresh_rng world;
-        hosts = rig.chaos_hosts;
-        nets = rig.nets;
-      }
-      (chaos_plan sc.chaos)
-  in
-  let xfer_net, xfer_seg = rig.xfer in
-  let capture = capture_transfers world xfer_seg in
+  let engine = World.engine world in
+  let inj = Injector.create engine ~rng:(World.fresh_rng world) in
+  schedule_chaos engine inj ~client:rig.client ~lan:rig.lan sc.chaos;
+  let capture = capture_transfers world rig.xfer in
   (* the lossy-control-channel axis: a loss burst opening exactly when
      hot state transfers begin, under which every transfer must still
      complete *)
   let loss_burst () =
     if sc.xfer_loss > 0.0 then
-      Injector.add inj
-        (Fault.parse_exn
-           (Printf.sprintf "after 0us loss %s %.2f for 8ms" xfer_net
-              sc.xfer_loss))
+      ignore
+        (Engine.schedule engine ~delay:0 (fun () ->
+             Injector.loss_burst inj rig.xfer ~p:sc.xfer_loss
+               ~for_:(Time.ms 8)))
   in
   (* repair: once the kill is absorbed, bring up a fresh host and
      reintegrate it — hot state transfer re-replicates the live

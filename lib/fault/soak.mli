@@ -39,7 +39,7 @@
     it is exempt from restored-replica checks, and from survival checks
     once no live host holds it and its peer cannot retry it.
 
-    Everything — topology, chaos plan, kill instant — derives from the
+    Everything — topology, chaos schedule, kill instant — derives from the
     scenario's seed, so [run (scenario_of_seed s)] replays
     byte-identically, including its metrics snapshot. *)
 
@@ -54,9 +54,9 @@ type phase =
 
 type chaos =
   | Calm
-  | Burst  (** short loss burst on the LAN (via a [loss] plan) *)
-  | Drops  (** a few deterministic frame drops (via a [drop] plan) *)
-  | Corruption  (** frames corrupted in flight (via a [corrupt] plan) *)
+  | Burst  (** short loss burst on the LAN (through the injector) *)
+  | Drops  (** a few deterministic frame drops (through the injector) *)
+  | Corruption  (** frames corrupted in flight (through the injector) *)
   | Cross_traffic  (** a second client streams from the pair concurrently *)
   | Pause_client  (** client host paused and resumed mid-connection *)
   | Partition_client  (** client unplugged from the LAN for a few ms *)

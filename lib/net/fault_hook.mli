@@ -1,4 +1,4 @@
-(** Verdicts returned by fault-injection hooks on {!Medium} and {!Link}.
+(** Verdicts returned by the fault-injection hook on a {!Medium}.
 
     [Corrupt] models in-flight payload damage: the frame still occupies
     the wire, but the receiver's FCS/checksum discards it, so the

@@ -39,12 +39,10 @@ type t = {
   config : config;
   a_to_b : direction;
   b_to_a : direction;
-  mutable fault_hook : (Ipv4_packet.t -> Fault_hook.verdict) option;
   dropped : Registry.counter;
   queue_full : Registry.counter;
   delivered : Registry.counter;
   fault_dropped : Registry.counter;
-  corrupted : Registry.counter;
 }
 
 type endpoint = { link : t; out_dir : direction; in_dir : direction }
@@ -58,14 +56,10 @@ let create engine ~rng ?obs config =
     Obs.scope (match obs with Some o -> o | None -> Obs.silent ()) "link"
   in
   { engine; rng; config; a_to_b = mk_direction (); b_to_a = mk_direction ();
-    fault_hook = None;
     dropped = Obs.counter obs "dropped";
     queue_full = Obs.counter obs "queue_full";
     delivered = Obs.counter obs "delivered";
-    fault_dropped = Obs.counter obs "fault_dropped";
-    corrupted = Obs.counter obs "corrupted" }
-
-let set_fault_hook t h = t.fault_hook <- h
+    fault_dropped = Obs.counter obs "fault_dropped" }
 
 let endpoint_a t = { link = t; out_dir = t.a_to_b; in_dir = t.b_to_a }
 let endpoint_b t = { link = t; out_dir = t.b_to_a; in_dir = t.a_to_b }
@@ -84,21 +78,6 @@ let rec pump t dir =
     let ser = serialization_time t p in
     let lost = t.config.loss_prob > 0.0 && Rng.bool t.rng t.config.loss_prob in
     if lost then Registry.Counter.incr t.dropped;
-    (* the fault hook rules after the configured random loss has drawn, so
-       a pass-through hook leaves the rng stream untouched *)
-    let lost =
-      match t.fault_hook with
-      | None -> lost
-      | Some hook -> (
-        match hook p with
-        | Fault_hook.Pass -> lost
-        | Fault_hook.Drop ->
-          if not lost then Registry.Counter.incr t.fault_dropped;
-          true
-        | Fault_hook.Corrupt ->
-          if not lost then Registry.Counter.incr t.corrupted;
-          true)
-    in
     let extra =
       if t.config.jitter > 0 then Rng.int t.rng (t.config.jitter + 1) else 0
     in

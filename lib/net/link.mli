@@ -32,8 +32,8 @@ val create :
 (** Counters registered under [obs]: [link.dropped] (random in-flight
     loss), [link.queue_full] (drop-tail queue overflow — counted
     separately from loss so congestion is distinguishable in metrics),
-    [link.delivered], and [link.fault_dropped] / [link.corrupted]
-    (injected faults, see {!set_fault_hook} and {!set_blocked}). *)
+    [link.delivered], and [link.fault_dropped] (datagrams discarded by a
+    partition, see {!set_blocked}). *)
 
 val endpoint_a : t -> endpoint
 val endpoint_b : t -> endpoint
@@ -43,15 +43,6 @@ val set_receiver : endpoint -> (Tcpfo_packet.Ipv4_packet.t -> unit) -> unit
 
 val send : endpoint -> Tcpfo_packet.Ipv4_packet.t -> unit
 (** Transmit toward the opposite end. *)
-
-val set_fault_hook :
-  t -> (Tcpfo_packet.Ipv4_packet.t -> Fault_hook.verdict) option -> unit
-(** Install (or clear) a deterministic fault-injection hook, consulted for
-    every datagram (both directions) as it leaves the head of the queue —
-    after the configured random [loss_prob] has drawn from the link's rng,
-    so a pass-through hook leaves the rng stream untouched.  [Drop] and
-    [Corrupt] verdicts suppress delivery and bump [link.fault_dropped] /
-    [link.corrupted] respectively. *)
 
 val set_blocked : endpoint -> bool -> unit
 (** Partition this endpoint: while blocked, datagrams it sends vanish

@@ -11,11 +11,14 @@
 #   1. runs every experiment at quick size and diffs the two metrics
 #      directories file by file (sorted JSON registry snapshots), naming
 #      the registry keys whose values differ in each file;
-#   2. runs the E10 soak over seeds 1..SEEDS and compares the
+#   2. runs E11 at `--exp reintegration --quick --loss 0,0.25` (its loss
+#      burst goes through the fault injector) and diffs that metrics
+#      file the same way;
+#   3. runs the E10 soak over seeds 1..SEEDS and compares the
 #      [soak-fingerprint] lines (MD5 over every scenario's description,
 #      violations and metrics snapshot minus the engine.* counters, in
 #      seed order);
-#   3. runs each benchmark workload once (bench/suite/suite.exe
+#   4. runs each benchmark workload once (bench/suite/suite.exe
 #      --workload W --seed 1 --trace 1 --seconds 0) and diffs its
 #      simulated per-layer metrics and connection counts, naming the
 #      keys that differ.  Keys that read the host clock or the GC
@@ -23,7 +26,7 @@
 #      sim.events_per_wall_s, statex.*_us_per_conn,
 #      packet.*_ns_per_frame, trace.overhead) are left out.
 #
-# Steps 1 and 2 use --jobs 2; the outputs are identical at any job
+# Steps 1 to 3 use --jobs 2; the outputs are identical at any job
 # count.  Failing soak seeds are not an error here: only a difference
 # is.  The repository itself is not touched.
 #
@@ -51,10 +54,10 @@ trap 'rm -rf "$scratch"' EXIT
 mkdir "$wt" && git archive "$sha" | tar -x -C "$wt" || exit 2
 
 # run_tree NAME ROOT: build ROOT's bench and leave its quick metrics
-# directory and soak fingerprint line under $scratch/NAME.
+# directories and soak fingerprint line under $scratch/NAME.
 run_tree() {
   local name=$1 root=$2 out=$scratch/$1 exe
-  mkdir -p "$out/metrics"
+  mkdir -p "$out/metrics" "$out/loss"
   echo "identity: building $name ($root)" >&2
   dune build --root "$root" bench/main.exe bench/suite/suite.exe 2>&1 \
     || return 2
@@ -62,6 +65,9 @@ run_tree() {
   echo "identity: $name: --exp all --quick" >&2
   "$exe" --exp all --quick --jobs 2 --metrics-dir "$out/metrics" \
     >"$out/all.log" 2>&1
+  echo "identity: $name: --exp reintegration --quick --loss 0,0.25" >&2
+  "$exe" --exp reintegration --quick --loss 0,0.25 --jobs 2 \
+    --metrics-dir "$out/loss" >"$out/loss.log" 2>&1
   echo "identity: $name: --exp soak --seeds $seeds" >&2
   "$exe" --exp soak --seeds "$seeds" --jobs 2 >"$out/soak.log" 2>&1
   grep '^\[soak-fingerprint\]' "$out/soak.log" >"$out/fingerprint" || {
@@ -104,6 +110,17 @@ else
     fi
   done
   echo "identity: keys that differ in any file: $(sort -u "$scratch/keys" | paste -sd ' ')" >&2
+  status=1
+fi
+a=$scratch/rev/loss/reintegration.metrics.json
+b=$scratch/work/loss/reintegration.metrics.json
+if [ ! -f "$a" ] || [ ! -f "$b" ]; then
+  echo "identity: --loss 0,0.25 metrics missing in $([ -f "$a" ] && echo work || echo "$rev")" >&2
+  status=1
+elif cmp -s "$a" "$b"; then
+  echo "identity: --loss 0,0.25 metrics identical"
+else
+  echo "identity: --loss 0,0.25 metrics DIFFER: $(differing_keys "$a" "$b" | paste -sd ' ')" >&2
   status=1
 fi
 if cmp -s "$scratch/rev/fingerprint" "$scratch/work/fingerprint"; then

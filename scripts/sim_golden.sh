@@ -8,8 +8,11 @@
 #   1. the MD5 of each `--exp all --quick` metrics file, taken over its
 #      flattened "key value" lines without the engine.* keys (those
 #      count the engine's own structure, not what it simulates);
-#   2. the [soak-fingerprint] of seeds 1-3000;
-#   3. the simulated per-layer keys of each benchmark workload at
+#   2. the same MD5 of E11's metrics file at
+#      `--exp reintegration --quick --loss 0,0.25`, whose loss burst is
+#      the fault injector's one caller outside the soak;
+#   3. the [soak-fingerprint] of seeds 1-3000;
+#   4. the simulated per-layer keys of each benchmark workload at
 #      --seed 1 --seconds 1, with the host-clock and GC keys left out
 #      exactly as scripts/identity.sh leaves them out.
 #
@@ -50,6 +53,13 @@ out=$scratch/golden
     sum=$(flat "$f" | grep -v '^engine\.' | md5sum | cut -d' ' -f1)
     echo "metrics $(basename "$f") $sum"
   done
+  mkdir "$scratch/loss"
+  "$exe" --exp reintegration --quick --loss 0,0.25 --jobs 2 \
+    --metrics-dir "$scratch/loss" >"$scratch/loss.log" 2>&1 \
+    || { cat "$scratch/loss.log" >&2; exit 2; }
+  sum=$(flat "$scratch/loss/reintegration.metrics.json" | grep -v '^engine\.' \
+    | md5sum | cut -d' ' -f1)
+  echo "metrics reintegration.metrics.json --loss 0,0.25 $sum"
   "$exe" --exp soak --seeds 3000 --jobs 2 >"$scratch/soak.log" 2>&1
   grep '^\[soak-fingerprint\]' "$scratch/soak.log" | sed 's/^/soak /'
   for w in rr-10k bulk-failover upload-reintegrate fleet-churn; do

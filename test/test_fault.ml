@@ -1,6 +1,5 @@
-(* The fault-plan DSL and its injector: parser round-trips and rejects,
-   deterministic frame drops, host pause/resume semantics, and the
-   reversible partition. *)
+(* The frame-fault injector (budgets and loss bursts spent in order),
+   host pause/resume semantics, and the reversible partition. *)
 
 module Engine = Tcpfo_sim.Engine
 module Time = Tcpfo_sim.Time
@@ -9,55 +8,89 @@ module Host = Tcpfo_host.Host
 module Heartbeat = Tcpfo_core.Heartbeat
 module Failover_config = Tcpfo_core.Failover_config
 module Registry = Tcpfo_obs.Registry
-module Fault = Tcpfo_fault.Fault
 module Injector = Tcpfo_fault.Injector
+module Medium = Tcpfo_net.Medium
+module Obs = Tcpfo_obs.Obs
+module Rng = Tcpfo_util.Rng
+module Eth_frame = Tcpfo_packet.Eth_frame
+module Macaddr = Tcpfo_packet.Macaddr
+module Ipaddr = Tcpfo_packet.Ipaddr
+module Ipv4_packet = Tcpfo_packet.Ipv4_packet
 open Testutil
 
 let counter world name = Registry.counter_value (World.metrics world) name
-
-(* ---------------- parser ---------------- *)
-
-let test_parse_roundtrip () =
-  let text =
-    "at 20ms kill primary; after 5ms pause client; at 15ms partition \
-     secondary for 8ms; at 10ms drop 3 lan; at 10ms corrupt 2 lan; at 30ms \
-     loss lan 0.4 for 6ms; every 10ms x 5 drop 1 lan p=0.5; after 2s resume \
-     client"
-  in
-  let plan = Fault.parse_exn text in
-  check_int "statement count" 8 (List.length plan);
-  let again = Fault.parse_exn (Fault.to_string plan) in
-  check_bool "round-trips through to_string" true (plan = again);
-  (match (List.hd plan).Fault.trigger with
-  | Fault.At t -> check_int "20ms in ns" (Time.ms 20) t
-  | _ -> Alcotest.fail "first trigger should be At");
-  match List.rev plan with
-  | { Fault.action = Fault.Resume_host "client"; trigger = Fault.After t; _ }
-    :: _ ->
-    check_int "2s in ns" (Time.sec 2.0) t
-  | _ -> Alcotest.fail "last statement should be 'after 2s resume client'"
-
-let test_parse_rejects () =
-  let bad text =
-    match Fault.parse text with
-    | Ok _ -> Alcotest.fail (Printf.sprintf "%S should not parse" text)
-    | Error _ -> ()
-  in
-  bad "at 20 kill primary" (* unitless duration *);
-  bad "at 20ms explode primary" (* unknown action *);
-  bad "at 20ms drop lan 3" (* swapped operands *);
-  bad "at 30ms loss lan 1.5 for 6ms" (* probability out of range *);
-  bad "kill primary" (* missing trigger *);
-  bad "at 20ms drop 1 lan p=nope" (* malformed gate *)
+let at world ms f = ignore (Engine.schedule_at (World.engine world) ~at:ms f)
 
 (* ---------------- injector ---------------- *)
+
+(* A bare idle medium sending one frame per millisecond (at 1 ms, 2 ms,
+   ...), with [faults] applied at time 0.  The hook rules as a frame
+   goes out, so the fault counters read right after each transmit give
+   one letter per frame: D dropped, C corrupted, P passed. *)
+let frame_outcomes ~frames faults =
+  let engine = Engine.create () in
+  let obs = Obs.create () in
+  let m =
+    Medium.create engine ~rng:(Rng.create ~seed:11) ~obs Medium.default_config
+  in
+  let inj = Injector.create engine ~rng:(Rng.create ~seed:5) in
+  let tx = Medium.attach m ~deliver:ignore in
+  let _rx = Medium.attach m ~deliver:ignore in
+  let frame =
+    Eth_frame.make ~src:(Macaddr.of_int 1) ~dst:(Macaddr.of_int 2)
+      (Eth_frame.Ip
+         (Ipv4_packet.make ~src:(Ipaddr.of_int 1) ~dst:(Ipaddr.of_int 2)
+            (Ipv4_packet.Raw { proto = 200; data = String.make 100 'x' })))
+  in
+  let value name = Registry.counter_value (Obs.metrics obs) name in
+  let out = Buffer.create frames in
+  faults engine inj m;
+  for i = 1 to frames do
+    ignore
+      (Engine.schedule_at engine ~at:(Time.ms i) (fun () ->
+           let dropped = value "medium.fault_dropped"
+           and corrupted = value "medium.corrupted" in
+           Medium.transmit m tx frame;
+           Buffer.add_char out
+             (if value "medium.fault_dropped" > dropped then 'D'
+              else if value "medium.corrupted" > corrupted then 'C'
+              else 'P')))
+  done;
+  Engine.run engine;
+  (Buffer.contents out, value "medium.fault_dropped", value "medium.corrupted")
+
+(* Set together, a drop budget, a corruption budget and a certain loss
+   burst until 8 ms are spent in that order. *)
+let test_budgets_then_burst () =
+  let outcomes, dropped, corrupted =
+    frame_outcomes ~frames:10 (fun _ inj m ->
+        Injector.drop inj m 2;
+        Injector.corrupt inj m 2;
+        Injector.loss_burst inj m ~p:1.0 ~for_:(Time.ms 8))
+  in
+  check_string "drops, corruptions, burst, then clean" "DDCCDDDPPP" outcomes;
+  check_int "medium.fault_dropped" 5 dropped;
+  check_int "medium.corrupted" 2 corrupted
+
+(* A burst set at 4.5 ms for 2 ms replaces one that would have run to
+   50 ms. *)
+let test_second_burst_replaces () =
+  let outcomes, dropped, _ =
+    frame_outcomes ~frames:10 (fun engine inj m ->
+        Injector.loss_burst inj m ~p:1.0 ~for_:(Time.ms 50);
+        ignore
+          (Engine.schedule_at engine ~at:(Time.us 4_500) (fun () ->
+               Injector.loss_burst inj m ~p:1.0 ~for_:(Time.ms 2))))
+  in
+  check_string "the second burst ends at 6.5 ms" "DDDDDDPPPP" outcomes;
+  check_int "medium.fault_dropped" 6 dropped
 
 let hb_config =
   Failover_config.make ~heartbeat_period:(Time.ms 10)
     ~detector_timeout:(Time.ms 30) ()
 
 (* Two hosts exchanging heartbeats give a steady, deterministic frame
-   supply; the plan's drop/corrupt budgets must be spent exactly. *)
+   supply; the injector's drop/corrupt budgets must be spent exactly. *)
 let beating_world () =
   let world = World.create ~seed:7 () in
   let lan = World.make_lan world () in
@@ -73,49 +106,18 @@ let beating_world () =
     Heartbeat.start b ~peer:(Host.addr a) ~role:`Secondary ~config:hb_config
       ~on_peer_failure:(fun () -> ())
   in
-  let env =
-    {
-      Injector.engine = World.engine world;
-      rng = World.fresh_rng world;
-      hosts = [ ("a", a); ("b", b) ];
-      nets = [ ("lan", Injector.Medium_net lan) ];
-    }
-  in
-  (world, env, detected)
+  (world, lan, b, detected)
 
 let test_drop_and_corrupt_budgets () =
-  let world, env, _ = beating_world () in
-  ignore
-    (Injector.install env
-       (Fault.parse_exn "after 1ms drop 3 lan; after 1ms corrupt 2 lan"));
+  let world, lan, _, _ = beating_world () in
+  let inj = Injector.create (World.engine world) ~rng:(World.fresh_rng world) in
+  at world (Time.ms 1) (fun () ->
+      Injector.drop inj lan 3;
+      Injector.corrupt inj lan 2);
   World.run world ~for_:(Time.ms 200);
   check_int "exactly the budgeted drops" 3 (counter world "medium.fault_dropped");
   check_int "exactly the budgeted corruptions" 2
     (counter world "medium.corrupted")
-
-(* Firings 25 ms apart lose at most one beat per detector window, so the
-   detectors stay quiet and the frame supply never dries up. *)
-let test_every_trigger_bounded () =
-  let world, env, detected = beating_world () in
-  ignore (Injector.install env (Fault.parse_exn "every 25ms x 4 drop 1 lan"));
-  World.run world ~for_:(Time.ms 300);
-  check_bool "isolated drops below the detection bound" false !detected;
-  check_int "one drop per firing, four firings" 4
-    (counter world "medium.fault_dropped")
-
-let test_unknown_names_rejected_at_install () =
-  let world, env, _ = beating_world () in
-  ignore world;
-  check_bool "unknown host" true
-    (try
-       ignore (Injector.install env (Fault.parse_exn "at 1ms kill nobody"));
-       false
-     with Invalid_argument _ -> true);
-  check_bool "unknown net" true
-    (try
-       ignore (Injector.install env (Fault.parse_exn "at 1ms drop 1 wan"));
-       false
-     with Invalid_argument _ -> true)
 
 (* Pause parks a host's timers without detaching it; resume releases
    them in order.  An application timer due during the pause must fire
@@ -124,16 +126,8 @@ let test_pause_defers_timers () =
   let world = World.create ~seed:3 () in
   let lan = World.make_lan world () in
   let h = World.add_host world lan ~name:"h" ~addr:"10.0.0.1" () in
-  let env =
-    {
-      Injector.engine = World.engine world;
-      rng = World.fresh_rng world;
-      hosts = [ ("h", h) ];
-      nets = [ ("lan", Injector.Medium_net lan) ];
-    }
-  in
-  ignore
-    (Injector.install env (Fault.parse_exn "at 1ms pause h; at 20ms resume h"));
+  at world (Time.ms 1) (fun () -> Host.pause h);
+  at world (Time.ms 20) (fun () -> Host.resume h);
   let fired_at = ref None in
   ignore
     ((Host.clock h).schedule (Time.ms 5) (fun () ->
@@ -190,30 +184,30 @@ let test_cancel_while_parked () =
    the detector must trigger it even though the partitioned host never
    died. *)
 let test_partition_is_reversible_but_detectable () =
-  let world, env, detected = beating_world () in
-  ignore
-    (Injector.install env (Fault.parse_exn "at 100ms partition b for 20ms"));
+  let world, _, b, detected = beating_world () in
+  let partition ~from ~until =
+    at world from (fun () -> Host.set_partitioned b true);
+    at world until (fun () -> Host.set_partitioned b false)
+  in
+  partition ~from:(Time.ms 100) ~until:(Time.ms 120);
   World.run world ~for_:(Time.ms 200);
   check_bool "short partition stays below the detection bound" false !detected;
   let received_before = counter world "host.a.heartbeat.received" in
   World.run world ~for_:(Time.ms 100);
   check_bool "beats flow again after the partition heals" true
     (counter world "host.a.heartbeat.received" > received_before);
-  ignore
-    (Injector.install env (Fault.parse_exn "at 300ms partition b for 60ms"));
+  partition ~from:(Time.ms 300) ~until:(Time.ms 360);
   World.run world ~for_:(Time.ms 200);
   check_bool "silence past the bound trips the detector" true !detected
 
 let suite =
   [
-    Alcotest.test_case "plan parse round-trip" `Quick test_parse_roundtrip;
-    Alcotest.test_case "plan parse rejections" `Quick test_parse_rejects;
+    Alcotest.test_case "budgets then burst, in that order" `Quick
+      test_budgets_then_burst;
+    Alcotest.test_case "second loss burst replaces the first" `Quick
+      test_second_burst_replaces;
     Alcotest.test_case "drop and corrupt budgets exact" `Quick
       test_drop_and_corrupt_budgets;
-    Alcotest.test_case "every trigger bounded by count" `Quick
-      test_every_trigger_bounded;
-    Alcotest.test_case "unknown names rejected at install" `Quick
-      test_unknown_names_rejected_at_install;
     Alcotest.test_case "pause defers timers to resume" `Quick
       test_pause_defers_timers;
     Alcotest.test_case "host timer allocates one record" `Quick

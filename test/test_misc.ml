@@ -125,13 +125,17 @@ let test_cpu_idle_gap () =
 (* ---------------- Failover_config registry ---------------- *)
 
 let test_registry_port_methods () =
-  let cfg = Failover_config.make ~service_ports:[ 80 ]
-      ~remote_service_ports:[ 5432 ] () in
+  let cfg = Failover_config.make ~service_ports:[ 80 ] () in
   let reg = Failover_config.create_registry cfg in
   (* method 2: static port list *)
   check_bool "static local" true
     (Failover_config.is_failover_conn reg ~local_port:80 ~remote_port:55555);
-  check_bool "static remote" true
+  check_bool "remote port not yet registered" false
+    (Failover_config.is_failover_conn reg ~local_port:49152
+       ~remote_port:5432);
+  (* a §7.2 back end registers its remote port, as connect_backend does *)
+  Failover_config.register_remote reg ~remote_port:5432;
+  check_bool "registered back-end remote" true
     (Failover_config.is_failover_conn reg ~local_port:49152
        ~remote_port:5432);
   check_bool "unrelated" false
@@ -152,7 +156,7 @@ let test_registry_port_methods () =
   (* the remote-port predicate the transfer candidate selection relies
      on: a §7.2 client-role conn has an EPHEMERAL local port, so only
      the remote side marks it as a failover connection *)
-  check_bool "remote predicate (static)" true
+  check_bool "remote predicate (back end)" true
     (Failover_config.is_failover_remote_port reg 5432);
   check_bool "remote predicate (registered)" true
     (Failover_config.is_failover_remote_port reg 6379);
