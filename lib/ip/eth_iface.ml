@@ -29,7 +29,7 @@ type t = {
   arp : Arp_cache.t;
   pending : pending Ipaddr.Tbl.t;
   mutable snoop : Ipaddr.t option;
-      (* promiscuous mode, for this address: see [captured_wanted] *)
+      (* promiscuous mode, for this address: the NIC's [host] filter *)
   mutable rx : Ipv4_packet.t -> link_addressed:bool -> unit;
   mutable on_addr_change : unit -> unit;
       (* lets the IP layer invalidate its local-address cache when a
@@ -55,26 +55,12 @@ let rec create clock ?obs ?(host = "host") ~nic ~addr ~prefix () =
       on_addr_change = (fun () -> ());
     }
   in
+  Nic.add_address nic addr;
   Nic.set_rx nic (fun frame ~addressed_to_me ->
       match frame.Eth_frame.payload with
       | Eth_frame.Arp a -> handle_arp t a
-      | Eth_frame.Ip p ->
-        if addressed_to_me || captured_wanted t p then
-          t.rx p ~link_addressed:addressed_to_me);
+      | Eth_frame.Ip p -> t.rx p ~link_addressed:addressed_to_me);
   t
-
-(* The receive filter of a snooping interface, tcpdump's [host a]: a
-   captured datagram reaches the host only when it is to or from the
-   snooped address, or to one of the interface's own.  Any other frame
-   on the segment (another service's traffic, a datagram between two
-   other hosts) is dropped here, before it costs the host anything
-   (DESIGN.md 7.1). *)
-and captured_wanted t (p : Ipv4_packet.t) =
-  match t.snoop with
-  | None -> true
-  | Some a ->
-    Ipaddr.equal a p.src || Ipaddr.equal a p.dst
-    || Tcpfo_util.Vec.exists (Ipaddr.equal p.dst) t.addrs
 
 and handle_arp t (a : Arp_packet.t) =
   (* Learn the sender binding from every ARP packet, including gratuitous
@@ -113,7 +99,9 @@ let set_rx t fn = t.rx <- fn
 let set_on_addr_change t fn = t.on_addr_change <- fn
 let set_promiscuous t addr =
   t.snoop <- addr;
-  Nic.set_promiscuous t.nic (Option.is_some addr)
+  match addr with
+  | Some host -> Nic.set_promiscuous t.nic ~host true
+  | None -> Nic.set_promiscuous t.nic false
 
 let snooped t = t.snoop
 let shutdown t = Nic.shutdown t.nic
@@ -128,6 +116,7 @@ let send_arp_request t target_ip =
 let add_address t ip =
   if not (has_address t ip) then begin
     Tcpfo_util.Vec.push t.addrs ip;
+    Nic.add_address t.nic ip;
     t.on_addr_change ();
     if Obs.tracing t.obs then
       Obs.emit t.obs ~at:(t.clock.now ())

@@ -1,5 +1,6 @@
 (** An Ethernet interface: a NIC plus ARP resolution plus a set of local
-    IPv4 addresses (aliases).
+    IPv4 addresses (aliases), each also entered in the NIC's receive
+    filter.
 
     IP takeover (paper §5, step 5) is [add_address], which installs the
     failed primary's address as an alias and broadcasts a gratuitous ARP so
@@ -51,15 +52,15 @@ val send_ip :
 val set_promiscuous : t -> Tcpfo_packet.Ipaddr.t option -> unit
 (** [set_promiscuous t (Some a)] puts the NIC into promiscuous mode to
     snoop the datagrams addressed to [a] (the service address a bridge
-    replicates); [None] turns promiscuous mode off.  The NIC still
-    captures (and counts in [nic.rx]) every frame on the segment, but
-    the interface filters them as tcpdump's [host a] does: a captured
-    IPv4 datagram reaches the IP layer only when its source or
-    destination is [a] or its destination is one of the interface's
-    addresses.  Every other one is dropped at no cost.  Of those that
-    pass, the IP layer charges the receive cost of one addressed to
-    neither [a] nor a local address (the service's own outbound
-    traffic) and drops it before any hook sees it (DESIGN.md 7.1). *)
+    replicates); [None] turns promiscuous mode off.  The NIC's filter,
+    held in the medium's station table, is tcpdump's [host a]: a frame
+    not addressed to the NIC reaches it only when it is ARP, or an IPv4
+    datagram whose source or destination is [a] or whose destination is
+    one of the interface's addresses.  Every other frame on the segment
+    never reaches the host.  Of those that pass, the IP layer charges
+    the receive cost of one addressed to neither [a] nor a local address
+    (the service's own outbound traffic) and drops it before any hook
+    sees it (DESIGN.md 7.1). *)
 
 val snooped : t -> Tcpfo_packet.Ipaddr.t option
 (** The address named by the last {!set_promiscuous}. *)

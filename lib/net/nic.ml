@@ -7,7 +7,6 @@ type t = {
   mac : Macaddr.t;
   medium : Medium.t;
   mutable port : Medium.port option;
-  mutable promiscuous : bool;
   mutable partitioned : bool;
   mutable rx : Eth_frame.t -> addressed_to_me:bool -> unit;
   rx_count : Registry.counter;
@@ -19,26 +18,32 @@ let create _engine ~mac ?obs medium =
     Obs.scope (match obs with Some o -> o | None -> Obs.silent ()) "nic"
   in
   let t =
-    { mac; medium; port = None; promiscuous = false; partitioned = false;
+    { mac; medium; port = None; partitioned = false;
       rx = (fun _ ~addressed_to_me:_ -> ());
       rx_count = Obs.counter obs "rx"; tx_count = Obs.counter obs "tx" }
   in
-  let deliver frame =
-    let to_me =
-      Macaddr.equal frame.Eth_frame.dst t.mac
-      || Macaddr.is_broadcast frame.Eth_frame.dst
-    in
-    if (to_me || t.promiscuous) && not t.partitioned then begin
-      Registry.Counter.incr t.rx_count;
-      t.rx frame ~addressed_to_me:to_me
-    end
+  (* the medium's station table filters: whatever arrives is taken *)
+  let deliver frame ~addressed_to_me =
+    Registry.Counter.incr t.rx_count;
+    t.rx frame ~addressed_to_me
   in
-  t.port <- Some (Medium.attach medium ~deliver);
+  t.port <- Some (Medium.attach_station medium ~mac ~deliver);
   t
 
 let mac t = t.mac
-let set_promiscuous t v = t.promiscuous <- v
-let set_partitioned t v = t.partitioned <- v
+
+let set_promiscuous t ?host v =
+  match t.port with
+  | Some p -> Medium.set_promiscuous t.medium p ?host v
+  | None -> ()
+
+let add_address t a =
+  match t.port with Some p -> Medium.add_address t.medium p a | None -> ()
+
+let set_partitioned t v =
+  t.partitioned <- v;
+  match t.port with Some p -> Medium.set_partitioned p v | None -> ()
+
 let partitioned t = t.partitioned
 let set_rx t fn = t.rx <- fn
 let up t = t.port <> None

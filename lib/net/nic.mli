@@ -1,9 +1,11 @@
 (** Network interface card attached to a shared Ethernet {!Medium}.
 
-    Filters incoming frames by destination MAC unless promiscuous mode is
-    enabled — the secondary server's bridge enables it to snoop every
-    datagram the client sends to the primary (paper §3.1) and disables it
-    again during failover (paper §5, step 2). *)
+    The NIC's receive filter lives in the medium's station table: it
+    takes frames for its MAC and broadcasts, and in promiscuous mode the
+    frames its [host] filter passes — the secondary server's bridge
+    enables it to snoop every datagram the client sends to the primary
+    (paper §3.1) and disables it again during failover (paper §5,
+    step 2).  Frames the filter refuses never reach the NIC. *)
 
 type t
 
@@ -13,16 +15,23 @@ val create :
   ?obs:Tcpfo_obs.Obs.t ->
   Medium.t ->
   t
-(** Counters [nic.rx] (accepted frames) and [nic.tx] are registered
-    under [obs]. *)
+(** Counters [nic.rx] (frames the medium handed to the NIC, which are
+    the frames its filter takes) and [nic.tx] are registered under
+    [obs]. *)
 
 val mac : t -> Tcpfo_packet.Macaddr.t
 
-val set_promiscuous : t -> bool -> unit
+val set_promiscuous : t -> ?host:Tcpfo_packet.Ipaddr.t -> bool -> unit
+(** See {!Medium.set_promiscuous}: without [host] the NIC takes every
+    frame; with [~host:a] the [host a] filter passes what it takes. *)
+
+val add_address : t -> Tcpfo_packet.Ipaddr.t -> unit
+(** Tell the filter about one of the host's addresses on this NIC
+    ({!Medium.add_address}). *)
 
 val set_partitioned : t -> bool -> unit
 (** While partitioned the NIC stays attached to the medium but silently
-    discards everything: incoming frames are never delivered upward and
+    discards everything: incoming frames are never handed to it and
     outgoing frames never reach the wire.  Models unplugging the cable
     (or a switch port going down) without the host noticing — unlike
     {!shutdown}, the fault is reversible. *)

@@ -175,6 +175,7 @@ type t = {
   mutable live : int;
   mutable processed : int;
   mutable seq : int;
+  mutable firing : int; (* seq of the event whose body runs; max_int between *)
   mutable cancelled_skips : int;
   mutable wheel_cascades : int;
   mutable on_cancelled_skip : unit -> unit;
@@ -187,12 +188,13 @@ let create () =
     tails = Array.init levels (fun _ -> Array.make wheel_slots nil);
     occupied = Array.make (levels * words) 0;
     opened = 0; cur = Evheap.create (); overflow = Evheap.create ();
-    live = 0; processed = 0; seq = 0; cancelled_skips = 0;
+    live = 0; processed = 0; seq = 0; firing = max_int; cancelled_skips = 0;
     wheel_cascades = 0; on_cancelled_skip = ignore;
     on_wheel_cascade = ignore }
 
 let now t = t.clock
 let processed t = t.processed
+let firing_seq t = t.firing
 let cancelled_skips t = t.cancelled_skips
 let wheel_cascades t = t.wheel_cascades
 
@@ -388,16 +390,26 @@ let peek_next t =
 
 (* ------------------------------ API ------------------------------- *)
 
-let insert t ~guard ~at fn =
-  let at = Int.max at t.clock in
-  t.seq <- t.seq + 1;
+let enqueue t ~guard ~at ~seq fn =
   let ev =
-    { cancelled = false; consumed = false; at; seq = t.seq; fn; next = nil;
-      home = home_done; guard }
+    { cancelled = false; consumed = false; at = Int.max at t.clock; seq; fn;
+      next = nil; home = home_done; guard }
   in
   wheel_insert t ev;
   t.live <- t.live + 1;
   ev
+
+let insert t ~guard ~at fn =
+  t.seq <- t.seq + 1;
+  enqueue t ~guard ~at ~seq:t.seq fn
+
+let reserve t =
+  t.seq <- t.seq + 1;
+  t.seq
+
+(* Every queue orders by (at, seq), not by arrival, so an event that
+   enters late under an earlier seq takes the place it would have had. *)
+let schedule_reserved t ~seq ~at fn = enqueue t ~guard:unguarded ~at ~seq fn
 
 let schedule_at t ~at fn = insert t ~guard:unguarded ~at fn
 
@@ -439,7 +451,12 @@ let fire t ev =
   if ev.guard ev then begin
     let fn = ev.fn in
     ev.fn <- ignore;
-    fn ()
+    t.firing <- ev.seq;
+    match fn () with
+    | () -> t.firing <- max_int
+    | exception e ->
+      t.firing <- max_int;
+      raise e
   end
 
 let step t =

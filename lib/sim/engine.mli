@@ -37,6 +37,28 @@ val schedule_guarded :
     its events: it drops them once the host is dead and parks them while
     it is paused. *)
 
+val reserve : t -> int
+(** Take the next scheduling sequence number without scheduling
+    anything: the number an event scheduled now would get.  Events
+    scheduled later get higher numbers. *)
+
+val schedule_reserved :
+  t -> seq:int -> at:Time.t -> (unit -> unit) -> event_id
+(** Schedule [f] at [at] under [seq], a number {!reserve} returned and
+    no other event used.  The event fires where an event scheduled at
+    the moment of the reservation would have: after the events at [at]
+    with lower numbers, before those with higher ones.  The caller
+    keeps the order exact by inserting it before it would have come
+    due: [at] not in the past, and when [at] is now, [seq] above
+    {!firing_seq}. *)
+
+val firing_seq : t -> int
+(** The sequence number of the event whose body is running, or
+    [max_int] outside event bodies (between {!step}s, and after {!run}
+    returns).  A reserved event at the current instant has already
+    fired, in the order it would have had, exactly when its number is
+    below [firing_seq]. *)
+
 val run_parked : event_id -> unit
 (** Run the body of an event whose guard declined it at firing time.
     A body runs at most once, and a cancelled event's body is [ignore],

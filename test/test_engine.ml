@@ -341,6 +341,64 @@ let test_cancel_drops_body () =
     (Engine.cancelled_skips e);
   Testutil.check_int "nothing ran" 0 (Engine.processed e)
 
+(* ------------------------- reserved seqs ------------------------- *)
+
+(* An event inserted late under a reserved seq fires after the
+   same-instant events scheduled before the reservation and before
+   those scheduled after it, wherever the wheel holds them when it
+   enters: [at] near (the open slot), a few ms off (level 1-2) or far
+   (level 3) when it is inserted, early or from an event at [at]
+   itself. *)
+let test_reserved_seq_keeps_its_place () =
+  List.iter
+    (fun (name, at, insert_at) ->
+      let e = Engine.create () in
+      let log = ref [] in
+      let note tag () = log := tag :: !log in
+      let seq = ref 0 in
+      let insert () =
+        ignore (Engine.schedule_reserved e ~seq:!seq ~at (note "reserved"))
+      in
+      (* an inserting event goes first, so at [at] itself it still runs
+         before the reserved seq *)
+      Option.iter (fun t -> ignore (Engine.schedule_at e ~at:t insert))
+        insert_at;
+      ignore (Engine.schedule_at e ~at (note "a"));
+      ignore (Engine.schedule_at e ~at (note "b"));
+      seq := Engine.reserve e;
+      ignore (Engine.schedule_at e ~at (note "c"));
+      ignore (Engine.schedule_at e ~at (note "d"));
+      if Option.is_none insert_at then insert ();
+      Engine.run e;
+      Alcotest.(check (list string))
+        name [ "a"; "b"; "reserved"; "c"; "d" ] (List.rev !log))
+    [ ("inserted at once, near", Time.us 3, None);
+      ("inserted at once, far", Time.sec 20.0, None);
+      ("inserted later, from level 2", Time.ms 40, Some (Time.ms 39));
+      ("inserted from a level-3 wait", Time.sec 20.0, Some (Time.sec 19.0));
+      ("inserted at the instant itself", Time.ms 2, Some (Time.ms 2)) ]
+
+let test_firing_seq () =
+  let e = Engine.create () in
+  Testutil.check_int "before anything ran" max_int (Engine.firing_seq e);
+  let seen = ref [] in
+  let note () = seen := Engine.firing_seq e :: !seen in
+  ignore (Engine.schedule e ~delay:(Time.us 5) note);
+  let r = Engine.reserve e in
+  ignore (Engine.schedule e ~delay:(Time.us 5) note);
+  Testutil.check_bool "step ran one" true (Engine.step e);
+  Testutil.check_int "after step" max_int (Engine.firing_seq e);
+  Engine.run e;
+  Testutil.check_int "after run" max_int (Engine.firing_seq e);
+  (match List.rev !seen with
+  | [ before; after ] ->
+    Testutil.check_bool "scheduled before the reservation" true (before < r);
+    Testutil.check_bool "scheduled after it" true (after > r)
+  | _ -> Alcotest.fail "two events should have fired");
+  ignore (Engine.schedule e ~delay:0 (fun () -> failwith "boom"));
+  (try Engine.run e with Failure _ -> ());
+  Testutil.check_int "after a body raised" max_int (Engine.firing_seq e)
+
 let suite =
   [
     Alcotest.test_case "time ordering" `Quick test_fires_in_time_order;
@@ -361,5 +419,9 @@ let suite =
     Alcotest.test_case "wheel: counters and stat hooks" `Quick
       test_wheel_counters;
     Alcotest.test_case "cancel drops the body" `Quick test_cancel_drops_body;
+    Alcotest.test_case "reserved seq keeps its place" `Quick
+      test_reserved_seq_keeps_its_place;
+    Alcotest.test_case "firing_seq outside and inside bodies" `Quick
+      test_firing_seq;
     QCheck_alcotest.to_alcotest prop_wheel_matches_reference;
   ]

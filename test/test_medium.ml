@@ -11,6 +11,7 @@ module Obs = Tcpfo_obs.Obs
 module Registry = Tcpfo_obs.Registry
 module Cpu = Tcpfo_sim.Cpu
 module Eth_iface = Tcpfo_ip.Eth_iface
+module Arp_packet = Tcpfo_packet.Arp_packet
 module Ip_layer = Tcpfo_ip.Ip_layer
 
 let mk_frame ~src ~dst n =
@@ -228,11 +229,10 @@ let test_snooped_foreign_frame_costs_only_from_service () =
   let off = snoop_run ~snoop:None ~dst:third () in
   Testutil.check_int "not captured when not promiscuous" 0 off.nic_rx;
   Testutil.check_int "idle cpu" 0 (Cpu.total_busy off.cpu);
-  (* snooping the service address: frames between two third hosts are
-     captured by the NIC, but the interface's filter drops them before
-     they cost anything *)
+  (* snooping the service address: the NIC's filter refuses frames
+     between two third hosts, so they never reach it and cost nothing *)
   let foreign = snoop_run ~snoop:(Some service) ~dst:third () in
-  Testutil.check_int "nic counts both frames" 2 foreign.nic_rx;
+  Testutil.check_int "nic takes neither frame" 0 foreign.nic_rx;
   Testutil.check_int "no jitter draw" 0 foreign.draws;
   Testutil.check_int "no hook sees them" 0 foreign.hooked;
   Testutil.check_int "no events beyond the medium's" off.processed
@@ -262,6 +262,246 @@ let test_snooped_foreign_frame_costs_only_from_service () =
   Testutil.check_int "same cpu charge" (Cpu.busy_until outbound.cpu)
     (Cpu.busy_until snooped.cpu)
 
+(* ------------------------ events per frame ------------------------ *)
+
+(* The end of a frame is an engine event only when a station waits for
+   the wire or the sender has more queued. *)
+let test_events_per_frame () =
+  let e, m, _ = setup () in
+  let _sink = Medium.attach m ~deliver:ignore in
+  let p1 = Medium.attach m ~deliver:ignore in
+  let p2 = Medium.attach m ~deliver:ignore in
+  Medium.transmit m p1 (mk_frame ~src:1 ~dst:9 100);
+  Engine.run e;
+  Testutil.check_int "uncontended frame: its delivery alone" 1
+    (Engine.processed e);
+  (* two frames queued on one port: the first one's end starts the
+     second *)
+  Medium.transmit m p1 (mk_frame ~src:1 ~dst:9 100);
+  Medium.transmit m p1 (mk_frame ~src:1 ~dst:9 100);
+  Engine.run e;
+  Testutil.check_int "backlog: two deliveries and one end" 4
+    (Engine.processed e);
+  (* a station that defers arms the end of the frame it waits for *)
+  Medium.transmit m p1 (mk_frame ~src:1 ~dst:9 500);
+  ignore
+    (Engine.schedule e ~delay:(Time.us 5) (fun () ->
+         Medium.transmit m p2 (mk_frame ~src:2 ~dst:9 500)));
+  Engine.run e;
+  Testutil.check_int "deferral: timer, two deliveries, one end" 8
+    (Engine.processed e)
+
+(* At the instant a frame ends, the events that fire before its
+   (reserved) end event still find the wire busy, and those after it
+   find it idle.  With [collision_prob = 1], two stations that defer
+   collide when the wire goes idle, and two that find it idle do not:
+   the first starts and the second defers behind it. *)
+let test_busy_at_the_end_instant () =
+  let collisions_with ~before =
+    let e, m, obs =
+      setup ~config:{ Medium.default_config with collision_prob = 1.0 } ()
+    in
+    let _sink = Medium.attach m ~deliver:ignore in
+    let p1 = Medium.attach m ~deliver:ignore in
+    let p2 = Medium.attach m ~deliver:ignore in
+    let p3 = Medium.attach m ~deliver:ignore in
+    (* 100-byte raw payload: 14 + 20 + 100 + 4 + 20 bytes = 12.64 us *)
+    let ends = Time.ns 12_640 in
+    let both () =
+      Medium.transmit m p2 (mk_frame ~src:2 ~dst:9 100);
+      Medium.transmit m p3 (mk_frame ~src:3 ~dst:9 100)
+    in
+    if before then ignore (Engine.schedule_at e ~at:ends both);
+    Medium.transmit m p1 (mk_frame ~src:1 ~dst:9 100);
+    if not before then ignore (Engine.schedule_at e ~at:ends both);
+    Engine.run e;
+    collisions obs
+  in
+  Testutil.check_bool "scheduled before the frame: busy, both defer" true
+    (collisions_with ~before:true > 0);
+  Testutil.check_int "scheduled after the frame: idle" 0
+    (collisions_with ~before:false)
+
+(* ------------------ station table vs the NIC rule ------------------ *)
+
+(* What a station does with a frame, restated from the NIC and the
+   interface filter the station table replaces: a NIC accepted a frame
+   for its MAC or broadcast, or any frame while promiscuous, unless
+   partitioned; a snooping interface then kept ARP, addressed frames and
+   IPv4 datagrams from or to the snooped address or to one of its own. *)
+type promisc = Off | Wild | Host of int
+
+type model = {
+  idx : int; (* index among the scenario's ports, in attach order *)
+  tap : bool;
+  mac : int;
+  mutable promisc : promisc;
+  mutable addrs : int list;
+  mutable partitioned : bool;
+  mutable attached : bool;
+}
+
+let reference_takes st (frame : Eth_frame.t) =
+  let dst = Macaddr.to_int frame.dst in
+  let to_me = dst = st.mac || Macaddr.is_broadcast frame.dst in
+  if st.tap then Some false
+  else if st.partitioned || not (to_me || st.promisc <> Off) then None
+  else
+    let kept =
+      match (frame.payload, st.promisc) with
+      | Eth_frame.Arp _, _ | _, (Off | Wild) -> true
+      | Eth_frame.Ip p, Host a ->
+        let src = Ipaddr.to_int p.src and pdst = Ipaddr.to_int p.dst in
+        to_me || src = a || pdst = a || List.exists (Int.equal pdst) st.addrs
+    in
+    if kept then Some to_me else None
+
+(* Random station sets and frames on one segment.  MACs come from a
+   pool of ten (so two ports may share one, and the table may grow) and
+   addresses from another
+   (so snooped, own and third addresses collide often).  Between frames
+   a station may gain an alias, change its promiscuity, be partitioned
+   or healed, or be detached and attached again as a new port with the
+   same MAC.  Every frame's receivers and their order must be the
+   reference's. *)
+let prop_station_table =
+  QCheck.Test.make ~name:"station table hands frames as the NIC rule"
+    ~count:300 QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let r = Random.State.make [| seed |] in
+      let pick l = List.nth l (Random.State.int r (List.length l)) in
+      let e, m, _ =
+        setup
+          ~config:{ Medium.default_config with enable_collisions = false } ()
+      in
+      let macs = List.init 10 succ and addrs = [ 10; 11; 12; 13; 14 ] in
+      let calls = ref [] and taken = ref [] in
+      let ports = ref [] in (* (model, nic option, rx obs), attach order *)
+      let add_station mac =
+        let st =
+          { idx = List.length !ports; tap = false; mac; promisc = Off;
+            addrs = []; partitioned = false; attached = true }
+        in
+        let obs = Obs.create () in
+        let nic = Nic.create e ~mac:(Macaddr.of_int mac) ~obs m in
+        Nic.set_rx nic (fun _ ~addressed_to_me ->
+            calls := (st.idx, addressed_to_me) :: !calls);
+        ports := !ports @ [ (st, Some nic, obs) ];
+        (st, nic)
+      in
+      let add_address st nic a =
+        Nic.add_address nic (Ipaddr.of_int a);
+        if not (List.mem a st.addrs) then st.addrs <- st.addrs @ [ a ]
+      in
+      let set_promisc st nic p =
+        st.promisc <- p;
+        match p with
+        | Off -> Nic.set_promiscuous nic false
+        | Wild -> Nic.set_promiscuous nic true
+        | Host a -> Nic.set_promiscuous nic ~host:(Ipaddr.of_int a) true
+      in
+      let random_promisc () =
+        match Random.State.int r 3 with
+        | 0 -> Off
+        | 1 -> Wild
+        | _ -> Host (pick addrs)
+      in
+      let tap_at = Random.State.int r 6 in
+      for i = 0 to 2 + Random.State.int r 9 do
+        if i = tap_at then begin
+          let st =
+            { idx = List.length !ports; tap = true; mac = -1; promisc = Off;
+              addrs = []; partitioned = false; attached = true }
+          in
+          ignore
+            (Medium.attach m ~deliver:(fun _ ->
+                 calls := (st.idx, false) :: !calls));
+          ports := !ports @ [ (st, None, Obs.create ()) ]
+        end;
+        let st, nic = add_station (pick macs) in
+        if Random.State.bool r then add_address st nic (pick addrs);
+        set_promisc st nic (random_promisc ())
+      done;
+      let stations () =
+        List.filter_map
+          (fun (st, nic, _) ->
+            match nic with
+            | Some n when st.attached -> Some (st, n)
+            | _ -> None)
+          !ports
+      in
+      let mutate () =
+        let st, nic = pick (stations ()) in
+        match Random.State.int r 5 with
+        | 0 -> add_address st nic (pick addrs)
+        | 1 -> set_promisc st nic (random_promisc ())
+        | 2 ->
+          st.partitioned <- not st.partitioned;
+          Nic.set_partitioned nic st.partitioned
+        | 3 when List.length (stations ()) > 2 ->
+          (* detached, and attached again as a new port *)
+          Nic.shutdown nic;
+          st.attached <- false;
+          let st', nic' = add_station st.mac in
+          List.iter (add_address st' nic') st.addrs;
+          set_promisc st' nic' st.promisc
+        | _ -> ()
+      in
+      let ok = ref true in
+      for _ = 1 to 40 do
+        if Random.State.int r 3 = 0 then mutate ();
+        let senders =
+          List.filter (fun (st, _) -> not st.partitioned) (stations ())
+        in
+        if senders <> [] then begin
+          let sender, nic = pick senders in
+          let dst =
+            match Random.State.int r 4 with
+            | 0 -> Macaddr.broadcast
+            | 1 -> Macaddr.of_int 99
+            | _ -> Macaddr.of_int (pick macs)
+          in
+          let ip () = Ipaddr.of_int (pick (20 :: addrs)) in
+          let payload =
+            if Random.State.int r 4 = 0 then
+              Eth_frame.Arp
+                (Arp_packet.reply ~sender_mac:(Macaddr.of_int sender.mac)
+                   ~sender_ip:(ip ()) ~target_mac:dst ~target_ip:(ip ()))
+            else
+              Eth_frame.Ip
+                (Ipv4_packet.make ~src:(ip ()) ~dst:(ip ())
+                   (Ipv4_packet.Raw { proto = 200; data = "x" }))
+          in
+          let frame =
+            Eth_frame.make ~src:(Macaddr.of_int sender.mac) ~dst payload
+          in
+          (* the reference is taken when the frame lands, as the table is *)
+          calls := [];
+          Nic.send nic ~dst payload;
+          Engine.run e;
+          let expected =
+            List.filter_map
+              (fun (st, _, _) ->
+                if (not st.attached) || st.idx = sender.idx then None
+                else
+                  Option.map (fun a -> (st.idx, a)) (reference_takes st frame))
+              !ports
+          in
+          if List.rev !calls <> expected then ok := false;
+          taken := !calls @ !taken
+        end
+      done;
+      (* nic.rx counts exactly the frames handed to the station *)
+      let rx_matches =
+        List.for_all
+          (fun (st, nic, obs) ->
+            Option.is_none nic
+            || Registry.counter_value (Obs.metrics obs) "nic.rx"
+               = List.length (List.filter (fun (i, _) -> i = st.idx) !taken))
+          !ports
+      in
+      !ok && rx_matches)
+
 let suite =
   [
     Alcotest.test_case "hub broadcast semantics" `Quick
@@ -281,4 +521,8 @@ let suite =
     Alcotest.test_case "nic promiscuous mode" `Quick test_nic_promiscuous;
     Alcotest.test_case "snooped frame for a third host: cpu only from the service"
       `Quick test_snooped_foreign_frame_costs_only_from_service;
+    Alcotest.test_case "events per frame" `Quick test_events_per_frame;
+    Alcotest.test_case "busy at the instant a frame ends" `Quick
+      test_busy_at_the_end_instant;
+    QCheck_alcotest.to_alcotest prop_station_table;
   ]
